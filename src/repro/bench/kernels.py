@@ -18,9 +18,8 @@ The instance is built so its large (~200-pin) nets are *critical*
 where the python reference spends its time in per-pin interpreter loops
 (the ``T == 0`` / ``F == 1`` bump-all-pins rules) while the flat tier
 batches each net's gain updates into a handful of numpy calls.  Pin
-count is kept below the ``_VECTOR_MIN_PINS`` heuristic threshold so the
-python matching tier exercises its scalar loop, as it would on the
-small sub-hypergraphs of deep recursive bisection.
+counts stay small, like the sub-hypergraphs of deep recursive
+bisection.
 
 Every tier must produce bit-identical output — the benchmark diffs the
 resulting partition/clustering hashes and reports ``bit_identical`` per
@@ -120,9 +119,8 @@ def synth_match_instance(
     vertex's scoring expansion revisits the same ~*block* neighbours
     through many nets — the regime batched scoring targets, where
     candidate grouping collapses the per-pair work while the scalar
-    loop still walks (and float-accumulates) every pin.  Kept below
-    ``_VECTOR_MIN_PINS`` so the python tier runs its scalar loop, as it
-    would on the small sub-hypergraphs of deep recursive bisection.
+    loop still walks (and float-accumulates) every pin.  Kept small,
+    like the sub-hypergraphs of deep recursive bisection.
     """
     from repro.hypergraph.hypergraph import Hypergraph
 
@@ -300,9 +298,8 @@ def run_kernels_bench(
     hardware = _hardware()
     info = kernel_info()
     h, part0 = synth_instance(nv=nv, seed=seed)
-    # matching gets its own sub-_VECTOR_MIN_PINS, community-structured
-    # instance so the python tier exercises its scalar loop (the
-    # production path at this size) in the regime batched scoring targets
+    # matching gets its own small, community-structured instance: the
+    # regime batched scoring targets
     h_match = synth_match_instance(seed=seed + 1)
     # the inner-loop instance maximizes critical-net work per move:
     # 2000-pin monochromatic nets, so early moves fire full T==0 sweeps

@@ -10,6 +10,11 @@ Two matching schemes from PaToH are implemented:
   much better with the star-like structures of matrices with dense
   rows/columns.
 
+On a *single-term* level — every vertex in at most two nets, no two
+vertices sharing two nets, as on every fine-grain finest level — each
+score is one net's term, so the matcher walks each vertex's two nets in
+score order instead of scoring pin by pin (:func:`_match_single_term`).
+
 After matching, the coarse hypergraph is built by mapping pins through the
 cluster map, removing duplicate pins, discarding single-pin nets (they can
 never be cut) and merging identical nets while summing their costs — the
@@ -20,26 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import INDEX_DTYPE, as_rng, multi_arange, prefix_from_counts
+from repro._util import INDEX_DTYPE, multi_arange, prefix_from_counts
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
 from repro.telemetry import get_recorder
 
 __all__ = ["match_vertices", "build_coarse", "coarsen_level", "CoarseLevel", "coarsen"]
-
-#: expansion budget (expanded candidate pins) per scoring chunk of the
-#: vectorized matcher.  Chunks are cut by expected expansion work rather
-#: than vertex count: larger budgets amortize numpy call overhead, smaller
-#: ones waste less scoring on vertices that get absorbed into a cluster
-#: mid-chunk.  Dense instances (big nets) therefore get short chunks
-#: automatically, sparse ones long.
-_SCORE_BUDGET = 100_000
-
-#: below this pin count the scalar matching/contraction loops win: numpy
-#: call overhead dominates batched passes on the small sub-hypergraphs of
-#: deep recursive bisection.  Both paths are bit-identical, so the switch
-#: point affects speed only, never results.
-_VECTOR_MIN_PINS = 100_000
 
 #: within the scalar matcher, a single vertex whose scoring expansion
 #: (pins behind its eligible nets) reaches this many entries gets a
@@ -48,8 +39,9 @@ _VECTOR_MIN_PINS = 100_000
 #: vertex is already known to be unclustered.
 _VERTEX_VECTOR_MIN = 3000
 
-#: like :data:`_VECTOR_MIN_PINS` but for the coarse-build contraction,
-#: whose vectorized dedup pays off earlier than the matcher's
+#: below this pin count the flat coarse build merges identical nets with
+#: a dict instead of the hash-keyed vectorized merge.  Bit-identical
+#: either way.
 _VECTOR_MIN_PINS_BUILD = 100_000
 
 #: below this pin count the flat build tier routes to the per-net
@@ -70,7 +62,7 @@ def _argsort_ids(keys: np.ndarray, hi: int) -> np.ndarray:
     (an int64 stable argsort measures ~6x slower at the same length), so
     wider ids sort low-half then high-half: two stable passes over
     subkeys compose into one stable sort of the full key.  Ids here are
-    vertex/chunk indices, always < 2**32.
+    vertex indices, always < 2**32.
     """
     if hi <= (1 << 16):
         return np.argsort(keys.astype(np.uint16), kind="stable")
@@ -79,118 +71,79 @@ def _argsort_ids(keys: np.ndarray, hi: int) -> np.ndarray:
     return s[np.argsort(high[s], kind="stable")]
 
 
-def _score_aux(
+def _net_scores(
     h: Hypergraph, max_net_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scoring-eligibility arrays for matching, cached on *h*.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sizes, valid, net_score)`` for matching, cached on *h*: net sizes,
+    which nets are scoring-eligible (``2 <= size <= max_net_size``), and
+    the per-net connectivity score ``c_n / (size - 1)`` (0.0 when
+    ineligible).  Pure functions of the immutable hypergraph and the cap,
+    so V-cycles revisiting a level reuse them."""
 
-    Returns ``(sizes, valid, net_score, expand)``: net sizes, which nets are
-    scoring-eligible (``2 <= size <= max_net_size``), the per-net
-    connectivity score ``c_n / (size - 1)``, and per vertex the number of
-    pins behind its eligible nets (the scoring expansion).  All are pure
-    functions of the immutable hypergraph and the net-size cap, so V-cycles
-    and repeated restricted coarsening of the same level reuse them.
-    """
-
-    def make() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def make() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sizes = np.diff(h.xpins)
         valid = (sizes >= 2) & (sizes <= max_net_size)
         net_score = np.where(valid, h.net_costs / np.maximum(sizes - 1, 1), 0.0)
-        vmask = valid[h.vnets]
-        vowner = np.repeat(
-            np.arange(h.num_vertices, dtype=INDEX_DTYPE), np.diff(h.xnets)
-        )
-        expand = np.bincount(
-            vowner[vmask], weights=sizes[h.vnets[vmask]], minlength=h.num_vertices
-        ).astype(np.int64)
-        return sizes, valid, net_score, expand
+        return sizes, valid, net_score
 
-    return h._view(f"score_aux_{max_net_size}", make)
+    return h._view(f"net_scores_{max_net_size}", make)
 
 
-def _chunk_candidates(
-    chunk: np.ndarray,
-    nv: int,
-    xnets: np.ndarray,
-    vnets: np.ndarray,
-    xpins: np.ndarray,
-    pins: np.ndarray,
-    valid: np.ndarray,
-    sizes: np.ndarray,
-    net_score: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched match scoring for the vertices of one permutation chunk.
-
-    Returns ``(offsets, cand, pin_total)`` indexed by position within
-    *chunk*: ``cand[offsets[j]:offsets[j+1]]`` are the distinct neighbours
-    of ``chunk[j]`` through scoring-eligible nets, ordered by descending
-    summed ``c_n / (|n| - 1)`` connectivity score (first-encounter order on
-    ties), and ``pin_total[j]`` the pins the scalar loop would have visited.
-
-    Equivalence contract with the scalar scoring loop: nets expand in
-    ascending id order and pins in storage order, candidates keep their
-    first-encounter order, and per-candidate scores accumulate strictly
-    left-to-right in that order (``np.bincount`` adds weights
-    sequentially over its input), so float sums and every downstream
-    tie-break are bit-identical.
-    """
-    m = len(chunk)
-    empty = (
-        np.zeros(m + 1, dtype=INDEX_DTYPE),
-        np.empty(0, dtype=INDEX_DTYPE),
-        np.zeros(m, dtype=INDEX_DTYPE),
+def _max_degree(h: Hypergraph) -> int:
+    return h._view(
+        "max_degree",
+        lambda: int(np.diff(h.xnets).max()) if h.num_vertices else 0,
     )
-    deg = xnets[chunk + 1] - xnets[chunk]
-    if int(deg.sum()) == 0:
-        return empty
-    local = np.repeat(np.arange(m, dtype=INDEX_DTYPE), deg)
-    ns = vnets[multi_arange(xnets[chunk], deg)]
-    ok = valid[ns]
-    ns, local = ns[ok], local[ok]
-    if len(ns) == 0:
-        return empty
-    cnt = sizes[ns]
-    pin_total = np.bincount(local, weights=cnt, minlength=m).astype(INDEX_DTYPE)
-    owner_local = np.repeat(local, cnt)
-    owner = chunk[owner_local]
-    cand = pins[multi_arange(xpins[ns], cnt)]
-    scs = np.repeat(net_score[ns], cnt)
-    keep = cand != owner
-    cand, scs, owner_local = cand[keep], scs[keep], owner_local[keep]
-    if len(cand) == 0:
-        return empty[0], empty[1], pin_total
 
-    # group by (chunk position, candidate); two stable sorts — by
-    # candidate, then by chunk position — equal one stable sort by the
-    # (position, candidate) pair, and :func:`_argsort_ids` runs every
-    # pass as a uint16 radix sort (O(n)).  Stability keeps duplicate
-    # pairs in net order so the sequential accumulation below reproduces
-    # the scalar float accumulation exactly.
-    s1 = _argsort_ids(cand, nv)
-    ol = owner_local[s1]
-    perm = s1[_argsort_ids(ol, m)]
-    oo = owner_local[perm]
-    co = cand[perm]
-    boundary = np.r_[True, (oo[1:] != oo[:-1]) | (co[1:] != co[:-1])]
-    grp = np.flatnonzero(boundary)
-    gid = np.cumsum(boundary) - 1
-    # bincount accumulates weights left-to-right like the unbuffered
-    # np.add.at, an order of magnitude faster; float sums are identical
-    score = np.bincount(gid, weights=scs[perm], minlength=len(grp))
-    pair_local = oo[grp].astype(INDEX_DTYPE)
-    pair_u = co[grp].astype(INDEX_DTYPE)
-    first_idx = perm[grp]  # stable sort -> first element is min original index
 
-    # Within each chunk vertex, order candidates by descending score, ties
-    # broken by first encounter.  The scalar loop keeps the first strictly
-    # greater score while scanning in encounter order, and its feasibility
-    # checks read cluster state that cannot change mid-scan, so "max score
-    # among feasible, earliest encounter on ties" is exactly "first
-    # feasible in this order" -- letting the greedy pass stop at the first
-    # candidate that passes the constraint checks instead of walking all.
-    order = np.lexsort((first_idx, -score, pair_local))
-    offsets = prefix_from_counts(np.bincount(pair_local, minlength=m))
-    return offsets, pair_u[order], pin_total
+def _is_single_term(h: Hypergraph) -> bool:
+    """Whether every connectivity score on *h* is a single net's term.
+
+    Holds when every vertex has degree <= 2 and no two degree-2 vertices
+    have the same net pair: pins within a net are distinct, so two vertices
+    then share at most one net.  Every fine-grain hypergraph qualifies — a
+    nonzero lies in one row net and one column net, and two nonzeros never
+    share both.  Coarse and 1D levels fail the O(1) degree test.
+    """
+    if _max_degree(h) > 2:
+        return False
+
+    def make() -> bool:
+        lo = h.xnets[:-1][np.diff(h.xnets) == 2]
+        a, b = h.vnets[lo], h.vnets[lo + 1]
+        key = np.minimum(a, b).astype(np.int64) * h.num_nets + np.maximum(a, b)
+        return len(np.unique(key)) == len(key)
+
+    return h._view("single_term", make)
+
+
+def _ranked_nets(h: Hypergraph, max_net_size: int) -> tuple[list[int], list[int]]:
+    """Per vertex of a single-term level, its scoring-eligible nets in
+    candidate order: ``(first, second)``, ``-1`` where there is none.
+
+    Every candidate reached through a net scores that net's term, so the
+    per-pin loop's pick — the first feasible candidate of strictly
+    greatest score, in first-touch order — is the first feasible pin of
+    the higher-scoring net, then of the other.  Equal scores keep
+    ``vnets`` order, which is also the touch order.  A net whose score is
+    0.0 never beats the loop's initial best, so it yields no candidate.
+    """
+
+    def make() -> tuple[list[int], list[int]]:
+        _, _, net_score = _net_scores(h, max_net_size)
+        score = np.r_[net_score, 0.0]  # index -1: no net
+        deg = np.diff(h.xnets)
+        vn = np.r_[h.vnets, -1, -1]
+        n0 = np.where(deg >= 1, vn[h.xnets[:-1]], -1)
+        n1 = np.where(deg == 2, vn[h.xnets[:-1] + 1], -1)
+        swap = score[n1] > score[n0]
+        first = np.where(swap, n1, n0)
+        second = np.where(swap, n0, n1)
+        first[score[first] <= 0.0] = -1
+        second[score[second] <= 0.0] = -1
+        return first.tolist(), second.tolist()
+
+    return h._view(f"ranked_nets_{max_net_size}", make)
 
 
 def match_vertices(
@@ -214,20 +167,16 @@ def match_vertices(
     exactly onto the coarse hypergraph.
 
     *kernel* picks the implementation tier (see
-    :mod:`repro.partitioner.kernels`): ``"python"`` is the pure reference
-    loop (the differential-testing oracle — one interpreted comparison
-    per pin, no batching); ``"flat"`` is the adaptive tier: above
-    :data:`_VECTOR_MIN_PINS` pins the per-pin scoring runs as
-    numpy-batched passes over the CSR pin arrays, one permutation-order
-    chunk at a time (scores depend only on the hypergraph, never on
-    cluster state, so batching ahead of the greedy selection is exact),
-    below it the scalar loop runs with one-vertex batching of dense
-    scoring expansions — the greedy selection itself always stays
-    sequential, preserving the classic HCM/HCC semantics bit for bit.
-    ``"jit"`` runs the numba-compiled scalar loop.  All tiers produce
-    identical output; the gates were placed by measurement (chunked
-    scoring loses below a few hundred thousand pins — see
-    docs/performance.md).
+    :mod:`repro.partitioner.kernels`).  ``"python"`` always runs the pure
+    per-pin reference loop, the differential-testing oracle (route
+    ``reference``).  Every other tier first takes the structural
+    single-term route when :func:`_is_single_term` holds (route
+    ``single-term``): each vertex walks the pins of its two nets in score
+    order, no per-pin scoring.  Otherwise ``"flat"`` runs the scalar loop
+    with one-vertex batching of dense scoring expansions and ``"jit"``
+    the numba-compiled scalar loop (route ``scalar``).  The greedy
+    selection is sequential everywhere, and every route produces
+    identical output.
     """
     nv = h.num_vertices
     if max_cluster_weight is None:
@@ -243,20 +192,16 @@ def match_vertices(
     cfixed: list[int] = []
     order = rng.permutation(nv)
 
-    if kernel == "jit":
-        from repro.partitioner.fm_jit import match_jit as matcher
-    elif kernel == "flat":
-        # adaptive: the scalar loop with per-vertex batching of dense
-        # scoring expansions.  Whole-chunk batch scoring
-        # (:func:`_match_chunked`) measures slower than this on every
-        # overlap regime benched so far — the sort-based merge of
-        # duplicate candidate pairs eats the vectorization win (the
-        # 0.94x forced-batch regression in BENCH_kernels.json) — so the
-        # flat tier only batches where batching provably pays: single
-        # vertices whose expansion clears _VERTEX_VECTOR_MIN.
-        matcher = _match_scalar
+    if kernel == "python":
+        matcher, route = _match_reference, "reference"
+    elif _is_single_term(h):
+        matcher, route = _match_single_term, "single-term"
     else:
-        matcher = _match_reference
+        route = "scalar"
+        if kernel == "jit":
+            from repro.partitioner.fm_jit import match_jit as matcher
+        else:
+            matcher = _match_scalar
     rec = get_recorder()
     with rec.span(
         "coarsen.match",
@@ -264,6 +209,7 @@ def match_vertices(
         nets=h.num_nets,
         pins=h.num_pins,
         kernel=kernel,
+        route=route,
     ):
         pins_visited = matcher(
             h, order, part_l, w, fix, cluster, cweight, cfixed,
@@ -285,8 +231,14 @@ def _dense_candidates(
     net_score: np.ndarray,
 ) -> list[int]:
     """Batched scoring of one vertex: candidates in descending-score order
-    (first-encounter order on ties), matching the scalar loop's float
-    accumulation exactly (see :func:`_chunk_candidates` for the argument).
+    (first-encounter order on ties).
+
+    Nets expand in ``vnets`` order and pins in storage order; the stable
+    sort keeps each candidate's terms in that order and ``np.bincount``
+    adds weights left to right, so every float sum equals the scalar
+    loop's.  The scalar loop keeps the first strictly greater score among
+    feasible candidates, and feasibility cannot change mid-scan, so the
+    first feasible candidate in this order is its pick.
     """
     ns = h.vnets[h.xnets[v] : h.xnets[v + 1]]
     ns = ns[valid[ns]]
@@ -341,23 +293,26 @@ def _match_scalar(
     dense_aux = None
     if dense_ok and h.num_pins >= _DENSE_AUX_MIN:
         # cheap upper bound on any vertex's scoring expansion: no vertex
-        # can expand past max_degree * largest eligible net.  Fine-grain
-        # levels (degree <= 2, nets capped at max_net_size) can never
-        # reach _VERTEX_VECTOR_MIN, so they skip the _score_aux setup
-        # entirely instead of paying O(pins) for a path that never fires.
-        max_deg = h._view(
-            "max_degree",
-            lambda: int(np.diff(h.xnets).max()) if h.num_vertices else 0,
-        )
+        # can expand past max_degree * largest eligible net.  Low-degree
+        # levels with capped nets can never reach _VERTEX_VECTOR_MIN, so
+        # they skip the expansion setup entirely instead of paying
+        # O(pins) for a path that never fires.
         max_sz = h._view(
             "max_net_size",
             lambda: int(np.diff(h.xpins).max()) if h.num_nets else 0,
         )
-        if max_deg * min(max_sz, max_net_size) >= _VERTEX_VECTOR_MIN:
-            sizes_np, valid_np, net_score, expand_np = _score_aux(
-                h, max_net_size
-            )
-            expand = h._view(f"expand_l_{max_net_size}", expand_np.tolist)
+        if _max_degree(h) * min(max_sz, max_net_size) >= _VERTEX_VECTOR_MIN:
+            sizes_np, valid_np, net_score = _net_scores(h, max_net_size)
+
+            def make_expand() -> list[int]:
+                # per vertex, the pins behind its eligible nets
+                vowner = np.repeat(np.arange(nv), np.diff(h.xnets))
+                vmask = valid_np[h.vnets]
+                return np.bincount(
+                    vowner[vmask], weights=sizes_np[h.vnets[vmask]], minlength=nv
+                ).astype(np.int64).tolist()
+
+            expand = h._view(f"expand_l_{max_net_size}", make_expand)
             dense_aux = (valid_np, sizes_np, net_score)
 
     # flat score accumulator: positive increments only, so score == 0.0
@@ -483,7 +438,7 @@ def _match_reference(
     )
 
 
-def _match_chunked(
+def _match_single_term(
     h: Hypergraph,
     order: np.ndarray,
     part_l: list[int] | None,
@@ -496,42 +451,32 @@ def _match_chunked(
     max_net_size: int,
     max_cluster_weight: int,
 ) -> int:
-    """Vectorized matching: batched scoring, scalar greedy selection."""
-    nv = h.num_vertices
-    pins_visited = 0
-    sizes, valid, net_score, expand = _score_aux(h, max_net_size)
+    """Greedy matching on a single-term level (:func:`_is_single_term`).
 
-    # the expansion estimate cuts the permutation into roughly equal-work
-    # chunks (pins behind scoring-eligible nets)
-    work = np.cumsum(expand[order])
-    lo = 0
-    while lo < nv:
-        hi = int(np.searchsorted(work, work[lo] + _SCORE_BUDGET, side="right"))
-        hi = max(hi, lo + 1)
-        raw = order[lo:hi]
-        lo = hi
-        # vertices already clustered by an earlier chunk are skipped before
-        # scoring; ones absorbed mid-chunk are skipped at selection below
-        chunk = raw[[cluster[int(v)] == -1 for v in raw]]
-        if len(chunk) == 0:
+    Each vertex walks the pins of its nets in :func:`_ranked_nets` order
+    and joins the first feasible one: the per-pin loop's pick, without
+    scoring.  The feasibility checks and the join must stay those of
+    :func:`_match_scalar`.  Returns the pins examined.
+    """
+    xpins = h.xpins_list()
+    pins = h.pins_list()
+    first, second = _ranked_nets(h, max_net_size)
+    pins_visited = 0
+
+    for v in order.tolist():
+        if cluster[v] != -1:
             continue
-        offs_a, cand_a, ptot_a = _chunk_candidates(
-            chunk, nv, h.xnets, h.vnets, h.xpins, h.pins, valid, sizes, net_score
-        )
-        offs = offs_a.tolist()
-        cand = cand_a.tolist()
-        ptot = ptot_a.tolist()
-        for j, v in enumerate(chunk.tolist()):
-            if cluster[v] != -1:
-                continue
-            fv = fix[v] if fix is not None else -1
-            pins_visited += ptot[j]
-            best_u = -1
-            wv = w[v]
-            pv = part_l[v] if part_l is not None else -1
-            # candidates arrive score-descending: first feasible one wins
-            for i in range(offs[j], offs[j + 1]):
-                u = cand[i]
+        fv = fix[v] if fix is not None else -1
+        wv = w[v]
+        pv = part_l[v] if part_l is not None else -1
+        best_u = -1
+        for n in (first[v], second[v]):
+            if n == -1:
+                break
+            for u in pins[xpins[n] : xpins[n + 1]]:
+                pins_visited += 1
+                if u == v:
+                    continue
                 if part_l is not None and part_l[u] != pv:
                     continue  # restricted (V-cycle) coarsening: stay in-part
                 cu = cluster[u]
@@ -540,26 +485,32 @@ def _match_chunked(
                 tw = (cweight[cu] if cu != -1 else w[u]) + wv
                 if tw > max_cluster_weight:
                     continue
-                fu = cfixed[cu] if cu != -1 else (fix[u] if fix is not None else -1)
+                fu = (
+                    cfixed[cu]
+                    if cu != -1
+                    else (fix[u] if fix is not None else -1)
+                )
                 if fv != -1 and fu != -1 and fu != fv:
                     continue
                 best_u = u
                 break
-            if best_u == -1:
-                cluster[v] = len(cweight)
-                cweight.append(wv)
-                cfixed.append(fv)
-            else:
-                cu = cluster[best_u]
-                if cu == -1:
-                    cu = len(cweight)
-                    cweight.append(w[best_u])
-                    cfixed.append(fix[best_u] if fix is not None else -1)
-                    cluster[best_u] = cu
-                cluster[v] = cu
-                cweight[cu] += wv
-                if fv != -1:
-                    cfixed[cu] = fv
+            if best_u != -1:
+                break
+        if best_u == -1:
+            cluster[v] = len(cweight)
+            cweight.append(wv)
+            cfixed.append(fv)
+        else:
+            cu = cluster[best_u]
+            if cu == -1:
+                cu = len(cweight)
+                cweight.append(w[best_u])
+                cfixed.append(fix[best_u] if fix is not None else -1)
+                cluster[best_u] = cu
+            cluster[v] = cu
+            cweight[cu] += wv
+            if fv != -1:
+                cfixed[cu] = fv
     return pins_visited
 
 

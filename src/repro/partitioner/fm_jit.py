@@ -498,8 +498,8 @@ def match_jit(
     hcm, max_net_size, max_cluster_weight,
 ) -> int:
     """Matcher entry with the same list-based contract as
-    ``coarsen._match_scalar`` / ``_match_chunked`` (mutates *cluster*,
-    appends to *cweight*/*cfixed*, returns pins visited)."""
+    ``coarsen._match_scalar`` (mutates *cluster*, appends to
+    *cweight*/*cfixed*, returns pins visited)."""
     nv = h.num_vertices
     cl = np.full(nv, -1, dtype=np.int64)
     cw = np.zeros(nv, dtype=np.int64)

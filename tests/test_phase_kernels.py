@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import random_hypergraph
 from repro._util import as_rng
+from repro.core.finegrain import build_finegrain_model
+from repro.hypergraph import Hypergraph, hypergraph_from_netlists
 from repro.partitioner import PartitionerConfig
 from repro.partitioner import coarsen as C
 from repro.partitioner import initial as I
@@ -157,6 +160,130 @@ def test_match_restricted_and_fixed_flat_matches_reference():
         r_flat = C.match_vertices(h, as_rng(5), kernel="flat", **kw)
         assert np.array_equal(r_ref[0], r_flat[0])
         assert np.array_equal(r_ref[2], r_flat[2])
+
+
+# ----------------------------------------------------------------------
+# matching: the single-term route == reference
+# ----------------------------------------------------------------------
+def _finegrain_hypergraph(seed, m, n, density, consistency=False, cost_hi=2):
+    """Fine-grain hypergraph of a random sparse matrix, with random vertex
+    weights (including 0, like the model's dummies) and random net costs
+    in ``0..cost_hi`` (ties and zero-cost nets)."""
+    rng = as_rng(seed)
+    a = sp.random(m, n, density=density, random_state=seed, format="csr")
+    h = build_finegrain_model(a, consistency=consistency).hypergraph
+    return Hypergraph(
+        h.num_vertices, h.xpins, h.pins,
+        vertex_weights=rng.integers(0, 3, size=h.num_vertices),
+        net_costs=rng.integers(0, cost_hi + 1, size=h.num_nets),
+    )
+
+
+def _assert_match_parity(h, mseed, **kw):
+    r_ref = C.match_vertices(h, as_rng(mseed), kernel="python", **kw)
+    r_flat = C.match_vertices(h, as_rng(mseed), kernel="flat", **kw)
+    assert np.array_equal(r_ref[0], r_flat[0])
+    assert r_ref[1] == r_flat[1]
+    assert np.array_equal(r_ref[2], r_flat[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.integers(1, 30), n=st.integers(1, 30),
+       density=st.floats(0.02, 0.5), cost_hi=st.integers(0, 3),
+       max_net_size=st.integers(1, 8), hcm=st.booleans(),
+       with_part=st.booleans(), with_fixed=st.booleans(),
+       max_cluster_weight=st.one_of(st.none(), st.integers(1, 4)))
+def test_single_term_route_matches_reference_hypothesis(
+    seed, m, n, density, cost_hi, max_net_size, hcm, with_part, with_fixed,
+    max_cluster_weight,
+):
+    h = _finegrain_hypergraph(seed, m, n, density, consistency=m == n,
+                              cost_hi=cost_hi)
+    assert C._is_single_term(h)
+    rng = as_rng(seed + 1)
+    kw = {
+        "scheme": "hcm" if hcm else "hcc",
+        "max_net_size": max_net_size,
+        "max_cluster_weight": max_cluster_weight,
+    }
+    if with_part:
+        kw["part"] = rng.integers(0, 2, size=h.num_vertices)
+    if with_fixed:
+        fixed = rng.integers(-1, 2, size=h.num_vertices)
+        kw["fixed"] = np.where(rng.random(h.num_vertices) < 0.7, -1, fixed)
+    _assert_match_parity(h, seed, **kw)
+
+
+def _spy_single_term(monkeypatch):
+    calls = []
+    orig = C._match_single_term
+
+    def spy(*a):
+        calls.append(1)
+        return orig(*a)
+
+    monkeypatch.setattr(C, "_match_single_term", spy)
+    return calls
+
+
+def test_single_term_route_fires_on_finegrain_level(monkeypatch):
+    calls = _spy_single_term(monkeypatch)
+    h = _finegrain_hypergraph(3, 40, 40, 0.1, consistency=True)
+    C.match_vertices(h, as_rng(0), kernel="python")
+    assert not calls  # the reference tier never takes the route
+    rec = TelemetryRecorder()
+    with use_recorder(rec):
+        C.match_vertices(h, as_rng(0), kernel="flat")
+    assert calls
+    (span,) = rec.roots
+    assert span.name == "coarsen.match"
+    assert span.attrs["route"] == "single-term"
+    assert 0 < rec.counter_totals()["coarsen.pins_visited"] < h.num_pins
+    _assert_match_parity(h, 0)
+
+
+@pytest.mark.parametrize("nets", [
+    # vertex 0 has degree 3
+    [[0, 1], [0, 2], [0, 3], [1, 2]],
+    # degree <= 2, but vertices 0 and 1 share both nets: a two-term score
+    [[0, 1, 2], [0, 1, 3], [2, 3]],
+])
+def test_single_term_route_stays_off(monkeypatch, nets):
+    calls = _spy_single_term(monkeypatch)
+    h = hypergraph_from_netlists(4, nets)
+    assert not C._is_single_term(h)
+    rec = TelemetryRecorder()
+    with use_recorder(rec):
+        _assert_match_parity(h, 0)
+    assert not calls
+    assert [s.attrs["route"] for s in rec.roots] == ["reference", "scalar"]
+
+
+def test_finest_levels_take_single_term_route():
+    """In a traced fine-grain partition, the finest coarsening level of
+    every bisection and every V-cycle runs the single-term route."""
+    from repro.partitioner import partition_hypergraph
+
+    h = build_finegrain_model(
+        sp.random(60, 60, density=0.08, random_state=1, format="csr")
+    ).hypergraph
+    rec = TelemetryRecorder()
+    with use_recorder(rec):
+        partition_hypergraph(
+            h, 8, config=PartitionerConfig(kernel="flat", n_vcycles=1), seed=0
+        )
+    finest = [
+        (cs.attrs.get("restricted", False), m.attrs["route"])
+        for root in rec.roots
+        for cs, _ in root.walk()
+        if cs.name == "coarsen"
+        for lvl in cs.children
+        if lvl.attrs["level"] == 0
+        for m in lvl.children
+        if m.name == "coarsen.match"
+    ]
+    assert {r for r, _ in finest} == {False, True}  # bisections + V-cycles
+    assert {route for _, route in finest} == {"single-term"}
 
 
 # ----------------------------------------------------------------------
