@@ -20,19 +20,12 @@ experiments
 multistart
     Benchmark the multi-start engine against the recorded pre-PR
     sequential baseline and write BENCH_multistart.json.
-kernels
-    Microbenchmark the refinement/matching kernel tiers (python / flat /
-    jit) on a synthetic large-net instance — FM inner loop and HCM/HCC
-    matching, per-tier ops/sec and speedup with bit-identity hashes —
-    and write BENCH_kernels.json.  Exits 1 if any tier diverges from
-    the python reference.
 vcycle
-    End-to-end ``decompose()`` benchmark per kernel tier with a
-    telemetry phase breakdown (matching, coarse build, initial, FM,
-    K-way) — the Amdahl view the kernels microbench cannot give — and
-    write BENCH_vcycle.json.  ``--quick`` shrinks the instances to a CI
-    smoke.  Exits 1 if any tier's partition diverges from the python
-    reference.
+    End-to-end ``decompose()`` benchmark of ``kernel="reference"``
+    against ``kernel="fast"`` with a telemetry phase breakdown
+    (matching, coarse build, initial, FM, K-way); write
+    BENCH_vcycle.json.  ``--quick`` shrinks the instances to a CI smoke.
+    Exits 1 if the fast partition diverges from the reference one.
 treeparallel
     Benchmark zero-copy shm transport vs pickle and the tree-parallel
     recursion across backends/worker counts (verifying bit-identity);
@@ -100,8 +93,8 @@ def _parse(argv):
         "command",
         choices=[
             "table1", "table2", "summary", "models2d", "experiments",
-            "multistart", "treeparallel", "verify", "serve", "kernels",
-            "vcycle", "exact", "chaos",
+            "multistart", "treeparallel", "verify", "serve", "vcycle",
+            "exact", "chaos",
         ],
     )
     p.add_argument("--quick", action="store_true",
@@ -197,23 +190,6 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
         return 0
 
-    if args.command == "kernels":
-        from repro.bench.kernels import run_kernels_bench, write_kernels_bench
-
-        doc = run_kernels_bench(
-            repeats=args.seeds,
-            progress=lambda s: print(f"  {s}", file=sys.stderr),
-        )
-        path = args.output if args.output != "EXPERIMENTS.md" else "BENCH_kernels.json"
-        write_kernels_bench(path, doc)
-        print(f"wrote {path}")
-        summary = doc["summary"]
-        print(
-            f"best FM speedup vs python: x{summary['best_fm_speedup']} "
-            f"(bit-identical: {summary['all_bit_identical']})"
-        )
-        return 0 if summary["all_bit_identical"] else 1
-
     if args.command == "vcycle":
         from repro.bench.vcycle import run_vcycle_bench, write_vcycle_bench
 
@@ -227,7 +203,7 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
         summary = doc["summary"]
         print(
-            f"e2e speedup vs python: {summary['e2e_speedup_by_instance']} "
+            f"e2e speedup vs reference: {summary['e2e_speedup_by_instance']} "
             f"(bit-identical: {summary['all_bit_identical']})"
         )
         return 0 if summary["all_bit_identical"] else 1

@@ -26,7 +26,6 @@ from repro._util import Timer
 from repro.core.api import decompose
 from repro.partitioner import PartitionerConfig
 from repro.partitioner.config import ExecutionPolicy
-from repro.partitioner.kernels import resolve_kernel
 from repro.telemetry import TelemetryRecorder, use_recorder
 
 #: recovery activity that would silently pollute a timing row — recorded
@@ -101,10 +100,10 @@ def run_multistart_bench(
     # zero parallel speedup), not scaling — say so machine-readably
     # instead of letting the row pass as a parallel measurement
     oversubscribed = hardware["usable_cores"] < n_workers
-    # the refinement/matching tier every timed run below executes with —
-    # timings taken under different tiers are not comparable, so the
-    # record says which one was active (REPRO_KERNEL-aware, post-fallback)
-    kernel = resolve_kernel(ExecutionPolicy().kernel)
+    # the kernel every timed run below executes with (normalised, so a
+    # legacy name never reaches the record) — timings taken under
+    # different kernels are not comparable
+    kernel = ExecutionPolicy().kernel
     out: dict = {
         "bench": "multistart-engine",
         "n_starts": n_starts,

@@ -1,35 +1,31 @@
 """End-to-end V-cycle benchmark: ``python -m repro.bench vcycle``.
 
-Where :mod:`repro.bench.kernels` times individual hot loops in isolation,
-this benchmark answers the Amdahl question: how much of a *whole*
-``decompose()`` call — coarsening (matching + coarse build), initial
-bisection, FM refinement up the V-cycle, K-way boundary refinement —
-does the kernel axis actually accelerate, per phase and end to end?
+How much of a whole ``decompose()`` call — coarsening (matching +
+coarse build), initial bisection, FM refinement up the V-cycle, K-way
+boundary refinement — does ``kernel="fast"`` save over
+``kernel="reference"``, per phase and end to end?  Only matching and
+K-way refinement differ between the two (see
+:mod:`repro.partitioner.kernels`); the other phases run the same code.
 
-Three instances cover the regimes the tier heuristics separate:
+Three instances cover the regimes the structural routes separate:
 
 * ``finegrain`` — the paper's fine-grain model of a matrix with dense
-  rows/columns.  Every fine-grain vertex has degree ≤ 2 (one row net,
-  one column net), so FM gain updates touch at most two nets per move
-  and matching visits at most two nets per vertex: the work is
-  *visit-bound*, not batch-bound, and the honest expectation for the
-  flat tier is ~1x (see the notes in the output document).
+  rows/columns.  Every fine-grain vertex has degree <= 2 (one row net,
+  one column net), so the finest level of every bisection takes the
+  single-term matching route.
 * ``rownet-dense`` / ``colnet-dense`` — 1D models of a dense random
-  matrix, where vertices have large degree and nets are large: the
-  regime where the flat tier's batched critical-net updates and
-  bucket machinery win end to end.
+  matrix, where vertices have large degree and nets are large: matching
+  takes the scalar route with batched dense-vertex scoring.
 
-Per tier the run is repeated with interleaved ordering (tier A, tier B,
-tier A, ...) and the minimum total wall time is kept — on a shared
-machine the min-of-N of interleaved runs is the noise-robust estimator.
-The telemetry phase breakdown (self time per span name) of the min-time
-run provides the attribution table.
+Runs alternate between the kernels (reference, fast, reference, ...)
+and each kernel's minimum total wall time is kept — on a shared machine
+the min-of-N of interleaved runs is the noise-robust estimator.  The
+telemetry phase breakdown (self time per span name) of the min-time run
+provides the attribution table.
 
-Every tier must produce a bit-identical partition — the benchmark
-hashes each tier's part vector and reports ``bit_identical`` per tier;
-the CLI exits 1 on any divergence.  An unavailable tier (``jit``
-without numba) is recorded with its probe reason, never timed through
-the fallback chain.
+Both kernels must produce a bit-identical partition — the benchmark
+hashes each part vector and reports ``bit_identical``; the CLI exits 1
+on any divergence.
 """
 
 from __future__ import annotations
@@ -44,15 +40,12 @@ import scipy.sparse as sp
 
 from repro._util import Timer
 from repro.partitioner.config import PartitionerConfig
-from repro.partitioner.kernels import kernel_available, kernel_info
+from repro.partitioner.kernels import KERNELS
 from repro.telemetry import TelemetryRecorder, use_recorder
 
 __all__ = ["run_vcycle_bench", "write_vcycle_bench"]
 
-#: tiers in report order (reference first)
-_TIERS = ("python", "flat", "jit")
-
-#: phase names reported in each tier's breakdown table, aggregated from
+#: phase names reported in each kernel's breakdown table, aggregated from
 #: telemetry span self-times (everything else folds into "other")
 _PHASES = (
     "coarsen.match",
@@ -82,8 +75,8 @@ def _sha(arr: np.ndarray) -> str:
 
 def dense_rows_matrix(n: int, n_dense: int, size: int, seed: int = 7):
     """A sparse matrix with *n_dense* dense rows and columns of *size*
-    nonzeros each — the structure whose fine-grain model has the large
-    row/column nets that make refinement critical-net-bound."""
+    nonzeros each — the structure whose fine-grain model has large
+    row/column nets."""
     rng = np.random.default_rng(seed)
     a = sp.lil_matrix((n, n))
     for i in range(n_dense):
@@ -94,7 +87,7 @@ def dense_rows_matrix(n: int, n_dense: int, size: int, seed: int = 7):
 
 def uniform_dense_matrix(n: int, density: float, seed: int = 11):
     """A uniformly dense random matrix: its 1D (rownet/colnet) models
-    have high-degree vertices and large nets — the flat tier's regime."""
+    have high-degree vertices and large nets."""
     rng = np.random.default_rng(seed)
     a = sp.random(n, n, density=density, format="csr", rng=rng)
     a.data[:] = 1.0
@@ -117,30 +110,24 @@ def _instances(quick: bool):
     )
 
 
-def _run_once(a, method: str, k: int, tier: str, seed: int, cfg) -> dict:
+def _run_once(a, method: str, k: int, kernel: str, seed: int, cfg) -> dict:
     """One full decompose() under a fresh recorder; returns wall time,
-    partition hash, cutsize, phase self-times and arena counters."""
+    partition hash, cutsize and phase self-times."""
     from repro.core.api import decompose
 
     rec = TelemetryRecorder()
     with use_recorder(rec):
         with Timer() as t:
-            res = decompose(a, k, method=method, seed=seed, kernel=tier,
+            res = decompose(a, k, method=method, seed=seed, kernel=kernel,
                             config=cfg)
     durs = rec.durations_by_name(self_time=True)
     phases = {name: round(durs.pop(name, 0.0), 4) for name in _PHASES}
     phases["other"] = round(sum(durs.values()), 4)
-    totals = rec.counter_totals()
     return {
         "seconds": t.elapsed,
         "cutsize": int(res.cutsize),
         "part_sha": _sha(res.part),
         "phases": phases,
-        "arena": {
-            "allocs": int(totals.get("arena.allocs", 0)),
-            "reuses": int(totals.get("arena.reuses", 0)),
-            "bytes": int(totals.get("arena.bytes", 0)),
-        },
     }
 
 
@@ -151,9 +138,8 @@ def run_vcycle_bench(
     quick: bool = False,
     progress=None,
 ) -> dict:
-    """Run the end-to-end per-tier benchmark and return the document."""
+    """Run the end-to-end per-kernel benchmark and return the document."""
     hardware = _hardware()
-    info = kernel_info()
     if quick:
         repeats = 1
     # kway_refine on so the K-way boundary sweep phase is exercised too
@@ -166,10 +152,9 @@ def run_vcycle_bench(
         "repeats": repeats,
         "quick": quick,
         "hardware": hardware,
-        # every tier runs single-threaded (n_starts=1, n_workers=1):
-        # core count never inflates these numbers
+        # every run is single-threaded (n_starts=1, n_workers=1): core
+        # count never inflates these numbers
         "single_threaded": True,
-        "kernels": {t: dict(info[t]) for t in _TIERS},
         "instances": {},
     }
 
@@ -180,80 +165,50 @@ def run_vcycle_bench(
                 "nnz": int(a.nnz),
             },
             "method": method,
-            "tiers": {},
+            "kernels": {},
         }
         out["instances"][name] = row
-        runnable = []
-        for tier in _TIERS:
-            if tier == "jit" and not kernel_available("jit"):
-                row["tiers"][tier] = {
-                    "skipped": True,
-                    "reason": info["jit"]["reason"],
-                }
-                continue
-            if not kernel_available(tier):
-                row["tiers"][tier] = {
-                    "skipped": True,
-                    "reason": info[tier]["reason"],
-                }
-                continue
-            runnable.append(tier)
-        # interleave repetitions across tiers so shared-machine load
-        # shifts hit every tier equally; keep each tier's fastest run
+        # interleave repetitions across kernels so shared-machine load
+        # shifts hit both equally; keep each kernel's fastest run
         best: dict[str, dict] = {}
         for rep in range(repeats):
-            for tier in runnable:
+            for kernel in KERNELS:
                 if progress:
-                    progress(f"{name}: {tier} (rep {rep + 1}/{repeats})")
-                r = _run_once(a, method, k, tier, seed, cfg)
-                if tier not in best or r["seconds"] < best[tier]["seconds"]:
-                    best[tier] = r
-        ref = best.get("python")
-        for tier in runnable:
-            r = dict(best[tier])
+                    progress(f"{name}: {kernel} (rep {rep + 1}/{repeats})")
+                r = _run_once(a, method, k, kernel, seed, cfg)
+                if kernel not in best or r["seconds"] < best[kernel]["seconds"]:
+                    best[kernel] = r
+        ref = best["reference"]
+        for kernel in KERNELS:
+            r = dict(best[kernel])
             r["seconds"] = round(r["seconds"], 4)
-            if ref is not None:
-                r["bit_identical"] = r["part_sha"] == ref["part_sha"]
-                if tier != "python" and r["seconds"] > 0 and r["bit_identical"]:
-                    r["speedup_vs_python"] = round(
-                        ref["seconds"] / r["seconds"], 2
-                    )
-            row["tiers"][tier] = r
+            r["bit_identical"] = r["part_sha"] == ref["part_sha"]
+            row["kernels"][kernel] = r
+        fast = row["kernels"]["fast"]
+        if fast["bit_identical"] and fast["seconds"] > 0:
+            fast["speedup_vs_reference"] = round(ref["seconds"] / fast["seconds"], 2)
 
     speedups = {
-        name: row["tiers"].get("flat", {}).get("speedup_vs_python")
+        name: row["kernels"]["fast"].get("speedup_vs_reference")
         for name, row in out["instances"].items()
     }
-    valid = [s for s in speedups.values() if s is not None]
     out["summary"] = {
         "e2e_speedup_by_instance": speedups,
-        "best_e2e_speedup": max(valid) if valid else None,
-        "finegrain_e2e_speedup": speedups.get("finegrain"),
         "all_bit_identical": all(
-            t.get("bit_identical", True)
+            r["bit_identical"]
             for row in out["instances"].values()
-            for t in row["tiers"].values()
+            for r in row["kernels"].values()
         ),
     }
     out["notes"] = [
-        "end-to-end wall time of decompose() per kernel tier, min over "
+        "end-to-end wall time of decompose() per kernel, min over "
         f"{repeats} interleaved repetition(s); the phase table is the "
-        "telemetry self-time breakdown of each tier's fastest run.",
-        "finegrain near 1x is the honest structural answer, not a "
-        "deficiency: every fine-grain vertex has degree <= 2, so FM gain "
-        "updates touch at most two nets per move and matching visits at "
-        "most two nets per vertex — the work is per-move/per-visit "
-        "bound, and no amount of batching amortizes a 2-element batch.  "
-        "The >=4x end-to-end ambition is therefore unattainable on "
-        "fine-grain instances; the flat tier's job there is to never "
-        "lose (the tier race in repro.partitioner.kernels.race_pick "
-        "guarantees it converges onto the faster tier per level).",
-        "rownet-dense/colnet-dense are where the flat tier pays: "
-        "high-degree vertices and large nets make critical-net updates "
-        "and matching scoring batch-bound.",
-        "speedup_vs_python is only reported for runs whose partition "
-        "hashed bit-identical to the python reference.",
-        "all tiers run single-threaded (n_starts=1, n_workers=1); these "
+        "telemetry self-time breakdown of each kernel's fastest run.",
+        "only coarsen.match and kway run different code under the two "
+        "kernels; the other phases differ by noise alone.",
+        "speedup_vs_reference is only reported when the fast partition "
+        "hashed bit-identical to the reference one.",
+        "all runs are single-threaded (n_starts=1, n_workers=1); these "
         "numbers do not depend on core count "
         f"(host: {hardware['usable_cores']} usable).",
     ]

@@ -286,10 +286,10 @@ def decompose(
         one start finished), a crash-resumable sweep checkpoint path, and
         the per-start retry budget.
     kernel:
-        Convenience override for the refinement/matching implementation
-        tier (``"python" | "flat" | "jit" | "auto"``; see
-        :func:`repro.kernels`).  Every tier is bit-identical; an
-        unavailable tier falls back ``jit -> flat -> python``.
+        Convenience override for the V-cycle implementation
+        (``"fast" | "reference"``; the legacy names ``"python"``,
+        ``"flat"``, ``"jit"`` and ``"auto"`` are accepted; see
+        :func:`repro.kernels`).  Both are bit-identical.
     verify:
         Audit the result with the independent oracles of
         :mod:`repro.verify` before returning (balance, cutsize,

@@ -28,6 +28,7 @@ import numpy as np
 from repro._util import INDEX_DTYPE, multi_arange, prefix_from_counts
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
+from repro.partitioner.kernels import resolve_kernel
 from repro.telemetry import get_recorder
 
 __all__ = ["match_vertices", "build_coarse", "coarsen_level", "CoarseLevel", "coarsen"]
@@ -38,17 +39,6 @@ __all__ = ["match_vertices", "build_coarse", "coarsen_level", "CoarseLevel", "co
 #: produce such vertices; batching them has zero wasted work because the
 #: vertex is already known to be unclustered.
 _VERTEX_VECTOR_MIN = 3000
-
-#: below this pin count the flat coarse build merges identical nets with
-#: a dict instead of the hash-keyed vectorized merge.  Bit-identical
-#: either way.
-_VECTOR_MIN_PINS_BUILD = 100_000
-
-#: below this pin count the flat build tier routes to the per-net
-#: reference loop: the sort/unique pin remap has O(pins log pins) fixed
-#: cost that measures slower than the dict dedup until well past 100k
-#: pins (see docs/performance.md).  Bit-identical either way.
-_BUILD_FLAT_MIN_PINS = 150_000
 
 #: the dense-vertex branch needs O(pins) numpy precomputation per
 #: match_vertices call; skip it entirely for tiny hypergraphs
@@ -154,7 +144,7 @@ def match_vertices(
     max_cluster_weight: int | None = None,
     fixed: np.ndarray | None = None,
     part: np.ndarray | None = None,
-    kernel: str = "python",
+    kernel: str = "fast",
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Cluster vertices; returns ``(cmap, n_clusters, coarse_fixed)``.
 
@@ -166,17 +156,15 @@ def match_vertices(
     cluster with vertices of the same part, so the partition projects
     exactly onto the coarse hypergraph.
 
-    *kernel* picks the implementation tier (see
-    :mod:`repro.partitioner.kernels`).  ``"python"`` always runs the pure
-    per-pin reference loop, the differential-testing oracle (route
-    ``reference``).  Every other tier first takes the structural
-    single-term route when :func:`_is_single_term` holds (route
-    ``single-term``): each vertex walks the pins of its two nets in score
-    order, no per-pin scoring.  Otherwise ``"flat"`` runs the scalar loop
-    with one-vertex batching of dense scoring expansions and ``"jit"``
-    the numba-compiled scalar loop (route ``scalar``).  The greedy
-    selection is sequential everywhere, and every route produces
-    identical output.
+    *kernel* (see :mod:`repro.partitioner.kernels`) picks the route.
+    ``"reference"`` always runs the pure per-pin loop, the
+    differential-testing oracle (route ``reference``).  ``"fast"`` takes
+    the structural single-term route when :func:`_is_single_term` holds
+    (route ``single-term``): each vertex walks the pins of its two nets
+    in score order, no per-pin scoring.  Otherwise it runs the scalar
+    loop with one-vertex batching of dense scoring expansions (route
+    ``scalar``).  The greedy selection is sequential everywhere, and
+    every route produces identical output.
     """
     nv = h.num_vertices
     if max_cluster_weight is None:
@@ -192,16 +180,13 @@ def match_vertices(
     cfixed: list[int] = []
     order = rng.permutation(nv)
 
-    if kernel == "python":
+    kernel = resolve_kernel(kernel)
+    if kernel == "reference":
         matcher, route = _match_reference, "reference"
     elif _is_single_term(h):
         matcher, route = _match_single_term, "single-term"
     else:
-        route = "scalar"
-        if kernel == "jit":
-            from repro.partitioner.fm_jit import match_jit as matcher
-        else:
-            matcher = _match_scalar
+        matcher, route = _match_scalar, "scalar"
     rec = get_recorder()
     with rec.span(
         "coarsen.match",
@@ -427,10 +412,10 @@ def _match_reference(
     max_net_size: int,
     max_cluster_weight: int,
 ) -> int:
-    """The ``python`` tier: the pure per-pin reference loop, no batching.
+    """The ``reference`` route: the pure per-pin loop, no batching.
 
-    This is the differential-testing oracle the flat/jit tiers are
-    measured against; it trades speed on dense instances for one
+    This is the differential-testing oracle the fast routes are measured
+    against; it trades speed on dense instances for one
     obviously-sequential interpreted loop."""
     return _match_scalar(
         h, order, part_l, w, fix, cluster, cweight, cfixed,
@@ -514,59 +499,14 @@ def _match_single_term(
     return pins_visited
 
 
-def _build_reference(
-    h: Hypergraph, cmap: np.ndarray, n_clusters: int, cw: np.ndarray
-) -> Hypergraph:
-    """The ``python`` tier of :func:`build_coarse`: one interpreted loop
-    per net — remap pins through the cluster map, collapse duplicates,
-    drop single-pin nets, merge identical nets via a dict.  The oracle
-    the flat path is differential-tested against."""
-    cmap_l = cmap.tolist()
-    xpins = h.xpins_list()
-    pins = h.pins_list()
-    costs = h.costs_list()
-    flat_pins: list[int] = []
-    counts: list[int] = []
-    new_costs: list[int] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for n in range(h.num_nets):
-        seg = sorted({cmap_l[p] for p in pins[xpins[n] : xpins[n + 1]]})
-        if len(seg) < 2:
-            continue
-        bkey = tuple(seg)
-        idx = seen.get(bkey)
-        if idx is None:
-            seen[bkey] = len(new_costs)
-            new_costs.append(costs[n])
-            counts.append(len(seg))
-            flat_pins.extend(seg)
-        else:
-            new_costs[idx] += costs[n]
-    return Hypergraph(
-        n_clusters,
-        prefix_from_counts(counts),
-        np.asarray(flat_pins, dtype=INDEX_DTYPE),
-        vertex_weights=cw,
-        net_costs=np.asarray(new_costs, dtype=INDEX_DTYPE),
-        validate=False,
-    )
-
-
-def build_coarse(
-    h: Hypergraph, cmap: np.ndarray, n_clusters: int, kernel: str = "flat"
-) -> Hypergraph:
+def build_coarse(h: Hypergraph, cmap: np.ndarray, n_clusters: int) -> Hypergraph:
     """Contract *h* along *cmap*.
 
-    Duplicate pins inside a net are collapsed, single-pin nets dropped, and
-    identical nets merged with summed costs.  These transformations change
-    neither the cutsize of any partition nor the balance (cluster weights
-    are the sums of member weights).
-
-    *kernel* ``"python"`` runs the per-net reference loop
-    (:func:`_build_reference`); any other tier runs the flat path:
-    sort/bincount pin remapping plus — above
-    :data:`_VECTOR_MIN_PINS_BUILD` — hash-keyed identical-net merging.
-    All paths emit bit-identical hypergraphs.
+    One loop per net remaps its pins through the cluster map and
+    collapses duplicates; single-pin nets are dropped and identical nets
+    merged with summed costs (first appearance keeps the net's slot).
+    These transformations change neither the cutsize of any partition
+    nor the balance (cluster weights are the sums of member weights).
     """
     rec = get_recorder()
     with rec.span(
@@ -574,149 +514,39 @@ def build_coarse(
         vertices=h.num_vertices,
         nets=h.num_nets,
         pins=h.num_pins,
-        kernel=kernel,
     ):
-        return _build_coarse(h, cmap, n_clusters, kernel)
-
-
-def _build_coarse(
-    h: Hypergraph, cmap: np.ndarray, n_clusters: int, kernel: str
-) -> Hypergraph:
-    cw = np.bincount(cmap, weights=h.vertex_weights, minlength=n_clusters).astype(
-        INDEX_DTYPE
-    )
-    if h.num_pins == 0:
-        return Hypergraph(
-            n_clusters,
-            np.zeros(1, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=INDEX_DTYPE),
-            vertex_weights=cw,
-            net_costs=np.empty(0, dtype=INDEX_DTYPE),
-            validate=False,
-        )
-    if kernel == "python" or h.num_pins < _BUILD_FLAT_MIN_PINS:
-        return _build_reference(h, cmap, n_clusters, cw)
-
-    key = h.net_of_pin() * n_clusters + cmap[h.pins]
-    uniq = np.unique(key)  # sorted -> pins sorted within each net
-    knet = uniq // n_clusters
-    kpin = uniq % n_clusters
-    sizes = np.bincount(knet, minlength=h.num_nets)
-    starts = prefix_from_counts(sizes)
-
-    if h.num_pins < _VECTOR_MIN_PINS_BUILD:
-        # scalar dict dedup; same output as the vectorized path below
-        new_pins_chunks: list[np.ndarray] = []
-        new_costs: list[int] = []
+        cw = np.bincount(
+            cmap, weights=h.vertex_weights, minlength=n_clusters
+        ).astype(INDEX_DTYPE)
+        cmap_l = cmap.tolist()
+        xpins = h.xpins_list()
+        pins = h.pins_list()
+        costs = h.costs_list()
+        flat_pins: list[int] = []
         counts: list[int] = []
-        seen: dict[bytes, int] = {}
-        costs_l = h.net_costs
+        new_costs: list[int] = []
+        seen: dict[tuple[int, ...], int] = {}
         for n in range(h.num_nets):
-            lo, hi = starts[n], starts[n + 1]
-            if hi - lo < 2:
+            seg = sorted({cmap_l[p] for p in pins[xpins[n] : xpins[n + 1]]})
+            if len(seg) < 2:
                 continue
-            seg = kpin[lo:hi]
-            bkey = seg.tobytes()
+            bkey = tuple(seg)
             idx = seen.get(bkey)
             if idx is None:
                 seen[bkey] = len(new_costs)
-                new_costs.append(int(costs_l[n]))
-                counts.append(hi - lo)
-                new_pins_chunks.append(seg)
+                new_costs.append(costs[n])
+                counts.append(len(seg))
+                flat_pins.extend(seg)
             else:
-                new_costs[idx] += int(costs_l[n])
-        xpins = prefix_from_counts(counts)
-        pins = (
-            np.concatenate(new_pins_chunks)
-            if new_pins_chunks
-            else np.empty(0, dtype=INDEX_DTYPE)
-        )
+                new_costs[idx] += costs[n]
         return Hypergraph(
             n_clusters,
-            xpins,
-            pins,
+            prefix_from_counts(counts),
+            np.asarray(flat_pins, dtype=INDEX_DTYPE),
             vertex_weights=cw,
             net_costs=np.asarray(new_costs, dtype=INDEX_DTYPE),
             validate=False,
         )
-
-    # identical-net merging, hash-keyed: a position-weighted 64-bit
-    # polynomial hash per net groups merge candidates in one pass (no
-    # per-size-class stacking), every member is verified element-wise
-    # against its group's first net, and the vanishing-probability hash
-    # collisions fall back to exact byte keys.  Survivors re-emit in
-    # first-appearance (net id) order with summed costs — the same output
-    # the sequential dict dedup produces.
-    keep = sizes >= 2
-    kept_ids = np.flatnonzero(keep)
-    if len(kept_ids) == 0:
-        return Hypergraph(
-            n_clusters,
-            np.zeros(1, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=INDEX_DTYPE),
-            vertex_weights=cw,
-            net_costs=np.empty(0, dtype=INDEX_DTYPE),
-            validate=False,
-        )
-    kept_sizes = sizes[kept_ids]
-    kp = kpin[multi_arange(starts[kept_ids], kept_sizes)]
-    koffs = prefix_from_counts(kept_sizes).astype(np.int64)
-    costs = h.net_costs
-    m = len(kept_ids)
-
-    maxs = int(kept_sizes.max())
-    pw = np.ones(maxs, dtype=np.uint64)
-    if maxs > 1:
-        pw[1:] = np.cumprod(
-            np.full(maxs - 1, np.uint64(0x9E3779B97F4A7C15), dtype=np.uint64)
-        )
-    pos = np.arange(len(kp), dtype=np.int64) - np.repeat(koffs[:-1], kept_sizes)
-    contrib = (kp.astype(np.uint64) + np.uint64(0x517CC1B7)) * pw[pos]
-    hsh = np.add.reduceat(contrib, koffs[:-1])
-
-    # sort members by (size, hash, net id): groups become contiguous with
-    # their first-appearing net leading each group
-    go = np.lexsort((np.arange(m), hsh, kept_sizes))
-    ss = kept_sizes[go]
-    hh = hsh[go]
-    bnd = np.r_[True, (ss[1:] != ss[:-1]) | (hh[1:] != hh[:-1])]
-    gid = np.cumsum(bnd) - 1
-    n_groups = int(gid[-1]) + 1
-    rep = go[np.flatnonzero(bnd)]  # group representative (first member)
-
-    # verify: each member's pins must equal its representative's
-    mo = koffs[:-1][go]
-    ro = koffs[:-1][rep[gid]]
-    moffs = prefix_from_counts(ss).astype(np.int64)
-    neq = kp[multi_arange(mo, ss)] != kp[multi_arange(ro, ss)]
-    bad = np.add.reduceat(neq, moffs[:-1]) > 0
-    first_kept = rep
-    if bad.any():  # pragma: no cover - 64-bit collision, astronomically rare
-        gid = gid.copy()
-        extra: dict[bytes, int] = {}
-        for j in np.flatnonzero(bad).tolist():
-            bkey = kp[mo[j] : mo[j] + int(ss[j])].tobytes()
-            g2 = extra.get(bkey)
-            if g2 is None:
-                extra[bkey] = g2 = n_groups
-                n_groups += 1
-            gid[j] = g2
-        first_kept = np.full(n_groups, m, dtype=np.int64)
-        np.minimum.at(first_kept, gid, go)
-
-    csum = np.bincount(gid, weights=costs[kept_ids[go]], minlength=n_groups)
-    order = np.argsort(first_kept, kind="stable")
-    g_sizes = kept_sizes[first_kept][order]
-    xpins = prefix_from_counts(g_sizes)
-    pins = kp[multi_arange(koffs[:-1][first_kept][order], g_sizes)]
-    return Hypergraph(
-        n_clusters,
-        xpins,
-        pins,
-        vertex_weights=cw,
-        net_costs=csum[order].astype(INDEX_DTYPE),
-        validate=False,
-    )
 
 
 class CoarseLevel:
@@ -740,9 +570,6 @@ def coarsen_level(
     part: np.ndarray | None = None,
 ) -> tuple[Hypergraph, np.ndarray, np.ndarray | None]:
     """One coarsening step; returns ``(coarse_h, cmap, coarse_fixed)``."""
-    from repro.partitioner.kernels import resolve_kernel
-
-    kern = resolve_kernel(getattr(cfg, "kernel", "python"))
     cmap, nc, cfix = match_vertices(
         h,
         rng,
@@ -751,9 +578,9 @@ def coarsen_level(
         max_cluster_weight=max_cluster_weight,
         fixed=fixed,
         part=part,
-        kernel=kern,
+        kernel=cfg.kernel,
     )
-    hc = build_coarse(h, cmap, nc, kernel=kern)
+    hc = build_coarse(h, cmap, nc)
     coarse_fixed = cfix if fixed is not None else None
     return hc, cmap, coarse_fixed
 
@@ -831,9 +658,6 @@ def coarsen_restricted(
             if cur.num_vertices <= cfg.coarsen_to:
                 break
             with rec.span("coarsen.level", level=depth) as lsp:
-                from repro.partitioner.kernels import resolve_kernel
-
-                kern = resolve_kernel(getattr(cfg, "kernel", "python"))
                 cmap, nc, cfix = match_vertices(
                     cur,
                     rng,
@@ -842,9 +666,9 @@ def coarsen_restricted(
                     max_cluster_weight=max_cluster_weight,
                     fixed=cur_fixed,
                     part=cur_part,
-                    kernel=kern,
+                    kernel=cfg.kernel,
                 )
-                hc = build_coarse(cur, cmap, nc, kernel=kern)
+                hc = build_coarse(cur, cmap, nc)
                 lsp.set(
                     vertices=hc.num_vertices,
                     nets=hc.num_nets,

@@ -8,7 +8,7 @@ enforces (:mod:`repro.fingerprint`):
   class directly, so adding a field here automatically makes it part of
   a request's content-addressed identity.
 * :class:`ExecutionPolicy` — workers, backends, transports, retries,
-  deadlines, checkpoints and the refinement *kernel* tier.  Changing any
+  deadlines, checkpoints and the V-cycle *kernel* routes.  Changing any
   of these must never move a bit; they are deliberately excluded from
   the fingerprint so the same request served on different hardware hits
   the same cache entry.
@@ -24,12 +24,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields, replace
 
-__all__ = ["ModelConfig", "ExecutionPolicy", "PartitionerConfig", "KERNELS"]
+from repro.partitioner.kernels import KERNELS, resolve_kernel
 
-#: the kernel tiers of the refinement/matching hot path, in fallback
-#: order (``resolve_kernel`` walks right from the requested tier until
-#: one is available; see :mod:`repro.partitioner.kernels`)
-KERNELS = ("jit", "flat", "python")
+__all__ = ["ModelConfig", "ExecutionPolicy", "PartitionerConfig", "KERNELS"]
 
 
 def _env_bool(name: str, fallback: bool) -> bool:
@@ -284,19 +281,15 @@ class ExecutionPolicy:
     heartbeat_timeout: float = field(
         default_factory=lambda: _env_float("REPRO_HEARTBEAT_TIMEOUT", 30.0) or 30.0
     )
-    #: implementation tier of the V-cycle hot loops (FM refinement,
-    #: matching, coarse build, initial bisection, k-way refinement):
-    #: "python" (the pure-Python reference loops — the differential
-    #: oracle, no batching), "flat" (adaptive numpy tier: vectorized
-    #: kernels behind measured size gates so it never loses to the
-    #: reference), "jit" (numba-compiled move loop, requires numba), or
-    #: "auto" (best available tier — the default).  Every tier is
-    #: bit-identical — the verify subsystem's replay matrix asserts it —
-    #: so this is execution policy, not model.  A requested tier that is
-    #: unavailable falls back ``jit -> flat -> python``
-    #: (see :func:`repro.partitioner.kernels.resolve_kernel`).
-    #: Env-overridable default: ``REPRO_KERNEL``.
-    kernel: str = field(default_factory=lambda: _env_str("REPRO_KERNEL", "auto"))
+    #: which implementation of the V-cycle phases runs: "fast" (the
+    #: default — matching and k-way refinement take their structural
+    #: fast routes where the level's shape allows) or "reference" (the
+    #: per-pin/per-vertex reference loops everywhere, the differential
+    #: oracle).  Both are bit-identical — the verify subsystem's replay
+    #: matrix asserts it — so this is execution policy, not model.  The
+    #: legacy values "python", "flat", "jit" and "auto" are accepted and
+    #: normalised (see :mod:`repro.partitioner.kernels`).
+    kernel: str = "fast"
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -321,11 +314,8 @@ class ExecutionPolicy:
             raise ValueError(
                 "heartbeat_interval and heartbeat_timeout must be positive"
             )
-        if self.kernel not in ("auto",) + KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {('auto',) + KERNELS}"
-            )
+        # frozen: normalise in place so only reference|fast is ever held
+        object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
 
     def with_(self, **kwargs) -> "ExecutionPolicy":
         """Return a copy with the given fields replaced."""

@@ -15,7 +15,6 @@ from repro.hypergraph.partition import (
     imbalance,
     validate_partition,
 )
-from repro.partitioner.arena import use_arena
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.kway import kway_refine
 from repro.partitioner.pool import TreeScheduler, resolve_tree_backend
@@ -105,8 +104,6 @@ def partition_hypergraph(
     ):
         scheduler = TreeScheduler(cfg)
     try:
-        # one scratch arena serves every level/start/run of this call
-        # (worker threads of the scheduler fall back to plain allocation)
         with rec.span(
             "partition",
             k=k,
@@ -116,7 +113,7 @@ def partition_hypergraph(
             pins=h.num_pins,
             tree_parallel=cfg.tree_parallel,
             initial=cfg.initial_method,
-        ) as psp, use_arena():
+        ) as psp:
             for run in range(cfg.n_runs):
                 with rec.span("partition.run", run=run) as rsp, Timer() as t:
                     part, cuts = partition_recursive(

@@ -58,7 +58,6 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner import resilience
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.driver import PartitionResult, partition_hypergraph
-from repro.partitioner.kernels import resolve_kernel
 from repro.telemetry import get_recorder
 from repro.verify.faults import trip as _fault_trip
 
@@ -200,7 +199,7 @@ def partition_multistart(
         n_starts=cfg.n_starts,
         backend=backend,
         k=k,
-        kernel=resolve_kernel(getattr(cfg, "kernel", "python")),
+        kernel=cfg.kernel,
     ) as esp, Timer() as timer:
         outcome = resilience.run_starts(
             h, k, single, seeds, cfg, backend, fingerprint=fingerprint

@@ -19,19 +19,12 @@ import numpy as np
 
 from repro._util import INDEX_DTYPE, as_rng
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.partition import cutsize_connectivity
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.gainbucket import GainBucket
 from repro.partitioner.refine import FMCore, fm_refine_bisection
 from repro.telemetry import get_recorder
 
 __all__ = ["ghg_bisection", "random_bisection", "initial_bisection"]
-
-#: below this pin count the scalar GHG loop wins: the flat tier's numpy
-#: bucket machinery has per-move fixed costs that only pay off once the
-#: per-pin gain updates of large nets dominate.  Both paths are
-#: bit-identical, so the gate affects speed only.
-_GHG_VECTOR_MIN = 50_000
 
 
 def _base_part(h: Hypergraph, fixed: np.ndarray | None) -> np.ndarray:
@@ -42,114 +35,20 @@ def _base_part(h: Hypergraph, fixed: np.ndarray | None) -> np.ndarray:
     return part
 
 
-def _ghg_flat(
-    h: Hypergraph,
-    target0: int,
-    max0: int,
-    rng: np.random.Generator,
-    fixed: np.ndarray | None,
-) -> np.ndarray:
-    """The ``flat`` tier of :func:`ghg_bisection`: FlatGainBucket
-    selection plus the vectorized critical-net updates of
-    :class:`~repro.partitioner.fm_flat.FlatMoveEngine`.
-
-    Bit-identical to the reference: same RNG consumption (one
-    permutation, one seed draw), same newest-first bucket selection,
-    same gain updates — the parity harness in tests/test_phase_kernels.py
-    asserts it.  Gated by :data:`_GHG_VECTOR_MIN` in the caller because
-    its per-move fixed cost only amortizes on large-net instances.
-    """
-    from repro.partitioner.arena import scratch
-    from repro.partitioner.fm_flat import FlatGainBucket, FlatMoveEngine
-
-    nv = h.num_vertices
-    part = _base_part(h, fixed)
-    core = FMCore(h, part, fixed)
-    core.compute_all_gains()
-    bound = core.max_gain_bound()
-    G = np.asarray(core.gain, dtype=np.int64)
-    eng = FlatMoveEngine(core, G, boundary_mode=False)
-    b0 = FlatGainBucket(
-        nv, bound, gains=G, inside=scratch("fm.inside0", nv, bool, zero=True)
-    )
-    b1 = FlatGainBucket(
-        nv, bound, gains=G, inside=scratch("fm.inside1", nv, bool, zero=True)
-    )
-    eng.buckets = (b0, b1)
-
-    order = rng.permutation(h.num_vertices)
-    mask = eng.free[order] & (eng.part[order] == 1)
-    seq = order[mask]
-    b1.bulk_insert(seq, G[seq])
-
-    w_arr = np.asarray(core.w, dtype=np.int64)
-    W = eng.W
-    seeded = False
-    while W[0] < target0 and b1.count > 0:
-        if not seeded:
-            # seq is exactly the reference's free1 list (same filter,
-            # same permutation order), so the seed draw matches
-            v = int(seq[int(rng.integers(len(seq)))])
-            seeded = True
-        else:
-            v = b1.best_capped(w_arr, max0 - W[0])
-            if v is None:
-                break
-        b1.remove(v)
-        eng.lock(v)  # each vertex enters part 0 at most once
-        eng.apply_move(v)
-    return eng.part.astype(INDEX_DTYPE)
-
-
 def ghg_bisection(
     h: Hypergraph,
     target0: int,
     max0: int,
     rng: np.random.Generator | int | None = None,
     fixed: np.ndarray | None = None,
-    kernel: str = "python",
 ) -> np.ndarray:
     """Greedy hypergraph growing: grow part 0 up to ``target0`` weight.
 
-    Above :data:`_GHG_VECTOR_MIN` pins the flat/jit tiers race the two
-    bit-identical implementations (see
-    :func:`~repro.partitioner.kernels.race_pick`): initial bisection
-    runs many starts on the same coarsest hypergraph, so the first two
-    starts pay for the measurement and the rest inherit the winner.
+    A random seed vertex moves first, then the max-gain vertex of the
+    :class:`~repro.partitioner.gainbucket.GainBucket` that still fits
+    under ``max0``, with FM critical-net gain updates after each move.
     """
-    from time import perf_counter
-
-    from repro.partitioner.kernels import race_pick
-
     rng = as_rng(rng)
-    if kernel in ("flat", "jit") and h.num_pins >= _GHG_VECTOR_MIN:
-        race = h._view(
-            "ghg.tier_race", lambda: {"flat": [0.0, 0], "python": [0.0, 0]}
-        )
-        tier = race_pick(race)
-        t0 = perf_counter()
-        if tier == "flat":
-            part = _ghg_flat(h, target0, max0, rng, fixed)
-        else:
-            part = _ghg_reference(h, target0, max0, rng, fixed)
-        st = race[tier]
-        st[0] += perf_counter() - t0
-        # every start grows to the same weight target, so starts are
-        # comparable per vertex
-        st[1] += h.num_vertices
-        return part
-    return _ghg_reference(h, target0, max0, rng, fixed)
-
-
-def _ghg_reference(
-    h: Hypergraph,
-    target0: int,
-    max0: int,
-    rng: np.random.Generator,
-    fixed: np.ndarray | None,
-) -> np.ndarray:
-    """The ``python`` tier of :func:`ghg_bisection`: the pure reference
-    loop over :class:`~repro.partitioner.gainbucket.GainBucket`."""
     part = _base_part(h, fixed)
     core = FMCore(h, part, fixed)
     core.compute_all_gains()
@@ -234,13 +133,10 @@ def initial_bisection(
     favor of the heuristic loop below.  The exact attempt consumes no
     RNG, so the fallback is bit-identical to ``initial_method="ghg"``.
     """
-    from repro.partitioner.kernels import resolve_kernel
-
     rng = as_rng(rng)
     best_part: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
     w = h.vertex_weights
-    kern = resolve_kernel(getattr(cfg, "kernel", "python"))
     rec = get_recorder()
     if (
         cfg.initial_method == "exact"
@@ -268,15 +164,12 @@ def initial_bisection(
         "initial",
         vertices=h.num_vertices,
         starts=cfg.n_initial_starts,
-        kernel=kern,
     ) as sp:
         for s in range(cfg.n_initial_starts):
             if s % 3 == 2:
                 raw = random_bisection(h, targets[0], max_weights[0], rng, fixed)
             else:
-                raw = ghg_bisection(
-                    h, targets[0], max_weights[0], rng, fixed, kernel=kern
-                )
+                raw = ghg_bisection(h, targets[0], max_weights[0], rng, fixed)
             part, cut = fm_refine_bisection(h, raw, max_weights, cfg, rng, fixed)
             w0 = int(w[part == 0].sum())
             w1 = int(w.sum()) - w0

@@ -1,180 +1,99 @@
-"""Kernel tiers of the refinement/matching hot path.
+"""The ``kernel`` axis of :class:`~repro.partitioner.config.ExecutionPolicy`.
 
-The FM inner loop and the HCM/HCC matching loop exist in up to three
-implementations — *tiers* — selected through the ``kernel`` axis of
-:class:`~repro.partitioner.config.ExecutionPolicy`:
+Every V-cycle phase has one production implementation.  Two phases keep
+a second one, because a recorded number shows it wins, and pick between
+them by a static structural rule — never by timing:
 
-``python``
-    The pure-Python reference (:class:`~repro.partitioner.gainbucket.GainBucket`
-    + the per-pin loops in :mod:`~repro.partitioner.refine`).  Always
-    available; the differential-replay baseline every other tier is
-    measured against.
-``flat``
-    Flat numpy array buckets with lazy deletion and per-net vectorized
-    gain updates (:mod:`~repro.partitioner.fm_flat`).  Always available
-    (numpy is a hard dependency); the big win on instances with large
-    nets, where the python tier's per-pin loops dominate.
-``jit``
-    The flat-array move loop compiled with numba
-    (:mod:`~repro.partitioner.fm_jit`).  Available only when numba is
-    importable; ``import repro`` never requires it.
+``matching``
+    ``fast`` takes the *single-term* route on levels where every
+    connectivity score is one net's term (every fine-grain finest
+    level), and the *scalar* loop with one-vertex batching of dense
+    scoring expansions elsewhere
+    (:func:`~repro.partitioner.coarsen.match_vertices`).  ``reference``
+    always runs the per-pin loop.
+``kway``
+    ``fast`` runs the batch-scored *flat-sweep* when the first pass's
+    boundary has at least 64 vertices, the per-vertex *reference* sweep
+    otherwise (:func:`~repro.partitioner.kway.kway_refine`).
+    ``reference`` always runs the per-vertex sweep.
 
-Every tier produces bit-identical partitions — the replay matrix in
-:mod:`repro.verify.replay` asserts it across the kernel universe — so
-the kernel is pure execution policy and never participates in
+FM refinement, the coarse build and GHG initial bisection run their one
+implementation under either value.  Every route produces bit-identical
+partitions — the replay matrix in :mod:`repro.verify.replay` asserts it —
+so the kernel is pure execution policy and never participates in
 :func:`repro.fingerprint`.
 
-A requested tier that is unavailable degrades gracefully along
-``jit -> flat -> python`` (:func:`resolve_kernel`); ``"auto"`` asks for
-the best available tier.  :func:`kernel_info` (exported as
-``repro.kernels()``) reports each tier's availability and, when a tier
-is unavailable, why.
+Values from before the axis collapsed keep working: ``python`` maps onto
+``reference``; ``flat``, ``jit`` and ``auto`` map onto ``fast``
+(:func:`resolve_kernel`).  :func:`kernel_info` (exported as
+``repro.kernels()``) reports the axis and the routes each phase can take.
 """
 
 from __future__ import annotations
 
-from repro.partitioner.config import KERNELS
-
 __all__ = [
     "KERNELS",
     "PHASES",
-    "RACE_MIN_EVENTS",
-    "kernel_available",
     "kernel_info",
     "phase_kernels",
-    "race_pick",
     "resolve_kernel",
 ]
 
-#: a race probe must log at least this many move events before its
-#: per-event rate counts as evidence; tiny converged passes stay probes
-RACE_MIN_EVENTS = 32
+#: the values of ``ExecutionPolicy.kernel`` after normalisation
+KERNELS = ("reference", "fast")
 
+#: pre-collapse kernel names and the value each now means
+_ALIASES = {"python": "reference", "flat": "fast", "jit": "fast", "auto": "fast"}
 
-def race_pick(race: dict[str, list[float]]) -> str:
-    """Pick the tier for one raced kernel invocation on a level.
-
-    Some flat-vs-python regimes no static size gate can separate: a
-    level's *criticality structure* (how much per-pin mass-update work
-    each move triggers) decides the winner, and that is only observable
-    by running.  Because every tier is bit-identical per invocation, a
-    caller can simply time one invocation of each on the level and keep
-    the winner.  *race* accumulates ``[seconds, events]`` per tier —
-    callers cache it on the level hypergraph (``h._view``), so
-    multi-starts and V-cycles revisiting the level inherit the verdict
-    instead of re-probing.  Unprobed tiers run first (flat before
-    python); after both have evidence the lower seconds-per-event rate
-    wins.
-    """
-    if race["flat"][1] == 0:
-        return "flat"
-    if race["python"][1] == 0:
-        return "python"
-    rf = race["flat"][0] / race["flat"][1]
-    rp = race["python"][0] / race["python"][1]
-    return "flat" if rf <= rp else "python"
-
-#: V-cycle phases with tiered implementations (see the phase modules:
-#: refine/fm_flat/fm_jit, coarsen, initial, kway)
-PHASES = ("fm", "matching", "coarse_build", "initial", "kway")
-
-#: phases with a numba implementation; the rest run their flat tier when
-#: ``jit`` is requested
-_JIT_PHASES = frozenset({"fm", "matching"})
-
-# probe results, cached process-wide: tier -> (available, reason)
-_PROBES: dict[str, tuple[bool, str | None]] = {}
-
-
-def _probe(tier: str) -> tuple[bool, str | None]:
-    if tier == "python":
-        return True, None
-    if tier == "flat":
-        return True, None
-    if tier == "jit":
-        try:
-            from repro.partitioner import fm_jit
-        except Exception as exc:  # pragma: no cover - import-time failure
-            return False, f"jit tier failed to import: {exc!r}"
-        if fm_jit.NUMBA_AVAILABLE:
-            return True, None
-        return False, f"numba is not installed ({fm_jit.NUMBA_ERROR})"
-    return False, f"unknown kernel tier {tier!r}"
-
-
-def kernel_available(tier: str) -> bool:
-    """Whether one kernel tier can run in this process."""
-    if tier not in _PROBES:
-        _PROBES[tier] = _probe(tier)
-    return _PROBES[tier][0]
-
-
-def kernel_info() -> dict:
-    """Availability report for every kernel tier (``repro.kernels()``).
-
-    Returns a dict with one entry per tier in fallback order::
-
-        {"jit":    {"available": False, "reason": "numba is not installed ..."},
-         "flat":   {"available": True,  "reason": None},
-         "python": {"available": True,  "reason": None}}
-
-    plus ``"fallback_order"`` and ``"default"`` (the process-wide default
-    tier after the environment/``ExecutionPolicy`` resolution).
-    """
-    from repro.partitioner.config import ExecutionPolicy
-
-    tiers = {}
-    for tier in KERNELS:
-        avail = kernel_available(tier)
-        tiers[tier] = {"available": avail, "reason": _PROBES[tier][1]}
-    requested = ExecutionPolicy().kernel  # honors REPRO_KERNEL
-    return {
-        **tiers,
-        "fallback_order": list(KERNELS),
-        "default": resolve_kernel(requested),
-        "phases": phase_kernels(requested),
-    }
-
-
-def phase_kernels(requested: str = "auto") -> dict:
-    """The tier each V-cycle phase runs under a requested kernel.
-
-    Phases without a numba implementation run their flat tier when
-    ``jit`` resolves.  Flat phase kernels additionally size-gate
-    individual calls (small inputs take the scalar loop because it
-    measures faster — see docs/performance.md), so this reports tier
-    *routing*, not a per-call trace.
-    """
-    d = resolve_kernel(requested)
-    no_jit = "flat" if d == "jit" else d
-    return {p: (d if p in _JIT_PHASES else no_jit) for p in PHASES}
+#: per phase, the routes each kernel value can take (in route-name
+#: vocabulary of the ``coarsen.match`` and ``kway`` span attributes)
+PHASES = {
+    "fm": {"reference": ["reference"], "fast": ["reference"]},
+    "matching": {"reference": ["reference"], "fast": ["single-term", "scalar"]},
+    "coarse_build": {"reference": ["reference"], "fast": ["reference"]},
+    "initial": {"reference": ["reference"], "fast": ["reference"]},
+    "kway": {"reference": ["reference"], "fast": ["flat-sweep", "reference"]},
+}
 
 
 def resolve_kernel(requested: str) -> str:
-    """Map a requested tier to the tier that will actually run.
+    """Normalise a kernel value to ``reference`` or ``fast``.
 
-    ``"auto"`` picks the best available tier; an explicit tier that is
-    unavailable falls back along ``jit -> flat -> python`` (counted as
-    ``kernel.fallbacks`` telemetry so silent degradation is visible in
-    traces).  The return value is always an available tier.
+    Legacy names map through :data:`_ALIASES`; anything else raises
+    :class:`ValueError`.
     """
-    if requested == "auto":
-        for tier in KERNELS:
-            if kernel_available(tier):
-                return tier
-        return "python"  # unreachable: python always probes available
-    if requested not in KERNELS:
+    kernel = _ALIASES.get(requested, requested)
+    if kernel not in KERNELS:
         raise ValueError(
             f"unknown kernel {requested!r}; expected one of "
-            f"{('auto',) + tuple(KERNELS)}"
+            f"{KERNELS + tuple(_ALIASES)}"
         )
-    if kernel_available(requested):
-        return requested
-    from repro.telemetry import get_recorder
+    return kernel
 
-    start = KERNELS.index(requested)
-    for tier in KERNELS[start + 1:]:
-        if kernel_available(tier):
-            get_recorder().add("kernel.fallbacks", 1)
-            return tier
-    return "python"
+
+def phase_kernels(requested: str = "fast") -> dict:
+    """The routes each V-cycle phase can take under a kernel value."""
+    kernel = resolve_kernel(requested)
+    return {phase: list(routes[kernel]) for phase, routes in PHASES.items()}
+
+
+def kernel_info() -> dict:
+    """Static report of the kernel axis (``repro.kernels()``)::
+
+        {"kernels": ["reference", "fast"],
+         "default": "fast",
+         "aliases": {"python": "reference", "flat": "fast", ...},
+         "phases": {"fm": ["reference"], "matching": ["single-term", "scalar"], ...}}
+
+    ``phases`` lists the routes under the default kernel.  The report is
+    plain JSON data.
+    """
+    from repro.partitioner.config import ExecutionPolicy
+
+    default = ExecutionPolicy().kernel
+    return {
+        "kernels": list(KERNELS),
+        "default": default,
+        "aliases": dict(_ALIASES),
+        "phases": phase_kernels(default),
+    }

@@ -17,15 +17,17 @@ of cost c):
 Both counts are maintained in an ``N x K`` dense matrix — affordable for
 the paper's K ≤ 64.
 
-The ``flat`` kernel tier batch-scores a whole permutation chunk at once:
+Under ``kernel="fast"`` a boundary of at least :data:`_KWAY_VECTOR_MIN`
+vertices takes the *flat-sweep* route, which batch-scores a whole
+permutation chunk at once:
 ``g(v, q) = gain_remove(v) - total_cost(v) + connected_cost(v, q)`` falls
 out of one gather of the counts matrix plus segmented reductions, and any
 vertex whose best exact gain is ≤ 0 provably cannot move (the balance
 bound only removes candidates), so the sequential pass skips it without
 touching any state.  Vertices with a positive candidate — or whose nets
 were touched by an earlier move in the same chunk, invalidating their
-batch score — run the ordinary reference body, which keeps the flat tier
-bit-identical by construction.
+batch score — run the ordinary reference body, which keeps the flat
+sweep bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ from repro.telemetry import get_recorder
 
 __all__ = ["kway_refine"]
 
-#: vertices per batch-scoring chunk of the flat tier; shorter chunks waste
+#: vertices per batch-scoring chunk of the flat sweep; shorter chunks waste
 #: numpy call overhead, longer ones go stale faster (a move invalidates
 #: the batch scores of every later vertex sharing one of its nets)
 _KWAY_CHUNK = 4096
 
-#: below this boundary size the reference loop wins outright
+#: below this first-pass boundary size the reference sweep wins outright
 _KWAY_VECTOR_MIN = 64
 
 
@@ -111,7 +113,7 @@ def _kway_pass_ref(
     xnets: list[int],
     vnets: list[int],
 ) -> tuple[int, int]:
-    """One reference-tier sweep over *perm*."""
+    """One reference sweep over *perm*."""
     moved = 0
     gained = 0
     for v in perm.tolist():
@@ -135,7 +137,7 @@ def _kway_pass_flat(
     xnets: list[int],
     vnets: list[int],
 ) -> tuple[int, int]:
-    """One flat-tier sweep: batch-score chunks, skip provably-unmovable
+    """One flat sweep: batch-score chunks, skip provably-unmovable
     vertices, run the reference body for the rest (see module docstring
     for the exactness argument)."""
     xnets_np, vnets_np = h.xnets, h.vnets
@@ -206,9 +208,11 @@ def kway_refine(
 
     Only strictly positive-gain, balance-preserving moves are applied, so
     the cutsize never increases and Eq. 1 feasibility is preserved.
-    """
-    from repro.partitioner.kernels import resolve_kernel
 
+    The route (``flat-sweep`` or ``reference``) is fixed for the whole
+    call from ``cfg.kernel`` and the first pass's boundary size; both
+    sweeps move the same vertices, so the choice affects speed only.
+    """
     rng = as_rng(rng)
     part = np.asarray(part, dtype=INDEX_DTYPE).copy()
     nv, nn = h.num_vertices, h.num_nets
@@ -232,13 +236,13 @@ def kway_refine(
     if fixed is not None:
         free &= fixed < 0
 
-    kern = resolve_kernel(getattr(cfg, "kernel", "python"))
     rec = get_recorder()
     with rec.span(
         "kway", k=k, vertices=nv, nets=h.num_nets, pins=h.num_pins,
-        kernel=kern,
-    ):
-        for pass_no in range(cfg.kway_passes):
+        kernel=cfg.kernel,
+    ) as sp:
+        flat = None
+        for _ in range(cfg.kway_passes):
             # boundary = vertices on some net with connectivity > 1
             lam = (counts > 0).sum(axis=1)
             cut_net = lam > 1
@@ -247,7 +251,10 @@ def kway_refine(
             if len(bnd) == 0:
                 break
             perm = rng.permutation(bnd)
-            if kern != "python" and len(bnd) >= _KWAY_VECTOR_MIN:
+            if flat is None:
+                flat = cfg.kernel == "fast" and len(bnd) >= _KWAY_VECTOR_MIN
+                sp.set(route="flat-sweep" if flat else "reference")
+            if flat:
                 moved, gained = _kway_pass_flat(
                     h, k, perm, part_l, counts, W, maxw, wl, cost,
                     xnets, vnets,

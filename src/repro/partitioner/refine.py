@@ -16,28 +16,15 @@ Hot loops operate on plain Python lists (see gainbucket.py for why).
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
 from repro._util import INDEX_DTYPE, as_rng
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.gainbucket import GainBucket
-from repro.partitioner.kernels import (
-    RACE_MIN_EVENTS,
-    race_pick,
-    resolve_kernel,
-)
 from repro.telemetry import get_recorder
 
 __all__ = ["FMCore", "fm_refine_bisection"]
-
-#: below this pin count the flat FM pass takes the python loop instead:
-#: its numpy bucket setup and per-move fixed costs only amortize once
-#: per-pin gain updates dominate.  Bit-identical either way (the tiers
-#: interleave freely), so the gate affects speed only.
-_FM_FLAT_MIN_PINS = 20_000
 
 
 class FMCore:
@@ -77,9 +64,6 @@ class FMCore:
         self.buckets: tuple[GainBucket, GainBucket] | None = None
         #: in boundary mode, vertices touched by a gain update get inserted
         self.insert_on_touch = False
-        #: move events (kept + rolled back) of the last pass; the tier
-        #: race normalizes pass timings by this
-        self.pass_events = 0
 
     # -- bookkeeping -----------------------------------------------------
     def part_array(self) -> np.ndarray:
@@ -235,51 +219,21 @@ def fm_refine_bisection(
     maxw = (int(max_weights[0]), int(max_weights[1]))
     cut = core.cut()
 
-    kern = resolve_kernel(getattr(cfg, "kernel", "python"))
-    race = None
-    pass_fn = None
-    if kern == "flat" and h.num_pins >= _FM_FLAT_MIN_PINS:
-        from repro.partitioner.fm_flat import fm_pass_flat
-
-        race = h._view(
-            "fm.tier_race", lambda: {"flat": [0.0, 0], "python": [0.0, 0]}
-        )
-    elif kern == "jit":
-        from repro.partitioner.fm_jit import fm_pass_jit as pass_fn
-
     rec = get_recorder()
     with rec.span(
         "refine.fm",
         vertices=h.num_vertices,
         nets=h.num_nets,
         pins=h.num_pins,
-        kernel=kern,
     ) as sp:
         cut0 = cut
-        tier = kern
-        for p in range(cfg.fm_passes):
-            if race is not None:
-                tier = race_pick(race)
-                t0 = perf_counter()
-                if tier == "flat":
-                    gain, moved = fm_pass_flat(core, maxw, cfg, rng)
-                else:
-                    gain, moved = _fm_pass(core, maxw, cfg, rng, cut)
-                dt = perf_counter() - t0
-                ev = getattr(core, "pass_events", 0)
-                if ev >= RACE_MIN_EVENTS:
-                    st = race[tier]
-                    st[0] += dt
-                    st[1] += ev
-            elif pass_fn is not None:
-                gain, moved = pass_fn(core, maxw, cfg, rng)
-            else:
-                gain, moved = _fm_pass(core, maxw, cfg, rng, cut)
+        for _ in range(cfg.fm_passes):
+            gain, moved = _fm_pass(core, maxw, cfg, rng)
             cut -= gain
             rec.add("fm.passes")
             if gain <= 0 and not moved:
                 break
-        sp.set(cut=cut, tier=tier)
+        sp.set(cut=cut)
         rec.add("fm.cut_delta", cut0 - cut)
     return core.part_array(), cut
 
@@ -289,7 +243,6 @@ def _fm_pass(
     maxw: tuple[int, int],
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-    cut_now: int,
 ) -> tuple[int, bool]:
     """One FM pass.  Returns (cut improvement, whether anything changed)."""
     nv = core.nv
@@ -303,7 +256,6 @@ def _fm_pass(
         cand = np.arange(nv)
     cand = cand[np.asarray(core.free, dtype=bool)[cand]]
     if len(cand) == 0:
-        core.pass_events = 0
         return 0, False
 
     bound = core.max_gain_bound()
@@ -416,7 +368,6 @@ def _fm_pass(
         core.undo_move(v)
         core.locked[v] = False
 
-    core.pass_events = len(moves)
     rec = get_recorder()
     if rec.enabled:
         rec.add("fm.moves", best_idx)

@@ -1,10 +1,9 @@
 """Differential replay: one seed, every execution path, diffed bit-by-bit.
 
-PRs 2–3 added three orthogonal execution knobs — the multi-start backend
-(serial/thread/process), the tree-parallel recursion, and the shm
-transport — and PR 7 added a fourth, the refinement/matching kernel tier
-(python/flat/jit) — each promising not to change a single output bit.
-This module
+Four orthogonal execution knobs — the multi-start backend
+(serial/thread/process), the tree-parallel recursion, the shm transport
+and the V-cycle kernel (reference/fast) — each promise not to change a
+single output bit.  This module
 replays one ``decompose()`` call across the whole grid and diffs the
 results stage by stage, reporting the *first* divergent stage per variant:
 
@@ -60,19 +59,19 @@ class ReplayVariant:
     backend: str  # start_backend: "serial" | "thread" | "process"
     shm: bool
     tree_parallel: bool
-    kernel: str = "python"  # refinement/matching tier, bit-identical by contract
+    kernel: str = "reference"  # V-cycle kernel, bit-identical by contract
     kway: bool = False  # enable the K-way boundary refinement pass
 
     @property
     def universe(self) -> str:
         """Determinism universe this variant must be bit-identical within.
 
-        The kernel tier is deliberately *not* part of the universe: every
-        tier promises the same bits, so kernel variants are diffed against
-        the python reference of their universe rather than forming their
-        own group.  ``kway`` *is* part of the universe — the extra
+        The kernel is deliberately *not* part of the universe: both
+        kernels promise the same bits, so the ``fast`` variant is diffed
+        against the ``reference`` run of its universe rather than forming
+        its own group.  ``kway`` *is* part of the universe — the extra
         refinement pass legitimately changes the partition — so the
-        K-way kernel tiers diff against a python+kway reference.
+        K-way fast variant diffs against a reference+kway run.
         """
         base = "tree" if self.tree_parallel else "legacy"
         return base + "+kway" if self.kway else base
@@ -87,7 +86,7 @@ class ReplayRun:
     shm: bool
     tree_parallel: bool
     universe: str
-    kernel: str = "python"
+    kernel: str = "reference"
     kway: bool = False
     cutsize: int | None = None
     imbalance: float | None = None
@@ -160,19 +159,16 @@ class ReplayReport:
 
 
 def default_variants() -> list[ReplayVariant]:
-    """The full grid: backends × shm × tree, plus the kernel universe.
+    """The full grid: backends × shm × tree, plus the fast kernel.
 
     ``shm`` only matters for the process backend, so the pickle/shm pair is
-    enumerated there only; the serial variant of each universe is the
-    reference the others are diffed against.  The kernel tiers (flat, jit)
-    ride on the serial backend of each universe — they promise the same
-    bits as the python reference, and an unavailable tier falls back
-    (jit -> flat -> python), which must itself be bit-identical.  The
-    kernel axis now spans every V-cycle phase (matching, coarse build,
-    initial GHG, FM, K-way), so the serial+flat variant exercises all of
-    them at once; a separate ``+kway`` universe turns on the K-way
-    boundary refinement pass (which legitimately changes the partition)
-    and diffs its flat sweep against a python+kway reference.
+    enumerated there only; every backend variant runs the ``reference``
+    kernel, and the serial variant of each universe is the reference the
+    others are diffed against.  One ``serial+fast`` variant per universe
+    runs ``kernel="fast"`` (the structural matching routes and the K-way
+    flat sweep) and must reproduce those bits.  A separate ``+kway``
+    universe turns on the K-way boundary refinement pass (which
+    legitimately changes the partition) so the flat sweep is diffed too.
     """
     out: list[ReplayVariant] = []
     for tree in (False, True):
@@ -181,24 +177,16 @@ def default_variants() -> list[ReplayVariant]:
         out.append(ReplayVariant(f"thread{suffix}", "thread", False, tree))
         out.append(ReplayVariant(f"process{suffix}", "process", False, tree))
         out.append(ReplayVariant(f"process+shm{suffix}", "process", True, tree))
-        for kern in ("flat", "jit"):
-            out.append(
-                ReplayVariant(
-                    f"serial+{kern}{suffix}", "serial", False, tree, kernel=kern
-                )
-            )
-    # the K-way universe: legacy serial only — one reference plus the
-    # non-reference tiers driving the K-way flat sweep
-    out.append(
-        ReplayVariant("serial+kway", "serial", False, False, kway=True)
-    )
-    for kern in ("flat", "jit"):
         out.append(
-            ReplayVariant(
-                f"serial+{kern}+kway", "serial", False, False,
-                kernel=kern, kway=True,
-            )
+            ReplayVariant(f"serial+fast{suffix}", "serial", False, tree, kernel="fast")
         )
+    # the K-way universe: legacy serial only — reference, then fast
+    out.append(ReplayVariant("serial+kway", "serial", False, False, kway=True))
+    out.append(
+        ReplayVariant(
+            "serial+fast+kway", "serial", False, False, kernel="fast", kway=True
+        )
+    )
     return out
 
 

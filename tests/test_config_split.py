@@ -28,14 +28,14 @@ from dataclasses import fields
 # construction and routing
 # ----------------------------------------------------------------------
 def test_flat_kwargs_route_to_sub_configs():
-    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, kernel="flat")
+    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, kernel="reference")
     assert cfg.model.epsilon == 0.1
     assert cfg.execution.n_workers == 4
-    assert cfg.execution.kernel == "flat"
+    assert cfg.execution.kernel == "reference"
     # flat attribute access keeps working
     assert cfg.epsilon == 0.1
     assert cfg.n_workers == 4
-    assert cfg.kernel == "flat"
+    assert cfg.kernel == "reference"
 
 
 def test_explicit_sub_config_construction():
@@ -67,12 +67,12 @@ def test_mixing_sub_config_with_other_sides_kwargs_is_fine():
 
 def test_with_routes_flat_fields():
     cfg = PartitionerConfig()
-    cfg2 = cfg.with_(epsilon=0.2, kernel="flat")
+    cfg2 = cfg.with_(epsilon=0.2, kernel="reference")
     assert cfg2.model.epsilon == 0.2
-    assert cfg2.execution.kernel == "flat"
+    assert cfg2.execution.kernel == "reference"
     # originals untouched (immutability)
     assert cfg.model.epsilon == 0.03
-    assert cfg.execution.kernel in ("auto",) + KERNELS
+    assert cfg.execution.kernel == "fast"
     with pytest.raises(TypeError, match="unknown config fields"):
         cfg.with_(bogus=1)
 
@@ -96,10 +96,10 @@ def test_equality_and_hash():
 
 
 def test_pickle_round_trip():
-    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, kernel="flat")
+    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, kernel="reference")
     back = pickle.loads(pickle.dumps(cfg))
     assert back == cfg
-    assert back.kernel == "flat"
+    assert back.kernel == "reference"
 
 
 def test_attribute_error_for_unknown_field():
@@ -137,7 +137,7 @@ def test_fingerprint_invariant_under_execution_policy():
     a = _instance()
     variants = [
         PartitionerConfig(n_workers=8),
-        PartitionerConfig(kernel="flat"),
+        PartitionerConfig(kernel="reference"),
         PartitionerConfig(kernel="auto"),
         PartitionerConfig(max_retries=3, deadline=60.0),
         PartitionerConfig(start_backend="serial", shm_transport=False),
@@ -181,5 +181,62 @@ def test_validation_via_flat_kwargs(kwargs):
 def test_sub_configs_expose_with_():
     m = ModelConfig().with_(epsilon=0.2)
     assert m.epsilon == 0.2
-    e = ExecutionPolicy().with_(kernel="flat")
-    assert e.kernel == "flat"
+    e = ExecutionPolicy().with_(kernel="reference")
+    assert e.kernel == "reference"
+
+
+# ----------------------------------------------------------------------
+# the kernel axis: reference|fast, legacy values normalised
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("value, expected", [
+    ("reference", "reference"),
+    ("fast", "fast"),
+    ("python", "reference"),
+    ("flat", "fast"),
+    ("jit", "fast"),
+    ("auto", "fast"),
+])
+def test_legacy_kernel_values_normalise(value, expected):
+    assert ExecutionPolicy(kernel=value).kernel == expected
+    cfg = PartitionerConfig(kernel=value)
+    assert cfg.kernel == expected
+    assert cfg.kernel in KERNELS
+    assert cfg == PartitionerConfig(kernel=expected)
+    assert PartitionerConfig().with_(kernel=value).kernel == expected
+
+
+def test_kernel_default_is_fast():
+    assert ExecutionPolicy().kernel == "fast"
+    assert KERNELS == ("reference", "fast")
+
+
+def test_fingerprint_unchanged_across_kernel_values():
+    from repro.fingerprint import fingerprint
+
+    a = _instance()
+    prints = {
+        fingerprint(a, config=PartitionerConfig(kernel=value), seed=0,
+                    k=8, method="finegrain")
+        for value in ("reference", "fast", "python", "flat", "jit", "auto")
+    }
+    assert len(prints) == 1
+
+
+@pytest.mark.parametrize("value", ["python", "jit"])
+def test_normalised_kernel_survives_pickle_and_with_(value):
+    cfg = PartitionerConfig(epsilon=0.1, kernel=value)
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg and back.kernel == cfg.kernel
+    again = back.with_(epsilon=0.2)
+    assert again.kernel == cfg.kernel
+    e = pickle.loads(pickle.dumps(cfg.execution))
+    assert e == cfg.execution and e.with_(n_workers=2).kernel == cfg.kernel
+
+
+def test_kernels_report_is_json():
+    import json
+
+    import repro
+
+    doc = json.loads(json.dumps(repro.kernels()))
+    assert doc["default"] == "fast"

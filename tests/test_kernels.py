@@ -1,21 +1,22 @@
-"""Kernel-tier contract tests: bit-identity, fallback, introspection.
+"""Kernel-axis contract tests: bit-identity, normalisation, introspection.
 
-The ``kernel`` axis (``python | flat | jit``) promises that every tier
-produces bit-identical partitions.  This suite pins that promise three
-ways: golden replay under each tier (same bits as the pre-kernel
-recordings), a hypothesis equivalence harness driving
-:class:`FlatGainBucket` against the reference :class:`GainBucket`, and a
-scripted-move equivalence of :class:`FlatMoveEngine` against
-``FMCore.apply_move``.  The jit tier is exercised interpreted (numba
-absent) by force-probing it available — same code path, no compilation.
+The ``kernel`` axis (``reference | fast``) promises that both values
+produce bit-identical partitions.  This suite pins that promise with
+golden replay (same bits as the pre-kernel recordings) and fresh-instance
+parity, and checks that the legacy names (``python``, ``flat``, ``jit``,
+``auto``) still parse and map onto the two kernels.  The golden and
+parity tests run under the legacy names ``flat`` and ``jit`` on purpose:
+both normalise to ``fast``, so they cover the mapping and the fast
+routes at once.
 """
 
 from __future__ import annotations
 
+import json
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tests.conftest import random_hypergraph
 from tests.golden import check_golden
@@ -25,35 +26,24 @@ from repro.matrix.collection import load_collection_matrix
 from repro.partitioner import PartitionerConfig, partition_hypergraph
 from repro.partitioner import kernels as K
 from repro.partitioner.config import KERNELS, ExecutionPolicy
-from repro.partitioner.fm_flat import FlatGainBucket, FlatMoveEngine
-from repro.partitioner.gainbucket import GainBucket
 from repro.telemetry import TelemetryRecorder, use_recorder
 
 
-@pytest.fixture
-def forced_jit(monkeypatch):
-    """Probe the jit tier available: without numba its kernels run
-    interpreted — same code, same bits, no compilation."""
-    monkeypatch.setitem(K._PROBES, "jit", (True, None))
-    yield
-    # monkeypatch.setitem restores the previous entry on teardown
-
-
 # ----------------------------------------------------------------------
-# golden replay across the kernel universe
+# golden replay across the kernel values
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", ["flat", "jit"])
+@pytest.mark.parametrize("kernel", ["flat", "jit", "reference"])
 @pytest.mark.parametrize("k", [2, 8])
-def test_golden_hypergraph_partitions_per_kernel(kernel, k, forced_jit):
-    """Non-reference tiers replay the pre-kernel goldens bit for bit."""
+def test_golden_hypergraph_partitions_per_kernel(kernel, k):
+    """Every kernel value replays the pre-kernel goldens bit for bit."""
     h = random_hypergraph(as_rng(1), 120, 90)
     cfg = PartitionerConfig(tree_parallel=False, kernel=kernel)
     res = partition_hypergraph(h, k, config=cfg, seed=0)
     check_golden(f"hg-120x90-s1-k{k}-seed0", res.part, res.cutsize)
 
 
-@pytest.mark.parametrize("kernel", ["flat", "jit"])
-def test_golden_matrix_decomposition_per_kernel(kernel, forced_jit):
+@pytest.mark.parametrize("kernel", ["flat", "jit", "reference"])
+def test_golden_matrix_decomposition_per_kernel(kernel):
     a = load_collection_matrix("sherman3", scale=0.25)
     cfg = PartitionerConfig(tree_parallel=False, kernel=kernel)
     res = decompose(a, 8, method="finegrain", config=cfg, seed=0)
@@ -61,8 +51,8 @@ def test_golden_matrix_decomposition_per_kernel(kernel, forced_jit):
 
 
 @pytest.mark.parametrize("kernel", ["flat", "jit"])
-def test_tiers_match_python_on_fresh_instances(kernel, forced_jit):
-    """Beyond the goldens: fresh random instances, python vs tier."""
+def test_tiers_match_python_on_fresh_instances(kernel):
+    """Beyond the goldens: fresh random instances, reference vs fast."""
     for hseed, seed, k in [(5, 3, 2), (9, 1, 4)]:
         h = random_hypergraph(as_rng(hseed), 180, 140, weighted=True)
         r_py = partition_hypergraph(
@@ -76,189 +66,30 @@ def test_tiers_match_python_on_fresh_instances(kernel, forced_jit):
 
 
 # ----------------------------------------------------------------------
-# FlatGainBucket == GainBucket under arbitrary op sequences
-# ----------------------------------------------------------------------
-N_VERTS = 24
-MAX_GAIN = 6
-
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), st.integers(0, N_VERTS - 1),
-                  st.integers(-MAX_GAIN, MAX_GAIN)),
-        st.tuples(st.just("remove"), st.integers(0, N_VERTS - 1)),
-        st.tuples(st.just("adjust"), st.integers(0, N_VERTS - 1),
-                  st.integers(-2, 2)),
-        st.tuples(st.just("move_to"), st.integers(0, N_VERTS - 1),
-                  st.integers(-MAX_GAIN, MAX_GAIN)),
-        st.tuples(st.just("best"),),
-        st.tuples(st.just("best_capped"), st.integers(0, 4)),
-        st.tuples(st.just("pop_best"),),
-        st.tuples(st.just("max_gain"),),
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ops=_ops, wseed=st.integers(0, 2**16))
-def test_flat_bucket_equals_reference_bucket(ops, wseed):
-    """Same op sequence -> same observable behavior, including iteration
-    order (best/pop_best results) and errors."""
-    # gain adjustments can run past MAX_GAIN: size the range generously
-    bound = MAX_GAIN + 2 * 60 + 1
-    ref = GainBucket(N_VERTS, bound)
-    flat = FlatGainBucket(N_VERTS, bound)
-    w = as_rng(wseed).integers(1, 5, size=N_VERTS).tolist()
-    w_arr = np.asarray(w, dtype=np.int64)
-    for op in ops:
-        name = op[0]
-        if name == "insert":
-            _, v, g = op
-            err_ref = err_flat = None
-            try:
-                ref.insert(v, g)
-            except ValueError as e:
-                err_ref = str(e)
-            try:
-                flat.insert(v, g)
-            except ValueError as e:
-                err_flat = str(e)
-            assert (err_ref is None) == (err_flat is None)
-        elif name == "remove":
-            _, v = op
-            if ref.contains(v):
-                ref.remove(v)
-                flat.remove(v)
-            else:
-                with pytest.raises(ValueError):
-                    ref.remove(v)
-                with pytest.raises(ValueError):
-                    flat.remove(v)
-        elif name == "adjust":
-            _, v, d = op
-            if ref.contains(v):
-                ref.adjust(v, d)
-                flat.adjust(v, d)
-        elif name == "move_to":
-            _, v, g = op
-            if ref.contains(v):
-                ref.move_to(v, g)
-                flat.move_to(v, g)
-        elif name == "best":
-            assert ref.best() == flat.best()
-        elif name == "best_capped":
-            _, cap = op
-            assert ref.best_capped(w, cap) == flat.best_capped(w_arr, cap)
-        elif name == "pop_best":
-            assert ref.pop_best() == flat.pop_best()
-        elif name == "max_gain":
-            assert ref.max_gain() == flat.max_gain()
-        assert len(ref) == len(flat)
-        for v in range(N_VERTS):
-            assert ref.contains(v) == flat.contains(v)
-
-
-def test_flat_bucket_bulk_insert_order_matches_reference():
-    rng = as_rng(0)
-    vs = rng.permutation(N_VERTS)
-    gains = rng.integers(-MAX_GAIN, MAX_GAIN + 1, size=N_VERTS)
-    ref = GainBucket(N_VERTS, MAX_GAIN)
-    flat = FlatGainBucket(N_VERTS, MAX_GAIN)
-    ref.bulk_insert(vs, gains)
-    flat.bulk_insert(vs, gains)
-    # draining both must visit vertices in the identical order
-    seq_ref = [ref.pop_best() for _ in range(N_VERTS)]
-    seq_flat = [flat.pop_best() for _ in range(N_VERTS)]
-    assert seq_ref == seq_flat
-
-
-# ----------------------------------------------------------------------
-# FlatMoveEngine == FMCore.apply_move on scripted move sequences
-# ----------------------------------------------------------------------
-def test_flat_move_engine_matches_reference_moves():
-    from repro.partitioner.refine import FMCore
-
-    h = random_hypergraph(as_rng(2), 80, 60, weighted=True)
-    rng = as_rng(7)
-    part0 = rng.integers(0, 2, size=h.num_vertices)
-    vlist = rng.permutation(h.num_vertices)[:20].tolist()
-
-    core = FMCore(h, part0)
-    core.compute_all_gains()
-    bound = core.max_gain_bound()
-    rb0 = GainBucket(core.nv, bound)
-    rb1 = GainBucket(core.nv, bound)
-    core.buckets = (rb0, rb1)
-    core.insert_on_touch = False
-    gains = np.asarray(core.gain, dtype=np.int64)
-    part = core.part_array()
-    for b, idx in ((rb0, np.flatnonzero(part == 0)),
-                   (rb1, np.flatnonzero(part == 1))):
-        b.bulk_insert(idx, gains[idx])
-
-    core_f = FMCore(h, part0)
-    core_f.compute_all_gains()
-    G = np.asarray(core_f.gain, dtype=np.int64)
-    eng = FlatMoveEngine(core_f, G, boundary_mode=False)
-    fb0 = FlatGainBucket(core_f.nv, bound, gains=G)
-    fb1 = FlatGainBucket(core_f.nv, bound, gains=G)
-    eng.buckets = (fb0, fb1)
-    for b, idx in ((fb0, np.flatnonzero(eng.part == 0)),
-                   (fb1, np.flatnonzero(eng.part == 1))):
-        b.bulk_insert(idx, G[idx])
-
-    for v in vlist:
-        core.buckets[core.part[v]].remove(v)
-        core.locked[v] = True
-        core.apply_move(v)
-
-        eng.buckets[int(eng.part[v])].remove(v)
-        eng.lock(v)
-        eng.apply_move(v)
-
-        assert core.part == eng.part.tolist()
-        assert core.gain == eng.G.tolist()
-        assert core.W == eng.W
-    # undo everything; the engines must converge back to the same state
-    for v in reversed(vlist):
-        core.undo_move(v)
-        core.locked[v] = False
-        eng.undo_move(v)
-        assert core.part == eng.part.tolist()
-    assert core.pc[0] == list(eng.pc0)
-    assert core.pc[1] == list(eng.pc1)
-
-
-# ----------------------------------------------------------------------
-# resolution, fallback, introspection, defaults
+# normalisation, introspection, defaults
 # ----------------------------------------------------------------------
 def test_kernels_introspection_shape():
     import repro
 
     info = repro.kernels()
-    assert info["fallback_order"] == list(KERNELS)
-    assert info["default"] in KERNELS
-    for tier in KERNELS:
-        assert set(info[tier]) == {"available", "reason"}
-        if info[tier]["available"]:
-            assert info[tier]["reason"] is None
-        else:
-            assert info[tier]["reason"]
-    assert info["python"]["available"]
-    assert info["flat"]["available"]
+    assert info["kernels"] == list(KERNELS) == ["reference", "fast"]
+    assert info["default"] == "fast"
+    assert info["aliases"] == {
+        "python": "reference", "flat": "fast", "jit": "fast", "auto": "fast",
+    }
+    assert set(info["phases"]) == {
+        "fm", "matching", "coarse_build", "initial", "kway"
+    }
+    json.dumps(info)
 
 
 def test_resolve_kernel_explicit_and_auto():
-    assert K.resolve_kernel("python") == "python"
-    assert K.resolve_kernel("flat") == "flat"
-    best = K.resolve_kernel("auto")
-    assert best in KERNELS
-    # auto picks the leftmost available tier of the fallback order
-    for tier in KERNELS:
-        if K.kernel_available(tier):
-            assert best == tier
-            break
+    assert K.resolve_kernel("reference") == "reference"
+    assert K.resolve_kernel("fast") == "fast"
+    assert K.resolve_kernel("python") == "reference"
+    assert K.resolve_kernel("flat") == "fast"
+    assert K.resolve_kernel("jit") == "fast"
+    assert K.resolve_kernel("auto") == "fast"
 
 
 def test_resolve_kernel_unknown_raises():
@@ -268,33 +99,24 @@ def test_resolve_kernel_unknown_raises():
         ExecutionPolicy(kernel="cuda")
 
 
-def test_unavailable_tier_falls_back_with_telemetry(monkeypatch):
-    monkeypatch.setitem(K._PROBES, "jit", (False, "forced unavailable"))
-    rec = TelemetryRecorder()
-    with use_recorder(rec):
-        assert K.resolve_kernel("jit") == "flat"
-    assert rec.counter_totals().get("kernel.fallbacks") == 1
-
-
 def test_import_repro_without_numba_is_clean():
-    """``import repro`` and the python/flat tiers never require numba."""
+    """``import repro`` never pulls in numba, and the report names no
+    optional tier."""
     import repro
 
-    assert hasattr(repro, "kernels")
-    # the jit probe reports rather than raises when numba is missing
-    info = repro.kernels()
-    if not info["jit"]["available"]:
-        assert "numba" in info["jit"]["reason"]
+    assert "numba" not in sys.modules
+    assert "jit" not in repro.kernels()["kernels"]
 
 
 def test_repro_kernel_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "flat")
-    assert ExecutionPolicy().kernel == "flat"
+    """The environment no longer picks the kernel: the default is fast."""
+    monkeypatch.setenv("REPRO_KERNEL", "reference")
+    assert ExecutionPolicy().kernel == "fast"
     monkeypatch.delenv("REPRO_KERNEL")
-    assert ExecutionPolicy().kernel == "auto"
+    assert ExecutionPolicy().kernel == "fast"
 
 
-def test_decompose_kernel_kwarg_routes(forced_jit):
+def test_decompose_kernel_kwarg_routes():
     import scipy.sparse as sp
 
     a = sp.random(
@@ -303,7 +125,7 @@ def test_decompose_kernel_kwarg_routes(forced_jit):
     )
     a.data[:] = 1.0
     base = decompose(a, 4, method="finegrain", seed=2)
-    for kernel in ("python", "flat", "jit", "auto"):
+    for kernel in ("reference", "fast", "python", "flat", "jit", "auto"):
         r = decompose(a, 4, method="finegrain", seed=2, kernel=kernel)
         assert r.cutsize == base.cutsize
         assert np.array_equal(r.part, base.part)
@@ -315,15 +137,19 @@ def _walk(spans):
         yield from _walk(s.children)
 
 
-def test_refine_span_records_resolved_kernel():
-    h = random_hypergraph(as_rng(4), 60, 50)
+def test_single_implementation_spans_carry_no_kernel():
+    """FM, initial bisection and the coarse build have one implementation,
+    so their spans name no kernel or tier."""
+    h = random_hypergraph(as_rng(4), 300, 250)
     rec = TelemetryRecorder()
     with use_recorder(rec):
-        partition_hypergraph(
-            h, 2, config=PartitionerConfig(kernel="flat"), seed=0
-        )
-    fm = [s for s in _walk(rec.roots) if s.name == "refine.fm"]
-    assert fm and all(s.attrs.get("kernel") == "flat" for s in fm)
+        partition_hypergraph(h, 2, config=PartitionerConfig(kernel="flat"), seed=0)
+    spans = [
+        s for s in _walk(rec.roots)
+        if s.name in ("refine.fm", "initial", "coarsen.build")
+    ]
+    assert {s.name for s in spans} == {"refine.fm", "initial", "coarsen.build"}
+    assert not any("kernel" in s.attrs or "tier" in s.attrs for s in spans)
 
 
 def test_engine_span_records_resolved_kernel():
@@ -338,4 +164,4 @@ def test_engine_span_records_resolved_kernel():
             seed=0,
         )
     engine = [s for s in _walk(rec.roots) if s.name == "engine"]
-    assert engine and engine[0].attrs.get("kernel") == "flat"
+    assert engine and engine[0].attrs.get("kernel") == "fast"
