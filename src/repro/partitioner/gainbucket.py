@@ -5,6 +5,15 @@ value, plus a moving max-gain pointer.  All operations the refinement inner
 loop needs are O(1) except :meth:`GainBucket.best`, whose amortized cost is
 bounded by the gain-range walk (the standard FM argument).
 
+Weight-capped selection (:meth:`GainBucket.best_capped`) adds one exact
+memo on top: a walk that finds nothing has seen every stored vertex, so it
+records their minimum weight, and later calls whose cap is below that
+minimum return ``None`` without walking.  Only inserts can lower the
+minimum, so only :meth:`~GainBucket.insert` and
+:meth:`~GainBucket.bulk_insert` invalidate it; removals and relinks keep
+it valid.  Without the memo, FM re-walks a side where nothing fits on
+every move of a pass.
+
 Plain Python lists are used instead of numpy arrays deliberately: the inner
 loop performs millions of single-element reads/writes, where list indexing
 is several times faster than numpy scalar indexing (see the repository's
@@ -19,6 +28,11 @@ import numpy as np
 
 __all__ = ["GainBucket"]
 
+#: ``GainBucket.wfloor`` while no empty-handed walk is on record: no cap is below it
+_NO_FLOOR = float("-inf")
+#: start of a walk's running minimum: every weight is below it
+_NO_CEIL = float("inf")
+
 
 class GainBucket:
     """Doubly-linked bucket lists over the gain range ``[-max_gain, max_gain]``.
@@ -27,7 +41,9 @@ class GainBucket:
     most one bucket at a time.
     """
 
-    __slots__ = ("offset", "heads", "nxt", "prv", "gain", "inside", "maxptr", "count")
+    __slots__ = (
+        "offset", "heads", "nxt", "prv", "gain", "inside", "maxptr", "count", "wfloor",
+    )
 
     def __init__(self, n: int, max_gain: int) -> None:
         if max_gain < 0:
@@ -41,6 +57,9 @@ class GainBucket:
         self.inside = [False] * n
         self.maxptr = -1  # index into heads of the highest non-empty bucket
         self.count = 0
+        #: lower bound on the weight of every stored vertex, set by a
+        #: :meth:`best_capped` walk that returned ``None``
+        self.wfloor = _NO_FLOOR
 
     # -- primitive ops -------------------------------------------------
     def insert(self, v: int, gain: int) -> None:
@@ -59,6 +78,7 @@ class GainBucket:
         self.gain[v] = gain
         self.inside[v] = True
         self.count += 1
+        self.wfloor = _NO_FLOOR
         if b > self.maxptr:
             self.maxptr = b
 
@@ -156,6 +176,7 @@ class GainBucket:
             prev_v = v
         nxt[prev_v] = -1
         self.count += m
+        self.wfloor = _NO_FLOOR
         mb = int(b.max())
         if mb > self.maxptr:
             self.maxptr = mb
@@ -203,17 +224,28 @@ class GainBucket:
         Same walk and same result as ``best(lambda v: w[v] <= cap)`` but
         without a Python call per candidate — the dominant selection path
         when neither side is overweight.
+
+        A walk that returns ``None`` records the minimum weight it saw in
+        :attr:`wfloor`; while no vertex is inserted, a later call with
+        ``cap < wfloor`` returns ``None`` at once.  The memo is exact as
+        long as every call passes the same, unchanging *w* (FM and GHG
+        pass the hypergraph's vertex weights).
         """
-        if self.count == 0:
+        if self.count == 0 or cap < self.wfloor:
             return None
         self._settle_maxptr()
         heads, nxt = self.heads, self.nxt
+        lo = _NO_CEIL
         for b in range(self.maxptr, -1, -1):
             v = heads[b]
             while v != -1:
-                if w[v] <= cap:
+                wv = w[v]
+                if wv <= cap:
                     return v
+                if wv < lo:
+                    lo = wv
                 v = nxt[v]
+        self.wfloor = lo
         return None
 
     def pop_best(self, feasible: Callable[[int], bool] | None = None) -> int | None:

@@ -51,34 +51,32 @@ def ghg_bisection(
     rng = as_rng(rng)
     part = _base_part(h, fixed)
     core = FMCore(h, part, fixed)
-    core.compute_all_gains()
+    gain = core.compute_all_gains()
     bound = core.max_gain_bound()
     b0 = GainBucket(h.num_vertices, bound)  # unused side, kept for symmetry
     b1 = GainBucket(h.num_vertices, bound)
     core.buckets = (b0, b1)
     core.insert_on_touch = False
 
+    # the free part-1 vertices in a random order; one bulk insert links the
+    # same LIFO bucket chains as inserting them one by one in this order
     order = rng.permutation(h.num_vertices)
-    for v in order:
-        v = int(v)
-        if core.free[v] and core.part[v] == 1:
-            b1.insert(v, core.gain[v])
+    growable = np.asarray(core.free, dtype=bool) & (part == 1)
+    order = order[growable[order]]
+    b1.bulk_insert(order, gain[order])
 
     w = core.w
     W = core.W
+    max0 = int(max0)
     # force a random seed vertex first so different starts explore
     # different regions even when many gains tie
     seeded = False
     while W[0] < target0 and len(b1):
         if not seeded:
-            free1 = [int(v) for v in order if core.free[int(v)] and core.part[int(v)] == 1]
-            if not free1:
-                break
-            v = free1[int(rng.integers(len(free1)))]
+            v = int(order[rng.integers(len(order))])
             seeded = True
         else:
-            cap = max0 - W[0]
-            v = b1.best(lambda u: w[u] <= cap)
+            v = b1.best_capped(w, max0 - W[0])
             if v is None:
                 break
         b1.remove(v)

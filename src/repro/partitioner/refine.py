@@ -87,8 +87,11 @@ class FMCore:
         pc1 = np.asarray(self.pc[1])
         return int(self.h.net_costs[(pc0 > 0) & (pc1 > 0)].sum())
 
-    def compute_all_gains(self) -> None:
-        """Vectorized FM gain of every vertex (positive = cut decreases)."""
+    def compute_all_gains(self) -> np.ndarray:
+        """Vectorized FM gain of every vertex (positive = cut decreases).
+
+        Stores the gains in :attr:`gain` and returns them as an array.
+        """
         pc0 = np.asarray(self.pc[0], dtype=np.int64)
         pc1 = np.asarray(self.pc[1], dtype=np.int64)
         non = self._net_of_pin
@@ -104,6 +107,7 @@ class FMCore:
             self.h.pins, weights=contrib, minlength=self.nv
         ).astype(np.int64)
         self.gain = g.tolist()
+        return g
 
     def boundary_vertices(self) -> np.ndarray:
         """Vertices incident to at least one cut net."""
@@ -200,6 +204,31 @@ def _excess(W: list[int], maxw: tuple[int, int]) -> int:
     return max(0, W[0] - maxw[0]) + max(0, W[1] - maxw[1])
 
 
+def _may_move(wv, w_frm, max_frm, w_to, max_to):
+    """Whether a vertex of weight *wv* may move from side ``frm`` to ``to``.
+
+    It may when it fits under the target side's cap, or as a rescue move:
+    the source side is overweight and the move strictly reduces total
+    excess, ``max(0, inc) < min(wv, over)``, written as the four
+    comparisons that inequality expands to.  Works on Python ints (the
+    move loop) and elementwise on arrays (the no-move exit of
+    :func:`_fm_pass`), so both use this one rule.
+    """
+    inc = w_to + wv - max_to  # excess the move adds on the target side
+    over = w_frm - max_frm  # excess of the source side before the move
+    return (inc <= 0) | ((over > 0) & (wv > 0) & (inc < wv) & (inc < over))
+
+
+def _any_first_move(
+    w: np.ndarray, side: np.ndarray, W: list[int], maxw: tuple[int, int]
+) -> bool:
+    """Whether any candidate (weights *w*, sides *side*) may move first."""
+    Wa = np.asarray(W, dtype=np.int64)
+    ma = np.asarray(maxw, dtype=np.int64)
+    to = 1 - side
+    return bool(_may_move(w, Wa[side], ma[side], Wa[to], ma[to]).any())
+
+
 def fm_refine_bisection(
     h: Hypergraph,
     part: np.ndarray,
@@ -244,11 +273,18 @@ def _fm_pass(
     cfg: PartitionerConfig,
     rng: np.random.Generator,
 ) -> tuple[int, bool]:
-    """One FM pass.  Returns (cut improvement, whether anything changed)."""
-    nv = core.nv
-    core.compute_all_gains()
-    core.locked = [False] * nv
+    """One FM pass.  Returns (cut improvement, whether anything changed).
 
+    A pass whose candidates cannot make a first move (none fits under the
+    other side's cap and no rescue move applies) moves nothing, so it
+    returns ``(0, False)`` right after drawing its candidate permutation —
+    before computing gains or building buckets — and counts as an
+    ``fm.idle_passes``.  Nothing else in a pass draws from *rng*, so the
+    exit leaves the RNG stream and the result bit-identical to running the
+    pass through.
+    """
+    nv = core.nv
+    rec = get_recorder()
     boundary_mode = nv > cfg.fm_boundary_threshold
     if boundary_mode:
         cand = core.boundary_vertices()
@@ -256,8 +292,17 @@ def _fm_pass(
         cand = np.arange(nv)
     cand = cand[np.asarray(core.free, dtype=bool)[cand]]
     if len(cand) == 0:
+        rec.add("fm.idle_passes")
+        return 0, False
+    seq = cand[rng.permutation(len(cand))]
+    side = np.asarray(core.part, dtype=np.int64)[seq]
+    W = core.W
+    if not _any_first_move(core.h.vertex_weights[seq].astype(np.int64), side, W, maxw):
+        rec.add("fm.idle_passes")
         return 0, False
 
+    gain_np = core.compute_all_gains()
+    core.locked = [False] * nv
     bound = core.max_gain_bound()
     b0 = GainBucket(nv, bound)
     b1 = GainBucket(nv, bound)
@@ -265,13 +310,9 @@ def _fm_pass(
     core.insert_on_touch = boundary_mode
     # seed both buckets in permutation order; the buckets are independent,
     # so splitting by side preserves each one's insertion sequence exactly
-    seq = cand[rng.permutation(len(cand))]
-    side = np.asarray(core.part, dtype=np.int64)[seq]
-    gain_np = np.asarray(core.gain, dtype=np.int64)
     b0.bulk_insert(seq[side == 0], gain_np[seq[side == 0]])
     b1.bulk_insert(seq[side == 1], gain_np[seq[side == 1]])
 
-    W = core.W
     w = core.w
     exc0 = _excess(W, maxw)
 
@@ -286,23 +327,9 @@ def _fm_pass(
     stalls = 0
 
     def feasible_to(side_to: int):
-        cap = maxw[side_to] - W[side_to]
         side_frm = 1 - side_to
-        over_frm = W[side_frm] > maxw[side_frm]
-
-        def ok(v: int) -> bool:
-            wv = w[v]
-            if wv <= cap:
-                return True
-            # rescue move: source side is overweight and the move strictly
-            # reduces total excess
-            if not over_frm:
-                return False
-            red = min(wv, W[side_frm] - maxw[side_frm])
-            inc = max(0, W[side_to] + wv - maxw[side_to])
-            return inc < red
-
-        return ok
+        args = (W[side_frm], maxw[side_frm], W[side_to], maxw[side_to])
+        return lambda v: _may_move(w[v], *args)
 
     # boundary mode can grow the candidate pool mid-pass, so cap at nv
     max_moves = nv
@@ -368,7 +395,6 @@ def _fm_pass(
         core.undo_move(v)
         core.locked[v] = False
 
-    rec = get_recorder()
     if rec.enabled:
         rec.add("fm.moves", best_idx)
         rec.add("fm.rollbacks", len(moves) - best_idx)

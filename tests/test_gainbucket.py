@@ -115,3 +115,96 @@ class TestAgainstReference:
         assert len(b) == len(ref)
         if ref:
             assert b.max_gain() == max(ref.values())
+
+
+class _OrderModel:
+    """Reference model of the bucket walk order.
+
+    A bucket walk visits higher gains first and, within one gain, the most
+    recently linked vertex first (chains are LIFO).  So the model keys every
+    stored vertex by ``(gain, stamp)``, where *stamp* increases with every
+    insert and relink, and the capped best vertex is the key maximum among
+    vertices that fit.
+    """
+
+    def __init__(self):
+        self.key: dict[int, tuple[int, int]] = {}
+        self.clock = 0
+
+    def link(self, v: int, g: int) -> None:
+        self.clock += 1
+        self.key[v] = (g, self.clock)
+
+    def best_capped(self, w: list[int], cap: int) -> int | None:
+        fits = [v for v in self.key if w[v] <= cap]
+        return max(fits, key=self.key.__getitem__, default=None)
+
+
+class TestCappedOrder:
+    N, MG = 16, 6
+    ops = st.lists(
+        st.tuples(
+            st.sampled_from(["ins", "bulk", "rem", "move", "best", "best"]),
+            st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+            st.integers(-6, 6),
+            st.integers(-1, 7),
+        ),
+        max_size=80,
+    )
+
+    @given(st.lists(st.integers(0, 6), min_size=16, max_size=16), ops)
+    @settings(max_examples=150, deadline=None)
+    def test_best_capped_is_reference_argmax(self, w, ops):
+        """best_capped returns exactly the reference's argmax of fitting
+        vertices after any insert/bulk_insert/remove/move_to sequence —
+        including repeated empty-handed calls and the memo reset on insert."""
+        b = GainBucket(self.N, self.MG)
+        ref = _OrderModel()
+        for op, vs, g, cap in ops:
+            if op == "ins" and vs[0] not in ref.key:
+                b.insert(vs[0], g)
+                ref.link(vs[0], g)
+            elif op == "bulk":
+                fresh = [v for v in vs if v not in ref.key]
+                gains = [(g + i) % (2 * self.MG + 1) - self.MG for i in range(len(fresh))]
+                b.bulk_insert(np.array(fresh), np.array(gains))
+                for v, gv in zip(fresh, gains):
+                    ref.link(v, gv)
+            elif op == "rem" and vs[0] in ref.key:
+                b.remove(vs[0])
+                del ref.key[vs[0]]
+            elif op == "move" and vs[0] in ref.key:
+                b.move_to(vs[0], g)
+                ref.link(vs[0], g)
+            elif op == "best":
+                # twice: the second call may be answered by the memo
+                for _ in range(2):
+                    got = b.best_capped(w, cap)
+                    assert got == ref.best_capped(w, cap) == b.best(lambda v: w[v] <= cap)
+        assert len(b) == len(ref.key)
+
+    def test_empty_walk_records_min_weight(self):
+        w = [5, 3, 4, 1]
+        b = GainBucket(4, 3)
+        for v, g in ((0, 1), (1, -2), (2, 3)):
+            b.insert(v, g)
+        assert b.best_capped(w, 2) is None
+        assert b.wfloor == 3
+        # removal and relinks keep the floor a valid lower bound
+        b.remove(1)
+        b.move_to(2, -3)
+        assert b.wfloor == 3
+        assert b.best_capped(w, 2) is None
+        assert b.best_capped(w, 4) == 2
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_insert_invalidates_memo(self, bulk):
+        w = [5, 3, 4, 1]
+        b = GainBucket(4, 3)
+        b.insert(0, 1)
+        assert b.best_capped(w, 2) is None
+        if bulk:
+            b.bulk_insert(np.array([3]), np.array([-3]))
+        else:
+            b.insert(3, -3)
+        assert b.best_capped(w, 2) == 3

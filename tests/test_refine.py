@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from repro._util import as_rng
 from repro.hypergraph import cutsize_connectivity, hypergraph_from_netlists
 from repro.hypergraph.partition import compute_part_weights
+from repro.partitioner import refine
 from repro.partitioner.config import PartitionerConfig
+from repro.partitioner.gainbucket import GainBucket
+from repro.partitioner.initial import ghg_bisection, initial_bisection
 from repro.partitioner.refine import FMCore, fm_refine_bisection
+from repro.telemetry import use_recorder
 from tests.conftest import hypergraphs, random_hypergraph
 
 
@@ -136,3 +140,118 @@ class TestRefinement:
         new, cut = fm_refine_bisection(h, part, maxw, cfg, rng)
         assert cutsize_connectivity(h, new) == cut
         assert cut <= cutsize_connectivity(h, part)
+
+
+@st.composite
+def tight_instances(draw):
+    """Weighted hypergraph, bisection, fixed vertices and side caps so
+    tight that few moves fit (often one side starts overweight)."""
+    h = draw(hypergraphs(max_vertices=14, max_nets=12, weighted=True))
+    nv = h.num_vertices
+    rng = as_rng(draw(st.integers(0, 2**16)))
+    part = rng.integers(0, 2, size=nv)
+    p_fixed = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    fixed = np.where(rng.random(nv) < p_fixed, part, -1)
+    total = h.total_vertex_weight()
+    half = total // 2
+    maxw = (
+        max(0, half + draw(st.integers(-2, 3))),
+        max(0, total - half + draw(st.integers(-2, 3))),
+    )
+    boundary_threshold = draw(st.sampled_from([0, 100]))
+    return h, part, fixed, maxw, boundary_threshold, draw(st.integers(0, 1000))
+
+
+class TestExactExits:
+    """The no-move exit and the min-weight memo never change a result."""
+
+    @given(tight_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_fm_ghg_initial_identical_without_exits(self, inst):
+        h, part, fixed, maxw, threshold, seed = inst
+        cfg = PartitionerConfig(fm_boundary_threshold=threshold)
+
+        def run():
+            out = []
+            rng = as_rng(seed)
+            new, cut = fm_refine_bisection(h, part, maxw, cfg, rng, fixed)
+            out.append((new.tolist(), cut))
+            out.append(ghg_bisection(h, maxw[0] // 2, maxw[0], rng, fixed).tolist())
+            targets = (maxw[0] // 2, maxw[1] // 2)
+            out.append(initial_bisection(h, targets, maxw, cfg, rng, fixed).tolist())
+            out.append(rng.bit_generator.state)
+            return out
+
+        fast = run()
+        # the same calls with the no-move exit and the best_capped memo off:
+        # every pass builds its buckets, every capped selection walks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refine, "_any_first_move", lambda *args: True)
+            mp.setattr(
+                GainBucket,
+                "best_capped",
+                lambda self, w, cap: self.best(lambda v: w[v] <= cap),
+            )
+            assert run() == fast
+
+    def test_may_move_is_the_cap_or_rescue_rule(self):
+        """The shared predicate equals the literal rule, on ints and arrays."""
+        grid = range(-1, 5)
+        cases = [
+            (wv, wf, mf, wt, mt)
+            for wv in range(0, 4)
+            for wf in grid
+            for mf in grid
+            for wt in grid
+            for mt in grid
+        ]
+        literal = [
+            wv <= mt - wt or (wf > mf and max(0, wt + wv - mt) < min(wv, wf - mf))
+            for wv, wf, mf, wt, mt in cases
+        ]
+        assert [refine._may_move(*c) for c in cases] == literal
+        cols = [np.array(c, dtype=np.int64) for c in zip(*cases)]
+        assert refine._may_move(*cols).tolist() == literal
+
+    def test_no_move_call_keeps_part_and_draws_one_permutation(self):
+        # every side sits at its cap and no vertex weighs 0: nothing fits
+        h = hypergraph_from_netlists(
+            4, [[0, 2], [1, 3], [0, 1]], vertex_weights=[3, 3, 3, 3]
+        )
+        part = np.array([0, 0, 1, 1])
+        rng = as_rng(7)
+        with pytest.MonkeyPatch.context() as mp, use_recorder() as rec:
+            # the exit comes before any bucket is built
+            mp.setattr(refine, "GainBucket", None)
+            new, cut = fm_refine_bisection(h, part, (6, 6), PartitionerConfig(), rng)
+        assert new.tolist() == part.tolist()
+        assert cut == cutsize_connectivity(h, part) == 2
+        expected = as_rng(7)
+        expected.permutation(4)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        totals = rec.counter_totals()
+        assert totals["fm.passes"] == 1
+        assert totals["fm.idle_passes"] == 1
+        assert totals.get("fm.moves", 0) == 0
+        assert totals.get("fm.rollbacks", 0) == 0
+
+
+def test_fm_counters_pinned_on_finegrain_sherman3():
+    """FM pass/move/rollback totals of a traced fine-grain K=16 run.
+
+    The values were recorded before FM gained its no-move exit: idle passes
+    still count as passes with no moves and no rollbacks.
+    """
+    from repro.core.api import decompose_2d_finegrain
+    from repro.matrix.collection import load_collection_matrix
+
+    a = load_collection_matrix("sherman3", scale=0.1)
+    with use_recorder() as rec:
+        _, res = decompose_2d_finegrain(a, 16, seed=0)
+    totals = rec.counter_totals()
+    assert res.cutsize == 202
+    assert totals["fm.passes"] == 176
+    assert totals["fm.moves"] == 386
+    assert totals["fm.rollbacks"] == 5422
+    assert totals["fm.cut_delta"] == 93
+    assert 0 < totals["fm.idle_passes"] < totals["fm.passes"]
