@@ -15,7 +15,7 @@ Three instances cover the regimes the structural routes separate:
   single-term matching route.
 * ``rownet-dense`` / ``colnet-dense`` — 1D models of a dense random
   matrix, where vertices have large degree and nets are large: matching
-  takes the scalar route with batched dense-vertex scoring.
+  takes the product route, one blocked sparse product per level.
 
 Runs alternate between the kernels (reference, fast, reference, ...)
 and each kernel's minimum total wall time is kept — on a shared machine

@@ -14,6 +14,9 @@ On a *single-term* level — every vertex in at most two nets, no two
 vertices sharing two nets, as on every fine-grain finest level — each
 score is one net's term, so the matcher walks each vertex's two nets in
 score order instead of scoring pin by pin (:func:`_match_single_term`).
+Every other level is scored at once: the scores are static within a
+level, so they are the off-diagonal entries of one sparse product
+``S = H diag(c_n / (|n| - 1)) H^T`` (:func:`_match_product`).
 
 After matching, the coarse hypergraph is built by mapping pins through the
 cluster map, removing duplicate pins, discarding single-pin nets (they can
@@ -23,9 +26,12 @@ standard transformations that preserve the attainable cutsize exactly.
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_right
 
-from repro._util import INDEX_DTYPE, multi_arange, prefix_from_counts
+import numpy as np
+import scipy.sparse as sp
+
+from repro._util import INDEX_DTYPE, prefix_from_counts
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.kernels import resolve_kernel
@@ -33,32 +39,10 @@ from repro.telemetry import get_recorder
 
 __all__ = ["match_vertices", "build_coarse", "coarsen_level", "CoarseLevel", "coarsen"]
 
-#: within the scalar matcher, a single vertex whose scoring expansion
-#: (pins behind its eligible nets) reaches this many entries gets a
-#: one-vertex batched pass instead of the per-pin loop.  Dense rows/columns
-#: produce such vertices; batching them has zero wasted work because the
-#: vertex is already known to be unclustered.
-_VERTEX_VECTOR_MIN = 3000
-
-#: the dense-vertex branch needs O(pins) numpy precomputation per
-#: match_vertices call; skip it entirely for tiny hypergraphs
-_DENSE_AUX_MIN = 4096
-
-
-def _argsort_ids(keys: np.ndarray, hi: int) -> np.ndarray:
-    """Stable argsort of non-negative ids ``< hi`` via uint16 radix passes.
-
-    numpy's stable argsort only takes its radix path for <= 16-bit keys
-    (an int64 stable argsort measures ~6x slower at the same length), so
-    wider ids sort low-half then high-half: two stable passes over
-    subkeys compose into one stable sort of the full key.  Ids here are
-    vertex indices, always < 2**32.
-    """
-    if hi <= (1 << 16):
-        return np.argsort(keys.astype(np.uint16), kind="stable")
-    s = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-    high = (keys >> 16).astype(np.uint16)
-    return s[np.argsort(high[s], kind="stable")]
+#: scoring-expansion entries (pins behind the eligible nets of a block's
+#: vertices) per sparse-product block in :func:`_match_product`.  It bounds
+#: the product's temporaries and changes no result.
+_PRODUCT_BLOCK = 1 << 18
 
 
 def _net_scores(
@@ -161,10 +145,10 @@ def match_vertices(
     differential-testing oracle (route ``reference``).  ``"fast"`` takes
     the structural single-term route when :func:`_is_single_term` holds
     (route ``single-term``): each vertex walks the pins of its two nets
-    in score order, no per-pin scoring.  Otherwise it runs the scalar
-    loop with one-vertex batching of dense scoring expansions (route
-    ``scalar``).  The greedy selection is sequential everywhere, and
-    every route produces identical output.
+    in score order, no per-pin scoring.  Otherwise it scores the whole
+    level with one blocked sparse product and walks each vertex's
+    precomputed candidates (route ``product``).  The greedy selection is
+    sequential everywhere, and every route produces identical output.
     """
     nv = h.num_vertices
     if max_cluster_weight is None:
@@ -186,7 +170,7 @@ def match_vertices(
     elif _is_single_term(h):
         matcher, route = _match_single_term, "single-term"
     else:
-        matcher, route = _match_scalar, "scalar"
+        matcher, route = _match_product, "product"
     rec = get_recorder()
     with rec.span(
         "coarsen.match",
@@ -208,46 +192,7 @@ def match_vertices(
     return cmap, len(cweight), np.asarray(cfixed, dtype=INDEX_DTYPE)
 
 
-def _dense_candidates(
-    v: int,
-    h: Hypergraph,
-    valid: np.ndarray,
-    sizes: np.ndarray,
-    net_score: np.ndarray,
-) -> list[int]:
-    """Batched scoring of one vertex: candidates in descending-score order
-    (first-encounter order on ties).
-
-    Nets expand in ``vnets`` order and pins in storage order; the stable
-    sort keeps each candidate's terms in that order and ``np.bincount``
-    adds weights left to right, so every float sum equals the scalar
-    loop's.  The scalar loop keeps the first strictly greater score among
-    feasible candidates, and feasibility cannot change mid-scan, so the
-    first feasible candidate in this order is its pick.
-    """
-    ns = h.vnets[h.xnets[v] : h.xnets[v + 1]]
-    ns = ns[valid[ns]]
-    cnt = sizes[ns]
-    cand = h.pins[multi_arange(h.xpins[ns], cnt)]
-    keep = cand != v
-    cand = cand[keep]
-    if len(cand) == 0:
-        return []
-    scs = np.repeat(net_score[ns], cnt)[keep]
-    # radix argsort; bincount accumulates weights in input order exactly
-    # like the unbuffered np.add.at it replaces
-    perm = _argsort_ids(cand, h.num_vertices)
-    cs = cand[perm]
-    boundary = np.r_[True, cs[1:] != cs[:-1]]
-    grp = np.flatnonzero(boundary)
-    gid = np.cumsum(boundary) - 1
-    score = np.bincount(gid, weights=scs[perm], minlength=len(grp))
-    first_idx = perm[grp]
-    ordr = np.lexsort((first_idx, -score))
-    return cs[grp][ordr].tolist()
-
-
-def _match_scalar(
+def _match_reference(
     h: Hypergraph,
     order: np.ndarray,
     part_l: list[int] | None,
@@ -259,14 +204,15 @@ def _match_scalar(
     hcm: bool,
     max_net_size: int,
     max_cluster_weight: int,
-    dense_ok: bool = True,
 ) -> int:
-    """Scalar matching loop (fast on small hypergraphs).
+    """The ``reference`` route: the pure per-pin scoring loop.
 
-    With *dense_ok*, vertices whose scoring expansion is dense
-    (``_VERTEX_VECTOR_MIN``) are scored by a one-vertex batched pass —
-    same candidates, same float accumulation order, same selection result
-    as the per-pin loop.  Without it this is the pure per-pin reference.
+    This is the differential-testing oracle the fast routes are measured
+    against: one obviously-sequential interpreted loop.  Each visited
+    vertex adds ``c_n / (|n| - 1)`` to every other pin of each eligible
+    net (nets in ``vnets`` order, pins in storage order), then joins the
+    feasible candidate of greatest score, the first touched on ties.
+    Returns the pins examined.
     """
     nv = h.num_vertices
     xnets = h.xnets_list()
@@ -274,31 +220,6 @@ def _match_scalar(
     xpins = h.xpins_list()
     pins = h.pins_list()
     costs = h.costs_list()
-
-    dense_aux = None
-    if dense_ok and h.num_pins >= _DENSE_AUX_MIN:
-        # cheap upper bound on any vertex's scoring expansion: no vertex
-        # can expand past max_degree * largest eligible net.  Low-degree
-        # levels with capped nets can never reach _VERTEX_VECTOR_MIN, so
-        # they skip the expansion setup entirely instead of paying
-        # O(pins) for a path that never fires.
-        max_sz = h._view(
-            "max_net_size",
-            lambda: int(np.diff(h.xpins).max()) if h.num_nets else 0,
-        )
-        if _max_degree(h) * min(max_sz, max_net_size) >= _VERTEX_VECTOR_MIN:
-            sizes_np, valid_np, net_score = _net_scores(h, max_net_size)
-
-            def make_expand() -> list[int]:
-                # per vertex, the pins behind its eligible nets
-                vowner = np.repeat(np.arange(nv), np.diff(h.xnets))
-                vmask = valid_np[h.vnets]
-                return np.bincount(
-                    vowner[vmask], weights=sizes_np[h.vnets[vmask]], minlength=nv
-                ).astype(np.int64).tolist()
-
-            expand = h._view(f"expand_l_{max_net_size}", make_expand)
-            dense_aux = (valid_np, sizes_np, net_score)
 
     # flat score accumulator: positive increments only, so score == 0.0
     # doubles as the "untouched" marker (cheaper than a dict by ~2x on the
@@ -314,73 +235,51 @@ def _match_scalar(
         wv = w[v]
         pv = part_l[v] if part_l is not None else -1
         best_u = -1
-        if dense_aux is not None and expand[v] >= _VERTEX_VECTOR_MIN:
-            pins_visited += expand[v]
-            # candidates arrive score-descending: first feasible one wins
-            for u in _dense_candidates(v, h, *dense_aux):
-                if part_l is not None and part_l[u] != pv:
-                    continue  # restricted coarsening: stay in-part
-                cu = cluster[u]
-                if hcm and cu != -1:
-                    continue  # pure matching never grows a cluster
-                tw = (cweight[cu] if cu != -1 else w[u]) + wv
-                if tw > max_cluster_weight:
-                    continue
-                fu = (
-                    cfixed[cu]
-                    if cu != -1
-                    else (fix[u] if fix is not None else -1)
-                )
-                if fv != -1 and fu != -1 and fu != fv:
-                    continue
-                best_u = u
-                break
-        else:
-            touched.clear()
-            for n in vnets[xnets[v] : xnets[v + 1]]:
-                lo, hi = xpins[n], xpins[n + 1]
-                sz = hi - lo
-                if sz == 2 <= max_net_size:
-                    # dominant case in fine-grain models: the one other pin
-                    pins_visited += 2
-                    u = pins[lo]
-                    if u == v:
-                        u = pins[lo + 1]
+        touched.clear()
+        for n in vnets[xnets[v] : xnets[v + 1]]:
+            lo, hi = xpins[n], xpins[n + 1]
+            sz = hi - lo
+            if sz == 2 <= max_net_size:
+                # dominant case in fine-grain models: the one other pin
+                pins_visited += 2
+                u = pins[lo]
+                if u == v:
+                    u = pins[lo + 1]
+                if score[u] == 0.0:
+                    touched.append(u)
+                score[u] += costs[n]
+                continue
+            if sz < 2 or sz > max_net_size:
+                continue
+            pins_visited += sz
+            sc = costs[n] / (sz - 1)
+            for u in pins[lo:hi]:
+                if u != v:
                     if score[u] == 0.0:
                         touched.append(u)
-                    score[u] += costs[n]
-                    continue
-                if sz < 2 or sz > max_net_size:
-                    continue
-                pins_visited += sz
-                sc = costs[n] / (sz - 1)
-                for u in pins[lo:hi]:
-                    if u != v:
-                        if score[u] == 0.0:
-                            touched.append(u)
-                        score[u] += sc
-            best_s = 0.0
-            for u in touched:
-                s = score[u]
-                score[u] = 0.0
-                if s <= best_s:
-                    continue
-                if part_l is not None and part_l[u] != pv:
-                    continue  # restricted (V-cycle) coarsening: stay in-part
-                cu = cluster[u]
-                if hcm and cu != -1:
-                    continue  # pure matching never grows a cluster
-                tw = (cweight[cu] if cu != -1 else w[u]) + wv
-                if tw > max_cluster_weight:
-                    continue
-                fu = (
-                    cfixed[cu]
-                    if cu != -1
-                    else (fix[u] if fix is not None else -1)
-                )
-                if fv != -1 and fu != -1 and fu != fv:
-                    continue
-                best_u, best_s = u, s
+                    score[u] += sc
+        best_s = 0.0
+        for u in touched:
+            s = score[u]
+            score[u] = 0.0
+            if s <= best_s:
+                continue
+            if part_l is not None and part_l[u] != pv:
+                continue  # restricted (V-cycle) coarsening: stay in-part
+            cu = cluster[u]
+            if hcm and cu != -1:
+                continue  # pure matching never grows a cluster
+            tw = (cweight[cu] if cu != -1 else w[u]) + wv
+            if tw > max_cluster_weight:
+                continue
+            fu = (
+                cfixed[cu]
+                if cu != -1
+                else (fix[u] if fix is not None else -1)
+            )
+            if fv != -1 and fu != -1 and fu != fv:
+                continue
+            best_u, best_s = u, s
         if best_u == -1:
             cluster[v] = len(cweight)
             cweight.append(wv)
@@ -399,7 +298,60 @@ def _match_scalar(
     return pins_visited
 
 
-def _match_reference(
+def _product_scores(
+    h: Hypergraph, max_net_size: int, part_l: list[int] | None
+) -> tuple[list[int], list[tuple], int]:
+    """Score a whole level with one sparse product, in row blocks.
+
+    ``S = A @ B``: ``A`` is vertex x eligible net, holding ``c_n /
+    (|n| - 1)`` in ``vnets`` order; ``B`` is net x vertex, holding ones
+    in storage order.  scipy's ``csr_matmat`` adds each row's terms in
+    the per-pin loop's order (nets, then pins; each term times 1.0), so
+    every score equals the reference's bit for bit.  It emits a row in
+    *reverse* first-touch order and drops zero sums, which the reference
+    never picks either.
+
+    Returns ``(top, blocks, terms)``: per vertex, the reference's pick if
+    it is feasible (greatest score, the last stored on ties; never the
+    vertex itself nor, under *part_l*, another part's vertex; -1 if
+    none); per block of rows, ``(first_row, indptr, indices, scores)``
+    with those candidates' scores zeroed; and the product's term count.
+    """
+    nv, nn = h.num_vertices, h.num_nets
+    sizes, valid, net_score = _net_scores(h, max_net_size)
+    part = np.asarray(part_l) if part_l is not None else None
+    keep = valid[h.vnets]
+    anets = h.vnets[keep]
+    aptr = np.r_[0, np.cumsum(keep)][h.xnets]
+    a = sp.csr_matrix((net_score[anets], anets, aptr), shape=(nv, nn))
+    b = sp.csr_matrix((np.ones(h.num_pins), h.pins, h.xpins), shape=(nn, nv))
+    # expansion before each row; a row joins the block its start falls in
+    before = np.r_[0, np.cumsum(sizes[anets])][aptr]
+    firsts = np.flatnonzero(np.diff(before[:-1] // _PRODUCT_BLOCK, prepend=-1))
+    top = np.full(nv, -1, dtype=INDEX_DTYPE)
+    blocks = []
+    for lo, hi in zip(firsts, np.r_[firsts[1:], nv]):
+        s = a[lo:hi] @ b
+        ip, ix, d = s.indptr, s.indices, s.data
+        cnt = np.diff(ip)
+        own = np.repeat(np.arange(lo, hi), cnt)
+        off = ix == own
+        if part is not None:
+            off |= part[ix] != part[own]
+        d[off] = 0.0
+        rows = np.flatnonzero(cnt)
+        if len(rows):
+            first = ip[rows]
+            best = np.maximum.reduceat(d, first)
+            at = np.where(d == np.repeat(best, cnt[rows]), np.arange(len(d)), -1)
+            last = np.maximum.reduceat(at, first)
+            won = best > 0.0
+            top[lo + rows[won]] = ix[last[won]]
+        blocks.append((int(lo), ip, ix, d))
+    return top.tolist(), blocks, int(before[-1])
+
+
+def _match_product(
     h: Hypergraph,
     order: np.ndarray,
     part_l: list[int] | None,
@@ -412,15 +364,62 @@ def _match_reference(
     max_net_size: int,
     max_cluster_weight: int,
 ) -> int:
-    """The ``reference`` route: the pure per-pin loop, no batching.
+    """Greedy matching over a level scored by :func:`_product_scores`.
 
-    This is the differential-testing oracle the fast routes are measured
-    against; it trades speed on dense instances for one
-    obviously-sequential interpreted loop."""
-    return _match_scalar(
-        h, order, part_l, w, fix, cluster, cweight, cfixed,
-        hcm, max_net_size, max_cluster_weight, dense_ok=False,
-    )
+    Scores are static within a level; clusters only decide feasibility.
+    Each vertex tries its top candidate, the reference's pick whenever
+    it is feasible.  If it is not, the vertex walks its stored row by
+    descending score, then first touch, and joins the first feasible
+    candidate: the reference's pick again.  The feasibility checks and
+    the join must stay those of :func:`_match_reference`.  Returns the
+    product's term count.
+    """
+    top, blocks, pins_visited = _product_scores(h, max_net_size, part_l)
+    block_lo = [blk[0] for blk in blocks]
+
+    def ranked(v: int) -> list[int]:
+        lo, ip, ix, d = blocks[bisect_right(block_lo, v) - 1]
+        s, e = ip[v - lo], ip[v - lo + 1]
+        # first-touch order, then a stable sort by descending score;
+        # zeroed candidates sort last and are cut off
+        sc = d[s:e][::-1]
+        o = np.argsort(-sc, kind="stable")[: np.count_nonzero(sc)]
+        return ix[s:e][::-1][o].tolist()
+
+    for v in order.tolist():
+        if cluster[v] != -1:
+            continue
+        fv = fix[v] if fix is not None else -1
+        wv = w[v]
+        u, walk = top[v], None
+        while u != -1:
+            cu = cluster[u]
+            fu = cfixed[cu] if cu != -1 else (fix[u] if fix is not None else -1)
+            if (
+                not (hcm and cu != -1)  # pure matching never grows a cluster
+                and (cweight[cu] if cu != -1 else w[u]) + wv <= max_cluster_weight
+                and (fv == -1 or fu == -1 or fu == fv)
+            ):
+                break
+            if walk is None:
+                walk = iter(ranked(v)[1:])  # its head is top[v]
+            u = next(walk, -1)
+        if u == -1:
+            cluster[v] = len(cweight)
+            cweight.append(wv)
+            cfixed.append(fv)
+        else:
+            cu = cluster[u]
+            if cu == -1:
+                cu = len(cweight)
+                cweight.append(w[u])
+                cfixed.append(fix[u] if fix is not None else -1)
+                cluster[u] = cu
+            cluster[v] = cu
+            cweight[cu] += wv
+            if fv != -1:
+                cfixed[cu] = fv
+    return pins_visited
 
 
 def _match_single_term(
@@ -441,7 +440,7 @@ def _match_single_term(
     Each vertex walks the pins of its nets in :func:`_ranked_nets` order
     and joins the first feasible one: the per-pin loop's pick, without
     scoring.  The feasibility checks and the join must stay those of
-    :func:`_match_scalar`.  Returns the pins examined.
+    :func:`_match_reference`.  Returns the pins examined.
     """
     xpins = h.xpins_list()
     pins = h.pins_list()

@@ -7,8 +7,8 @@ them by a static structural rule — never by timing:
 ``matching``
     ``fast`` takes the *single-term* route on levels where every
     connectivity score is one net's term (every fine-grain finest
-    level), and the *scalar* loop with one-vertex batching of dense
-    scoring expansions elsewhere
+    level), and the *product* route elsewhere: one blocked sparse
+    product scores the whole level
     (:func:`~repro.partitioner.coarsen.match_vertices`).  ``reference``
     always runs the per-pin loop.
 ``kway``
@@ -49,7 +49,7 @@ _ALIASES = {"python": "reference", "flat": "fast", "jit": "fast", "auto": "fast"
 #: vocabulary of the ``coarsen.match`` and ``kway`` span attributes)
 PHASES = {
     "fm": {"reference": ["reference"], "fast": ["reference"]},
-    "matching": {"reference": ["reference"], "fast": ["single-term", "scalar"]},
+    "matching": {"reference": ["reference"], "fast": ["single-term", "product"]},
     "coarse_build": {"reference": ["reference"], "fast": ["reference"]},
     "initial": {"reference": ["reference"], "fast": ["reference"]},
     "kway": {"reference": ["reference"], "fast": ["flat-sweep", "reference"]},
@@ -83,7 +83,7 @@ def kernel_info() -> dict:
         {"kernels": ["reference", "fast"],
          "default": "fast",
          "aliases": {"python": "reference", "flat": "fast", ...},
-         "phases": {"fm": ["reference"], "matching": ["single-term", "scalar"], ...}}
+         "phases": {"fm": ["reference"], "matching": ["single-term", "product"], ...}}
 
     ``phases`` lists the routes under the default kernel.  The report is
     plain JSON data.

@@ -1,7 +1,7 @@
 """Phase-route parity: the fast matching and K-way routes == reference.
 
 Two V-cycle phases keep a second implementation under
-``kernel="fast"``: matching (the single-term and scalar routes) and
+``kernel="fast"``: matching (the single-term and product routes) and
 K-way refinement (the flat sweep).  Each promises bit-identical output
 to its reference loop.  This suite pins that promise with direct A/B
 parity (size gates monkeypatched to force the fast paths on test-sized
@@ -10,6 +10,8 @@ the ``route`` span attribute names the path that actually ran.
 """
 
 from __future__ import annotations
+
+import unittest.mock as mock
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from repro.telemetry import TelemetryRecorder, use_recorder
 
 
 # ----------------------------------------------------------------------
-# matching: flat (scalar + dense-aux batching) == reference
+# matching: the product route == reference
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", ["hcm", "hcc"])
 def test_match_flat_matches_reference(scheme):
@@ -42,23 +44,6 @@ def test_match_flat_matches_reference(scheme):
         assert np.array_equal(r_ref[0], r_flat[0])
         assert r_ref[1] == r_flat[1]
         assert np.array_equal(r_ref[2], r_flat[2])
-
-
-@pytest.mark.parametrize("scheme", ["hcm", "hcc"])
-def test_match_flat_dense_aux_path_matches_reference(monkeypatch, scheme):
-    """Force the per-vertex dense batched-scoring path (normally gated by
-    _VERTEX_VECTOR_MIN / _DENSE_AUX_MIN) and require identical clustering."""
-    monkeypatch.setattr(C, "_DENSE_AUX_MIN", 0)
-    monkeypatch.setattr(C, "_VERTEX_VECTOR_MIN", 1)
-    for hseed, mseed in [(2, 3), (6, 8)]:
-        h = random_hypergraph(as_rng(hseed), 120, 100, max_net_size=10,
-                              weighted=True)
-        r_ref = C.match_vertices(h, as_rng(mseed), scheme=scheme,
-                                 kernel="reference")
-        r_flat = C.match_vertices(h, as_rng(mseed), scheme=scheme,
-                                  kernel="fast")
-        assert np.array_equal(r_ref[0], r_flat[0])
-        assert r_ref[1] == r_flat[1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -75,7 +60,7 @@ def test_match_flat_matches_reference_hypothesis(hseed, mseed, hcm):
 
 def test_match_restricted_and_fixed_flat_matches_reference():
     """V-cycle restricted matching (part=) and fixed vertices take the
-    same flat path; parity must hold there too."""
+    same product route; parity must hold there too."""
     h = random_hypergraph(as_rng(3), 100, 80, weighted=True)
     rng = as_rng(0)
     part = rng.integers(0, 2, size=h.num_vertices)
@@ -86,6 +71,132 @@ def test_match_restricted_and_fixed_flat_matches_reference():
         r_flat = C.match_vertices(h, as_rng(5), kernel="fast", **kw)
         assert np.array_equal(r_ref[0], r_flat[0])
         assert np.array_equal(r_ref[2], r_flat[2])
+
+
+#: block budgets for the product route: one vertex's expansion per block,
+#: and the whole level in one block
+_BLOCKS = (1, 1 << 62)
+
+
+def _assert_product_parity(h, mseed, **kw):
+    """The product route, forced onto *h* at every block budget, makes the
+    reference's clustering and records ``route=product``."""
+    r_ref = C.match_vertices(h, as_rng(mseed), kernel="reference", **kw)
+    for block in _BLOCKS:
+        rec = TelemetryRecorder()
+        with mock.patch.object(C, "_PRODUCT_BLOCK", block), \
+                mock.patch.object(C, "_is_single_term", lambda h: False), \
+                use_recorder(rec):
+            r_prod = C.match_vertices(h, as_rng(mseed), kernel="fast", **kw)
+        assert [s.attrs["route"] for s in rec.roots] == ["product"]
+        assert np.array_equal(r_ref[0], r_prod[0]), f"block={block}"
+        assert r_ref[1] == r_prod[1]
+        assert np.array_equal(r_ref[2], r_prod[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), nv=st.integers(1, 40),
+       nn=st.integers(0, 40), max_size=st.integers(1, 10),
+       cost_hi=st.integers(0, 3), max_net_size=st.integers(1, 8),
+       hcm=st.booleans(), with_part=st.booleans(), with_fixed=st.booleans(),
+       max_cluster_weight=st.one_of(st.none(), st.integers(1, 6)))
+def test_product_route_matches_reference_hypothesis(
+    seed, nv, nn, max_size, cost_hi, max_net_size, hcm, with_part,
+    with_fixed, max_cluster_weight,
+):
+    """Random multi-term levels: weighted (and zero-weight) vertices,
+    zero-cost nets, single-pin nets, nets over ``max_net_size``, pins in
+    unsorted storage order, fixed vertices, restricted ``part=``, and
+    caps tight enough that top candidates fail and rows are walked."""
+    rng = as_rng(seed)
+    nets = [
+        rng.permutation(nv)[: rng.integers(1, min(max_size, nv) + 1)].tolist()
+        for _ in range(nn)
+    ]
+    h = hypergraph_from_netlists(
+        nv, nets,
+        vertex_weights=rng.integers(0, 4, size=nv),
+        net_costs=rng.integers(0, cost_hi + 1, size=nn),
+    )
+    kw = {
+        "scheme": "hcm" if hcm else "hcc",
+        "max_net_size": max_net_size,
+        "max_cluster_weight": max_cluster_weight,
+    }
+    if with_part:
+        kw["part"] = rng.integers(0, 2, size=nv)
+    if with_fixed:
+        fixed = rng.integers(-1, 2, size=nv)
+        kw["fixed"] = np.where(rng.random(nv) < 0.6, -1, fixed)
+    _assert_product_parity(h, seed, **kw)
+
+
+def test_product_fallback_walks_past_infeasible_top():
+    """Vertex 0 scores 1 highest, but their cluster would exceed the cap:
+    whichever of them is visited first walks its row, and 0 joins 2."""
+    h = hypergraph_from_netlists(
+        3, [[0, 1], [2, 0]], vertex_weights=[1, 3, 1], net_costs=[2, 1]
+    )
+    for mseed in range(4):
+        cmap, nc, _ = C.match_vertices(
+            h, as_rng(mseed), max_cluster_weight=3, kernel="fast"
+        )
+        assert nc == 2 and cmap[0] == cmap[2] != cmap[1]
+        _assert_product_parity(h, mseed, max_cluster_weight=3)
+
+
+def test_product_zero_cost_net_orders_ties():
+    """A zero-cost net scores nothing but still touches: visiting 0, the
+    reference meets 1 (net 0, cost 0) before 2, so 1 wins their 0.5 tie."""
+    h = hypergraph_from_netlists(3, [[0, 1], [0, 2, 1]], net_costs=[0, 1])
+    assert as_rng(1).permutation(3)[0] == 0  # seed 1 visits 0 first
+    cmap, _, _ = C.match_vertices(h, as_rng(1), scheme="hcm", kernel="fast")
+    assert cmap[0] == cmap[1] != cmap[2]
+    for mseed in range(4):
+        _assert_product_parity(h, mseed, scheme="hcm")
+
+
+@pytest.mark.parametrize("nv, nets, max_net_size", [
+    (0, [], 300),  # no vertices
+    (4, [[0], [3]], 300),  # single-pin nets only
+    (5, [[0, 1, 2], [2, 3, 4]], 2),  # every net over max_net_size
+])
+def test_product_route_edge_cases(nv, nets, max_net_size):
+    """With nothing to score, every vertex is its own cluster."""
+    h = hypergraph_from_netlists(nv, nets)
+    for block in _BLOCKS:
+        with mock.patch.object(C, "_PRODUCT_BLOCK", block), \
+                mock.patch.object(C, "_is_single_term", lambda h: False):
+            cmap, nc, _ = C.match_vertices(
+                h, as_rng(0), max_net_size=max_net_size, kernel="fast"
+            )
+        assert nc == nv and sorted(cmap.tolist()) == list(range(nv))
+    _assert_product_parity(h, 0, max_net_size=max_net_size)
+
+
+def test_csr_matmat_order_the_product_route_relies_on():
+    """scipy's sparse product emits each row in reverse first-touch order
+    (a zero-valued term still touches) and drops zero sums.  The product
+    matching route (``coarsen._product_scores``) reads ties and
+    first-touch order from exactly this layout."""
+    # row 0 touches nets 2, 0 (score 0.0), 1 in that order, unsorted
+    a = sp.csr_matrix(
+        (np.array([0.5, 0.0, 1.0, 2.0]), np.array([2, 0, 1, 0]),
+         np.array([0, 3, 4])),
+        shape=(2, 3),
+    )
+    b = sp.csr_matrix(
+        (np.ones(7), np.array([3, 1, 0, 2, 4, 0, 1]), np.array([0, 2, 4, 7])),
+        shape=(3, 5),
+    )
+    s = a @ b
+    # row 0 first-touches 4, 0, 1, 3, 2; vertex 3's sum is 0.0
+    got = (s.indptr.tolist(), s.indices.tolist(), s.data.tolist())
+    want = ([0, 4, 6], [2, 1, 0, 4, 1, 3], [1.0, 0.5, 1.5, 0.5, 2.0, 2.0])
+    assert got == want, (
+        "scipy's csr_matmat output layout changed; the 'product' matching "
+        "route in repro.partitioner.coarsen depends on it"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +293,7 @@ def test_single_term_route_stays_off(monkeypatch, nets):
     with use_recorder(rec):
         _assert_match_parity(h, 0)
     assert not calls
-    assert [s.attrs["route"] for s in rec.roots] == ["reference", "scalar"]
+    assert [s.attrs["route"] for s in rec.roots] == ["reference", "product"]
 
 
 def test_finest_levels_take_single_term_route():
@@ -241,8 +352,6 @@ def test_kway_flat_matches_reference(monkeypatch, with_fixed):
 @given(hseed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
        k=st.integers(2, 8))
 def test_kway_flat_matches_reference_hypothesis(hseed, seed, k):
-    import unittest.mock as mock
-
     h = random_hypergraph(as_rng(hseed), 60, 50, weighted=True)
     part = as_rng(seed).integers(0, k, size=h.num_vertices)
     p_ref = KW.kway_refine(
@@ -256,30 +365,20 @@ def test_kway_flat_matches_reference_hypothesis(hseed, seed, k):
 
 
 def _spy_routes(monkeypatch):
-    """Record, in call order, the matcher and K-way sweep routes that ran.
-
-    Only outermost calls count: the reference matcher delegates to the
-    scalar loop's body, which must not log a second route.
-    """
+    """Record, in call order, the matcher and K-way sweep routes that ran."""
     ran = {"match": [], "kway": []}
-    depth = [0]
 
     def spy(orig, phase, route):
         def wrapped(*args, **kwargs):
-            if depth[0] == 0:
-                ran[phase].append(route)
-            depth[0] += 1
-            try:
-                return orig(*args, **kwargs)
-            finally:
-                depth[0] -= 1
+            ran[phase].append(route)
+            return orig(*args, **kwargs)
 
         return wrapped
 
     for mod, name, phase, route in [
         (C, "_match_reference", "match", "reference"),
         (C, "_match_single_term", "match", "single-term"),
-        (C, "_match_scalar", "match", "scalar"),
+        (C, "_match_product", "match", "product"),
         (KW, "_kway_pass_ref", "kway", "reference"),
         (KW, "_kway_pass_flat", "kway", "flat-sweep"),
     ]:
@@ -308,7 +407,7 @@ def test_route_attrs_name_the_path_that_ran(monkeypatch, n, k, kernel, kway_rout
     spans = [s for root in rec.roots for s, _ in root.walk()]
     match_routes = [s.attrs["route"] for s in spans if s.name == "coarsen.match"]
     assert match_routes and match_routes == ran["match"]
-    assert set(match_routes) == ({"reference"} if kernel == "reference" else {"scalar"})
+    assert set(match_routes) == ({"reference"} if kernel == "reference" else {"product"})
     (kway,) = [s for s in spans if s.name == "kway"]
     assert kway.attrs["route"] == kway_route
     assert ran["kway"] and set(ran["kway"]) == {kway_route}
@@ -326,7 +425,7 @@ def test_kernels_introspection_lists_all_phases():
     }
     assert info["phases"] == K.phase_kernels("fast")
     assert K.phase_kernels("flat") == K.phase_kernels("fast")
-    assert K.phase_kernels("fast")["matching"] == ["single-term", "scalar"]
+    assert K.phase_kernels("fast")["matching"] == ["single-term", "product"]
     assert K.phase_kernels("fast")["kway"] == ["flat-sweep", "reference"]
     # the reference kernel never takes a fast route
     assert set(

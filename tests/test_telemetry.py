@@ -361,3 +361,51 @@ class TestProfileCli:
         )
         flat = json.load(open(jout))
         assert flat["phases"] and flat["counters"]
+
+
+def _documented_names(doc: str) -> tuple[set[str], set[str]]:
+    """``(spans, counters)`` named in docs/telemetry.md's vocabulary.
+
+    Span rows may list several names in their first cell; a name that
+    starts with ``.`` extends the row's first name
+    (``spmv.stats`` (+ ``.expand``) means ``spmv.stats.expand``).
+    """
+    import re
+
+    tick = re.compile(r"`([^`]+)`")
+    spans: set[str] = set()
+    table = doc.split("| span | where | attrs |", 1)[1].split("\n\n", 1)[0]
+    for row in table.splitlines()[2:]:
+        names = tick.findall(row.split("|")[1])
+        spans.update(n if not n.startswith(".") else names[0] + n for n in names)
+    section = doc.split("## Counter naming conventions", 1)[1].split("\n## ", 1)[0]
+    counters = {
+        n for n in tick.findall(section) if re.fullmatch(r"[a-z_]+(\.[a-z_]+)+", n)
+    }
+    return spans, counters
+
+
+class TestVocabulary:
+    """Every span and counter a traced ``decompose()`` emits is listed in
+    docs/telemetry.md, the vocabulary trace tooling reads."""
+
+    @pytest.mark.parametrize("method", ["finegrain", "columnnet"])
+    def test_emitted_names_are_documented(self, method):
+        from pathlib import Path
+
+        from repro.core.api import decompose
+        from repro.partitioner import PartitionerConfig
+
+        doc = Path(__file__).parents[1] / "docs" / "telemetry.md"
+        spans, counters = _documented_names(doc.read_text())
+        cfg = PartitionerConfig(
+            kway_refine=True, initial_method="exact", tree_parallel=False,
+            coarsen_to=16,
+        )
+        with use_recorder() as rec:
+            decompose(small_matrix(80, 0.06), 4, method=method, config=cfg, seed=0)
+        emitted = {s.name for root in rec.roots for s, _ in root.walk()}
+        # the run reaches the spans this test exists for
+        assert {"coarsen.match", "initial.exact", "uncoarsen.level", "kway"} <= emitted
+        assert emitted - spans == set()
+        assert set(rec.counter_totals()) - counters == set()
