@@ -7,12 +7,16 @@ boundary refinement — does ``kernel="fast"`` save over
 K-way refinement differ between the two (see
 :mod:`repro.partitioner.kernels`); the other phases run the same code.
 
-Three instances cover the regimes the structural routes separate:
+Every run partitions into the paper's K=64.  Four instances cover the
+regimes the structural routes separate:
 
-* ``finegrain`` — the paper's fine-grain model of a matrix with dense
-  rows/columns.  Every fine-grain vertex has degree <= 2 (one row net,
-  one column net), so the finest level of every bisection takes the
-  single-term matching route.
+* ``finegrain-ken-11`` — the paper's fine-grain model at the paper's
+  size: ``ken-11`` at scale 1.0 (82,939 nonzeros), generated locally by
+  :func:`repro.matrix.load_collection_matrix`.
+* ``finegrain`` — the fine-grain model of a matrix with dense
+  rows/columns, whose row and column nets are large.  Every fine-grain
+  vertex has degree <= 2 (one row net, one column net), so the finest
+  level of every bisection takes the single-term matching route.
 * ``rownet-dense`` / ``colnet-dense`` — 1D models of a dense random
   matrix, where vertices have large degree and nets are large: matching
   takes the product route, one blocked sparse product per level.
@@ -21,7 +25,9 @@ Runs alternate between the kernels (reference, fast, reference, ...)
 and each kernel's minimum total wall time is kept — on a shared machine
 the min-of-N of interleaved runs is the noise-robust estimator.  The
 telemetry phase breakdown (self time per span name) of the min-time run
-provides the attribution table.
+provides the attribution table, with matching and K-way split further
+by the ``route=`` their spans name, and the coarse builds' dropped and
+merged net counts.
 
 Both kernels must produce a bit-identical partition — the benchmark
 hashes each part vector and reports ``bit_identical``; the CLI exits 1
@@ -95,19 +101,41 @@ def uniform_dense_matrix(n: int, density: float, seed: int = 11):
 
 
 def _instances(quick: bool):
-    """``(name, matrix, method)`` triples; quick mode shrinks everything
-    so CI can smoke the full code path in seconds."""
+    """``(name, matrix, source, method)`` tuples; quick mode shrinks
+    everything so CI can smoke the full code path in seconds."""
+    from repro.matrix import load_collection_matrix
+
+    ken_scale = 0.05 if quick else 1.0
     if quick:
         fg = dense_rows_matrix(600, 15, 220, seed=7)
         dense = uniform_dense_matrix(500, 0.12, seed=11)
     else:
         fg = dense_rows_matrix(2500, 50, 1000, seed=7)
         dense = uniform_dense_matrix(1200, 0.15, seed=11)
+    ken = load_collection_matrix("ken-11", ken_scale)
     return (
-        ("finegrain", fg, "finegrain"),
-        ("rownet-dense", dense, "rownet"),
-        ("colnet-dense", dense, "columnnet"),
+        ("finegrain-ken-11", ken, f"collection:ken-11@{ken_scale}", "finegrain"),
+        ("finegrain", fg, "dense_rows_matrix", "finegrain"),
+        ("rownet-dense", dense, "uniform_dense_matrix", "rownet"),
+        ("colnet-dense", dense, "uniform_dense_matrix", "columnnet"),
     )
+
+
+def _route_times(rec: TelemetryRecorder) -> tuple[dict, dict]:
+    """Self seconds per ``name/route`` of the spans that name a route,
+    and the coarse builds' level, dropped-net and merged-net totals."""
+    routes: dict[str, float] = {}
+    build = {"levels": 0, "dropped": 0, "merged": 0}
+    for root in rec.roots:
+        for span, _ in root.walk():
+            if "route" in span.attrs:
+                key = f"{span.name}/{span.attrs['route']}"
+                routes[key] = routes.get(key, 0.0) + span.self_duration
+            elif span.name == "coarsen.build":
+                build["levels"] += 1
+                build["dropped"] += span.attrs["dropped"]
+                build["merged"] += span.attrs["merged"]
+    return {k: round(v, 4) for k, v in sorted(routes.items())}, build
 
 
 def _run_once(a, method: str, k: int, kernel: str, seed: int, cfg) -> dict:
@@ -123,16 +151,19 @@ def _run_once(a, method: str, k: int, kernel: str, seed: int, cfg) -> dict:
     durs = rec.durations_by_name(self_time=True)
     phases = {name: round(durs.pop(name, 0.0), 4) for name in _PHASES}
     phases["other"] = round(sum(durs.values()), 4)
+    routes, build = _route_times(rec)
     return {
         "seconds": t.elapsed,
         "cutsize": int(res.cutsize),
         "part_sha": _sha(res.part),
         "phases": phases,
+        "routes": routes,
+        "coarse_build": build,
     }
 
 
 def run_vcycle_bench(
-    k: int = 4,
+    k: int = 64,
     repeats: int = 3,
     seed: int = 3,
     quick: bool = False,
@@ -158,9 +189,10 @@ def run_vcycle_bench(
         "instances": {},
     }
 
-    for name, a, method in _instances(quick):
+    for name, a, source, method in _instances(quick):
         row: dict = {
             "matrix": {
+                "source": source,
                 "shape": list(a.shape),
                 "nnz": int(a.nnz),
             },
@@ -206,6 +238,10 @@ def run_vcycle_bench(
         "telemetry self-time breakdown of each kernel's fastest run.",
         "only coarsen.match and kway run different code under the two "
         "kernels; the other phases differ by noise alone.",
+        "routes splits coarsen.match and kway self time by the route= "
+        "their spans name; coarse_build totals the nets each level's "
+        "build dropped (< 2 distinct clusters) and merged (identical to "
+        "an earlier net).",
         "speedup_vs_reference is only reported when the fast partition "
         "hashed bit-identical to the reference one.",
         "all runs are single-threaded (n_starts=1, n_workers=1); these "

@@ -27,15 +27,16 @@ __all__ = ["Hypergraph"]
 def _transpose_csr(xadj: np.ndarray, adj: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     """Transpose a CSR incidence (rows → cols) into (cols → rows).
 
-    Fully vectorized: a counting sort of the column indices, carrying the row
-    index of each entry.
+    Fully vectorized: one sort of the keys ``col * nrows + row`` orders the
+    entries by column, then row, and the row is the key's remainder.
     """
     nrows = len(xadj) - 1
     counts = np.bincount(adj, minlength=ncols)
     xout = prefix_from_counts(counts)
-    order = np.argsort(adj, kind="stable")
     rows = np.repeat(np.arange(nrows, dtype=INDEX_DTYPE), np.diff(xadj))
-    return xout, rows[order]
+    key = adj * nrows + rows
+    key.sort()
+    return xout, key % max(nrows, 1)
 
 
 class Hypergraph:
@@ -240,8 +241,12 @@ class Hypergraph:
         def compute() -> int:
             if self.num_pins == 0:
                 return 1
-            tot = np.zeros(self.num_vertices, dtype=np.int64)
-            np.add.at(tot, self.pins, self.net_costs[self.net_of_pin()])
+            # float sums of integer costs are exact below 2**53
+            tot = np.bincount(
+                self.pins,
+                weights=self.net_costs[self.net_of_pin()],
+                minlength=self.num_vertices,
+            )
             return max(int(tot.max()), 1)
 
         return self._view("gain_bound", compute)

@@ -498,14 +498,47 @@ def _match_single_term(
     return pins_visited
 
 
+#: splitmix64 constants: the golden-ratio increment and the two
+#: multipliers of its finaliser
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser, element-wise and in place on the uint64
+    array *x*."""
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _row_hashes(
+    clusters: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two order-independent 64-bit hashes per row: the wrapping sums of
+    two splitmix mixes of its entries.  *starts* are the (non-empty)
+    rows' first positions in *clusters*."""
+    a = _mix(clusters.astype(np.uint64) * _GOLDEN + _GOLDEN)
+    b = _mix(a ^ _GOLDEN)
+    return np.add.reduceat(a, starts), np.add.reduceat(b, starts)
+
+
 def build_coarse(h: Hypergraph, cmap: np.ndarray, n_clusters: int) -> Hypergraph:
     """Contract *h* along *cmap*.
 
-    One loop per net remaps its pins through the cluster map and
-    collapses duplicates; single-pin nets are dropped and identical nets
-    merged with summed costs (first appearance keeps the net's slot).
-    These transformations change neither the cutsize of any partition
-    nor the balance (cluster weights are the sums of member weights).
+    Every pin is keyed ``net * n_clusters + cmap[pin]``; one sort and
+    dropping adjacent duplicates leave each net's distinct clusters in
+    ascending order.  Nets left with fewer than two clusters are dropped
+    (they can never be cut).  Identical nets merge into the first one's
+    slot with summed costs: nets are grouped by size and two row hashes,
+    and every merge is confirmed entry by entry, so a hash collision
+    never merges two different nets.  Neither transformation changes the
+    cutsize of any partition, nor the balance (cluster weights are the
+    sums of member weights).
     """
     rec = get_recorder()
     with rec.span(
@@ -513,39 +546,77 @@ def build_coarse(h: Hypergraph, cmap: np.ndarray, n_clusters: int) -> Hypergraph
         vertices=h.num_vertices,
         nets=h.num_nets,
         pins=h.num_pins,
-    ):
+    ) as span:
         cw = np.bincount(
             cmap, weights=h.vertex_weights, minlength=n_clusters
         ).astype(INDEX_DTYPE)
-        cmap_l = cmap.tolist()
-        xpins = h.xpins_list()
-        pins = h.pins_list()
-        costs = h.costs_list()
-        flat_pins: list[int] = []
-        counts: list[int] = []
-        new_costs: list[int] = []
-        seen: dict[tuple[int, ...], int] = {}
-        for n in range(h.num_nets):
-            seg = sorted({cmap_l[p] for p in pins[xpins[n] : xpins[n + 1]]})
-            if len(seg) < 2:
-                continue
-            bkey = tuple(seg)
-            idx = seen.get(bkey)
-            if idx is None:
-                seen[bkey] = len(new_costs)
-                new_costs.append(costs[n])
-                counts.append(len(seg))
-                flat_pins.extend(seg)
-            else:
-                new_costs[idx] += costs[n]
+        key = h.net_of_pin() * n_clusters + cmap[h.pins]
+        key.sort()
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]
+        net = key // max(n_clusters, 1)
+        sizes = np.bincount(net, minlength=h.num_nets)
+        multi = sizes >= 2
+        pins = (key - net * n_clusters)[multi[net]]
+        sizes = sizes[multi]
+        costs = h.net_costs[multi]
+        m = len(sizes)
+        xpins = prefix_from_counts(sizes)
+        rep = _merge_identical(pins, xpins, sizes) if m > 1 else None
+        merged = 0
+        if rep is not None:
+            head = rep == np.arange(m)
+            merged = m - int(np.count_nonzero(head))
+            # float sums of integer costs are exact below 2**53
+            costs = np.bincount(rep, weights=costs, minlength=m)[head]
+            costs = costs.astype(INDEX_DTYPE)
+            pins = pins[np.repeat(head, sizes)]
+            xpins = prefix_from_counts(sizes[head])
+        span.set(dropped=h.num_nets - m, merged=merged)
         return Hypergraph(
             n_clusters,
-            prefix_from_counts(counts),
-            np.asarray(flat_pins, dtype=INDEX_DTYPE),
+            xpins,
+            pins,
             vertex_weights=cw,
-            net_costs=np.asarray(new_costs, dtype=INDEX_DTYPE),
+            net_costs=costs,
             validate=False,
         )
+
+
+def _merge_identical(
+    pins: np.ndarray, xpins: np.ndarray, sizes: np.ndarray
+) -> np.ndarray | None:
+    """Per net, the first net with the same (sorted) pin list; ``None``
+    when no two nets share their size and both row hashes.
+
+    Nets are grouped by (size, row hashes) with one stable ``lexsort``,
+    so each group's head is its smallest index.  One gathered comparison
+    checks every net against its head; a group that fails it (a hash
+    collision) is regrouped exactly by its members' pin tuples.
+    """
+    m = len(sizes)
+    h1, h2 = _row_hashes(pins, xpins[:-1])
+    order = np.lexsort((h2, h1, sizes))
+    s, a, b = sizes[order], h1[order], h2[order]
+    new = np.ones(m, dtype=bool)
+    new[1:] = (s[1:] != s[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    if new.all():
+        return None
+    rep = np.empty(m, dtype=INDEX_DTYPE)
+    rep[order] = order[np.maximum.accumulate(np.where(new, np.arange(m), 0))]
+    shift = np.repeat(xpins[rep] - xpins[:-1], sizes)
+    bad = pins[np.arange(len(pins)) + shift] != pins
+    if bad.any():
+        starts, ends = xpins[:-1].tolist(), xpins[1:].tolist()
+        pins_l = pins.tolist()
+        net_of = np.repeat(np.arange(m), sizes)
+        for r in np.unique(rep[net_of[bad]]).tolist():
+            seen: dict[tuple[int, ...], int] = {}
+            for n in np.flatnonzero(rep == r).tolist():
+                row = tuple(pins_l[starts[n] : ends[n]])
+                rep[n] = seen.setdefault(row, n)
+    return rep
 
 
 class CoarseLevel:

@@ -17,9 +17,10 @@ them by a static structural rule — never by timing:
     otherwise (:func:`~repro.partitioner.kway.kway_refine`).
     ``reference`` always runs the per-vertex sweep.
 
-FM refinement, the coarse build and GHG initial bisection run their one
-implementation under either value.  Every route produces bit-identical
-partitions — the replay matrix in :mod:`repro.verify.replay` asserts it —
+FM refinement, GHG initial bisection and the coarse build run their one
+implementation under either value; the coarse build's is the *sort*
+contraction (:func:`~repro.partitioner.coarsen.build_coarse`).  Every
+route produces bit-identical partitions — the replay matrix in :mod:`repro.verify.replay` asserts it —
 so the kernel is pure execution policy and never participates in
 :func:`repro.fingerprint`.
 
@@ -46,11 +47,13 @@ KERNELS = ("reference", "fast")
 _ALIASES = {"python": "reference", "flat": "fast", "jit": "fast", "auto": "fast"}
 
 #: per phase, the routes each kernel value can take (in route-name
-#: vocabulary of the ``coarsen.match`` and ``kway`` span attributes)
+#: vocabulary of the ``coarsen.match`` and ``kway`` span attributes;
+#: ``reference`` names a phase's one implementation, ``sort`` the coarse
+#: build's)
 PHASES = {
     "fm": {"reference": ["reference"], "fast": ["reference"]},
     "matching": {"reference": ["reference"], "fast": ["single-term", "product"]},
-    "coarse_build": {"reference": ["reference"], "fast": ["reference"]},
+    "coarse_build": {"reference": ["sort"], "fast": ["sort"]},
     "initial": {"reference": ["reference"], "fast": ["reference"]},
     "kway": {"reference": ["reference"], "fast": ["flat-sweep", "reference"]},
 }

@@ -116,6 +116,32 @@ class TestDualConsistency:
         assert int(h.net_sizes().sum()) == int(h.vertex_degrees().sum()) == h.num_pins
 
 
+class TestMaxIncidentCost:
+    @staticmethod
+    def _add_at(h):
+        tot = np.zeros(h.num_vertices, dtype=np.int64)
+        np.add.at(tot, h.pins, h.net_costs[h.net_of_pin()])
+        return max(int(tot.max()), 1) if h.num_pins else 1
+
+    @given(hypergraphs(weighted=True, min_net_size=0))
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_add_at(self, h):
+        assert h.max_incident_cost() == self._add_at(h)
+
+    def test_large_costs_exact(self):
+        # sums near 2**52 stay exact in the float accumulation
+        costs = [2**50, 2**50 + 1, 3, 2**51 - 7]
+        h = hypergraph_from_netlists(
+            3, [[0, 1], [1, 2], [0, 2], [1]], net_costs=costs
+        )
+        assert h.max_incident_cost() == self._add_at(h) == 2**52 - 6
+
+    def test_zero_costs_floor_at_one(self):
+        h = hypergraph_from_netlists(3, [[0, 1], [1, 2]], net_costs=[0, 0])
+        assert h.max_incident_cost() == 1
+        assert hypergraph_from_netlists(2, [[]]).max_incident_cost() == 1
+
+
 class TestCsrConstructor:
     def test_matches_netlists(self, tiny_hypergraph):
         h2 = hypergraph_from_csr(

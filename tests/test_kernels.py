@@ -80,6 +80,9 @@ def test_kernels_introspection_shape():
     assert set(info["phases"]) == {
         "fm", "matching", "coarse_build", "initial", "kway"
     }
+    # the per-net build loop no longer ships: both kernels sort
+    assert info["phases"]["coarse_build"] == ["sort"]
+    assert K.phase_kernels("reference")["coarse_build"] == ["sort"]
     json.dumps(info)
 
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import random_hypergraph
-from repro._util import as_rng
+from repro._util import INDEX_DTYPE, as_rng, prefix_from_counts
 from repro.core.finegrain import build_finegrain_model
 from repro.hypergraph import Hypergraph, hypergraph_from_netlists
 from repro.partitioner import PartitionerConfig
@@ -197,6 +197,161 @@ def test_csr_matmat_order_the_product_route_relies_on():
         "scipy's csr_matmat output layout changed; the 'product' matching "
         "route in repro.partitioner.coarsen depends on it"
     )
+
+
+# ----------------------------------------------------------------------
+# coarse build: the sort contraction == the per-net loop
+# ----------------------------------------------------------------------
+def _build_coarse_loop(h, cmap, n_clusters):
+    """The per-net contraction loop, the oracle of ``C.build_coarse``:
+    each net's pins are remapped and deduplicated, nets of fewer than two
+    clusters dropped, and an identical net merged into the first one's
+    slot with its cost added."""
+    cw = np.bincount(
+        cmap, weights=h.vertex_weights, minlength=n_clusters
+    ).astype(INDEX_DTYPE)
+    cmap_l = cmap.tolist()
+    xpins = h.xpins.tolist()
+    pins = h.pins.tolist()
+    costs = h.net_costs.tolist()
+    flat_pins: list[int] = []
+    counts: list[int] = []
+    new_costs: list[int] = []
+    seen: dict[tuple[int, ...], int] = {}
+    for n in range(h.num_nets):
+        seg = sorted({cmap_l[p] for p in pins[xpins[n] : xpins[n + 1]]})
+        if len(seg) < 2:
+            continue
+        idx = seen.get(tuple(seg))
+        if idx is None:
+            seen[tuple(seg)] = len(new_costs)
+            new_costs.append(costs[n])
+            counts.append(len(seg))
+            flat_pins.extend(seg)
+        else:
+            new_costs[idx] += costs[n]
+    return Hypergraph(
+        n_clusters,
+        prefix_from_counts(counts),
+        np.asarray(flat_pins, dtype=INDEX_DTYPE),
+        vertex_weights=cw,
+        net_costs=np.asarray(new_costs, dtype=INDEX_DTYPE),
+    )
+
+
+def _assert_build_parity(h, cmap, n_clusters):
+    got = C.build_coarse(h, cmap, n_clusters)
+    want = _build_coarse_loop(h, cmap, n_clusters)
+    assert got.num_vertices == want.num_vertices
+    for field in ("xpins", "pins", "net_costs", "vertex_weights"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype, field
+        assert np.array_equal(g, w), field
+    return got
+
+
+def _build_instance(seed, nv, nn, max_size, cost_hi, dup_frac, cmap_kind):
+    """A random level to contract: unsorted pin lists (empty and
+    single-pin ones included), permuted copies of earlier nets, costs
+    down to 0, weighted vertices, and a cluster map that is random, the
+    identity, or collapses everything into one cluster."""
+    rng = as_rng(seed)
+    nets = []
+    for _ in range(nn):
+        if nets and rng.random() < dup_frac:
+            nets.append(rng.permutation(nets[rng.integers(len(nets))]).tolist())
+        else:
+            size = rng.integers(0, min(max_size, nv) + 1)
+            nets.append(rng.permutation(nv)[:size].tolist())
+    h = hypergraph_from_netlists(
+        nv, nets,
+        vertex_weights=rng.integers(0, 5, size=nv),
+        net_costs=rng.integers(0, cost_hi + 1, size=len(nets)),
+    )
+    if cmap_kind == "identity":
+        return h, np.arange(nv, dtype=INDEX_DTYPE), nv
+    if cmap_kind == "one" and nv:
+        return h, np.zeros(nv, dtype=INDEX_DTYPE), 1
+    nc = int(rng.integers(1, nv + 1)) if nv else 0
+    cmap = rng.permutation(np.r_[np.arange(nc), rng.integers(0, max(nc, 1), nv - nc)])
+    return h, cmap.astype(INDEX_DTYPE), nc
+
+
+_build_params = dict(
+    seed=st.integers(0, 2**16), nv=st.integers(0, 30), nn=st.integers(0, 40),
+    max_size=st.integers(1, 8), cost_hi=st.integers(0, 3),
+    dup_frac=st.sampled_from([0.0, 0.3, 0.8]),
+    cmap_kind=st.sampled_from(["random", "identity", "one"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_build_params)
+def test_build_coarse_matches_loop_hypothesis(
+    seed, nv, nn, max_size, cost_hi, dup_frac, cmap_kind
+):
+    h, cmap, nc = _build_instance(
+        seed, nv, nn, max_size, cost_hi, dup_frac, cmap_kind
+    )
+    _assert_build_parity(h, cmap, nc)
+
+
+def _colliding_row_hashes(clusters, starts):
+    zero = np.zeros(len(starts), dtype=np.uint64)
+    return zero, zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_build_params)
+def test_build_coarse_survives_hash_collisions(
+    seed, nv, nn, max_size, cost_hi, dup_frac, cmap_kind
+):
+    """With a constant row hash every two nets of one size collide, so
+    only the element-wise check and the exact regrouping keep different
+    nets apart."""
+    h, cmap, nc = _build_instance(
+        seed, nv, nn, max_size, cost_hi, dup_frac, cmap_kind
+    )
+    with mock.patch.object(C, "_row_hashes", _colliding_row_hashes):
+        _assert_build_parity(h, cmap, nc)
+
+
+def test_build_coarse_collision_split_keeps_first_slots():
+    """Nets 0, 1, 3 share size 2 and the (forced) hash, but only 0 and 3
+    are identical: 3 folds into 0, 1 keeps its own slot, and net 2 is a
+    different size."""
+    h = hypergraph_from_netlists(
+        5, [[0, 1], [2, 3], [0, 1, 4], [1, 0], [3, 4]],
+        net_costs=[1, 2, 3, 4, 5],
+    )
+    cmap = np.arange(5, dtype=INDEX_DTYPE)
+    with mock.patch.object(C, "_row_hashes", _colliding_row_hashes):
+        hc = _assert_build_parity(h, cmap, 5)
+    assert [hc.pins_of(n).tolist() for n in range(hc.num_nets)] == [
+        [0, 1], [2, 3], [0, 1, 4], [3, 4]
+    ]
+    assert hc.net_costs.tolist() == [5, 2, 3, 5]
+
+
+def test_build_coarse_span_counts_drops_and_merges():
+    """Under the map below, nets [0, 1], [2] and [] keep fewer than two
+    clusters (dropped), and [3, 2] and [1, 4] repeat [2, 3] and [0, 4]
+    (merged).  Recording changes no output."""
+    h = hypergraph_from_netlists(
+        6, [[0, 1], [2], [], [2, 3], [3, 2], [4, 5], [0, 4], [1, 4]],
+        net_costs=[1, 1, 1, 2, 3, 1, 4, 0],
+    )
+    cmap = np.array([0, 0, 1, 2, 3, 4], dtype=INDEX_DTYPE)
+    plain = _assert_build_parity(h, cmap, 5)
+    rec = TelemetryRecorder()
+    with use_recorder(rec):
+        traced = C.build_coarse(h, cmap, 5)
+    (span,) = rec.roots
+    assert span.name == "coarsen.build"
+    assert span.attrs["dropped"] == 3 and span.attrs["merged"] == 2
+    assert plain.net_costs.tolist() == [5, 1, 4]
+    for field in ("xpins", "pins", "net_costs", "vertex_weights"):
+        assert np.array_equal(getattr(plain, field), getattr(traced, field))
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +582,9 @@ def test_kernels_introspection_lists_all_phases():
     assert K.phase_kernels("flat") == K.phase_kernels("fast")
     assert K.phase_kernels("fast")["matching"] == ["single-term", "product"]
     assert K.phase_kernels("fast")["kway"] == ["flat-sweep", "reference"]
-    # the reference kernel never takes a fast route
-    assert set(
-        route for routes in K.phase_kernels("python").values() for route in routes
-    ) == {"reference"}
+    # the reference kernel never takes a fast route; the coarse build's
+    # one implementation is the sort contraction under either kernel
+    ref = K.phase_kernels("python")
+    assert ref.pop("coarse_build") == ["sort"]
+    assert set(route for routes in ref.values() for route in routes) == {"reference"}
+    assert K.phase_kernels("fast")["coarse_build"] == ["sort"]
