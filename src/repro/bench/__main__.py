@@ -17,25 +17,18 @@ models2d
 experiments
     Run the table2 sweep and write EXPERIMENTS.md with every measurement
     next to the paper's published value (see ``--output``).
-multistart
-    Benchmark the multi-start engine against the recorded pre-PR
-    sequential baseline and write BENCH_multistart.json.
 vcycle
     End-to-end ``decompose()`` benchmark of ``kernel="reference"``
     against ``kernel="fast"`` with a telemetry phase breakdown
     (matching, coarse build, initial, FM, K-way); write
     BENCH_vcycle.json.  ``--quick`` shrinks the instances to a CI smoke.
     Exits 1 if the fast partition diverges from the reference one.
-treeparallel
-    Benchmark zero-copy shm transport vs pickle and the tree-parallel
-    recursion across backends/worker counts (verifying bit-identity);
-    write BENCH_treeparallel.json.
 verify
     Differential replay: run the same decomposition across every
-    execution backend (serial / thread / process, shm on/off, legacy vs
-    seed-tree recursion), diff partitions bit for bit within each
-    determinism universe, and write a JSON replay report.  Exits 1 on
-    any divergence.
+    execution backend (serial / process, reference / fast kernel,
+    legacy vs seed-tree recursion), diff partitions bit for bit within
+    each determinism universe, and write a JSON replay report.  Exits 1
+    on any divergence.
 serve
     Boot a real ``repro serve`` daemon and drive it with a mixed
     hit/miss/dedup workload from concurrent clients (plus one
@@ -93,8 +86,7 @@ def _parse(argv):
         "command",
         choices=[
             "table1", "table2", "summary", "models2d", "experiments",
-            "multistart", "treeparallel", "verify", "serve", "vcycle",
-            "exact", "chaos",
+            "verify", "serve", "vcycle", "exact", "chaos",
         ],
     )
     p.add_argument("--quick", action="store_true",
@@ -114,9 +106,9 @@ def _parse(argv):
     p.add_argument("--epsilon", type=float, default=0.03)
     p.add_argument("--matrix-seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=4,
-                   help="multistart command: engine starts per instance")
+                   help="verify command: engine starts per instance")
     p.add_argument("--workers", type=int, default=4,
-                   help="multistart command: process-backend workers")
+                   help="verify/serve/chaos commands: process-backend workers")
     p.add_argument("--profile", action="store_true",
                    help="record telemetry and print a per-phase time "
                         "breakdown for every instance")
@@ -177,19 +169,6 @@ def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
     args = _parse(argv if argv is not None else sys.argv[1:])
 
-    if args.command == "multistart":
-        from repro.bench.multistart import run_multistart_bench, write_multistart_bench
-
-        doc = run_multistart_bench(
-            n_starts=args.starts,
-            n_workers=args.workers,
-            progress=lambda s: print(f"  {s}", file=sys.stderr),
-        )
-        path = args.output if args.output != "EXPERIMENTS.md" else "BENCH_multistart.json"
-        write_multistart_bench(path, doc)
-        print(f"wrote {path}")
-        return 0
-
     if args.command == "vcycle":
         from repro.bench.vcycle import run_vcycle_bench, write_vcycle_bench
 
@@ -207,25 +186,6 @@ def main(argv=None) -> int:
             f"(bit-identical: {summary['all_bit_identical']})"
         )
         return 0 if summary["all_bit_identical"] else 1
-
-    if args.command == "treeparallel":
-        from repro.bench.treeparallel import (
-            run_treeparallel_bench,
-            write_treeparallel_bench,
-        )
-
-        doc = run_treeparallel_bench(
-            n_starts=args.starts,
-            n_workers=args.workers,
-            progress=lambda s: print(f"  {s}", file=sys.stderr),
-        )
-        path = (
-            args.output if args.output != "EXPERIMENTS.md"
-            else "BENCH_treeparallel.json"
-        )
-        write_treeparallel_bench(path, doc)
-        print(f"wrote {path}")
-        return 0
 
     if args.command == "serve":
         from repro.bench.serve import run_serve_bench, write_serve_bench

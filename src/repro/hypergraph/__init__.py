@@ -12,12 +12,11 @@ package provides:
   quality metrics of the paper (Eqs. 1–3): balance, cut-net cutsize and
   connectivity-minus-one cutsize;
 * :mod:`~repro.hypergraph.io` — PaToH / hMeTiS file formats;
-* :mod:`~repro.hypergraph.shm` — zero-copy shared-memory transport used by
-  the multi-start engine's process backend.
+* :mod:`~repro.hypergraph.shm` — the shared-memory heartbeat board of the
+  multi-start engine's supervised workers.
 """
 
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.shm import SharedHypergraph
 from repro.hypergraph.builders import (
     hypergraph_from_netlists,
     hypergraph_from_csr,
@@ -38,7 +37,6 @@ from repro.hypergraph.partition import (
 
 __all__ = [
     "Hypergraph",
-    "SharedHypergraph",
     "hypergraph_from_netlists",
     "hypergraph_from_csr",
     "validate_hypergraph",

@@ -252,32 +252,9 @@ class Hypergraph:
         return self._view("gain_bound", compute)
 
     # ------------------------------------------------------------------
-    # shared-memory transport (zero-copy alternative to pickling for the
-    # engine's process backend; see repro.hypergraph.shm)
-    # ------------------------------------------------------------------
-    def to_shm(self):
-        """Export the CSR arrays into one shared-memory segment.
-
-        Returns a :class:`repro.hypergraph.shm.SharedHypergraph` owner
-        handle whose picklable ``meta`` dict (segment name + dtypes +
-        offsets) is all a worker needs to attach via :meth:`from_shm`.
-        The caller owns the segment and must ``close()`` it (context
-        manager supported); workers never unlink.
-        """
-        from repro.hypergraph.shm import hypergraph_to_shm
-
-        return hypergraph_to_shm(self)
-
-    @staticmethod
-    def from_shm(meta: dict) -> "Hypergraph":
-        """Attach to a segment exported by :meth:`to_shm` (zero-copy)."""
-        from repro.hypergraph.shm import hypergraph_from_shm
-
-        return hypergraph_from_shm(meta)
-
-    # ------------------------------------------------------------------
-    # pickling (multi-start engine worker processes receive the hypergraph
-    # by pickle; the derived-view cache is dropped rather than shipped)
+    # pickling (tree-parallel subtree tasks ship their sub-hypergraphs to
+    # worker processes by pickle; the derived-view cache is dropped rather
+    # than shipped)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         return {s: getattr(self, s) for s in self.__slots__ if s != "_views"}

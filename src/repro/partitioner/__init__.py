@@ -28,6 +28,7 @@ from repro.partitioner.config import (
     ExecutionPolicy,
     ModelConfig,
     PartitionerConfig,
+    resolve_backend,
 )
 from repro.partitioner.driver import PartitionResult, partition_hypergraph
 from repro.partitioner.engine import StartStat, partition_multistart
@@ -45,5 +46,6 @@ __all__ = [
     "kernel_info",
     "partition_hypergraph",
     "partition_multistart",
+    "resolve_backend",
     "resolve_kernel",
 ]

@@ -7,8 +7,8 @@ enforces (:mod:`repro.fingerprint`):
   out (the bit-shaping fields).  ``repro.fingerprint()`` draws from this
   class directly, so adding a field here automatically makes it part of
   a request's content-addressed identity.
-* :class:`ExecutionPolicy` — workers, backends, transports, retries,
-  deadlines, checkpoints and the V-cycle *kernel* routes.  Changing any
+* :class:`ExecutionPolicy` — workers, backend, retries, deadlines,
+  checkpoints and the V-cycle *kernel* routes.  Changing any
   of these must never move a bit; they are deliberately excluded from
   the fingerprint so the same request served on different hardware hits
   the same cache entry.
@@ -26,7 +26,13 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.partitioner.kernels import KERNELS, resolve_kernel
 
-__all__ = ["ModelConfig", "ExecutionPolicy", "PartitionerConfig", "KERNELS"]
+__all__ = [
+    "ModelConfig",
+    "ExecutionPolicy",
+    "PartitionerConfig",
+    "KERNELS",
+    "resolve_backend",
+]
 
 
 def _env_bool(name: str, fallback: bool) -> bool:
@@ -181,15 +187,16 @@ class ExecutionPolicy:
     participate in ``repro.fingerprint()``.
     """
 
-    #: worker processes/threads shared by the multi-start engine and the
+    #: worker processes shared by the multi-start engine and the
     #: tree-parallel recursion (one budget: starts x subtrees never
     #: oversubscribe it); ``1`` runs everything sequentially in-process.
     #: Env-overridable default: ``REPRO_N_WORKERS``.
     n_workers: int = field(default_factory=lambda: _env_int("REPRO_N_WORKERS", 1))
-    #: backend for ``n_workers > 1``: "process"
-    #: (:class:`concurrent.futures.ProcessPoolExecutor`), "thread",
-    #: "serial", or "auto" (process when multiple CPU cores are available,
-    #: serial otherwise — pure-Python workloads gain nothing from threads).
+    #: backend for ``n_workers > 1``: "process" (forked worker
+    #: processes), "serial", or "auto" (process when the host has more
+    #: than one CPU core, serial otherwise; see :func:`resolve_backend`).
+    #: The legacy value "thread" is accepted and normalised to "auto":
+    #: matching and FM hold the GIL, so threads lost to serial.
     #: Env-overridable default: ``REPRO_START_BACKEND``.
     start_backend: str = field(
         default_factory=lambda: _env_str("REPRO_START_BACKEND", "auto")
@@ -204,13 +211,6 @@ class ExecutionPolicy:
     #: Purely a scheduling knob — never affects the partition.
     spawn_min_vertices: int = field(
         default_factory=lambda: _env_int("REPRO_SPAWN_MIN_VERTICES", 4096)
-    )
-    #: ship the hypergraph to process-backend engine workers through
-    #: :mod:`multiprocessing.shared_memory` (zero-copy: a segment name +
-    #: dtypes travel instead of a pickle of the CSR arrays); falls back to
-    #: pickle transport when shared memory is unavailable
-    shm_transport: bool = field(
-        default_factory=lambda: _env_bool("REPRO_SHM_TRANSPORT", True)
     )
     #: seconds to wait for a spawned subtree task before abandoning it and
     #: recomputing the subtree inline (``None`` waits indefinitely).  A
@@ -263,12 +263,6 @@ class ExecutionPolicy:
     checkpoint_path: str | None = field(
         default_factory=lambda: os.environ.get("REPRO_CHECKPOINT") or None
     )
-    #: supervise process-backend engine workers: heartbeat timestamps in a
-    #: small shared-memory segment, dead/hung workers are killed and
-    #: respawned, their in-flight seeds re-queued (``engine.worker_restarts``
-    #: telemetry).  Off falls back to the plain executor transport.
-    #: Env-overridable default: ``REPRO_SUPERVISE``.
-    supervise: bool = field(default_factory=lambda: _env_bool("REPRO_SUPERVISE", True))
     #: seconds between heartbeat writes of a supervised worker.
     #: Env-overridable default: ``REPRO_HEARTBEAT_INTERVAL``.
     heartbeat_interval: float = field(
@@ -314,12 +308,35 @@ class ExecutionPolicy:
             raise ValueError(
                 "heartbeat_interval and heartbeat_timeout must be positive"
             )
-        # frozen: normalise in place so only reference|fast is ever held
+        # frozen: normalise in place so only reference|fast and
+        # auto|process|serial are ever held
         object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
+        if self.start_backend == "thread":
+            object.__setattr__(self, "start_backend", "auto")
 
     def with_(self, **kwargs) -> "ExecutionPolicy":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
+
+
+def resolve_backend(cfg: "ExecutionPolicy | PartitionerConfig") -> str:
+    """The backend ``cfg`` runs its parallel work on: "process" or "serial".
+
+    The one ``auto`` policy shared by the multi-start engine and the
+    tree scheduler: process workers when ``n_workers > 1`` and the host
+    has more than one CPU core, serial otherwise.  An explicit "process"
+    or "serial" is taken as given (with one worker, everything is serial).
+
+    >>> resolve_backend(ExecutionPolicy(n_workers=1, start_backend="process"))
+    'serial'
+    >>> resolve_backend(ExecutionPolicy(n_workers=2, start_backend="process"))
+    'process'
+    """
+    if cfg.n_workers <= 1 or cfg.start_backend == "serial":
+        return "serial"
+    if cfg.start_backend == "process":
+        return "process"
+    return "process" if (os.cpu_count() or 1) > 1 else "serial"
 
 
 _MODEL_FIELDS = frozenset(f.name for f in fields(ModelConfig))

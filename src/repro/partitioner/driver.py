@@ -15,9 +15,9 @@ from repro.hypergraph.partition import (
     imbalance,
     validate_partition,
 )
-from repro.partitioner.config import PartitionerConfig
+from repro.partitioner.config import PartitionerConfig, resolve_backend
 from repro.partitioner.kway import kway_refine
-from repro.partitioner.pool import TreeScheduler, resolve_tree_backend
+from repro.partitioner.pool import TreeScheduler
 from repro.partitioner.recursive import partition_recursive
 
 __all__ = ["PartitionResult", "partition_hypergraph"]
@@ -96,12 +96,7 @@ def partition_hypergraph(
     # one scheduler (and so one worker pool) serves every run of this call;
     # it only ever affects wall clock — the seed tree pins the bits
     scheduler = None
-    if (
-        cfg.tree_parallel
-        and k > 2
-        and cfg.n_workers > 1
-        and resolve_tree_backend(cfg) != "serial"
-    ):
+    if cfg.tree_parallel and k > 2 and resolve_backend(cfg) != "serial":
         scheduler = TreeScheduler(cfg)
     try:
         with rec.span(

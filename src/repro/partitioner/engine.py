@@ -12,23 +12,18 @@ Execution backends
     the per-start seeds derive from the engine seed, every start runs,
     and the best is chosen by a total order.
 ``process``
-    :class:`concurrent.futures.ProcessPoolExecutor` with ``n_workers``
-    workers — the only backend that buys wall-clock time for this
-    pure-Python workload (threads serialize on the GIL).  The hypergraph
-    travels by zero-copy shared memory when ``cfg.shm_transport`` is on:
-    the segment is created once, each worker attaches once (pool
-    initializer), and tasks ship only integer seeds — no per-start pickle
-    of the pin arrays.  The segment is guaranteed to be unlinked when the
-    engine returns, raises, or falls back.  Falls back to pickle
-    transport, then threads, then serial, if shared memory or process
-    pools are unavailable (restricted environments, unpicklable
-    platforms).
-``thread``
-    :class:`concurrent.futures.ThreadPoolExecutor`; useful as a fallback
-    and for testing the concurrent plumbing without processes.
+    ``n_workers`` supervised worker processes
+    (:mod:`repro.partitioner.resilience`).  They are started with
+    ``fork``, so each inherits the hypergraph from the parent without a
+    copy; tasks ship only start indices and seeds.  Threads are not a
+    backend: matching and FM hold the GIL, so threads lose to serial.
 ``auto``
     ``process`` when ``n_workers > 1`` and the machine has more than one
-    CPU core, else ``serial``.
+    CPU core, else ``serial`` (:func:`~repro.partitioner.config.resolve_backend`).
+
+The fallback chain is process -> serial: if the process backend cannot
+run (restricted environments, exhausted restart budget), the starts are
+recomputed in-process.
 
 Determinism contract: with ``n_starts=1`` the engine is a pass-through to
 :func:`repro.partitioner.partition_hypergraph` — bit-identical results.
@@ -48,7 +43,6 @@ and resumed starts re-derive their original seeds.
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +50,7 @@ import numpy as np
 from repro._util import Timer, as_rng
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner import resilience
-from repro.partitioner.config import PartitionerConfig
+from repro.partitioner.config import PartitionerConfig, resolve_backend
 from repro.partitioner.driver import PartitionResult, partition_hypergraph
 from repro.telemetry import get_recorder
 from repro.verify.faults import trip as _fault_trip
@@ -88,36 +82,10 @@ class StartStat:
 def _run_start(
     h: Hypergraph, k: int, cfg: PartitionerConfig, seed: int
 ) -> PartitionResult:
-    """Worker body: one single-start pipeline (top-level for pickling)."""
+    """Worker body: one single-start pipeline behind the ``engine.start``
+    fault site (top-level, so it pickles under a non-fork start method)."""
     _fault_trip("engine.start")
     return partition_hypergraph(h, k, cfg, seed)
-
-
-#: worker-process global: the hypergraph attached from shared memory by
-#: :func:`_attach_worker` (one attach per process, reused by every start
-#: that lands on the worker)
-_WORKER_HG: Hypergraph | None = None
-
-
-def _attach_worker(meta: dict) -> None:
-    """Process-pool initializer: map the shared hypergraph once."""
-    global _WORKER_HG
-    _WORKER_HG = Hypergraph.from_shm(meta)
-
-
-def _run_start_shm(k: int, cfg: PartitionerConfig, seed: int) -> PartitionResult:
-    """Worker body for shm transport: the task ships no hypergraph at all."""
-    _fault_trip("engine.start")
-    assert _WORKER_HG is not None, "worker initializer did not run"
-    return partition_hypergraph(_WORKER_HG, k, cfg, seed)
-
-
-def _resolve_backend(cfg: PartitionerConfig) -> str:
-    if cfg.n_workers <= 1 or cfg.n_starts <= 1:
-        return "serial"
-    if cfg.start_backend != "auto":
-        return cfg.start_backend
-    return "process" if (os.cpu_count() or 1) > 1 else "serial"
 
 
 def _tree_workers(cfg: PartitionerConfig, backend: str) -> int:
@@ -182,7 +150,7 @@ def partition_multistart(
     # copy, so no start's consumption perturbs another's
     seeds: list[int | np.random.Generator] = [copy.deepcopy(rng)]
     seeds += [int(s) for s in rng.integers(0, 2**31 - 1, size=cfg.n_starts - 1)]
-    backend = _resolve_backend(cfg)
+    backend = resolve_backend(cfg) if cfg.n_starts > 1 else "serial"
     # a start never inherits the sweep-level resilience knobs: the engine
     # owns the deadline and the checkpoint, not the inner pipelines
     single = cfg.with_(

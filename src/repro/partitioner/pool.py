@@ -24,15 +24,14 @@ completes serially (mirroring the engine's backend fallback chain).
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
-from repro.partitioner.config import PartitionerConfig
+from repro.partitioner.config import PartitionerConfig, resolve_backend
 from repro.telemetry import get_recorder
 from repro.verify.faults import trip as _fault_trip
 
-__all__ = ["WorkerBudget", "TreeScheduler", "resolve_tree_backend"]
+__all__ = ["WorkerBudget", "TreeScheduler"]
 
 
 class WorkerBudget:
@@ -55,19 +54,8 @@ class WorkerBudget:
         self._sem.release()
 
 
-def resolve_tree_backend(cfg: PartitionerConfig) -> str:
-    """Execution backend for subtree tasks (same policy as the engine's)."""
-    if not cfg.tree_parallel or cfg.n_workers <= 1:
-        return "serial"
-    if cfg.start_backend in ("process", "thread"):
-        return cfg.start_backend
-    if cfg.start_backend == "serial":
-        return "serial"
-    return "process" if (os.cpu_count() or 1) > 1 else "serial"
-
-
 class TreeScheduler:
-    """Offers recursion subtrees to a bounded executor; inline otherwise.
+    """Offers recursion subtrees to a bounded process pool; inline otherwise.
 
     The executor is created lazily on the first accepted offer, so a call
     whose subproblems never clear ``spawn_min_vertices`` pays no pool
@@ -77,7 +65,7 @@ class TreeScheduler:
 
     def __init__(self, cfg: PartitionerConfig, budget: WorkerBudget | None = None):
         self.cfg = cfg
-        self.backend = resolve_tree_backend(cfg)
+        self.backend = resolve_backend(cfg) if cfg.tree_parallel else "serial"
         # the walking thread itself works a subtree, so only n_workers - 1
         # extra tasks may be in flight at once
         self.budget = budget if budget is not None else WorkerBudget(cfg.n_workers - 1)
@@ -89,13 +77,10 @@ class TreeScheduler:
     def _ensure_executor(self):
         with self._lock:
             if self._executor is None and not self._broken:
-                pool = (
-                    ProcessPoolExecutor
-                    if self.backend == "process"
-                    else ThreadPoolExecutor
-                )
                 try:
-                    self._executor = pool(max_workers=max(self.budget.slots, 1))
+                    self._executor = ProcessPoolExecutor(
+                        max_workers=max(self.budget.slots, 1)
+                    )
                 except (OSError, RuntimeError, ImportError):
                     # restricted environments can refuse pools; run inline
                     self._broken = True

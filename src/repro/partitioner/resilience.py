@@ -14,14 +14,15 @@ retry with backoff
     bit-identical to a failure-free run.
 worker supervision
     The process backend runs under a supervisor (not a bare
-    ``ProcessPoolExecutor``): each worker stamps a heartbeat slot in a
+    ``ProcessPoolExecutor``): workers are forked, so each inherits the
+    hypergraph without a copy, and each stamps a heartbeat slot in a
     small shared-memory segment (:class:`~repro.hypergraph.shm.HeartbeatBoard`)
     from a background thread; the parent detects dead or hung workers,
     kills and respawns them, and re-queues their in-flight seeds
     (``engine.worker_restarts`` telemetry).  A bounded restart budget
     keeps a deterministic crash from looping forever — when it runs out
-    the pool declares itself broken and the engine's backend fallback
-    chain takes over.
+    the pool declares itself broken and the engine falls back to
+    in-process serial execution.
 deadline budget
     ``cfg.deadline`` (or ``decompose(deadline=...)`` /
     ``REPRO_DEADLINE``) caps the engine call's wall clock *gracefully*:
@@ -40,10 +41,10 @@ checkpoint / resume
     with a warning rather than silently mixing sweeps.
 
 Every failure path here is driven deterministically by the
-``engine.start``, ``worker.heartbeat`` and ``checkpoint.write`` fault
-sites of :mod:`repro.verify.faults`, and the bit-identity promises are
-asserted by ``tests/test_resilience.py`` against the failure-free golden
-partitions.
+``engine.start``, ``worker.heartbeat``, ``shm.create`` and
+``checkpoint.write`` fault sites of :mod:`repro.verify.faults`, and the
+bit-identity promises are asserted by ``tests/test_resilience.py``
+against the failure-free golden partitions.
 """
 
 from __future__ import annotations
@@ -58,13 +59,6 @@ import threading
 import time
 import warnings
 import zlib
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +88,7 @@ _LAST_WORKER_PIDS: list[int] = []
 
 class WorkerPoolBroken(RuntimeError):
     """The supervised pool exhausted its restart budget (a RuntimeError on
-    purpose: the engine's backend fallback chain catches it)."""
+    purpose: the engine's serial fallback catches it)."""
 
 
 # ----------------------------------------------------------------------
@@ -426,9 +420,9 @@ def _serial_starts(h, k, single, seeds, todo, cfg, outcome, store, deadline,
     """Run *todo* starts in-process.
 
     ``trip=True`` routes each start through the ``engine.start`` fault
-    site with the retry policy; ``trip=False`` is the legacy last-resort
-    fallback body (no site, no retry) used when every parallel backend
-    has already failed — it must not re-fire the very faults it is
+    site with the retry policy; ``trip=False`` is the last-resort
+    fallback body (no site, no retry) used when the process backend has
+    already failed — it must not re-fire the very faults it is
     recovering from.
     """
     rec = get_recorder()
@@ -471,93 +465,6 @@ def _serial_starts(h, k, single, seeds, todo, cfg, outcome, store, deadline,
 
 
 # ----------------------------------------------------------------------
-# executor backends (thread; process without supervision)
-# ----------------------------------------------------------------------
-def _executor_starts(h, k, single, seeds, todo, cfg, outcome, store, deadline,
-                     backend: str) -> None:
-    """Fan *todo* out over a ``concurrent.futures`` executor.
-
-    The process flavour ships the hypergraph once through shared memory
-    (``cfg.shm_transport``); the ``finally`` unlinks the segment on every
-    exit path.  Dispatch is incremental (at most ``n_workers`` futures in
-    flight) so the deadline can stop launching starts and a failed start
-    can be resubmitted with its original seed after backoff.  Per-start
-    telemetry spans are lost under the process flavour (workers have
-    their own recorders); the per-start runtimes survive in the results.
-    """
-    rec = get_recorder()
-    from repro.partitioner import engine as _engine
-
-    shared = None
-    if backend == "process" and cfg.shm_transport:
-        try:
-            shared = h.to_shm()
-        except Exception:
-            # no usable /dev/shm (or equivalent): pickle transport instead
-            rec.add("engine.shm_fallbacks")
-            shared = None
-    try:
-        max_workers = min(cfg.n_workers, len(todo))
-        pool_kwargs = {"max_workers": max_workers}
-        if shared is not None:
-            pool_kwargs.update(
-                initializer=_engine._attach_worker, initargs=(shared.meta,)
-            )
-            rec.add("engine.shm_bytes", shared.nbytes)
-        pool_cls = ProcessPoolExecutor if backend == "process" else ThreadPoolExecutor
-
-        def submit(ex, i):
-            s = _fresh_seed(seeds, i)
-            if shared is not None:
-                return ex.submit(_engine._run_start_shm, k, single, s)
-            return ex.submit(_engine._run_start, h, k, single, s)
-
-        with pool_cls(**pool_kwargs) as ex:
-            pending = deque((i, 0) for i in todo)
-            futures: dict = {}
-            stop = False
-            while (pending or futures) and not stop:
-                while pending and len(futures) < max_workers:
-                    if (
-                        deadline is not None
-                        and deadline.expired()
-                        and (outcome.completed or outcome.resumed or futures)
-                    ):
-                        break
-                    i, attempt = pending.popleft()
-                    futures[submit(ex, i)] = (i, attempt)
-                if not futures:
-                    break
-                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                for f in done:
-                    i, attempt = futures.pop(f)
-                    try:
-                        res = f.result()
-                    except Exception:
-                        if attempt >= cfg.max_retries:
-                            raise
-                        rec.add("engine.start_retries")
-                        outcome.retries[i] = attempt + 1
-                        time.sleep(backoff_delay(cfg, attempt, salt=i))
-                        futures[submit(ex, i)] = (i, attempt + 1)
-                        continue
-                    _complete(outcome, store, i, seeds, res, cfg)
-                    if _hits_target(res, cfg):
-                        stop = True
-                if stop:
-                    for f in futures:
-                        f.cancel()
-                    rec.add("engine.early_stops")
-            if pending:
-                outcome.skipped = sorted(i for i, _ in pending)
-                outcome.degraded_reason = "deadline"
-                rec.add("engine.deadline_hits")
-    finally:
-        if shared is not None:
-            shared.close()
-
-
-# ----------------------------------------------------------------------
 # supervised process backend
 # ----------------------------------------------------------------------
 def _beat_loop(board: HeartbeatBoard, rank: int, interval: float,
@@ -576,25 +483,20 @@ def _beat_loop(board: HeartbeatBoard, rank: int, interval: float,
 
 
 def _supervised_worker(rank, task_q, result_q, hb_name, n_slots, hb_interval,
-                       payload, k, single) -> None:
+                       h, k, single) -> None:
     """One supervised engine worker (child-process main).
 
     Pulls ``(start_index, seed)`` tasks from its private queue, runs the
     single-start pipeline and posts ``(rank, start, ok, result_or_exc)``.
     A background thread stamps the heartbeat slot; the worker body calls
-    the same ``engine._run_start*`` functions the executor backends use,
-    so fault injection and monkeypatching reach it identically.
+    ``engine._run_start`` — the serial backend's body — so fault injection
+    and monkeypatching reach it identically.
     """
     from repro.partitioner import engine as _engine
 
     stop = threading.Event()
     board = None
     try:
-        if payload.get("shm_meta") is not None:
-            h = Hypergraph.from_shm(payload["shm_meta"])
-            _engine._WORKER_HG = h
-        else:
-            h = payload["hypergraph"]
         if hb_name is not None:
             try:
                 board = HeartbeatBoard.attach(hb_name, n_slots)
@@ -611,10 +513,7 @@ def _supervised_worker(rank, task_q, result_q, hb_name, n_slots, hb_interval,
                 return
             i, seed = item
             try:
-                if payload.get("shm_meta") is not None:
-                    res = _engine._run_start_shm(k, single, seed)
-                else:
-                    res = _engine._run_start(h, k, single, seed)
+                res = _engine._run_start(h, k, single, seed)
             except Exception as exc:
                 try:
                     result_q.put((rank, i, False, exc))
@@ -653,32 +552,20 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
                        deadline) -> None:
     """Process backend with heartbeats, kill/respawn and seed re-queueing.
 
-    Differences from the executor flavour: worker death or a heartbeat
-    older than ``cfg.heartbeat_timeout`` (while a start is in flight)
-    kills and respawns the worker and re-queues the seed — a re-queue
-    spends the restart budget (``n_workers * (max_retries + 1)`` total),
-    not the per-start retry budget, because the *task* never reported
-    failure.  A start that does report an exception follows the normal
-    retry-with-backoff policy.  When the restart budget runs out the pool
-    raises :class:`WorkerPoolBroken` and the engine falls back a backend.
+    Workers are forked, so each inherits *h* without a copy (a non-fork
+    start method pickles it once per worker spawn).  Worker death or a
+    heartbeat older than ``cfg.heartbeat_timeout`` (while a start is in
+    flight) kills and respawns the worker and re-queues the seed — a
+    re-queue spends the restart budget (``n_workers * (max_retries + 1)``
+    total), not the per-start retry budget, because the *task* never
+    reported failure.  A start that does report an exception follows the
+    normal retry-with-backoff policy.  When the restart budget runs out
+    the pool raises :class:`WorkerPoolBroken` and the engine falls back
+    to serial.
     """
     rec = get_recorder()
     ctx = _mp_context()
     n_workers = min(cfg.n_workers, len(todo))
-
-    shared = None
-    payload: dict = {}
-    if cfg.shm_transport:
-        try:
-            shared = h.to_shm()
-        except Exception:
-            rec.add("engine.shm_fallbacks")
-            shared = None
-    if shared is not None:
-        payload = {"shm_meta": shared.meta}
-        rec.add("engine.shm_bytes", shared.nbytes)
-    else:
-        payload = {"hypergraph": h}
 
     board = None
     try:
@@ -703,7 +590,7 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
             target=_supervised_worker,
             args=(slot.rank, slot.queue, result_q,
                   board.name if board is not None else None, n_workers,
-                  cfg.heartbeat_interval, payload, k, single),
+                  cfg.heartbeat_interval, h, k, single),
         )
         slot.proc.start()
         _LAST_WORKER_PIDS[:] = [
@@ -842,8 +729,6 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
         result_q.cancel_join_thread()
         if board is not None:
             board.close()
-        if shared is not None:
-            shared.close()
 
 
 # ----------------------------------------------------------------------
@@ -862,10 +747,9 @@ def run_starts(
 
     Resumes from ``cfg.checkpoint_path`` when it records this sweep,
     applies the retry policy at every level, honours the deadline budget,
-    and degrades through the backend chain (supervised process ->
-    thread -> in-process serial) exactly like the pre-resilience engine:
-    only ``OSError`` / ``RuntimeError`` / ``ImportError`` trigger a
-    fallback; anything else is a real bug and propagates.
+    and degrades from the supervised process backend to in-process
+    serial: only ``OSError`` / ``RuntimeError`` / ``ImportError`` trigger
+    the fallback; anything else is a real bug and propagates.
     """
     rec = get_recorder()
     store = None
@@ -888,21 +772,15 @@ def run_starts(
                        deadline, trip=True)
         return outcome
 
-    chain = ["thread"] if backend == "thread" else ["process", "thread"]
-    for hop, attempt_backend in enumerate(chain):
-        try:
-            if attempt_backend == "process" and cfg.supervise:
-                _supervised_starts(h, k, single, seeds, todo, cfg, outcome,
-                                   store, deadline)
-            else:
-                _executor_starts(h, k, single, seeds, todo, cfg, outcome,
-                                 store, deadline, attempt_backend)
-            return outcome
-        except (OSError, RuntimeError, ImportError):
-            # restricted environments can refuse process pools (no fork /
-            # sem / shm); retries are exhausted; degrade rather than fail
-            rec.add("engine.backend_fallbacks")
-            outcome.reset_fresh()
+    try:
+        _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
+                           deadline)
+        return outcome
+    except (OSError, RuntimeError, ImportError):
+        # restricted environments can refuse processes (no fork / sem);
+        # retries are exhausted; degrade rather than fail
+        rec.add("engine.backend_fallbacks")
+        outcome.reset_fresh()
     _serial_starts(h, k, single, seeds, todo, cfg, outcome, store,
                    deadline, trip=False)
     return outcome

@@ -9,7 +9,7 @@ Three pillars (see ``docs/verification.md``):
   ``decompose(..., verify=True)`` / ``REPRO_VERIFY=1`` and the
   ``repro verify`` CLI.
 * :mod:`repro.verify.replay` — differential replay of one seed across
-  serial/thread/process × shm × tree-parallel, diffing partitions, cuts
+  serial/process × tree-parallel × kernel, diffing partitions, cuts
   and telemetry and reporting the first divergent stage.
 * :mod:`repro.verify.faults` — deterministic fault plans
   (``REPRO_FAULTS``) that crash workers, break shm and delay tasks at

@@ -1,44 +1,45 @@
 """Deterministic fault injection for the parallel machinery.
 
-The engine, the tree scheduler and the shared-memory transport all promise
-graceful degradation: a crashed start falls back to another backend, a dead
-subtree task is recomputed inline, a failed shm export falls back to pickle
-transport, and the segment is unlinked on every exit path.  Those promises
-are only worth anything if the failure paths actually run — this module
-makes them run *on demand and deterministically* so the test suite (and CI)
-can assert each one.
+The engine, the tree scheduler and the supervisor's heartbeat board all
+promise graceful degradation: a crashed start falls back to serial, a dead
+subtree task is recomputed inline, a board that cannot be created leaves
+supervision with death detection only, and the board is unlinked on every
+exit path.  Those promises are only worth anything if the failure paths
+actually run — this module makes them run *on demand and
+deterministically* so the test suite (and CI) can assert each one.
 
 Fault plans
 -----------
 A plan is a comma-separated list of ``site:action[@hit]`` specs::
 
     tree.task:crash            # first subtree task raises FaultInjected
-    shm.attach:oserror         # first worker attach raises OSError
+    shm.create:oserror         # first heartbeat-board creation fails
     tree.task:sleep0.5@2       # second subtree task sleeps half a second
     pool.submit:oserror@all    # every submit fails
 
 *Sites* are the named ``trip()`` calls wired into the production code:
 
 ``engine.start``
-    A multi-start engine worker body (``_run_start`` / ``_run_start_shm``).
-``shm.create``
-    :func:`repro.hypergraph.shm.hypergraph_to_shm`, before the segment is
-    allocated (exercises the engine's pickle-transport fallback).
-``shm.attach``
-    :func:`repro.hypergraph.shm.hypergraph_from_shm`, before attaching
-    (exercises the process→thread backend fallback; fire it via the
+    A multi-start engine start (``engine._run_start``), in the serial
+    backend's process or in a supervised worker (fire it via the
     environment so worker processes see it).
+``shm.create``
+    :meth:`repro.hypergraph.shm.HeartbeatBoard.create`, before the
+    segment is allocated (exercises supervision without heartbeats:
+    death detection only, counted ``engine.heartbeat_fallbacks``).
 ``shm.unlink``
-    :meth:`repro.hypergraph.shm.SharedHypergraph.close`, before unlinking
-    (``oserror`` only — close() absorbs it and counts
+    :meth:`repro.hypergraph.shm.HeartbeatBoard.close`, before the owner
+    unlinks (``oserror`` only — close() absorbs it and counts
     ``shm.unlink_errors``).
 ``pool.submit``
     :meth:`repro.partitioner.pool.TreeScheduler.offer`, at the executor
     submit (exercises the broken-pool inline path).
 ``tree.task``
     :func:`repro.partitioner.recursive._solve_subtree`, the subtree task
-    body (exercises the inline-recompute path; combine ``sleep`` with
-    ``PartitionerConfig.tree_task_timeout`` to exercise the timeout path).
+    body in a pool worker process (exercises the inline-recompute path;
+    combine ``sleep`` with ``PartitionerConfig.tree_task_timeout`` to
+    exercise the timeout path; fire it via the environment so worker
+    processes see it).
 ``worker.heartbeat``
     The heartbeat loop of a supervised engine worker
     (:mod:`repro.partitioner.resilience`), before each beat is written.
@@ -126,7 +127,6 @@ KNOWN_SITES = frozenset(
     {
         "engine.start",
         "shm.create",
-        "shm.attach",
         "shm.unlink",
         "pool.submit",
         "tree.task",
@@ -197,7 +197,8 @@ class FaultSpec:
 class FaultPlan:
     """A set of :class:`FaultSpec` entries plus per-site hit counters.
 
-    Thread-safe: the tree scheduler trips sites from multiple threads.
+    Thread-safe: the serve daemon's compute threads and the supervised
+    workers' heartbeat threads trip sites concurrently.
     Counters are per plan instance — and therefore per process when the
     plan travels through the environment (every forked worker parses its
     own copy lazily).

@@ -1,9 +1,9 @@
 """Differential replay: one seed, every execution path, diffed bit-by-bit.
 
-Four orthogonal execution knobs — the multi-start backend
-(serial/thread/process), the tree-parallel recursion, the shm transport
-and the V-cycle kernel (reference/fast) — each promise not to change a
-single output bit.  This module
+Three orthogonal execution knobs — the multi-start backend
+(serial/process), the tree-parallel recursion and the V-cycle kernel
+(reference/fast) — each promise not to change a single output bit.
+This module
 replays one ``decompose()`` call across the whole grid and diffs the
 results stage by stage, reporting the *first* divergent stage per variant:
 
@@ -56,8 +56,7 @@ class ReplayVariant:
     """One point of the execution grid."""
 
     label: str
-    backend: str  # start_backend: "serial" | "thread" | "process"
-    shm: bool
+    backend: str  # start_backend: "serial" | "process"
     tree_parallel: bool
     kernel: str = "reference"  # V-cycle kernel, bit-identical by contract
     kway: bool = False  # enable the K-way boundary refinement pass
@@ -83,7 +82,6 @@ class ReplayRun:
 
     label: str
     backend: str
-    shm: bool
     tree_parallel: bool
     universe: str
     kernel: str = "reference"
@@ -159,12 +157,11 @@ class ReplayReport:
 
 
 def default_variants() -> list[ReplayVariant]:
-    """The full grid: backends × shm × tree, plus the fast kernel.
+    """The full grid: backends × tree, plus the fast kernel.
 
-    ``shm`` only matters for the process backend, so the pickle/shm pair is
-    enumerated there only; every backend variant runs the ``reference``
-    kernel, and the serial variant of each universe is the reference the
-    others are diffed against.  One ``serial+fast`` variant per universe
+    Every backend variant runs the ``reference`` kernel, and the serial
+    variant of each universe is the reference the others are diffed
+    against.  One ``serial+fast`` variant per universe
     runs ``kernel="fast"`` (the structural matching routes and the K-way
     flat sweep) and must reproduce those bits.  A separate ``+kway``
     universe turns on the K-way boundary refinement pass (which
@@ -173,20 +170,12 @@ def default_variants() -> list[ReplayVariant]:
     out: list[ReplayVariant] = []
     for tree in (False, True):
         suffix = "+tree" if tree else ""
-        out.append(ReplayVariant(f"serial{suffix}", "serial", False, tree))
-        out.append(ReplayVariant(f"thread{suffix}", "thread", False, tree))
-        out.append(ReplayVariant(f"process{suffix}", "process", False, tree))
-        out.append(ReplayVariant(f"process+shm{suffix}", "process", True, tree))
-        out.append(
-            ReplayVariant(f"serial+fast{suffix}", "serial", False, tree, kernel="fast")
-        )
+        out.append(ReplayVariant(f"serial{suffix}", "serial", tree))
+        out.append(ReplayVariant(f"process{suffix}", "process", tree))
+        out.append(ReplayVariant(f"serial+fast{suffix}", "serial", tree, kernel="fast"))
     # the K-way universe: legacy serial only — reference, then fast
-    out.append(ReplayVariant("serial+kway", "serial", False, False, kway=True))
-    out.append(
-        ReplayVariant(
-            "serial+fast+kway", "serial", False, False, kernel="fast", kway=True
-        )
-    )
+    out.append(ReplayVariant("serial+kway", "serial", False, kway=True))
+    out.append(ReplayVariant("serial+fast+kway", "serial", False, kernel="fast", kway=True))
     return out
 
 
@@ -271,7 +260,6 @@ def replay_decompose(
             n_starts=n_starts,
             n_workers=n_workers,
             start_backend=v.backend,
-            shm_transport=v.shm,
             tree_parallel=v.tree_parallel,
             early_stop_cut=None,
             kernel=v.kernel,
@@ -280,7 +268,6 @@ def replay_decompose(
         run = ReplayRun(
             label=v.label,
             backend=v.backend,
-            shm=v.shm,
             tree_parallel=v.tree_parallel,
             universe=v.universe,
             kernel=v.kernel,

@@ -140,7 +140,8 @@ def test_fingerprint_invariant_under_execution_policy():
         PartitionerConfig(kernel="reference"),
         PartitionerConfig(kernel="auto"),
         PartitionerConfig(max_retries=3, deadline=60.0),
-        PartitionerConfig(start_backend="serial", shm_transport=False),
+        PartitionerConfig(start_backend="serial"),
+        PartitionerConfig(start_backend="thread"),
         PartitionerConfig(checkpoint_path="/tmp/ckpt.json"),
     ]
     ref = fingerprint(a, config=PartitionerConfig(), seed=0,
@@ -203,6 +204,50 @@ def test_legacy_kernel_values_normalise(value, expected):
     assert cfg.kernel in KERNELS
     assert cfg == PartitionerConfig(kernel=expected)
     assert PartitionerConfig().with_(kernel=value).kernel == expected
+
+
+# the backend axis: auto|process|serial, the deleted "thread" normalised
+@pytest.mark.parametrize("value, expected", [
+    ("auto", "auto"),
+    ("process", "process"),
+    ("serial", "serial"),
+    ("thread", "auto"),
+])
+def test_legacy_start_backend_values_normalise(value, expected, monkeypatch):
+    assert ExecutionPolicy(start_backend=value).start_backend == expected
+    cfg = PartitionerConfig(start_backend=value)
+    assert cfg.start_backend == expected
+    assert cfg == PartitionerConfig(start_backend=expected)
+    assert PartitionerConfig().with_(start_backend=value).start_backend == expected
+    assert pickle.loads(pickle.dumps(cfg)).start_backend == expected
+    monkeypatch.setenv("REPRO_START_BACKEND", value)
+    assert PartitionerConfig().start_backend == expected
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("backend", ["auto", "process", "serial", "thread"])
+def test_resolve_backend_policy(backend, n_workers, cores, monkeypatch):
+    """One resolver serves the engine, the tree scheduler and
+    ``partition_hypergraph``."""
+    from repro.partitioner import TreeScheduler
+    from repro.partitioner.config import resolve_backend
+
+    monkeypatch.setattr("os.cpu_count", lambda: cores)
+    cfg = PartitionerConfig(
+        start_backend=backend, n_workers=n_workers, tree_parallel=True
+    )
+    if n_workers == 1 or backend == "serial":
+        expected = "serial"
+    elif backend == "process":
+        expected = "process"
+    else:  # auto, and the legacy thread spelling of it
+        expected = "process" if cores > 1 else "serial"
+    assert resolve_backend(cfg) == expected
+    assert resolve_backend(cfg.execution) == expected
+    with TreeScheduler(cfg) as sched:
+        assert sched.backend == expected
+    assert TreeScheduler(cfg.with_(tree_parallel=False)).backend == "serial"
 
 
 def test_kernel_default_is_fast():

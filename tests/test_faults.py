@@ -1,10 +1,11 @@
 """Fault injection: every degradation path fires, and the bits never move.
 
-The graceful-degradation promises of PRs 2–3 (inline recompute, pickle
-fallback, backend fallback, guaranteed unlink) are asserted here by
-actually making each failure happen via :mod:`repro.verify.faults` and
-checking (a) the documented fallback telemetry counter incremented and
-(b) the partition is bit-identical to the healthy run.
+The graceful-degradation promises (inline subtree recompute, serial
+fallback, supervision without heartbeats, guaranteed unlink) are asserted
+here by actually making each failure happen via :mod:`repro.verify.faults`
+and checking (a) the documented fallback telemetry counter incremented and
+(b) the partition is bit-identical to the healthy run.  Sites that fire
+inside worker processes get their plan through ``REPRO_FAULTS``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.api import decompose
-from repro.hypergraph import Hypergraph
-from repro.partitioner import PartitionerConfig, partition_multistart
+from repro.hypergraph.shm import HeartbeatBoard
+from repro.partitioner import PartitionerConfig
 from repro.telemetry import use_recorder
 from repro.verify import faults
 from repro.verify.faults import FaultInjected, FaultPlan, FaultSpec, inject
@@ -40,7 +41,7 @@ def matrix() -> sp.csr_matrix:
 
 def _tree_cfg(**kw) -> PartitionerConfig:
     return PartitionerConfig(
-        tree_parallel=True, n_workers=2, start_backend="thread",
+        tree_parallel=True, n_workers=2, start_backend="process",
         spawn_min_vertices=0, **kw,
     )
 
@@ -50,7 +51,7 @@ def _tree_cfg(**kw) -> PartitionerConfig:
 # ----------------------------------------------------------------------
 class TestPlanParsing:
     @pytest.mark.parametrize(
-        "text", ["tree.task:crash", "shm.attach:oserror@all",
+        "text", ["tree.task:crash", "shm.unlink:oserror@all",
                  "tree.task:sleep0.5@2", "pool.submit:crash@3"]
     )
     def test_spec_round_trips(self, text):
@@ -104,11 +105,11 @@ class TestPlanParsing:
 # ----------------------------------------------------------------------
 # tree-parallel recursion: crash, submit failure, timeout
 # ----------------------------------------------------------------------
-def test_tree_task_crash_recomputes_inline(matrix):
+def test_tree_task_crash_recomputes_inline(matrix, monkeypatch):
     ref = decompose(matrix, 4, method="finegrain", seed=3, config=_tree_cfg())
-    with use_recorder() as rec, inject("tree.task:crash") as plan:
+    monkeypatch.setenv(faults.ENV_VAR, "tree.task:crash")
+    with use_recorder() as rec:
         res = decompose(matrix, 4, method="finegrain", seed=3, config=_tree_cfg())
-    assert plan.fired == [("tree.task", "crash", 1)]
     assert rec.counter_totals().get("tree.task_failures", 0) >= 1
     assert np.array_equal(res.part, ref.part)
     assert res.cutsize == ref.cutsize
@@ -123,12 +124,12 @@ def test_pool_submit_failure_breaks_pool_and_runs_inline(matrix):
     assert np.array_equal(res.part, ref.part)
 
 
-def test_tree_task_timeout_cancels_and_recomputes(matrix):
+def test_tree_task_timeout_cancels_and_recomputes(matrix, monkeypatch):
     ref = decompose(matrix, 4, method="finegrain", seed=3, config=_tree_cfg())
     cfg = _tree_cfg(tree_task_timeout=0.05)
-    with use_recorder() as rec, inject("tree.task:sleep0.5") as plan:
+    monkeypatch.setenv(faults.ENV_VAR, "tree.task:sleep0.5")
+    with use_recorder() as rec:
         res = decompose(matrix, 4, method="finegrain", seed=3, config=cfg)
-    assert plan.fired == [("tree.task", "sleep", 1)]
     assert rec.counter_totals().get("tree.task_timeouts", 0) >= 1
     assert np.array_equal(res.part, ref.part)
 
@@ -149,7 +150,7 @@ def test_tree_task_timeout_env_default(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# engine: worker crash, shm create/attach/unlink failures
+# engine: worker crash, heartbeat-board create/unlink failures
 # ----------------------------------------------------------------------
 def _engine_cfg(backend: str, **kw) -> PartitionerConfig:
     return PartitionerConfig(
@@ -157,86 +158,58 @@ def _engine_cfg(backend: str, **kw) -> PartitionerConfig:
     )
 
 
-def test_engine_start_crash_falls_back_to_serial(matrix):
+def test_engine_start_crash_falls_back_to_serial(matrix, monkeypatch):
     ref = decompose(matrix, 3, method="finegrain", seed=1,
                     config=_engine_cfg("serial"))
-    with use_recorder() as rec, inject("engine.start:crash@all") as plan:
+    monkeypatch.setenv(faults.ENV_VAR, "engine.start:crash@all")
+    with use_recorder() as rec:
         res = decompose(matrix, 3, method="finegrain", seed=1,
-                        config=_engine_cfg("thread"))
-    assert plan.count("engine.start") >= 1
+                        config=_engine_cfg("process"))
     assert rec.counter_totals().get("engine.backend_fallbacks", 0) >= 1
     assert np.array_equal(res.part, ref.part)
 
 
-def test_shm_create_failure_falls_back_to_pickle(matrix):
+def test_shm_create_failure_degrades_to_death_detection(matrix):
+    """No heartbeat board: the supervisor still runs the starts on the
+    process backend, detecting dead workers only, with the same bits."""
     ref = decompose(matrix, 3, method="finegrain", seed=1,
                     config=_engine_cfg("serial"))
     with use_recorder() as rec, inject("shm.create:oserror") as plan:
         res = decompose(matrix, 3, method="finegrain", seed=1,
                         config=_engine_cfg("process"))
     assert plan.fired == [("shm.create", "oserror", 1)]
-    assert rec.counter_totals().get("engine.shm_fallbacks", 0) >= 1
+    counters = rec.counter_totals()
+    assert counters.get("engine.heartbeat_fallbacks", 0) >= 1
+    assert "engine.backend_fallbacks" not in counters
     assert np.array_equal(res.part, ref.part)
 
 
-def _segment_gone(meta: dict) -> bool:
+def _board_gone(name: str) -> bool:
     try:
-        Hypergraph.from_shm(meta)
+        HeartbeatBoard.attach(name, 1).close()
     except FileNotFoundError:
         return True
     return False
 
 
-def test_shm_attach_failure_in_workers_falls_back_and_unlinks(
-    matrix, monkeypatch
-):
-    """Workers crash attaching the segment (plan travels via the
-    environment); the engine must fall back to another backend AND the
-    orphaned segment must still be unlinked."""
-    from repro.core.finegrain import build_finegrain_model
-
-    h = build_finegrain_model(matrix, consistency=True).hypergraph
-    ref = partition_multistart(h, 3, _engine_cfg("serial"), seed=1)
-
-    handles = []
-    real_to_shm = Hypergraph.to_shm
-
-    def tracking_to_shm(self):
-        handle = real_to_shm(self)
-        handles.append(handle)
-        return handle
-
-    monkeypatch.setattr(Hypergraph, "to_shm", tracking_to_shm)
-    monkeypatch.setenv(faults.ENV_VAR, "shm.attach:crash@all")
-    with use_recorder() as rec:
-        res = partition_multistart(h, 3, _engine_cfg("process"), seed=1)
-    # disarm before probing: the probe itself attaches (and would trip)
-    monkeypatch.delenv(faults.ENV_VAR)
-    faults.reset()
-    assert handles, "process backend did not attempt shm transport"
-    assert rec.counter_totals().get("engine.backend_fallbacks", 0) >= 1
-    assert all(_segment_gone(hd.meta) for hd in handles)
-    assert np.array_equal(res.part, ref.part)
-
-
-def test_shm_unlink_failure_is_absorbed(matrix):
+def test_shm_unlink_failure_is_absorbed():
     """An unlink OSError must not fail a succeeded close(); it is counted,
     and the segment can still be reclaimed afterwards."""
-    from repro.core.finegrain import build_finegrain_model
+    from multiprocessing import shared_memory
 
-    h = build_finegrain_model(matrix, consistency=True).hypergraph
-    handle = h.to_shm()
-    meta = handle.meta
+    board = HeartbeatBoard.create(2)
+    name = board.name
     with use_recorder() as rec, inject("shm.unlink:oserror") as plan:
-        handle.close()  # must not raise
+        board.close()  # must not raise
     assert plan.fired == [("shm.unlink", "oserror", 1)]
     assert rec.counter_totals().get("shm.unlink_errors", 0) == 1
-    # close() is idempotent and the handle is spent; reclaim manually so
+    # close() is idempotent and the board is spent; reclaim manually so
     # the injected leak does not outlive the test
-    h2 = Hypergraph.from_shm(meta)
-    h2._views["_shm_handle"].close()
-    h2._views["_shm_handle"].unlink()
-    assert _segment_gone(meta)
+    board.close()
+    leaked = shared_memory.SharedMemory(name=name)
+    leaked.close()
+    leaked.unlink()
+    assert _board_gone(name)
 
 
 def test_engine_result_unchanged_when_no_fault_matches(matrix):

@@ -102,7 +102,8 @@ class TestConfigDigest:
         base = fingerprint(a, cfg, 0, k=4)
         assert base == fingerprint(a, cfg.with_(n_workers=8), 0, k=4)
         assert base == fingerprint(a, cfg.with_(deadline=0.5), 0, k=4)
-        assert base == fingerprint(a, cfg.with_(start_backend="thread"), 0, k=4)
+        assert base == fingerprint(a, cfg.with_(start_backend="process"), 0, k=4)
+        assert base == fingerprint(a, cfg.with_(start_backend="serial"), 0, k=4)
 
     def test_bit_fields_exist_on_config(self):
         cfg = PartitionerConfig()

@@ -6,7 +6,6 @@ Each property pins a contract the rest of the suite only samples:
   with ``consistency=True``, whatever the sparsity pattern;
 * the PaToH and hMeTiS writers/readers are exact inverses, including
   empty nets, zero weights and weighted variants;
-* shared-memory transport round-trips every array slot bit for bit;
 * the vectorized partition metrics agree with the obviously-correct
   pure-Python oracles of :mod:`repro.verify.oracles` on arbitrary
   (hypergraph, partition) pairs.
@@ -103,43 +102,6 @@ def test_hmetis_roundtrip_weighted(h):
     write_hmetis(h, buf)
     buf.seek(0)
     _assert_same_hypergraph(read_hmetis(buf), h)
-
-
-# ----------------------------------------------------------------------
-# shared-memory transport round-trip
-# ----------------------------------------------------------------------
-@settings(max_examples=15)  # each example creates a real shm segment
-@given(h=hypergraphs(weighted=True), data=st.data())
-def test_shm_roundtrip_every_slot(h, data):
-    if data.draw(st.booleans()):
-        from repro.hypergraph import Hypergraph
-
-        fixed = np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(-1, 2),
-                    min_size=h.num_vertices,
-                    max_size=h.num_vertices,
-                )
-            ),
-            dtype=np.int64,
-        )
-        h = Hypergraph(
-            h.num_vertices, h.xpins, h.pins,
-            vertex_weights=h.vertex_weights, net_costs=h.net_costs, fixed=fixed,
-        )
-    with h.to_shm() as handle:
-        h2 = type(h).from_shm(handle.meta)
-        for slot in (
-            "xpins", "pins", "xnets", "vnets",
-            "vertex_weights", "net_costs", "fixed",
-        ):
-            a, b = getattr(h, slot), getattr(h2, slot)
-            if a is None:
-                assert b is None, slot
-            else:
-                assert np.array_equal(a, b), slot
-                assert getattr(a, "dtype", None) == getattr(b, "dtype", None), slot
 
 
 # ----------------------------------------------------------------------

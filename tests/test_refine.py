@@ -240,14 +240,18 @@ def test_fm_counters_pinned_on_finegrain_sherman3():
     """FM pass/move/rollback totals of a traced fine-grain K=16 run.
 
     The values were recorded before FM gained its no-move exit: idle passes
-    still count as passes with no moves and no rollbacks.
+    still count as passes with no moves and no rollbacks.  They pin the
+    legacy recursion stream, so the mode is forced off even when the suite
+    runs under REPRO_TREE_PARALLEL=1.
     """
     from repro.core.api import decompose_2d_finegrain
     from repro.matrix.collection import load_collection_matrix
 
     a = load_collection_matrix("sherman3", scale=0.1)
     with use_recorder() as rec:
-        _, res = decompose_2d_finegrain(a, 16, seed=0)
+        _, res = decompose_2d_finegrain(
+            a, 16, seed=0, config=PartitionerConfig(tree_parallel=False)
+        )
     totals = rec.counter_totals()
     assert res.cutsize == 202
     assert totals["fm.passes"] == 176

@@ -42,6 +42,13 @@ def engine_cfg():
     return PartitionerConfig(n_starts=4, backoff_base=0.001, backoff_cap=0.01)
 
 
+@pytest.fixture
+def serial_cfg(engine_cfg):
+    """In-process starts: an ``inject`` plan counts every start's hits in
+    one process, even when the suite runs under REPRO_START_BACKEND=process."""
+    return engine_cfg.with_(start_backend="serial")
+
+
 def run(h, cfg, seed=0, k=2):
     rec = TelemetryRecorder()
     with use_recorder(rec):
@@ -87,10 +94,10 @@ class TestDeadline:
 # retry with backoff: bit-identity against the failure-free run
 # ----------------------------------------------------------------------
 class TestRetry:
-    def test_serial_retry_is_bit_identical(self, medium_hypergraph, engine_cfg):
-        golden, _ = run(medium_hypergraph, engine_cfg)
+    def test_serial_retry_is_bit_identical(self, medium_hypergraph, serial_cfg):
+        golden, _ = run(medium_hypergraph, serial_cfg)
         with inject("engine.start:crash@1") as plan:
-            res, counters = run(medium_hypergraph, engine_cfg.with_(max_retries=2))
+            res, counters = run(medium_hypergraph, serial_cfg.with_(max_retries=2))
         assert plan.fired
         assert counters["engine.start_retries"] == 1
         assert np.array_equal(res.part, golden.part)
@@ -98,47 +105,54 @@ class TestRetry:
         # the retried start reports its retry count in the stats
         assert [s.retries for s in res.start_stats] == [1, 0, 0, 0]
 
-    def test_thread_retry_is_bit_identical(self, medium_hypergraph, engine_cfg):
+    def test_process_retry_is_bit_identical(
+        self, medium_hypergraph, engine_cfg, monkeypatch
+    ):
+        # the plan travels to the forked workers through the environment;
+        # each worker's first start crashes and is retried with its seed
         golden, _ = run(medium_hypergraph, engine_cfg)
-        cfg = engine_cfg.with_(max_retries=1, n_workers=2, start_backend="thread")
-        with inject("engine.start:crash@2"):
-            res, counters = run(medium_hypergraph, cfg)
-        assert counters["engine.start_retries"] == 1
+        cfg = engine_cfg.with_(max_retries=1, n_workers=2, start_backend="process")
+        monkeypatch.setenv("REPRO_FAULTS", "engine.start:crash@1")
+        res, counters = run(medium_hypergraph, cfg)
+        assert counters["engine.start_retries"] >= 1
+        assert "engine.backend_fallbacks" not in counters
         assert np.array_equal(res.part, golden.part)
 
-    def test_no_retries_preserves_crash_behavior(self, medium_hypergraph, engine_cfg):
+    def test_no_retries_preserves_crash_behavior(self, medium_hypergraph, serial_cfg):
         # max_retries=0 is the pre-resilience contract: serial crash raises
         with inject("engine.start:crash@1"):
             with pytest.raises(FaultInjected):
-                run(medium_hypergraph, engine_cfg)
+                run(medium_hypergraph, serial_cfg.with_(max_retries=0))
 
-    def test_retries_exhausted_raises(self, medium_hypergraph, engine_cfg):
+    def test_retries_exhausted_raises(self, medium_hypergraph, serial_cfg):
         with inject("engine.start:crash@all"):
             with pytest.raises(FaultInjected):
-                run(medium_hypergraph, engine_cfg.with_(max_retries=2))
+                run(medium_hypergraph, serial_cfg.with_(max_retries=2))
 
-    def test_thread_crash_all_still_falls_back_to_serial(
-        self, medium_hypergraph, engine_cfg
+    def test_process_crash_all_still_falls_back_to_serial(
+        self, medium_hypergraph, engine_cfg, monkeypatch
     ):
-        # the fallback chain survives underneath the retry layer: when the
-        # retries are exhausted on the thread backend the engine still
+        # the fallback survives underneath the retry layer: when the
+        # retries are exhausted on the process backend the engine still
         # degrades to the in-process serial path, which does not re-trip
         golden, _ = run(medium_hypergraph, engine_cfg)
-        cfg = engine_cfg.with_(max_retries=1, n_workers=2, start_backend="thread")
-        with inject("engine.start:crash@all"):
-            res, counters = run(medium_hypergraph, cfg)
+        cfg = engine_cfg.with_(max_retries=1, n_workers=2, start_backend="process")
+        monkeypatch.setenv("REPRO_FAULTS", "engine.start:crash@all")
+        res, counters = run(medium_hypergraph, cfg)
         assert counters["engine.backend_fallbacks"] >= 1
         assert np.array_equal(res.part, golden.part)
 
-    def test_subtree_retry_is_bit_identical(self):
+    def test_subtree_retry_is_bit_identical(self, monkeypatch):
         h = random_hypergraph(np.random.default_rng(5), nv=300, nn=900)
         cfg = PartitionerConfig(
             tree_parallel=True, n_workers=4, spawn_min_vertices=8,
-            start_backend="thread",
+            start_backend="process",
         )
         golden = partition_hypergraph(h, 8, cfg, seed=3)
         rec = TelemetryRecorder()
-        with use_recorder(rec), inject("tree.task:crash@1"):
+        # every pool worker's first subtree task crashes
+        monkeypatch.setenv("REPRO_FAULTS", "tree.task:crash@1")
+        with use_recorder(rec):
             res = partition_hypergraph(
                 h, 8, cfg.with_(max_retries=2, backoff_base=0.001), seed=3
             )
@@ -199,13 +213,13 @@ class TestDeadlineBudget:
 # ----------------------------------------------------------------------
 class TestCheckpoint:
     def test_interrupted_sweep_resumes_exactly_the_remainder(
-        self, tmp_path, engine_cfg
+        self, tmp_path, serial_cfg
     ):
         h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
-        cfg = engine_cfg.with_(
+        cfg = serial_cfg.with_(
             n_starts=8, checkpoint_path=str(tmp_path / "sweep.ndjson")
         )
-        golden, _ = run(h, engine_cfg.with_(n_starts=8))
+        golden, _ = run(h, serial_cfg.with_(n_starts=8))
 
         # the sweep dies at start 4 (index 3): exactly 3 starts recorded
         with inject("engine.start:crash@4"):
@@ -375,20 +389,7 @@ class TestSupervision:
         assert np.array_equal(res.part, golden.part)
 
     def test_supervised_process_backend_matches_serial(self, medium_hypergraph):
-        cfg = PartitionerConfig(
-            n_starts=4, n_workers=2, start_backend="process", supervise=True
-        )
-        golden = partition_multistart(
-            medium_hypergraph, 2, cfg.with_(start_backend="serial", n_workers=1),
-            seed=0,
-        )
-        res = partition_multistart(medium_hypergraph, 2, cfg, seed=0)
-        assert np.array_equal(res.part, golden.part)
-
-    def test_unsupervised_process_backend_still_works(self, medium_hypergraph):
-        cfg = PartitionerConfig(
-            n_starts=4, n_workers=2, start_backend="process", supervise=False
-        )
+        cfg = PartitionerConfig(n_starts=4, n_workers=2, start_backend="process")
         golden = partition_multistart(
             medium_hypergraph, 2, cfg.with_(start_backend="serial", n_workers=1),
             seed=0,

@@ -1,4 +1,4 @@
-"""Tree-parallel recursion, shared worker budget, and shm transport.
+"""Tree-parallel recursion, shared worker budget, and the heartbeat board.
 
 The two contracts under test:
 
@@ -6,14 +6,14 @@ The two contracts under test:
    bit-identical partition at any worker count, on any backend, because
    every recursion node's randomness is a pure function of
    ``(root entropy, tree path)`` and never of call order or scheduling.
-2. **shm lifecycle** — the engine's process backend ships the hypergraph
-   through one shared-memory segment that is guaranteed to be unlinked on
+2. **shm lifecycle** — the engine's supervised process backend keeps one
+   shared-memory heartbeat board that is guaranteed to be unlinked on
    every exit path, including a crashing start.
 """
 
 from __future__ import annotations
 
-import glob
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from tests.golden import check_golden
 from repro._util import as_rng
 from repro.core.api import decompose
 from repro.hypergraph import Hypergraph
-from repro.hypergraph.shm import SharedHypergraph
+from repro.hypergraph.shm import HeartbeatBoard
 from repro.partitioner import (
     PartitionerConfig,
     TreeScheduler,
@@ -34,6 +34,7 @@ from repro.partitioner import (
 )
 from repro.partitioner.engine import _tree_workers
 from repro.partitioner.recursive import partition_recursive
+from repro.telemetry import use_recorder
 
 
 def _tree_cfg(workers: int, backend: str, **kw) -> PartitionerConfig:
@@ -51,6 +52,8 @@ def _tree_cfg(workers: int, backend: str, **kw) -> PartitionerConfig:
 # ----------------------------------------------------------------------
 # seed-tree determinism: bit-identical at any worker count / backend
 # ----------------------------------------------------------------------
+# "thread" is the deleted backend's legacy spelling, normalised to "auto"
+# (process workers on a multi-core host): old configs must keep the bits
 SCHEDULES = [(1, "serial"), (2, "thread"), (4, "thread"), (2, "process"), (4, "process")]
 
 
@@ -112,7 +115,7 @@ def test_tree_mode_spawn_knobs_never_change_bits():
     h = random_hypergraph(as_rng(8), 100, 80)
     ref = partition_hypergraph(h, 8, _tree_cfg(1, "serial"), seed=1)
     for depth, minv in [(0, 1), (1, 50), (3, 1), (2, 10**9)]:
-        cfg = _tree_cfg(3, "thread", spawn_depth=depth).with_(
+        cfg = _tree_cfg(3, "process", spawn_depth=depth).with_(
             spawn_min_vertices=minv
         )
         res = partition_hypergraph(h, 8, cfg, seed=1)
@@ -171,6 +174,7 @@ TREE_GOLDEN_CASES = [
 
 
 @pytest.mark.parametrize("nv,nn,hseed,k,seed", TREE_GOLDEN_CASES)
+# (2, "thread") replays the goldens through the legacy spelling of "auto"
 @pytest.mark.parametrize("workers,backend", [(1, "serial"), (2, "thread"), (4, "process")])
 def test_golden_tree_partitions(nv, nn, hseed, k, seed, workers, backend):
     h = random_hypergraph(as_rng(hseed), nv, nn)
@@ -192,7 +196,7 @@ def test_worker_budget_slots():
 
 def test_scheduler_declines_below_frontier_and_size():
     cfg = PartitionerConfig(
-        tree_parallel=True, n_workers=4, start_backend="thread",
+        tree_parallel=True, n_workers=4, start_backend="process",
         spawn_depth=2, spawn_min_vertices=100,
     )
     with TreeScheduler(cfg) as sched:
@@ -208,128 +212,94 @@ def test_scheduler_serial_backend_is_inert():
         assert sched.offer(0, 10**6, int, "1") is None
 
 
-def test_scheduler_survives_task_failure():
+def test_scheduler_survives_task_failure(monkeypatch):
     """A crashing subtree task costs wall clock, not the partition."""
-    import repro.partitioner.recursive as rec_mod
-
     h = random_hypergraph(as_rng(2), 150, 120)
     ref = partition_hypergraph(h, 8, _tree_cfg(1, "serial"), seed=4)
-
-    real = rec_mod._solve_subtree
-    calls = {"n": 0}
-
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        raise RuntimeError("injected subtree crash")
-
-    rec_mod._solve_subtree = flaky
-    try:
-        res = partition_hypergraph(h, 8, _tree_cfg(3, "thread"), seed=4)
-    finally:
-        rec_mod._solve_subtree = real
-    assert calls["n"] > 0, "no subtree was ever offered to the pool"
+    # the plan reaches the pool's worker processes through the environment
+    monkeypatch.setenv("REPRO_FAULTS", "tree.task:crash@all")
+    with use_recorder() as rec:
+        res = partition_hypergraph(h, 8, _tree_cfg(3, "process"), seed=4)
+    failures = rec.counter_totals().get("tree.task_failures", 0)
+    assert failures > 0, "no subtree was ever offered to the pool"
     assert np.array_equal(res.part, ref.part)
 
 
 # ----------------------------------------------------------------------
-# shared-memory transport
+# the supervisor's shared-memory heartbeat board
 # ----------------------------------------------------------------------
-def _segment_gone(meta: dict) -> bool:
+def _shm_segments() -> set:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def _board_gone(name: str) -> bool:
     try:
-        Hypergraph.from_shm(meta)
+        HeartbeatBoard.attach(name, 1).close()
     except FileNotFoundError:
         return True
     return False
 
 
 def test_shm_roundtrip_and_unlink():
-    h = random_hypergraph(as_rng(3), 80, 70, weighted=True)
-    handle = h.to_shm()
-    assert isinstance(handle, SharedHypergraph)
-    h2 = Hypergraph.from_shm(handle.meta)
-    assert h2 == h
-    assert np.array_equal(h2.xnets, h.xnets)
-    assert np.array_equal(h2.vnets, h.vnets)
-    # attached arrays are read-only views
-    with pytest.raises(ValueError):
-        h2.pins[0] = 1
-    handle.close()
-    handle.close()  # idempotent
-    assert _segment_gone(handle.meta)
+    board = HeartbeatBoard.create(3)
+    assert board.last_beat(1) == 0.0
+    worker = HeartbeatBoard.attach(board.name, 3)
+    worker.beat(1)
+    # a stamp written through one mapping is read through the other
+    assert board.last_beat(1) == worker.last_beat(1) > 0.0
+    assert board.last_beat(0) == 0.0
+    worker.close()  # attaching is not owning: the segment survives
+    assert not _board_gone(board.name)
+    board.close()
+    board.close()  # idempotent
+    assert _board_gone(board.name)
 
 
-def test_shm_roundtrip_with_fixed():
-    h = random_hypergraph(as_rng(9), 40, 30)
-    fixed = np.full(40, -1, dtype=np.int64)
-    fixed[0] = 2
-    h = Hypergraph(40, h.xpins, h.pins, fixed=fixed)
-    with h.to_shm() as handle:
-        h2 = Hypergraph.from_shm(handle.meta)
-        assert np.array_equal(h2.fixed, fixed)
-
-
-def test_engine_shm_transport_matches_pickle_and_serial():
-    h = random_hypergraph(as_rng(0), 200, 170)
-    serial = partition_multistart(
-        h, 4, PartitionerConfig(n_starts=3, start_backend="serial"), seed=0
-    )
-    shm = partition_multistart(
-        h, 4,
-        PartitionerConfig(n_starts=3, n_workers=2, start_backend="process"),
-        seed=0,
-    )
-    pickle_t = partition_multistart(
-        h, 4,
-        PartitionerConfig(
-            n_starts=3, n_workers=2, start_backend="process", shm_transport=False
-        ),
-        seed=0,
-    )
-    assert np.array_equal(serial.part, shm.part)
-    assert np.array_equal(serial.part, pickle_t.part)
-
-
-def _crashing_start(k, cfg, seed):
-    """Module-level so the process pool can pickle it by reference."""
+def _crashing_start(h, k, cfg, seed):
+    """Stands in for ``engine._run_start``; forked workers inherit it."""
     raise ValueError("injected start crash")
 
 
 def test_engine_unlinks_shm_when_a_start_crashes(monkeypatch):
-    """Inject a failing start; the segment must not outlive the engine."""
+    """Inject a failing start; the board must not outlive the engine."""
     import repro.partitioner.engine as eng
 
     h = random_hypergraph(as_rng(1), 150, 120)
-    handles = []
-    real_to_shm = Hypergraph.to_shm
+    boards = []
+    real_create = HeartbeatBoard.create
 
-    def tracking_to_shm(self):
-        handle = real_to_shm(self)
-        handles.append(handle)
-        return handle
+    def tracking_create(n_slots):
+        board = real_create(n_slots)
+        boards.append(board.name)
+        return board
 
-    monkeypatch.setattr(Hypergraph, "to_shm", tracking_to_shm)
-    monkeypatch.setattr(eng, "_run_start_shm", _crashing_start)
+    before = _shm_segments()
+    monkeypatch.setattr(HeartbeatBoard, "create", staticmethod(tracking_create))
+    monkeypatch.setattr(eng, "_run_start", _crashing_start)
     cfg = PartitionerConfig(n_starts=3, n_workers=2, start_backend="process")
     with pytest.raises(ValueError, match="injected start crash"):
         partition_multistart(h, 4, cfg, seed=0)
-    assert handles, "process backend did not use shm transport"
-    assert all(_segment_gone(hd.meta) for hd in handles)
-    assert not glob.glob("/dev/shm/psm_*")
+    assert boards, "process backend did not create a heartbeat board"
+    assert all(_board_gone(name) for name in boards)
+    assert not (_shm_segments() - before)
 
 
 def test_engine_shm_fallback_when_shm_unavailable(monkeypatch):
-    """to_shm raising must degrade to pickle transport, not fail."""
+    """No shared memory for the heartbeat board: supervision degrades to
+    death detection and the process backend still returns serial bits."""
 
-    def broken_to_shm(self):
+    def broken_create(n_slots):
         raise OSError("no /dev/shm")
 
-    monkeypatch.setattr(Hypergraph, "to_shm", broken_to_shm)
+    monkeypatch.setattr(HeartbeatBoard, "create", staticmethod(broken_create))
     h = random_hypergraph(as_rng(2), 120, 100)
     cfg = PartitionerConfig(n_starts=2, n_workers=2, start_backend="process")
     serial = partition_multistart(
         h, 4, PartitionerConfig(n_starts=2, start_backend="serial"), seed=1
     )
-    res = partition_multistart(h, 4, cfg, seed=1)
+    with use_recorder() as rec:
+        res = partition_multistart(h, 4, cfg, seed=1)
+    assert rec.counter_totals().get("engine.heartbeat_fallbacks", 0) >= 1
     assert np.array_equal(res.part, serial.part)
 
 
@@ -346,10 +316,10 @@ def test_config_validation():
 def test_env_defaults(monkeypatch):
     monkeypatch.setenv("REPRO_TREE_PARALLEL", "1")
     monkeypatch.setenv("REPRO_N_WORKERS", "3")
-    monkeypatch.setenv("REPRO_START_BACKEND", "thread")
+    monkeypatch.setenv("REPRO_START_BACKEND", "process")
     cfg = PartitionerConfig()
     assert cfg.tree_parallel and cfg.n_workers == 3
-    assert cfg.start_backend == "thread"
+    assert cfg.start_backend == "process"
     # explicit arguments always win over the environment
     cfg = PartitionerConfig(tree_parallel=False, n_workers=1)
     assert not cfg.tree_parallel and cfg.n_workers == 1

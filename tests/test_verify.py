@@ -282,10 +282,10 @@ def test_replay_small_grid_bit_identical(matrix):
     from repro.verify.replay import ReplayVariant
 
     variants = [
-        ReplayVariant("serial", "serial", False, False),
-        ReplayVariant("thread", "thread", False, False),
-        ReplayVariant("serial+tree", "serial", False, True),
-        ReplayVariant("thread+tree", "thread", False, True),
+        ReplayVariant("serial", "serial", False),
+        ReplayVariant("process", "process", False),
+        ReplayVariant("serial+tree", "serial", True),
+        ReplayVariant("process+tree", "process", True),
     ]
     rep = replay_decompose(
         matrix, 4, seed=0, n_starts=2, n_workers=2, variants=variants,
@@ -299,14 +299,15 @@ def test_replay_small_grid_bit_identical(matrix):
 
 
 def test_replay_detects_divergence_and_reports_first_stage():
-    ref = ReplayRun("serial", "serial", False, False, "legacy",
+    ref = ReplayRun("serial", "serial", False, "legacy",
                     cutsize=10, part_sha="aaa", bisection_cuts=[4, 3, 3])
-    same = ReplayRun("thread", "thread", False, False, "legacy",
+    same = ReplayRun("process", "process", False, "legacy",
                      cutsize=10, part_sha="aaa", bisection_cuts=[4, 3, 3])
-    bad_rng = ReplayRun("process", "process", False, False, "legacy",
+    bad_rng = ReplayRun("process", "process", False, "legacy",
                         cutsize=10, part_sha="bbb", bisection_cuts=[4, 9, 3])
-    bad_part = ReplayRun("shm", "process", True, False, "legacy",
-                         cutsize=10, part_sha="bbb", bisection_cuts=[4, 3, 3])
+    bad_part = ReplayRun("serial+fast", "serial", False, "legacy",
+                         cutsize=10, part_sha="bbb", bisection_cuts=[4, 3, 3],
+                         kernel="fast")
     assert _first_divergence(same, ref) is None
     d = _first_divergence(bad_rng, ref)
     assert d.stage == "bisection_cuts" and "bisection 1" in d.detail
@@ -321,7 +322,7 @@ def test_replay_records_variant_errors(matrix, monkeypatch):
     from repro.verify.replay import ReplayVariant
 
     def flaky(a, k, method="finegrain", config=None, **kw):
-        if config is not None and config.start_backend == "thread":
+        if config is not None and config.start_backend == "process":
             raise RuntimeError("injected variant failure")
         return real(a, k, method=method, config=config, **kw)
 
@@ -329,8 +330,8 @@ def test_replay_records_variant_errors(matrix, monkeypatch):
     rep = replay_decompose(
         matrix, 2, seed=0, n_starts=2, n_workers=2,
         variants=[
-            ReplayVariant("serial", "serial", False, False),
-            ReplayVariant("thread", "thread", False, False),
+            ReplayVariant("serial", "serial", False),
+            ReplayVariant("process", "process", False),
         ],
     )
     assert not rep.passed
@@ -343,7 +344,7 @@ def test_write_replay_report(tmp_path, matrix):
 
     rep = replay_decompose(
         matrix, 2, seed=0, n_starts=1, n_workers=1,
-        variants=[ReplayVariant("serial", "serial", False, False)],
+        variants=[ReplayVariant("serial", "serial", False)],
     )
     path = str(tmp_path / "replay.json")
     write_replay_report(path, [rep])
