@@ -18,17 +18,17 @@ experiments
     Run the table2 sweep and write EXPERIMENTS.md with every measurement
     next to the paper's published value (see ``--output``).
 vcycle
-    End-to-end ``decompose()`` benchmark of ``kernel="reference"``
-    against ``kernel="fast"`` with a telemetry phase breakdown
-    (matching, coarse build, initial, FM, K-way); write
+    End-to-end ``decompose()`` benchmark at K=64 with a telemetry phase
+    breakdown (matching, coarse build, initial, FM, K-way) and the
+    self time of each matching and K-way route; write
     BENCH_vcycle.json.  ``--quick`` shrinks the instances to a CI smoke.
-    Exits 1 if the fast partition diverges from the reference one.
+    Exits 1 if two repeats of an instance produce different partitions.
 verify
     Differential replay: run the same decomposition across every
-    execution backend (serial / process, reference / fast kernel,
-    legacy vs seed-tree recursion), diff partitions bit for bit within
-    each determinism universe, and write a JSON replay report.  Exits 1
-    on any divergence.
+    execution backend (serial / process, legacy vs seed-tree recursion,
+    with and without K-way refinement), diff partitions bit for bit
+    within each determinism universe, and write a JSON replay report.
+    Exits 1 on any divergence.
 serve
     Boot a real ``repro serve`` daemon and drive it with a mixed
     hit/miss/dedup workload from concurrent clients (plus one
@@ -182,10 +182,10 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
         summary = doc["summary"]
         print(
-            f"e2e speedup vs reference: {summary['e2e_speedup_by_instance']} "
-            f"(bit-identical: {summary['all_bit_identical']})"
+            f"e2e seconds: {summary['seconds_by_instance']} "
+            f"(deterministic: {summary['all_deterministic']})"
         )
-        return 0 if summary["all_bit_identical"] else 1
+        return 0 if summary["all_deterministic"] else 1
 
     if args.command == "serve":
         from repro.bench.serve import run_serve_bench, write_serve_bench

@@ -1,11 +1,9 @@
 """End-to-end V-cycle benchmark: ``python -m repro.bench vcycle``.
 
-How much of a whole ``decompose()`` call — coarsening (matching +
-coarse build), initial bisection, FM refinement up the V-cycle, K-way
-boundary refinement — does ``kernel="fast"`` save over
-``kernel="reference"``, per phase and end to end?  Only matching and
-K-way refinement differ between the two (see
-:mod:`repro.partitioner.kernels`); the other phases run the same code.
+Where does a whole ``decompose()`` call spend its time — coarsening
+(matching + coarse build), initial bisection, FM refinement up the
+V-cycle, K-way boundary refinement — and which route did matching and
+K-way refinement take (see :mod:`repro.partitioner.kernels`)?
 
 Every run partitions into the paper's K=64.  Four instances cover the
 regimes the structural routes separate:
@@ -21,17 +19,16 @@ regimes the structural routes separate:
   matrix, where vertices have large degree and nets are large: matching
   takes the product route, one blocked sparse product per level.
 
-Runs alternate between the kernels (reference, fast, reference, ...)
-and each kernel's minimum total wall time is kept — on a shared machine
-the min-of-N of interleaved runs is the noise-robust estimator.  The
+Each instance runs *repeats* times and the minimum wall time is kept —
+on a shared machine the min-of-N is the noise-robust estimator.  The
 telemetry phase breakdown (self time per span name) of the min-time run
 provides the attribution table, with matching and K-way split further
 by the ``route=`` their spans name, and the coarse builds' dropped and
 merged net counts.
 
-Both kernels must produce a bit-identical partition — the benchmark
-hashes each part vector and reports ``bit_identical``; the CLI exits 1
-on any divergence.
+Every repeat must produce the same partition — the benchmark hashes
+each part vector and reports ``deterministic``; the CLI exits 1 when
+two repeats differ.
 """
 
 from __future__ import annotations
@@ -46,12 +43,11 @@ import scipy.sparse as sp
 
 from repro._util import Timer
 from repro.partitioner.config import PartitionerConfig
-from repro.partitioner.kernels import KERNELS
 from repro.telemetry import TelemetryRecorder, use_recorder
 
 __all__ = ["run_vcycle_bench", "write_vcycle_bench"]
 
-#: phase names reported in each kernel's breakdown table, aggregated from
+#: phase names reported in the breakdown table, aggregated from
 #: telemetry span self-times (everything else folds into "other")
 _PHASES = (
     "coarsen.match",
@@ -138,7 +134,7 @@ def _route_times(rec: TelemetryRecorder) -> tuple[dict, dict]:
     return {k: round(v, 4) for k, v in sorted(routes.items())}, build
 
 
-def _run_once(a, method: str, k: int, kernel: str, seed: int, cfg) -> dict:
+def _run_once(a, method: str, k: int, seed: int, cfg) -> dict:
     """One full decompose() under a fresh recorder; returns wall time,
     partition hash, cutsize and phase self-times."""
     from repro.core.api import decompose
@@ -146,8 +142,7 @@ def _run_once(a, method: str, k: int, kernel: str, seed: int, cfg) -> dict:
     rec = TelemetryRecorder()
     with use_recorder(rec):
         with Timer() as t:
-            res = decompose(a, k, method=method, seed=seed, kernel=kernel,
-                            config=cfg)
+            res = decompose(a, k, method=method, seed=seed, config=cfg)
     durs = rec.durations_by_name(self_time=True)
     phases = {name: round(durs.pop(name, 0.0), 4) for name in _PHASES}
     phases["other"] = round(sum(durs.values()), 4)
@@ -169,7 +164,7 @@ def run_vcycle_bench(
     quick: bool = False,
     progress=None,
 ) -> dict:
-    """Run the end-to-end per-kernel benchmark and return the document."""
+    """Run the end-to-end benchmark and return the document."""
     hardware = _hardware()
     if quick:
         repeats = 1
@@ -190,60 +185,45 @@ def run_vcycle_bench(
     }
 
     for name, a, source, method in _instances(quick):
-        row: dict = {
+        best = None
+        shas = set()
+        for rep in range(repeats):
+            if progress:
+                progress(f"{name} (rep {rep + 1}/{repeats})")
+            r = _run_once(a, method, k, seed, cfg)
+            shas.add(r["part_sha"])
+            if best is None or r["seconds"] < best["seconds"]:
+                best = r
+        best["seconds"] = round(best["seconds"], 4)
+        out["instances"][name] = {
             "matrix": {
                 "source": source,
                 "shape": list(a.shape),
                 "nnz": int(a.nnz),
             },
             "method": method,
-            "kernels": {},
+            **best,
+            "deterministic": len(shas) == 1,
         }
-        out["instances"][name] = row
-        # interleave repetitions across kernels so shared-machine load
-        # shifts hit both equally; keep each kernel's fastest run
-        best: dict[str, dict] = {}
-        for rep in range(repeats):
-            for kernel in KERNELS:
-                if progress:
-                    progress(f"{name}: {kernel} (rep {rep + 1}/{repeats})")
-                r = _run_once(a, method, k, kernel, seed, cfg)
-                if kernel not in best or r["seconds"] < best[kernel]["seconds"]:
-                    best[kernel] = r
-        ref = best["reference"]
-        for kernel in KERNELS:
-            r = dict(best[kernel])
-            r["seconds"] = round(r["seconds"], 4)
-            r["bit_identical"] = r["part_sha"] == ref["part_sha"]
-            row["kernels"][kernel] = r
-        fast = row["kernels"]["fast"]
-        if fast["bit_identical"] and fast["seconds"] > 0:
-            fast["speedup_vs_reference"] = round(ref["seconds"] / fast["seconds"], 2)
 
-    speedups = {
-        name: row["kernels"]["fast"].get("speedup_vs_reference")
-        for name, row in out["instances"].items()
-    }
     out["summary"] = {
-        "e2e_speedup_by_instance": speedups,
-        "all_bit_identical": all(
-            r["bit_identical"]
-            for row in out["instances"].values()
-            for r in row["kernels"].values()
+        "seconds_by_instance": {
+            name: row["seconds"] for name, row in out["instances"].items()
+        },
+        "all_deterministic": all(
+            row["deterministic"] for row in out["instances"].values()
         ),
     }
     out["notes"] = [
-        "end-to-end wall time of decompose() per kernel, min over "
-        f"{repeats} interleaved repetition(s); the phase table is the "
-        "telemetry self-time breakdown of each kernel's fastest run.",
-        "only coarsen.match and kway run different code under the two "
-        "kernels; the other phases differ by noise alone.",
+        "end-to-end wall time of decompose(), min over "
+        f"{repeats} repetition(s); the phase table is the telemetry "
+        "self-time breakdown of the fastest run.",
         "routes splits coarsen.match and kway self time by the route= "
         "their spans name; coarse_build totals the nets each level's "
         "build dropped (< 2 distinct clusters) and merged (identical to "
         "an earlier net).",
-        "speedup_vs_reference is only reported when the fast partition "
-        "hashed bit-identical to the reference one.",
+        "deterministic is true when every repetition hashed the same "
+        "partition.",
         "all runs are single-threaded (n_starts=1, n_workers=1); these "
         "numbers do not depend on core count "
         f"(host: {hardware['usable_cores']} usable).",

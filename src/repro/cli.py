@@ -55,9 +55,6 @@ from repro.spmv import communication_stats, simulate_spmv
 
 __all__ = ["main", "load_matrix_arg"]
 
-#: accepted --kernel values: the two kernels, then their legacy names
-_KERNEL_CHOICES = ["fast", "reference", "python", "flat", "jit", "auto"]
-
 #: CLI model name -> unified decompose() method name (partitioner-backed)
 _DECOMPOSE_METHODS = {
     "finegrain2d": "finegrain",
@@ -120,10 +117,6 @@ def _parse(argv):
                     help="seed-tree recursion: schedule the two sides of "
                          "every bisection over the worker budget "
                          "(bit-identical at any worker count)")
-    pp.add_argument("--kernel", choices=_KERNEL_CHOICES, default=None,
-                    help="V-cycle implementation: fast (default) or "
-                         "reference, bit-identical; the legacy names "
-                         "python, flat, jit and auto are accepted")
     pp.add_argument("--output", default=None,
                     help="write ownership arrays (and the model partition, "
                          "when the model has one) to this .npz file")
@@ -175,7 +168,6 @@ def _parse(argv):
     pa.add_argument("--starts", type=int, default=1)
     pa.add_argument("--workers", type=int, default=1)
     pa.add_argument("--tree-parallel", action="store_true")
-    pa.add_argument("--kernel", choices=_KERNEL_CHOICES, default=None)
 
     pf = sub.add_parser(
         "profile", help="trace a decomposition + simulated SpMV end to end"
@@ -188,7 +180,6 @@ def _parse(argv):
     pf.add_argument("--starts", type=int, default=1)
     pf.add_argument("--workers", type=int, default=1)
     pf.add_argument("--tree-parallel", action="store_true")
-    pf.add_argument("--kernel", choices=_KERNEL_CHOICES, default=None)
     pf.add_argument("--depth", type=int, default=4,
                     help="maximum span-tree depth to print")
     pf.add_argument("--trace", default=None,
@@ -276,8 +267,6 @@ def _config_from_args(args) -> PartitionerConfig:
         kwargs["tree_parallel"] = True
     if getattr(args, "retries", None) is not None:
         kwargs["max_retries"] = args.retries
-    if getattr(args, "kernel", None) is not None:
-        kwargs["kernel"] = args.kernel
     if getattr(args, "deadline", None) is not None:
         kwargs["deadline"] = args.deadline
     checkpoint = getattr(args, "checkpoint", None)

@@ -254,7 +254,6 @@ def decompose(
     deadline: float | None = None,
     checkpoint_path: str | None = None,
     max_retries: int | None = None,
-    kernel: str | None = None,
     verify: bool | None = None,
     **method_kwargs,
 ) -> DecomposeResult:
@@ -285,11 +284,6 @@ def decompose(
         ``result.degraded`` set when it expires — never an exception once
         one start finished), a crash-resumable sweep checkpoint path, and
         the per-start retry budget.
-    kernel:
-        Convenience override for the V-cycle implementation
-        (``"fast" | "reference"``; the legacy names ``"python"``,
-        ``"flat"``, ``"jit"`` and ``"auto"`` are accepted; see
-        :func:`repro.kernels`).  Both are bit-identical.
     verify:
         Audit the result with the independent oracles of
         :mod:`repro.verify` before returning (balance, cutsize,
@@ -322,7 +316,6 @@ def decompose(
             ("deadline", deadline),
             ("checkpoint_path", checkpoint_path),
             ("max_retries", max_retries),
-            ("kernel", kernel),
         )
         if value is not None
     }

@@ -58,7 +58,7 @@ def _bit_fields() -> tuple:
 #: the single source of truth: a field is bit-shaping iff it lives on
 #: ``ModelConfig``.  Everything on
 #: :class:`~repro.partitioner.config.ExecutionPolicy` (workers, backends,
-#: transport, retries, deadlines, kernel) is deliberately excluded so
+#: retries, deadlines, checkpoints) is deliberately excluded so
 #: a resumed or cached sweep may run under different hardware settings.
 BIT_FIELDS = _bit_fields()
 

@@ -32,7 +32,7 @@ from repro.partitioner.config import (
 )
 from repro.partitioner.driver import PartitionResult, partition_hypergraph
 from repro.partitioner.engine import StartStat, partition_multistart
-from repro.partitioner.kernels import kernel_info, resolve_kernel
+from repro.partitioner.kernels import kernel_info
 from repro.partitioner.pool import TreeScheduler, WorkerBudget
 
 __all__ = [
@@ -47,5 +47,4 @@ __all__ = [
     "partition_hypergraph",
     "partition_multistart",
     "resolve_backend",
-    "resolve_kernel",
 ]

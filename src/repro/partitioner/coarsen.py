@@ -34,7 +34,6 @@ import scipy.sparse as sp
 from repro._util import INDEX_DTYPE, prefix_from_counts
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
-from repro.partitioner.kernels import resolve_kernel
 from repro.telemetry import get_recorder
 
 __all__ = ["match_vertices", "build_coarse", "coarsen_level", "CoarseLevel", "coarsen"]
@@ -120,6 +119,21 @@ def _ranked_nets(h: Hypergraph, max_net_size: int) -> tuple[list[int], list[int]
     return h._view(f"ranked_nets_{max_net_size}", make)
 
 
+def _pick_matcher(h: Hypergraph):
+    """``(matcher, route)`` for level *h*: the structural single-term
+    route when :func:`_is_single_term` holds — each vertex walks the pins
+    of its two nets in score order, no per-pin scoring — otherwise the
+    product route, which scores the whole level with one blocked sparse
+    product and walks each vertex's precomputed candidates.
+
+    The per-pin loop :func:`_match_reference` is the oracle both routes
+    are tested against; a test patches this seam to run it instead.
+    """
+    if _is_single_term(h):
+        return _match_single_term, "single-term"
+    return _match_product, "product"
+
+
 def match_vertices(
     h: Hypergraph,
     rng: np.random.Generator,
@@ -128,7 +142,6 @@ def match_vertices(
     max_cluster_weight: int | None = None,
     fixed: np.ndarray | None = None,
     part: np.ndarray | None = None,
-    kernel: str = "fast",
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Cluster vertices; returns ``(cmap, n_clusters, coarse_fixed)``.
 
@@ -140,15 +153,9 @@ def match_vertices(
     cluster with vertices of the same part, so the partition projects
     exactly onto the coarse hypergraph.
 
-    *kernel* (see :mod:`repro.partitioner.kernels`) picks the route.
-    ``"reference"`` always runs the pure per-pin loop, the
-    differential-testing oracle (route ``reference``).  ``"fast"`` takes
-    the structural single-term route when :func:`_is_single_term` holds
-    (route ``single-term``): each vertex walks the pins of its two nets
-    in score order, no per-pin scoring.  Otherwise it scores the whole
-    level with one blocked sparse product and walks each vertex's
-    precomputed candidates (route ``product``).  The greedy selection is
-    sequential everywhere, and every route produces identical output.
+    :func:`_pick_matcher` picks the route from the level alone.  The
+    greedy selection is sequential everywhere, and every route produces
+    the per-pin reference loop's output.
     """
     nv = h.num_vertices
     if max_cluster_weight is None:
@@ -164,20 +171,13 @@ def match_vertices(
     cfixed: list[int] = []
     order = rng.permutation(nv)
 
-    kernel = resolve_kernel(kernel)
-    if kernel == "reference":
-        matcher, route = _match_reference, "reference"
-    elif _is_single_term(h):
-        matcher, route = _match_single_term, "single-term"
-    else:
-        matcher, route = _match_product, "product"
+    matcher, route = _pick_matcher(h)
     rec = get_recorder()
     with rec.span(
         "coarsen.match",
         vertices=nv,
         nets=h.num_nets,
         pins=h.num_pins,
-        kernel=kernel,
         route=route,
     ):
         pins_visited = matcher(
@@ -648,7 +648,6 @@ def coarsen_level(
         max_cluster_weight=max_cluster_weight,
         fixed=fixed,
         part=part,
-        kernel=cfg.kernel,
     )
     hc = build_coarse(h, cmap, nc)
     coarse_fixed = cfix if fixed is not None else None
@@ -736,7 +735,6 @@ def coarsen_restricted(
                     max_cluster_weight=max_cluster_weight,
                     fixed=cur_fixed,
                     part=cur_part,
-                    kernel=cfg.kernel,
                 )
                 hc = build_coarse(cur, cmap, nc)
                 lsp.set(

@@ -7,11 +7,10 @@ enforces (:mod:`repro.fingerprint`):
   out (the bit-shaping fields).  ``repro.fingerprint()`` draws from this
   class directly, so adding a field here automatically makes it part of
   a request's content-addressed identity.
-* :class:`ExecutionPolicy` — workers, backend, retries, deadlines,
-  checkpoints and the V-cycle *kernel* routes.  Changing any
-  of these must never move a bit; they are deliberately excluded from
-  the fingerprint so the same request served on different hardware hits
-  the same cache entry.
+* :class:`ExecutionPolicy` — workers, backend, retries, deadlines and
+  checkpoints.  Changing any of these must never move a bit; they are
+  deliberately excluded from the fingerprint so the same request served
+  on different hardware hits the same cache entry.
 
 :class:`PartitionerConfig` composes the two and keeps the original flat
 keyword API working (``PartitionerConfig(epsilon=0.1, n_workers=4)``)
@@ -24,13 +23,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from repro.partitioner.kernels import KERNELS, resolve_kernel
-
 __all__ = [
     "ModelConfig",
     "ExecutionPolicy",
     "PartitionerConfig",
-    "KERNELS",
     "resolve_backend",
 ]
 
@@ -156,8 +152,9 @@ class ModelConfig:
             raise ValueError(f"unknown matching scheme {self.matching!r}")
         if self.coarsen_to < 2:
             raise ValueError("coarsen_to must be at least 2")
-        if self.n_initial_starts < 1 or self.n_runs < 1:
-            raise ValueError("n_initial_starts and n_runs must be >= 1")
+        for name in ("n_initial_starts", "n_runs", "n_starts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.initial_method not in ("ghg", "exact"):
             raise ValueError(
                 f"unknown initial_method {self.initial_method!r}; "
@@ -169,8 +166,6 @@ class ModelConfig:
             raise ValueError("exact_initial_vertices must be >= 0")
         if self.n_vcycles < 0:
             raise ValueError("n_vcycles must be >= 0")
-        if self.n_starts < 1:
-            raise ValueError("n_starts and n_workers must be >= 1")
 
     def with_(self, **kwargs) -> "ModelConfig":
         """Return a copy with the given fields replaced."""
@@ -239,12 +234,12 @@ class ExecutionPolicy:
     #: (see :func:`repro.partitioner.resilience.backoff_delay`).
     #: Env-overridable default: ``REPRO_BACKOFF_BASE``.
     backoff_base: float = field(
-        default_factory=lambda: _env_float("REPRO_BACKOFF_BASE", 0.05) or 0.05
+        default_factory=lambda: _env_float("REPRO_BACKOFF_BASE", 0.05)
     )
     #: upper bound on a single backoff delay in seconds.
     #: Env-overridable default: ``REPRO_BACKOFF_CAP``.
     backoff_cap: float = field(
-        default_factory=lambda: _env_float("REPRO_BACKOFF_CAP", 2.0) or 2.0
+        default_factory=lambda: _env_float("REPRO_BACKOFF_CAP", 2.0)
     )
     #: wall-clock budget in seconds for one multi-start engine call
     #: (``None`` = unlimited).  Graceful degradation, never an exception:
@@ -266,28 +261,19 @@ class ExecutionPolicy:
     #: seconds between heartbeat writes of a supervised worker.
     #: Env-overridable default: ``REPRO_HEARTBEAT_INTERVAL``.
     heartbeat_interval: float = field(
-        default_factory=lambda: _env_float("REPRO_HEARTBEAT_INTERVAL", 0.25) or 0.25
+        default_factory=lambda: _env_float("REPRO_HEARTBEAT_INTERVAL", 0.25)
     )
     #: a supervised worker whose newest heartbeat (or task dispatch) is
     #: older than this many seconds while a start is in flight is presumed
     #: hung: it is killed, respawned and its seed re-queued.
     #: Env-overridable default: ``REPRO_HEARTBEAT_TIMEOUT``.
     heartbeat_timeout: float = field(
-        default_factory=lambda: _env_float("REPRO_HEARTBEAT_TIMEOUT", 30.0) or 30.0
+        default_factory=lambda: _env_float("REPRO_HEARTBEAT_TIMEOUT", 30.0)
     )
-    #: which implementation of the V-cycle phases runs: "fast" (the
-    #: default — matching and k-way refinement take their structural
-    #: fast routes where the level's shape allows) or "reference" (the
-    #: per-pin/per-vertex reference loops everywhere, the differential
-    #: oracle).  Both are bit-identical — the verify subsystem's replay
-    #: matrix asserts it — so this is execution policy, not model.  The
-    #: legacy values "python", "flat", "jit" and "auto" are accepted and
-    #: normalised (see :mod:`repro.partitioner.kernels`).
-    kernel: str = "fast"
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
-            raise ValueError("n_starts and n_workers must be >= 1")
+            raise ValueError("n_workers must be >= 1")
         if self.start_backend not in ("auto", "process", "thread", "serial"):
             raise ValueError(f"unknown start_backend {self.start_backend!r}")
         if self.spawn_depth < 0:
@@ -300,17 +286,15 @@ class ExecutionPolicy:
             raise ValueError("tree_task_timeout must be positive (or None)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff_base and backoff_cap must be >= 0")
+        for name in ("backoff_base", "backoff_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
-        if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
-            raise ValueError(
-                "heartbeat_interval and heartbeat_timeout must be positive"
-            )
-        # frozen: normalise in place so only reference|fast and
-        # auto|process|serial are ever held
-        object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
+        for name in ("heartbeat_interval", "heartbeat_timeout"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        # frozen: normalise in place so only auto|process|serial is held
         if self.start_backend == "thread":
             object.__setattr__(self, "start_backend", "auto")
 

@@ -167,7 +167,6 @@ def partition_multistart(
         n_starts=cfg.n_starts,
         backend=backend,
         k=k,
-        kernel=cfg.kernel,
     ) as esp, Timer() as timer:
         outcome = resilience.run_starts(
             h, k, single, seeds, cfg, backend, fingerprint=fingerprint

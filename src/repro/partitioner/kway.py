@@ -17,9 +17,8 @@ of cost c):
 Both counts are maintained in an ``N x K`` dense matrix — affordable for
 the paper's K ≤ 64.
 
-Under ``kernel="fast"`` a boundary of at least :data:`_KWAY_VECTOR_MIN`
-vertices takes the *flat-sweep* route, which batch-scores a whole
-permutation chunk at once:
+A boundary of at least :data:`_KWAY_VECTOR_MIN` vertices takes the
+*flat-sweep* route, which batch-scores a whole permutation chunk at once:
 ``g(v, q) = gain_remove(v) - total_cost(v) + connected_cost(v, q)`` falls
 out of one gather of the counts matrix plus segmented reductions, and any
 vertex whose best exact gain is ≤ 0 provably cannot move (the balance
@@ -46,7 +45,8 @@ __all__ = ["kway_refine"]
 #: the batch scores of every later vertex sharing one of its nets)
 _KWAY_CHUNK = 4096
 
-#: below this first-pass boundary size the reference sweep wins outright
+#: below this first-pass boundary size the reference sweep wins outright;
+#: the seam a test patches to force either sweep
 _KWAY_VECTOR_MIN = 64
 
 
@@ -210,8 +210,8 @@ def kway_refine(
     the cutsize never increases and Eq. 1 feasibility is preserved.
 
     The route (``flat-sweep`` or ``reference``) is fixed for the whole
-    call from ``cfg.kernel`` and the first pass's boundary size; both
-    sweeps move the same vertices, so the choice affects speed only.
+    call from the first pass's boundary size; both sweeps move the same
+    vertices, so the choice affects speed only.
     """
     rng = as_rng(rng)
     part = np.asarray(part, dtype=INDEX_DTYPE).copy()
@@ -237,10 +237,7 @@ def kway_refine(
         free &= fixed < 0
 
     rec = get_recorder()
-    with rec.span(
-        "kway", k=k, vertices=nv, nets=h.num_nets, pins=h.num_pins,
-        kernel=cfg.kernel,
-    ) as sp:
+    with rec.span("kway", k=k, vertices=nv, nets=nn, pins=h.num_pins) as sp:
         flat = None
         for _ in range(cfg.kway_passes):
             # boundary = vertices on some net with connectivity > 1
@@ -252,7 +249,7 @@ def kway_refine(
                 break
             perm = rng.permutation(bnd)
             if flat is None:
-                flat = cfg.kernel == "fast" and len(bnd) >= _KWAY_VECTOR_MIN
+                flat = len(bnd) >= _KWAY_VECTOR_MIN
                 sp.set(route="flat-sweep" if flat else "reference")
             if flat:
                 moved, gained = _kway_pass_flat(

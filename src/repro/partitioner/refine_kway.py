@@ -71,7 +71,6 @@ def pairwise_refine(
     k: int,
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-    max_pairs: int | None = None,
     fixed: np.ndarray | None = None,
 ) -> np.ndarray:
     """One sweep of pairwise 2-way FM over adjacent part pairs."""
@@ -80,8 +79,6 @@ def pairwise_refine(
     total = int(w.sum())
     maxw_part = int((total / k) * (1.0 + cfg.epsilon))
     pairs = _adjacent_pairs(h, part, k)
-    if max_pairs is not None:
-        pairs = pairs[:max_pairs]
     pairwise_span = get_recorder().span("kway.pairwise", k=k, pairs=len(pairs))
     with pairwise_span:
         part = _refine_pairs(h, part, pairs, maxw_part, cfg, rng, fixed)

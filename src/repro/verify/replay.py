@@ -1,11 +1,10 @@
 """Differential replay: one seed, every execution path, diffed bit-by-bit.
 
-Three orthogonal execution knobs — the multi-start backend
-(serial/process), the tree-parallel recursion and the V-cycle kernel
-(reference/fast) — each promise not to change a single output bit.
-This module
-replays one ``decompose()`` call across the whole grid and diffs the
-results stage by stage, reporting the *first* divergent stage per variant:
+Two orthogonal execution knobs — the multi-start backend
+(serial/process) and the tree-parallel recursion — each promise not to
+change a single output bit.  This module replays one ``decompose()``
+call across the whole grid and diffs the results stage by stage,
+reporting the *first* divergent stage per variant:
 
 1. ``bisection_cuts`` — the per-bisection cut sequence (depth-first order),
    the earliest observable signal of a divergent RNG stream;
@@ -58,19 +57,15 @@ class ReplayVariant:
     label: str
     backend: str  # start_backend: "serial" | "process"
     tree_parallel: bool
-    kernel: str = "reference"  # V-cycle kernel, bit-identical by contract
     kway: bool = False  # enable the K-way boundary refinement pass
 
     @property
     def universe(self) -> str:
         """Determinism universe this variant must be bit-identical within.
 
-        The kernel is deliberately *not* part of the universe: both
-        kernels promise the same bits, so the ``fast`` variant is diffed
-        against the ``reference`` run of its universe rather than forming
-        its own group.  ``kway`` *is* part of the universe — the extra
-        refinement pass legitimately changes the partition — so the
-        K-way fast variant diffs against a reference+kway run.
+        ``kway`` is part of the universe: the extra refinement pass
+        legitimately changes the partition, so its variants diff against
+        the serial+kway run.
         """
         base = "tree" if self.tree_parallel else "legacy"
         return base + "+kway" if self.kway else base
@@ -84,7 +79,6 @@ class ReplayRun:
     backend: str
     tree_parallel: bool
     universe: str
-    kernel: str = "reference"
     kway: bool = False
     cutsize: int | None = None
     imbalance: float | None = None
@@ -157,25 +151,20 @@ class ReplayReport:
 
 
 def default_variants() -> list[ReplayVariant]:
-    """The full grid: backends × tree, plus the fast kernel.
+    """The full grid: backends × tree, plus a K-way universe.
 
-    Every backend variant runs the ``reference`` kernel, and the serial
-    variant of each universe is the reference the others are diffed
-    against.  One ``serial+fast`` variant per universe
-    runs ``kernel="fast"`` (the structural matching routes and the K-way
-    flat sweep) and must reproduce those bits.  A separate ``+kway``
-    universe turns on the K-way boundary refinement pass (which
-    legitimately changes the partition) so the flat sweep is diffed too.
+    The serial variant of each universe is the reference the others are
+    diffed against.  The ``+kway`` universe turns on the K-way boundary
+    refinement pass (which legitimately changes the partition) on the
+    legacy recursion, so the process backend is diffed with it too.
     """
     out: list[ReplayVariant] = []
     for tree in (False, True):
         suffix = "+tree" if tree else ""
         out.append(ReplayVariant(f"serial{suffix}", "serial", tree))
         out.append(ReplayVariant(f"process{suffix}", "process", tree))
-        out.append(ReplayVariant(f"serial+fast{suffix}", "serial", tree, kernel="fast"))
-    # the K-way universe: legacy serial only — reference, then fast
     out.append(ReplayVariant("serial+kway", "serial", False, kway=True))
-    out.append(ReplayVariant("serial+fast+kway", "serial", False, kernel="fast", kway=True))
+    out.append(ReplayVariant("process+kway", "process", False, kway=True))
     return out
 
 
@@ -262,7 +251,6 @@ def replay_decompose(
             start_backend=v.backend,
             tree_parallel=v.tree_parallel,
             early_stop_cut=None,
-            kernel=v.kernel,
             kway_refine=v.kway,
         )
         run = ReplayRun(
@@ -270,7 +258,6 @@ def replay_decompose(
             backend=v.backend,
             tree_parallel=v.tree_parallel,
             universe=v.universe,
-            kernel=v.kernel,
             kway=v.kway,
         )
         try:

@@ -137,23 +137,22 @@ class TestCli:
 class TestVcycleBench:
     def test_document_reports_routes_and_build_counts(self, monkeypatch, tiny_matrix):
         """The V-cycle record runs at the paper's K=64 by default, checks
-        bit-identity, and splits time by route and builds by outcome."""
+        the repeats agree, and splits time by route and builds by outcome."""
         from repro.bench import vcycle
 
         monkeypatch.setattr(
             vcycle, "_instances",
             lambda quick: (("tiny", tiny_matrix, "tiny_matrix", "finegrain"),),
         )
-        doc = vcycle.run_vcycle_bench(quick=True)
-        assert doc["k"] == 64 and doc["summary"]["all_bit_identical"]
+        doc = vcycle.run_vcycle_bench(repeats=2)
+        assert doc["k"] == 64 and doc["summary"]["all_deterministic"]
         row = doc["instances"]["tiny"]
         assert row["matrix"]["source"] == "tiny_matrix"
-        fast = row["kernels"]["fast"]
-        assert set(fast["routes"]) <= {
+        assert doc["summary"]["seconds_by_instance"] == {"tiny": row["seconds"]}
+        assert set(row["routes"]) <= {
             "coarsen.match/single-term", "coarsen.match/product",
             "kway/flat-sweep", "kway/reference",
         }
-        assert "coarsen.match/single-term" in fast["routes"]
-        build = fast["coarse_build"]
+        assert "coarsen.match/single-term" in row["routes"]
+        build = row["coarse_build"]
         assert build["levels"] > 0 and build["dropped"] > 0
-        assert build == row["kernels"]["reference"]["coarse_build"]

@@ -15,7 +15,6 @@ import pytest
 
 from repro.fingerprint import BIT_FIELDS
 from repro.partitioner.config import (
-    KERNELS,
     ExecutionPolicy,
     ModelConfig,
     PartitionerConfig,
@@ -28,14 +27,14 @@ from dataclasses import fields
 # construction and routing
 # ----------------------------------------------------------------------
 def test_flat_kwargs_route_to_sub_configs():
-    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, kernel="reference")
+    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, max_retries=3)
     assert cfg.model.epsilon == 0.1
     assert cfg.execution.n_workers == 4
-    assert cfg.execution.kernel == "reference"
+    assert cfg.execution.max_retries == 3
     # flat attribute access keeps working
     assert cfg.epsilon == 0.1
     assert cfg.n_workers == 4
-    assert cfg.kernel == "reference"
+    assert cfg.max_retries == 3
 
 
 def test_explicit_sub_config_construction():
@@ -67,12 +66,12 @@ def test_mixing_sub_config_with_other_sides_kwargs_is_fine():
 
 def test_with_routes_flat_fields():
     cfg = PartitionerConfig()
-    cfg2 = cfg.with_(epsilon=0.2, kernel="reference")
+    cfg2 = cfg.with_(epsilon=0.2, max_retries=3)
     assert cfg2.model.epsilon == 0.2
-    assert cfg2.execution.kernel == "reference"
+    assert cfg2.execution.max_retries == 3
     # originals untouched (immutability)
     assert cfg.model.epsilon == 0.03
-    assert cfg.execution.kernel == "fast"
+    assert cfg.execution.max_retries == 0
     with pytest.raises(TypeError, match="unknown config fields"):
         cfg.with_(bogus=1)
 
@@ -96,10 +95,10 @@ def test_equality_and_hash():
 
 
 def test_pickle_round_trip():
-    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, kernel="reference")
+    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, max_retries=3)
     back = pickle.loads(pickle.dumps(cfg))
     assert back == cfg
-    assert back.kernel == "reference"
+    assert back.max_retries == 3
 
 
 def test_attribute_error_for_unknown_field():
@@ -116,8 +115,12 @@ def test_bit_fields_are_exactly_model_config_fields():
 
 
 def test_kernel_is_not_a_bit_field():
+    """Each V-cycle route is picked from the level's structure, so no
+    field of either side selects one."""
     assert "kernel" not in BIT_FIELDS
-    assert "kernel" in {f.name for f in fields(ExecutionPolicy)}
+    assert "kernel" not in {f.name for f in fields(ExecutionPolicy)}
+    with pytest.raises(TypeError, match="kernel"):
+        PartitionerConfig(kernel="fast")
 
 
 def _instance():
@@ -137,8 +140,8 @@ def test_fingerprint_invariant_under_execution_policy():
     a = _instance()
     variants = [
         PartitionerConfig(n_workers=8),
-        PartitionerConfig(kernel="reference"),
-        PartitionerConfig(kernel="auto"),
+        PartitionerConfig(spawn_depth=0, spawn_min_vertices=1),
+        PartitionerConfig(heartbeat_interval=1.0, heartbeat_timeout=5.0),
         PartitionerConfig(max_retries=3, deadline=60.0),
         PartitionerConfig(start_backend="serial"),
         PartitionerConfig(start_backend="thread"),
@@ -170,40 +173,29 @@ def test_fingerprint_moves_with_model_config():
         {"epsilon": -0.1},
         {"matching": "nope"},
         {"n_workers": 0},
-        {"kernel": "cuda"},
+        {"n_starts": 0},
         {"start_backend": "mpi"},
+        {"n_runs": 0},
+        {"backoff_cap": -1.0},
+        {"heartbeat_timeout": 0.0},
     ],
 )
 def test_validation_via_flat_kwargs(kwargs):
-    with pytest.raises(ValueError):
+    (name,) = kwargs
+    with pytest.raises(ValueError) as exc:
         PartitionerConfig(**kwargs)
+    # the error names its own field, and no other
+    msg = str(exc.value)
+    assert name in msg
+    others = {f.name for cls in (ModelConfig, ExecutionPolicy) for f in fields(cls)}
+    assert not [other for other in others - {name} if other in msg]
 
 
 def test_sub_configs_expose_with_():
     m = ModelConfig().with_(epsilon=0.2)
     assert m.epsilon == 0.2
-    e = ExecutionPolicy().with_(kernel="reference")
-    assert e.kernel == "reference"
-
-
-# ----------------------------------------------------------------------
-# the kernel axis: reference|fast, legacy values normalised
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("value, expected", [
-    ("reference", "reference"),
-    ("fast", "fast"),
-    ("python", "reference"),
-    ("flat", "fast"),
-    ("jit", "fast"),
-    ("auto", "fast"),
-])
-def test_legacy_kernel_values_normalise(value, expected):
-    assert ExecutionPolicy(kernel=value).kernel == expected
-    cfg = PartitionerConfig(kernel=value)
-    assert cfg.kernel == expected
-    assert cfg.kernel in KERNELS
-    assert cfg == PartitionerConfig(kernel=expected)
-    assert PartitionerConfig().with_(kernel=value).kernel == expected
+    e = ExecutionPolicy().with_(max_retries=2)
+    assert e.max_retries == 2
 
 
 # the backend axis: auto|process|serial, the deleted "thread" normalised
@@ -250,38 +242,13 @@ def test_resolve_backend_policy(backend, n_workers, cores, monkeypatch):
     assert TreeScheduler(cfg.with_(tree_parallel=False)).backend == "serial"
 
 
-def test_kernel_default_is_fast():
-    assert ExecutionPolicy().kernel == "fast"
-    assert KERNELS == ("reference", "fast")
-
-
-def test_fingerprint_unchanged_across_kernel_values():
-    from repro.fingerprint import fingerprint
-
-    a = _instance()
-    prints = {
-        fingerprint(a, config=PartitionerConfig(kernel=value), seed=0,
-                    k=8, method="finegrain")
-        for value in ("reference", "fast", "python", "flat", "jit", "auto")
-    }
-    assert len(prints) == 1
-
-
-@pytest.mark.parametrize("value", ["python", "jit"])
-def test_normalised_kernel_survives_pickle_and_with_(value):
-    cfg = PartitionerConfig(epsilon=0.1, kernel=value)
-    back = pickle.loads(pickle.dumps(cfg))
-    assert back == cfg and back.kernel == cfg.kernel
-    again = back.with_(epsilon=0.2)
-    assert again.kernel == cfg.kernel
-    e = pickle.loads(pickle.dumps(cfg.execution))
-    assert e == cfg.execution and e.with_(n_workers=2).kernel == cfg.kernel
-
-
 def test_kernels_report_is_json():
+    """``repro.kernels()`` is a static route report: plain JSON, one
+    entry per V-cycle phase, and nothing a config could select."""
     import json
 
     import repro
 
     doc = json.loads(json.dumps(repro.kernels()))
-    assert doc["default"] == "fast"
+    assert set(doc) == {"phases"}
+    assert set(doc["phases"]) == {"fm", "matching", "coarse_build", "initial", "kway"}

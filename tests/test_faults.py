@@ -149,6 +149,33 @@ def test_tree_task_timeout_env_default(monkeypatch):
     assert PartitionerConfig().tree_task_timeout is None
 
 
+@pytest.mark.parametrize("var, field, default", [
+    ("REPRO_BACKOFF_BASE", "backoff_base", 0.05),
+    ("REPRO_BACKOFF_CAP", "backoff_cap", 2.0),
+])
+def test_backoff_env_zero_turns_backoff_off(monkeypatch, var, field, default):
+    """``0`` from the environment means what ``0`` in code means; unset
+    and empty fall back to the default."""
+    monkeypatch.setenv(var, "0")
+    assert getattr(PartitionerConfig(), field) == 0.0
+    monkeypatch.setenv(var, "")
+    assert getattr(PartitionerConfig(), field) == default
+    monkeypatch.delenv(var)
+    assert getattr(PartitionerConfig(), field) == default
+
+
+@pytest.mark.parametrize("var, field", [
+    ("REPRO_HEARTBEAT_INTERVAL", "heartbeat_interval"),
+    ("REPRO_HEARTBEAT_TIMEOUT", "heartbeat_timeout"),
+])
+def test_heartbeat_env_zero_raises_like_the_keyword(monkeypatch, var, field):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        PartitionerConfig(**{field: 0.0})
+    monkeypatch.setenv(var, "0")
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        PartitionerConfig()
+
+
 # ----------------------------------------------------------------------
 # engine: worker crash, heartbeat-board create/unlink failures
 # ----------------------------------------------------------------------

@@ -1,16 +1,20 @@
-"""Phase-route parity: the fast matching and K-way routes == reference.
+"""Phase-route parity: the matching and K-way routes == their oracles.
 
-Two V-cycle phases keep a second implementation under
-``kernel="fast"``: matching (the single-term and product routes) and
-K-way refinement (the flat sweep).  Each promises bit-identical output
-to its reference loop.  This suite pins that promise with direct A/B
-parity (size gates monkeypatched to force the fast paths on test-sized
-inputs) and hypothesis harnesses over random instances, and checks that
-the ``route`` span attribute names the path that actually ran.
+Two V-cycle phases pick a route from the level's structure: matching
+(the single-term and product routes) and K-way refinement (the flat
+sweep, or the per-vertex sweep below a boundary size).  Each route
+promises the output of its phase's reference body: the per-pin matcher
+``coarsen._match_reference`` and the per-vertex sweep
+``kway._kway_pass_ref``.  Tests reach the reference bodies through one
+seam per phase — ``coarsen._pick_matcher`` and
+``kway._KWAY_VECTOR_MIN`` — patched per level by the A/B and hypothesis
+harnesses below, and for a whole ``decompose()`` by the end-to-end
+oracle test.  The ``route`` span attribute must name the path that ran.
 """
 
 from __future__ import annotations
 
+import hashlib
 import unittest.mock as mock
 
 import numpy as np
@@ -26,8 +30,24 @@ from repro.hypergraph import Hypergraph, hypergraph_from_netlists
 from repro.partitioner import PartitionerConfig
 from repro.partitioner import coarsen as C
 from repro.partitioner import kway as KW
-from repro.partitioner import kernels as K
 from repro.telemetry import TelemetryRecorder, use_recorder
+
+
+def _reference_matcher(h):
+    return C._match_reference, "reference"
+
+
+def _match_ref(h, rng, **kw):
+    """``match_vertices`` with its seam patched to the per-pin oracle."""
+    with mock.patch.object(C, "_pick_matcher", _reference_matcher):
+        return C.match_vertices(h, rng, **kw)
+
+
+def _kway(h, part, k, rng, fixed=None, flat=True):
+    """``kway_refine`` forced onto the flat sweep or the per-vertex
+    reference sweep through its boundary-size seam."""
+    with mock.patch.object(KW, "_KWAY_VECTOR_MIN", 1 if flat else 1 << 62):
+        return KW.kway_refine(h, part, k, PartitionerConfig(), rng, fixed)
 
 
 # ----------------------------------------------------------------------
@@ -37,10 +57,8 @@ from repro.telemetry import TelemetryRecorder, use_recorder
 def test_match_flat_matches_reference(scheme):
     for hseed, mseed in [(0, 5), (4, 9), (7, 1)]:
         h = random_hypergraph(as_rng(hseed), 150, 110, weighted=True)
-        r_ref = C.match_vertices(h, as_rng(mseed), scheme=scheme,
-                                 kernel="reference")
-        r_flat = C.match_vertices(h, as_rng(mseed), scheme=scheme,
-                                  kernel="fast")
+        r_ref = _match_ref(h, as_rng(mseed), scheme=scheme)
+        r_flat = C.match_vertices(h, as_rng(mseed), scheme=scheme)
         assert np.array_equal(r_ref[0], r_flat[0])
         assert r_ref[1] == r_flat[1]
         assert np.array_equal(r_ref[2], r_flat[2])
@@ -52,8 +70,8 @@ def test_match_flat_matches_reference(scheme):
 def test_match_flat_matches_reference_hypothesis(hseed, mseed, hcm):
     h = random_hypergraph(as_rng(hseed), 60, 50, weighted=True)
     scheme = "hcm" if hcm else "hcc"
-    r_ref = C.match_vertices(h, as_rng(mseed), scheme=scheme, kernel="reference")
-    r_flat = C.match_vertices(h, as_rng(mseed), scheme=scheme, kernel="fast")
+    r_ref = _match_ref(h, as_rng(mseed), scheme=scheme)
+    r_flat = C.match_vertices(h, as_rng(mseed), scheme=scheme)
     assert np.array_equal(r_ref[0], r_flat[0])
     assert r_ref[1] == r_flat[1]
 
@@ -67,8 +85,8 @@ def test_match_restricted_and_fixed_flat_matches_reference():
     fixed = np.full(h.num_vertices, -1, dtype=np.int64)
     fixed[:10] = rng.integers(0, 2, size=10)
     for kw in ({"part": part}, {"fixed": fixed}, {"part": part, "fixed": fixed}):
-        r_ref = C.match_vertices(h, as_rng(5), kernel="reference", **kw)
-        r_flat = C.match_vertices(h, as_rng(5), kernel="fast", **kw)
+        r_ref = _match_ref(h, as_rng(5), **kw)
+        r_flat = C.match_vertices(h, as_rng(5), **kw)
         assert np.array_equal(r_ref[0], r_flat[0])
         assert np.array_equal(r_ref[2], r_flat[2])
 
@@ -81,13 +99,13 @@ _BLOCKS = (1, 1 << 62)
 def _assert_product_parity(h, mseed, **kw):
     """The product route, forced onto *h* at every block budget, makes the
     reference's clustering and records ``route=product``."""
-    r_ref = C.match_vertices(h, as_rng(mseed), kernel="reference", **kw)
+    r_ref = _match_ref(h, as_rng(mseed), **kw)
     for block in _BLOCKS:
         rec = TelemetryRecorder()
         with mock.patch.object(C, "_PRODUCT_BLOCK", block), \
                 mock.patch.object(C, "_is_single_term", lambda h: False), \
                 use_recorder(rec):
-            r_prod = C.match_vertices(h, as_rng(mseed), kernel="fast", **kw)
+            r_prod = C.match_vertices(h, as_rng(mseed), **kw)
         assert [s.attrs["route"] for s in rec.roots] == ["product"]
         assert np.array_equal(r_ref[0], r_prod[0]), f"block={block}"
         assert r_ref[1] == r_prod[1]
@@ -138,9 +156,7 @@ def test_product_fallback_walks_past_infeasible_top():
         3, [[0, 1], [2, 0]], vertex_weights=[1, 3, 1], net_costs=[2, 1]
     )
     for mseed in range(4):
-        cmap, nc, _ = C.match_vertices(
-            h, as_rng(mseed), max_cluster_weight=3, kernel="fast"
-        )
+        cmap, nc, _ = C.match_vertices(h, as_rng(mseed), max_cluster_weight=3)
         assert nc == 2 and cmap[0] == cmap[2] != cmap[1]
         _assert_product_parity(h, mseed, max_cluster_weight=3)
 
@@ -150,7 +166,7 @@ def test_product_zero_cost_net_orders_ties():
     reference meets 1 (net 0, cost 0) before 2, so 1 wins their 0.5 tie."""
     h = hypergraph_from_netlists(3, [[0, 1], [0, 2, 1]], net_costs=[0, 1])
     assert as_rng(1).permutation(3)[0] == 0  # seed 1 visits 0 first
-    cmap, _, _ = C.match_vertices(h, as_rng(1), scheme="hcm", kernel="fast")
+    cmap, _, _ = C.match_vertices(h, as_rng(1), scheme="hcm")
     assert cmap[0] == cmap[1] != cmap[2]
     for mseed in range(4):
         _assert_product_parity(h, mseed, scheme="hcm")
@@ -167,9 +183,7 @@ def test_product_route_edge_cases(nv, nets, max_net_size):
     for block in _BLOCKS:
         with mock.patch.object(C, "_PRODUCT_BLOCK", block), \
                 mock.patch.object(C, "_is_single_term", lambda h: False):
-            cmap, nc, _ = C.match_vertices(
-                h, as_rng(0), max_net_size=max_net_size, kernel="fast"
-            )
+            cmap, nc, _ = C.match_vertices(h, as_rng(0), max_net_size=max_net_size)
         assert nc == nv and sorted(cmap.tolist()) == list(range(nv))
     _assert_product_parity(h, 0, max_net_size=max_net_size)
 
@@ -372,8 +386,8 @@ def _finegrain_hypergraph(seed, m, n, density, consistency=False, cost_hi=2):
 
 
 def _assert_match_parity(h, mseed, **kw):
-    r_ref = C.match_vertices(h, as_rng(mseed), kernel="reference", **kw)
-    r_flat = C.match_vertices(h, as_rng(mseed), kernel="fast", **kw)
+    r_ref = _match_ref(h, as_rng(mseed), **kw)
+    r_flat = C.match_vertices(h, as_rng(mseed), **kw)
     assert np.array_equal(r_ref[0], r_flat[0])
     assert r_ref[1] == r_flat[1]
     assert np.array_equal(r_ref[2], r_flat[2])
@@ -421,11 +435,11 @@ def _spy_single_term(monkeypatch):
 def test_single_term_route_fires_on_finegrain_level(monkeypatch):
     calls = _spy_single_term(monkeypatch)
     h = _finegrain_hypergraph(3, 40, 40, 0.1, consistency=True)
-    C.match_vertices(h, as_rng(0), kernel="reference")
-    assert not calls  # the reference kernel never takes the route
+    _match_ref(h, as_rng(0))
+    assert not calls  # the patched seam never takes the route
     rec = TelemetryRecorder()
     with use_recorder(rec):
-        C.match_vertices(h, as_rng(0), kernel="fast")
+        C.match_vertices(h, as_rng(0))
     assert calls
     (span,) = rec.roots
     assert span.name == "coarsen.match"
@@ -462,7 +476,7 @@ def test_finest_levels_take_single_term_route():
     rec = TelemetryRecorder()
     with use_recorder(rec):
         partition_hypergraph(
-            h, 8, config=PartitionerConfig(kernel="fast", n_vcycles=1), seed=0
+            h, 8, config=PartitionerConfig(n_vcycles=1), seed=0
         )
     finest = [
         (cs.attrs.get("restricted", False), m.attrs["route"])
@@ -482,8 +496,7 @@ def test_finest_levels_take_single_term_route():
 # K-way refinement: flat sweep == reference sweep
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("with_fixed", [False, True])
-def test_kway_flat_matches_reference(monkeypatch, with_fixed):
-    monkeypatch.setattr(KW, "_KWAY_VECTOR_MIN", 1)
+def test_kway_flat_matches_reference(with_fixed):
     for hseed, seed, k in [(0, 1, 4), (6, 3, 8)]:
         h = random_hypergraph(as_rng(hseed), 160, 140, weighted=True)
         rng0 = as_rng(seed)
@@ -492,14 +505,8 @@ def test_kway_flat_matches_reference(monkeypatch, with_fixed):
         if with_fixed:
             fixed = np.full(h.num_vertices, -1, dtype=np.int64)
             fixed[:12] = rng0.integers(0, k, size=12)
-        p_ref = KW.kway_refine(
-            h, part, k, PartitionerConfig(kernel="reference"), as_rng(seed + 1),
-            fixed,
-        )
-        p_flat = KW.kway_refine(
-            h, part, k, PartitionerConfig(kernel="fast"), as_rng(seed + 1),
-            fixed,
-        )
+        p_ref = _kway(h, part, k, as_rng(seed + 1), fixed, flat=False)
+        p_flat = _kway(h, part, k, as_rng(seed + 1), fixed, flat=True)
         assert np.array_equal(p_ref, p_flat)
 
 
@@ -509,13 +516,8 @@ def test_kway_flat_matches_reference(monkeypatch, with_fixed):
 def test_kway_flat_matches_reference_hypothesis(hseed, seed, k):
     h = random_hypergraph(as_rng(hseed), 60, 50, weighted=True)
     part = as_rng(seed).integers(0, k, size=h.num_vertices)
-    p_ref = KW.kway_refine(
-        h, part, k, PartitionerConfig(kernel="reference"), as_rng(seed), None
-    )
-    with mock.patch.object(KW, "_KWAY_VECTOR_MIN", 1):
-        p_flat = KW.kway_refine(
-            h, part, k, PartitionerConfig(kernel="fast"), as_rng(seed), None
-        )
+    p_ref = _kway(h, part, k, as_rng(seed), flat=False)
+    p_flat = _kway(h, part, k, as_rng(seed), flat=True)
     assert np.array_equal(p_ref, p_flat)
 
 
@@ -541,50 +543,145 @@ def _spy_routes(monkeypatch):
     return ran
 
 
-@pytest.mark.parametrize("n, k, kernel, kway_route", [
+def _use_reference_routes(monkeypatch):
+    """Patch both seams: every level matches with the per-pin loop and
+    every K-way pass runs the per-vertex sweep."""
+    monkeypatch.setattr(C, "_pick_matcher", _reference_matcher)
+    monkeypatch.setattr(KW, "_KWAY_VECTOR_MIN", 1 << 62)
+
+
+#: ``routes`` is ``fast`` for the production routes and ``reference`` for
+#: the oracles forced through the seams
+@pytest.mark.parametrize("n, k, routes, kway_route", [
     (300, 8, "fast", "flat-sweep"),
     (300, 8, "reference", "reference"),
     (40, 2, "fast", "reference"),  # boundary below _KWAY_VECTOR_MIN
 ])
-def test_route_attrs_name_the_path_that_ran(monkeypatch, n, k, kernel, kway_route):
+def test_route_attrs_name_the_path_that_ran(monkeypatch, n, k, routes, kway_route):
     """A traced 1D partition with K-way refinement: every ``coarsen.match``
     and ``kway`` span's ``route`` names the implementation that ran."""
     from repro.core.api import decompose
 
+    if routes == "reference":
+        _use_reference_routes(monkeypatch)
     ran = _spy_routes(monkeypatch)
     a = sp.random(n, n, density=0.05, random_state=3, format="csr")
-    cfg = PartitionerConfig(
-        kway_refine=True, kernel=kernel, tree_parallel=False, coarsen_to=16
-    )
+    cfg = PartitionerConfig(kway_refine=True, tree_parallel=False, coarsen_to=16)
     rec = TelemetryRecorder()
     with use_recorder(rec):
         decompose(a, k, method="rownet", config=cfg, seed=0)
     spans = [s for root in rec.roots for s, _ in root.walk()]
     match_routes = [s.attrs["route"] for s in spans if s.name == "coarsen.match"]
     assert match_routes and match_routes == ran["match"]
-    assert set(match_routes) == ({"reference"} if kernel == "reference" else {"product"})
+    assert set(match_routes) == ({"reference"} if routes == "reference" else {"product"})
     (kway,) = [s for s in spans if s.name == "kway"]
     assert kway.attrs["route"] == kway_route
     assert ran["kway"] and set(ran["kway"]) == {kway_route}
+    # which route ran is named by route= alone: no span carries a kernel
+    assert not any("kernel" in s.attrs for s in spans)
 
 
 # ----------------------------------------------------------------------
-# introspection: the kernel axis spans every phase
+# end to end: the production routes == the oracles, whole decompose()
+# ----------------------------------------------------------------------
+def _part_sha(part):
+    return hashlib.sha256(np.asarray(part, dtype=np.int64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("instance, method", [
+    ("sherman3@0.25", "finegrain"),
+    ("dense-200", "columnnet"),
+])
+def test_fast_routes_match_reference_end_to_end(monkeypatch, instance, method):
+    """One whole ``decompose()`` at K=8 with K-way refinement, production
+    routes against the seams patched to the oracles: the same partition
+    bits.  The unpatched run must take the fast routes, so the two runs
+    execute different code."""
+    from repro.core.api import decompose
+    from repro.matrix.collection import load_collection_matrix
+
+    if instance == "dense-200":
+        a = sp.random(200, 200, density=0.15, format="csr",
+                      rng=np.random.default_rng(11))
+        a.data[:] = 1.0
+    else:
+        a = load_collection_matrix("sherman3", scale=0.25)
+    cfg = PartitionerConfig(kway_refine=True, tree_parallel=False, n_workers=1)
+
+    def run():
+        rec = TelemetryRecorder()
+        with use_recorder(rec):
+            res = decompose(a, 8, method=method, config=cfg, seed=0)
+        routes = {
+            (s.name, s.attrs["route"])
+            for root in rec.roots for s, _ in root.walk()
+            if "route" in s.attrs
+        }
+        return res, routes
+
+    fast, fast_routes = run()
+    assert ("kway", "flat-sweep") in fast_routes
+    assert ("coarsen.match", "product") in fast_routes
+    if method == "finegrain":
+        assert ("coarsen.match", "single-term") in fast_routes
+    _use_reference_routes(monkeypatch)
+    ref, ref_routes = run()
+    assert ref_routes == {("coarsen.match", "reference"), ("kway", "reference")}
+    assert _part_sha(fast.part) == _part_sha(ref.part)
+    assert fast.cutsize == ref.cutsize
+
+
+#: golden label -> K, for the goldens the oracles replay
+_ORACLE_GOLDENS = {
+    "hg-120x90-s1-k2-seed0": 2,
+    "hg-120x90-s1-k8-seed0": 8,
+    "sherman3-finegrain-k8-seed0": 8,
+}
+
+
+@pytest.mark.parametrize("label", list(_ORACLE_GOLDENS))
+def test_reference_routes_replay_goldens(monkeypatch, label):
+    """The oracles reproduce the recorded goldens too (the production
+    routes replay them in ``tests/test_engine.py``)."""
+    from tests.golden import check_golden
+    from repro.core.api import decompose
+    from repro.matrix.collection import load_collection_matrix
+    from repro.partitioner import partition_hypergraph
+
+    _use_reference_routes(monkeypatch)
+    cfg = PartitionerConfig(tree_parallel=False)
+    k = _ORACLE_GOLDENS[label]
+    if label.startswith("hg-"):
+        h = random_hypergraph(as_rng(1), 120, 90)
+        res = partition_hypergraph(h, k, config=cfg, seed=0)
+    else:
+        a = load_collection_matrix("sherman3", scale=0.25)
+        res = decompose(a, k, method="finegrain", config=cfg, seed=0)
+    check_golden(label, res.part, res.cutsize)
+
+
+# ----------------------------------------------------------------------
+# introspection: the static route report spans every phase
 # ----------------------------------------------------------------------
 def test_kernels_introspection_lists_all_phases():
+    import json
+
     import repro
 
-    info = repro.kernels()
-    assert set(info["phases"]) == {
-        "fm", "matching", "coarse_build", "initial", "kway"
-    }
-    assert info["phases"] == K.phase_kernels("fast")
-    assert K.phase_kernels("flat") == K.phase_kernels("fast")
-    assert K.phase_kernels("fast")["matching"] == ["single-term", "product"]
-    assert K.phase_kernels("fast")["kway"] == ["flat-sweep", "reference"]
-    # the reference kernel never takes a fast route; the coarse build's
-    # one implementation is the sort contraction under either kernel
-    ref = K.phase_kernels("python")
-    assert ref.pop("coarse_build") == ["sort"]
-    assert set(route for routes in ref.values() for route in routes) == {"reference"}
-    assert K.phase_kernels("fast")["coarse_build"] == ["sort"]
+    info = json.loads(json.dumps(repro.kernels()))
+    assert info == {"phases": {
+        "fm": ["reference"],
+        "matching": ["single-term", "product"],
+        "coarse_build": ["sort"],
+        "initial": ["reference"],
+        "kway": ["flat-sweep", "reference"],
+    }}
+
+
+def test_import_repro_without_numba_is_clean():
+    """``import repro`` never pulls in numba."""
+    import sys
+
+    import repro  # noqa: F401
+
+    assert "numba" not in sys.modules

@@ -305,9 +305,8 @@ def test_replay_detects_divergence_and_reports_first_stage():
                      cutsize=10, part_sha="aaa", bisection_cuts=[4, 3, 3])
     bad_rng = ReplayRun("process", "process", False, "legacy",
                         cutsize=10, part_sha="bbb", bisection_cuts=[4, 9, 3])
-    bad_part = ReplayRun("serial+fast", "serial", False, "legacy",
-                         cutsize=10, part_sha="bbb", bisection_cuts=[4, 3, 3],
-                         kernel="fast")
+    bad_part = ReplayRun("process", "process", False, "legacy",
+                         cutsize=10, part_sha="bbb", bisection_cuts=[4, 3, 3])
     assert _first_divergence(same, ref) is None
     d = _first_divergence(bad_rng, ref)
     assert d.stage == "bisection_cuts" and "bisection 1" in d.detail
