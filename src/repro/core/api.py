@@ -10,7 +10,7 @@ pairs.
 Every entry point accepts ``seed`` as ``int | numpy.random.Generator |
 None``, normalized through one code path (:func:`repro._util.as_rng`), and
 honours the multi-start engine knobs on :class:`PartitionerConfig`
-(``n_starts``, ``n_workers``, ``early_stop_cut``).
+(``n_starts``, ``n_workers``).
 
 The cutsize relationships the paper proves are directly checkable::
 
@@ -249,7 +249,6 @@ def decompose(
     seed: int | np.random.Generator | None = None,
     n_starts: int | None = None,
     n_workers: int | None = None,
-    early_stop_cut: int | None = None,
     tree_parallel: bool | None = None,
     deadline: float | None = None,
     checkpoint_path: str | None = None,
@@ -271,7 +270,7 @@ def decompose(
     seed:
         ``int | numpy.random.Generator | None``, normalized via
         :func:`repro._util.as_rng`.
-    n_starts, n_workers, early_stop_cut, tree_parallel:
+    n_starts, n_workers, tree_parallel:
         Convenience overrides for the execution-model fields of *config*
         (ignored by the ``"graph"`` method, whose partitioner has no
         engine).  ``n_workers`` is the one shared budget: starts and
@@ -311,7 +310,6 @@ def decompose(
         for name, value in (
             ("n_starts", n_starts),
             ("n_workers", n_workers),
-            ("early_stop_cut", early_stop_cut),
             ("tree_parallel", tree_parallel),
             ("deadline", deadline),
             ("checkpoint_path", checkpoint_path),

@@ -443,19 +443,13 @@ def partition_graph(
     levels = max(int(math.ceil(math.log2(max(k, 2)))), 1)
     eps_b = (1.0 + cfg.epsilon) ** (1.0 / levels) - 1.0
 
-    best = None
-    best_key = None
-    for run in range(cfg.n_runs):
-        with Timer("graph.partition.run", run=run, k=k) as t:
-            part = _recurse(g, k, cfg, rng, eps_b)
-        validate_graph_partition(g, part, k)
-        cut = edge_cut(g, part)
-        imb = graph_imbalance(g, part, k)
-        key = (max(0.0, imb - cfg.epsilon), cut)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = GraphPartitionResult(
-                part=part, k=k, edge_cut=cut, imbalance=imb, runtime=t.elapsed
-            )
-    assert best is not None
-    return best
+    with Timer("graph.partition", k=k) as t:
+        part = _recurse(g, k, cfg, rng, eps_b)
+    validate_graph_partition(g, part, k)
+    return GraphPartitionResult(
+        part=part,
+        k=k,
+        edge_cut=edge_cut(g, part),
+        imbalance=graph_imbalance(g, part, k),
+        runtime=t.elapsed,
+    )

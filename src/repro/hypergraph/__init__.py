@@ -11,9 +11,7 @@ package provides:
 * :mod:`~repro.hypergraph.partition` — K-way partition representation and the
   quality metrics of the paper (Eqs. 1–3): balance, cut-net cutsize and
   connectivity-minus-one cutsize;
-* :mod:`~repro.hypergraph.io` — PaToH / hMeTiS file formats;
-* :mod:`~repro.hypergraph.shm` — the shared-memory heartbeat board of the
-  multi-start engine's supervised workers.
+* :mod:`~repro.hypergraph.io` — PaToH / hMeTiS file formats.
 """
 
 from repro.hypergraph.hypergraph import Hypergraph

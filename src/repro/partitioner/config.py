@@ -123,10 +123,6 @@ class ModelConfig:
     kway_refine: bool = False
     #: passes of the direct K-way refinement
     kway_passes: int = 2
-    #: independent multi-start runs of the whole pipeline; best cut wins
-    #: (sequential, sharing one RNG stream — see ``n_starts`` for the
-    #: engine-level variant with independent per-start seeds)
-    n_runs: int = 1
     #: independent seeded attempts of the multi-start engine
     #: (:func:`repro.partitioner.partition_multistart`); the best partition
     #: by (balance excess, cutsize, start index) wins.  ``1`` runs the
@@ -152,7 +148,7 @@ class ModelConfig:
             raise ValueError(f"unknown matching scheme {self.matching!r}")
         if self.coarsen_to < 2:
             raise ValueError("coarsen_to must be at least 2")
-        for name in ("n_initial_starts", "n_runs", "n_starts"):
+        for name in ("n_initial_starts", "n_starts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.initial_method not in ("ghg", "exact"):
@@ -216,12 +212,6 @@ class ExecutionPolicy:
     tree_task_timeout: float | None = field(
         default_factory=lambda: _env_float("REPRO_TREE_TASK_TIMEOUT", None)
     )
-    #: stop launching further starts once one achieves a feasible partition
-    #: with cutsize at or below this target (``None`` disables).  Trades
-    #: the deterministic "all n_starts run" protocol for wall-clock time;
-    #: with parallel workers the set of completed starts may vary from run
-    #: to run.
-    early_stop_cut: int | None = None
     #: how many times a failed/crashed engine start (or spawned subtree
     #: task) is retried before giving up.  A retried start re-derives its
     #: original seed, so retries never move the bits — they only buy
@@ -280,8 +270,6 @@ class ExecutionPolicy:
             raise ValueError("spawn_depth must be >= 0")
         if self.spawn_min_vertices < 0:
             raise ValueError("spawn_min_vertices must be >= 0")
-        if self.early_stop_cut is not None and self.early_stop_cut < 0:
-            raise ValueError("early_stop_cut must be non-negative")
         if self.tree_task_timeout is not None and self.tree_task_timeout <= 0:
             raise ValueError("tree_task_timeout must be positive (or None)")
         if self.max_retries < 0:

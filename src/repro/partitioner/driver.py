@@ -71,9 +71,10 @@ def partition_hypergraph(
 ) -> PartitionResult:
     """Partition hypergraph *h* into *k* parts minimizing Eq. 3.
 
-    Runs ``config.n_runs`` independent multilevel recursive-bisection
-    pipelines and returns the best partition by (balance-excess, cutsize).
-    Fixed vertices are taken from ``h.fixed`` (final part ids, -1 = free).
+    Runs one multilevel recursive-bisection pipeline (plus the optional
+    direct K-way pass); repeated seeded runs are the multi-start engine's
+    job (:func:`repro.partitioner.partition_multistart`).  Fixed vertices
+    are taken from ``h.fixed`` (final part ids, -1 = free).
 
     >>> from repro.hypergraph import hypergraph_from_netlists
     >>> h = hypergraph_from_netlists(4, [[0, 1], [2, 3], [1, 2]])
@@ -89,12 +90,8 @@ def partition_hypergraph(
     if fixed is not None and len(fixed) and fixed.max() >= k:
         raise ValueError("fixed part id out of range for k")
 
-    best: PartitionResult | None = None
-    best_key: tuple[float, int] | None = None
-    wavg = h.total_vertex_weight() / k
     rec = get_recorder()
-    # one scheduler (and so one worker pool) serves every run of this call;
-    # it only ever affects wall clock — the seed tree pins the bits
+    # the scheduler only ever affects wall clock — the seed tree pins the bits
     scheduler = None
     if cfg.tree_parallel and k > 2 and resolve_backend(cfg) != "serial":
         scheduler = TreeScheduler(cfg)
@@ -102,40 +99,31 @@ def partition_hypergraph(
         with rec.span(
             "partition",
             k=k,
-            n_runs=cfg.n_runs,
             vertices=h.num_vertices,
             nets=h.num_nets,
             pins=h.num_pins,
             tree_parallel=cfg.tree_parallel,
             initial=cfg.initial_method,
         ) as psp:
-            for run in range(cfg.n_runs):
-                with rec.span("partition.run", run=run) as rsp, Timer() as t:
-                    part, cuts = partition_recursive(
-                        h, k, cfg, rng, fixed, scheduler=scheduler
-                    )
-                    if cfg.kway_refine and k > 1:
-                        part = kway_refine(h, part, k, cfg, rng, fixed)
-                validate_partition(h, part, k)
-                cut = cutsize_connectivity(h, part)
-                imb = imbalance(h, part, k)
-                rsp.set(cutsize=cut, imbalance=round(imb, 6))
-                excess = max(0.0, imb - cfg.epsilon)
-                key = (excess, cut)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = PartitionResult(
-                        part=part,
-                        k=k,
-                        cutsize=cut,
-                        cutsize_cutnet=cutsize_cutnet(h, part),
-                        imbalance=imb,
-                        runtime=t.elapsed,
-                        bisection_cuts=cuts,
-                    )
-            assert best is not None
-            psp.set(cutsize=best.cutsize, imbalance=round(best.imbalance, 6))
+            with Timer() as t:
+                part, cuts = partition_recursive(
+                    h, k, cfg, rng, fixed, scheduler=scheduler
+                )
+                if cfg.kway_refine and k > 1:
+                    part = kway_refine(h, part, k, cfg, rng, fixed)
+            validate_partition(h, part, k)
+            cut = cutsize_connectivity(h, part)
+            imb = imbalance(h, part, k)
+            psp.set(cutsize=cut, imbalance=round(imb, 6))
     finally:
         if scheduler is not None:
             scheduler.shutdown()
-    return best
+    return PartitionResult(
+        part=part,
+        k=k,
+        cutsize=cut,
+        cutsize_cutnet=cutsize_cutnet(h, part),
+        imbalance=imb,
+        runtime=t.elapsed,
+        bisection_cuts=cuts,
+    )

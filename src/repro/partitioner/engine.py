@@ -28,9 +28,8 @@ recomputed in-process.
 Determinism contract: with ``n_starts=1`` the engine is a pass-through to
 :func:`repro.partitioner.partition_hypergraph` — bit-identical results.
 For ``n_starts > 1`` the per-start seeds and the winner are deterministic
-functions of the engine seed regardless of backend; ``early_stop_cut``
-trades that determinism (the set of completed starts becomes timing-
-dependent under parallel backends) for time.
+functions of the engine seed regardless of backend.  Only a ``deadline``
+can cut the sweep short, and the result then says so (``degraded``).
 
 Resilience: execution is delegated to
 :mod:`repro.partitioner.resilience` — retry with backoff for failed
@@ -156,7 +155,6 @@ def partition_multistart(
     single = cfg.with_(
         n_starts=1,
         n_workers=_tree_workers(cfg, backend),
-        early_stop_cut=None,
         deadline=None,
         checkpoint_path=None,
     )

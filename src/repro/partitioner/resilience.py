@@ -15,10 +15,10 @@ retry with backoff
 worker supervision
     The process backend runs under a supervisor (not a bare
     ``ProcessPoolExecutor``): workers are forked, so each inherits the
-    hypergraph without a copy, and each stamps a heartbeat slot in a
-    small shared-memory segment (:class:`~repro.hypergraph.shm.HeartbeatBoard`)
-    from a background thread; the parent detects dead or hung workers,
-    kills and respawns them, and re-queues their in-flight seeds
+    hypergraph without a copy, and each stamps its heartbeat slot of an
+    unnamed shared array, allocated before the fork, from a background
+    thread; the parent detects dead or hung workers, kills and respawns
+    them, and re-queues their in-flight seeds
     (``engine.worker_restarts`` telemetry).  A bounded restart budget
     keeps a deterministic crash from looping forever — when it runs out
     the pool declares itself broken and the engine falls back to
@@ -38,13 +38,14 @@ checkpoint / resume
     hypergraph, config and seed skips the recorded starts
     (``engine.starts_resumed``) and completes exactly the remainder.  A
     fingerprint mismatch (different config/seed/instance) is refused
-    with a warning rather than silently mixing sweeps.
+    with a warning rather than silently mixing sweeps, and so is a
+    corrupt record: the sweep starts fresh.
 
 Every failure path here is driven deterministically by the
-``engine.start``, ``worker.heartbeat``, ``shm.create`` and
-``checkpoint.write`` fault sites of :mod:`repro.verify.faults`, and the
-bit-identity promises are asserted by ``tests/test_resilience.py``
-against the failure-free golden partitions.
+``engine.start``, ``worker.heartbeat`` and ``checkpoint.write`` fault
+sites of :mod:`repro.verify.faults`, and the bit-identity promises are
+asserted by ``tests/test_resilience.py`` against the failure-free golden
+partitions.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.shm import HeartbeatBoard
 from repro.partitioner.config import PartitionerConfig
 from repro.telemetry import get_recorder
 from repro.verify.faults import trip as _fault_trip
@@ -192,12 +192,13 @@ class CheckpointStore:
     VERSION = 1
 
     def __init__(self, path: str, fingerprint: str, epsilon: float,
-                 n_starts: int, k: int) -> None:
+                 n_starts: int, k: int, num_vertices: int) -> None:
         self.path = path
         self.fingerprint = fingerprint
         self.epsilon = epsilon
         self.n_starts = n_starts
         self.k = k
+        self.num_vertices = num_vertices
         #: start index -> ResumedStart for every recorded completion
         self.completed: dict[int, ResumedStart] = {}
         self._best_record: dict | None = None
@@ -205,8 +206,12 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     @classmethod
     def open(cls, path: str, fingerprint: str, epsilon: float,
-             n_starts: int, k: int) -> "CheckpointStore":
+             n_starts: int, k: int, num_vertices: int) -> "CheckpointStore":
         """Load *path* if it records the same sweep, else start fresh.
+
+        A record that is missing a field, or a best partition that is not
+        exactly *num_vertices* part ids in ``[0, k)``, makes the whole file
+        unreadable: nothing of it is resumed.
 
         Also sweeps any stale ``<path>.tmp`` left behind by a process that
         died between the tmp-write and the atomic ``os.replace`` — the
@@ -215,7 +220,7 @@ class CheckpointStore:
         ``checkpoint.tmp_swept``).
         """
         cls.sweep_stale_tmp(path)
-        store = cls(path, fingerprint, epsilon, n_starts, k)
+        store = cls(path, fingerprint, epsilon, n_starts, k, num_vertices)
         if os.path.exists(path):
             store._load()
         return store
@@ -231,57 +236,74 @@ class CheckpointStore:
         get_recorder().add("checkpoint.tmp_swept")
         return True
 
+    def _refuse(self, why: str) -> None:
+        warnings.warn(
+            f"checkpoint {self.path!r} {why}; starting fresh", stacklevel=4
+        )
+        get_recorder().add("engine.checkpoint_mismatches")
+
     def _load(self) -> None:
         try:
             with open(self.path) as f:
                 lines = [json.loads(s) for s in f if s.strip()]
         except (OSError, ValueError):
-            warnings.warn(
-                f"checkpoint {self.path!r} is unreadable; starting fresh",
-                stacklevel=3,
-            )
-            get_recorder().add("engine.checkpoint_mismatches")
+            self._refuse("is unreadable")
             return
-        if not lines or lines[0].get("kind") != "header":
-            warnings.warn(
-                f"checkpoint {self.path!r} has no header; starting fresh",
-                stacklevel=3,
-            )
-            get_recorder().add("engine.checkpoint_mismatches")
+        header = lines[0] if lines else None
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            self._refuse("has no header")
             return
-        header = lines[0]
         if header.get("fingerprint") != self.fingerprint:
-            warnings.warn(
-                f"checkpoint {self.path!r} records a different sweep "
-                "(config, seed or instance changed); starting fresh",
-                stacklevel=3,
+            self._refuse(
+                "records a different sweep (config, seed or instance changed)"
             )
-            get_recorder().add("engine.checkpoint_mismatches")
             return
-        for rec in lines[1:]:
-            if rec.get("kind") == "start":
-                self.completed[int(rec["start"])] = ResumedStart(
-                    start=int(rec["start"]),
-                    seed=int(rec["seed"]),
-                    cutsize=int(rec["cutsize"]),
-                    imbalance=float(rec["imbalance"]),
-                    runtime=float(rec["runtime"]),
-                    retries=int(rec.get("retries", 0)),
-                )
-            elif rec.get("kind") == "best":
-                self._best_record = rec
+        try:
+            for rec in lines[1:]:
+                if rec["kind"] == "start":
+                    start = int(rec["start"])
+                    if not 0 <= start < self.n_starts:
+                        raise ValueError(f"start {start} out of range")
+                    self.completed[start] = ResumedStart(
+                        start=start,
+                        seed=int(rec["seed"]),
+                        cutsize=int(rec["cutsize"]),
+                        imbalance=float(rec["imbalance"]),
+                        runtime=float(rec["runtime"]),
+                        retries=int(rec.get("retries", 0)),
+                    )
+                elif rec["kind"] == "best":
+                    self._best_record = rec
+            self.best_result()  # decodes and checks the best partition
+        except (KeyError, TypeError, ValueError) as exc:
+            self.completed.clear()
+            self._best_record = None
+            self._refuse(f"is unreadable ({type(exc).__name__}: {exc})")
 
     # ------------------------------------------------------------------
     def best_result(self):
         """``(start_index, PartitionResult)`` recovered from the record,
-        or ``None`` when the checkpoint holds no completed start yet."""
+        or ``None`` when the checkpoint holds no completed start yet.
+
+        Raises ``ValueError`` when the recorded part vector is not
+        ``num_vertices`` part ids in ``[0, k)``.
+        """
         from repro.partitioner.driver import PartitionResult
 
         rec = self._best_record
         if rec is None:
             return None
-        raw = base64.b64decode(rec["part_b64"])
+        raw = base64.b64decode(rec["part_b64"], validate=True)
         part = np.frombuffer(raw, dtype=np.dtype(rec["dtype"])).copy()
+        if (
+            part.shape != (self.num_vertices,)
+            or part.dtype.kind not in "iu"
+            or (part.size and not 0 <= part.min() <= part.max() < self.k)
+        ):
+            raise ValueError(
+                f"best part is not {self.num_vertices} part ids in "
+                f"[0, {self.k})"
+            )
         return int(rec["start"]), PartitionResult(
             part=part,
             k=self.k,
@@ -389,14 +411,6 @@ class StartsOutcome:
         self.degraded_reason = None
 
 
-def _hits_target(res, cfg: PartitionerConfig) -> bool:
-    return (
-        cfg.early_stop_cut is not None
-        and res.cutsize <= cfg.early_stop_cut
-        and res.imbalance <= cfg.epsilon
-    )
-
-
 def _fresh_seed(seeds: list, i: int):
     """The seed start *i* runs with — always re-derived from the pristine
     entry, so a retry replays the exact stream of the first attempt."""
@@ -405,7 +419,7 @@ def _fresh_seed(seeds: list, i: int):
 
 
 def _complete(outcome: StartsOutcome, store: CheckpointStore | None,
-              i: int, seeds: list, res, cfg: PartitionerConfig) -> None:
+              i: int, seeds: list, res) -> None:
     outcome.completed[i] = res
     if store is not None:
         seed_i = seeds[i] if isinstance(seeds[i], int) else -1
@@ -458,22 +472,24 @@ def _serial_starts(h, k, single, seeds, todo, cfg, outcome, store, deadline,
                     time.sleep(backoff_delay(cfg, attempt, salt=i))
                     attempt += 1
             sp.set(cutsize=res.cutsize)
-        _complete(outcome, store, i, seeds, res, cfg)
-        if _hits_target(res, cfg):
-            rec.add("engine.early_stops")
-            break
+        _complete(outcome, store, i, seeds, res)
 
 
 # ----------------------------------------------------------------------
 # supervised process backend
 # ----------------------------------------------------------------------
-def _beat_loop(board: HeartbeatBoard, rank: int, interval: float,
+def _beat_loop(beats, rank: int, interval: float,
                stop: threading.Event) -> None:
-    """Worker-side heartbeat writer (daemon thread)."""
+    """Worker-side heartbeat writer (daemon thread).
+
+    Stamps ``beats[rank]`` with ``time.monotonic()``, which is system-wide
+    on the platforms we run on, so the parent compares it with its own
+    clock directly.
+    """
     while True:
         try:
             _fault_trip("worker.heartbeat")
-            board.beat(rank)
+            beats[rank] = time.monotonic()
         except Exception:
             # a dead heartbeat is the *signal*, not an error: the
             # supervisor will presume the worker hung and recycle it
@@ -482,31 +498,23 @@ def _beat_loop(board: HeartbeatBoard, rank: int, interval: float,
             return
 
 
-def _supervised_worker(rank, task_q, result_q, hb_name, n_slots, hb_interval,
+def _supervised_worker(rank, task_q, result_q, beats, hb_interval,
                        h, k, single) -> None:
     """One supervised engine worker (child-process main).
 
     Pulls ``(start_index, seed)`` tasks from its private queue, runs the
     single-start pipeline and posts ``(rank, start, ok, result_or_exc)``.
-    A background thread stamps the heartbeat slot; the worker body calls
+    A background thread stamps ``beats[rank]``; the worker body calls
     ``engine._run_start`` — the serial backend's body — so fault injection
     and monkeypatching reach it identically.
     """
     from repro.partitioner import engine as _engine
 
     stop = threading.Event()
-    board = None
+    threading.Thread(
+        target=_beat_loop, args=(beats, rank, hb_interval, stop), daemon=True
+    ).start()
     try:
-        if hb_name is not None:
-            try:
-                board = HeartbeatBoard.attach(hb_name, n_slots)
-                threading.Thread(
-                    target=_beat_loop,
-                    args=(board, rank, hb_interval, stop),
-                    daemon=True,
-                ).start()
-            except Exception:
-                board = None
         while True:
             item = task_q.get()
             if item is None:
@@ -553,28 +561,23 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
     """Process backend with heartbeats, kill/respawn and seed re-queueing.
 
     Workers are forked, so each inherits *h* without a copy (a non-fork
-    start method pickles it once per worker spawn).  Worker death or a
-    heartbeat older than ``cfg.heartbeat_timeout`` (while a start is in
-    flight) kills and respawns the worker and re-queues the seed — a
-    re-queue spends the restart budget (``n_workers * (max_retries + 1)``
-    total), not the per-start retry budget, because the *task* never
-    reported failure.  A start that does report an exception follows the
-    normal retry-with-backoff policy.  When the restart budget runs out
-    the pool raises :class:`WorkerPoolBroken` and the engine falls back
-    to serial.
+    start method pickles it once per worker spawn).  Liveness travels in
+    ``beats``, one ``float64`` per rank in an unnamed shared array
+    allocated before the first fork: nothing to name, attach or unlink.
+    Worker death or a heartbeat older than ``cfg.heartbeat_timeout``
+    (while a start is in flight) kills and respawns the worker and
+    re-queues the seed — a re-queue spends the restart budget
+    (``n_workers * (max_retries + 1)`` total), not the per-start retry
+    budget, because the *task* never reported failure.  A start that does
+    report an exception follows the normal retry-with-backoff policy.
+    When the restart budget runs out the pool raises
+    :class:`WorkerPoolBroken` and the engine falls back to serial.
     """
     rec = get_recorder()
     ctx = _mp_context()
     n_workers = min(cfg.n_workers, len(todo))
-
-    board = None
-    try:
-        board = HeartbeatBoard.create(n_workers)
-    except Exception:
-        # no shared memory: supervision degrades to death detection only
-        rec.add("engine.heartbeat_fallbacks")
-        board = None
-
+    # an OSError here (no shared memory) takes run_starts' serial fallback
+    beats = ctx.RawArray("d", n_workers)
     result_q = ctx.Queue()
     slots = [_Slot(r) for r in range(n_workers)]
     restart_budget = cfg.n_workers * (cfg.max_retries + 1)
@@ -582,14 +585,12 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
     # horizon instead of blocking the supervisor in time.sleep
     pending: list = [(i, 0, 0.0) for i in todo]
     tick = max(0.01, min(cfg.heartbeat_interval, 0.1))
-    early_stopped = False
 
     def spawn(slot: _Slot) -> None:
         slot.queue = ctx.Queue()
         slot.proc = ctx.Process(
             target=_supervised_worker,
-            args=(slot.rank, slot.queue, result_q,
-                  board.name if board is not None else None, n_workers,
+            args=(slot.rank, slot.queue, result_q, beats,
                   cfg.heartbeat_interval, h, k, single),
         )
         slot.proc.start()
@@ -614,8 +615,7 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
                 f"budget is exhausted"
             )
         restart_budget -= 1
-        if board is not None:
-            board.slots[slot.rank] = 0.0
+        beats[slot.rank] = 0.0
         spawn(slot)
         rec.add("engine.worker_restarts")
 
@@ -676,11 +676,7 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
                     attempt = 0
                 if ok:
                     if i not in outcome.completed:
-                        _complete(outcome, store, i, seeds, res, cfg)
-                        if _hits_target(res, cfg) and not early_stopped:
-                            early_stopped = True
-                            pending.clear()
-                            rec.add("engine.early_stops")
+                        _complete(outcome, store, i, seeds, res)
                 else:
                     if attempt >= cfg.max_retries:
                         raise res
@@ -700,8 +696,8 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
                     if slot.task is not None or pending:
                         recycle(slot, "died")
                     continue
-                if slot.task is not None and board is not None:
-                    newest = max(board.last_beat(slot.rank), slot.dispatched_at)
+                if slot.task is not None:
+                    newest = max(beats[slot.rank], slot.dispatched_at)
                     if now - newest > cfg.heartbeat_timeout:
                         recycle(slot, "stopped heartbeating")
     finally:
@@ -727,8 +723,6 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
                 slot.queue.cancel_join_thread()
         result_q.close()
         result_q.cancel_join_thread()
-        if board is not None:
-            board.close()
 
 
 # ----------------------------------------------------------------------
@@ -755,7 +749,8 @@ def run_starts(
     store = None
     if cfg.checkpoint_path and fingerprint is not None:
         store = CheckpointStore.open(
-            cfg.checkpoint_path, fingerprint, cfg.epsilon, len(seeds), k
+            cfg.checkpoint_path, fingerprint, cfg.epsilon, len(seeds), k,
+            h.num_vertices,
         )
     outcome = StartsOutcome()
     if store is not None and store.completed:

@@ -241,7 +241,7 @@ def parse_decompose(obj: dict) -> dict:
         if fields["k"] < 1:
             raise ProtocolError("bad-request", "'k' must be >= 1")
     for name, caster, lo in (
-        ("seed", int, None),
+        ("seed", int, 0),
         ("epsilon", float, 0.0),
         ("n_starts", int, 1),
         ("engine_workers", int, 1),
@@ -255,7 +255,7 @@ def parse_decompose(obj: dict) -> dict:
             raise ProtocolError(
                 "bad-request", f"{name!r} must be a {caster.__name__}"
             ) from None
-        if lo is not None and value < lo:
+        if value < lo:
             raise ProtocolError("bad-request", f"{name!r} must be >= {lo}")
         fields[name] = value
     fields["want_part"] = bool(obj.get("want_part", True))

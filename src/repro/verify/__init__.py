@@ -12,8 +12,8 @@ Three pillars (see ``docs/verification.md``):
   serial/process × tree-parallel × K-way, diffing partitions, cuts
   and telemetry and reporting the first divergent stage.
 * :mod:`repro.verify.faults` — deterministic fault plans
-  (``REPRO_FAULTS``) that crash workers, break shm and delay tasks at
-  named sites so the graceful-degradation paths can be asserted.
+  (``REPRO_FAULTS``) that crash workers, stop heartbeats and delay tasks
+  at named sites so the graceful-degradation paths can be asserted.
 
 Exports resolve lazily (PEP 562): the hot production modules import
 ``repro.verify.faults`` directly, and nothing here may drag the full

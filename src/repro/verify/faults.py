@@ -1,19 +1,19 @@
 """Deterministic fault injection for the parallel machinery.
 
-The engine, the tree scheduler and the supervisor's heartbeat board all
+The engine, the tree scheduler and the engine's worker supervisor all
 promise graceful degradation: a crashed start falls back to serial, a dead
-subtree task is recomputed inline, a board that cannot be created leaves
-supervision with death detection only, and the board is unlinked on every
-exit path.  Those promises are only worth anything if the failure paths
-actually run — this module makes them run *on demand and
-deterministically* so the test suite (and CI) can assert each one.
+subtree task is recomputed inline, and a worker whose heartbeat stops is
+killed, respawned and its seed re-queued.  Those promises are only worth
+anything if the failure paths actually run — this module makes them run
+*on demand and deterministically* so the test suite (and CI) can assert
+each one.
 
 Fault plans
 -----------
 A plan is a comma-separated list of ``site:action[@hit]`` specs::
 
     tree.task:crash            # first subtree task raises FaultInjected
-    shm.create:oserror         # first heartbeat-board creation fails
+    checkpoint.write:oserror   # first checkpoint write fails
     tree.task:sleep0.5@2       # second subtree task sleeps half a second
     pool.submit:oserror@all    # every submit fails
 
@@ -23,14 +23,6 @@ A plan is a comma-separated list of ``site:action[@hit]`` specs::
     A multi-start engine start (``engine._run_start``), in the serial
     backend's process or in a supervised worker (fire it via the
     environment so worker processes see it).
-``shm.create``
-    :meth:`repro.hypergraph.shm.HeartbeatBoard.create`, before the
-    segment is allocated (exercises supervision without heartbeats:
-    death detection only, counted ``engine.heartbeat_fallbacks``).
-``shm.unlink``
-    :meth:`repro.hypergraph.shm.HeartbeatBoard.close`, before the owner
-    unlinks (``oserror`` only — close() absorbs it and counts
-    ``shm.unlink_errors``).
 ``pool.submit``
     :meth:`repro.partitioner.pool.TreeScheduler.offer`, at the executor
     submit (exercises the broken-pool inline path).
@@ -126,8 +118,6 @@ ENV_VAR = "REPRO_FAULTS"
 KNOWN_SITES = frozenset(
     {
         "engine.start",
-        "shm.create",
-        "shm.unlink",
         "pool.submit",
         "tree.task",
         "worker.heartbeat",

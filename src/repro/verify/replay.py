@@ -225,9 +225,7 @@ def replay_decompose(
 ) -> ReplayReport:
     """Run one decompose across the execution grid and diff the outputs.
 
-    Every variant runs with the same *seed* and ``early_stop_cut`` left
-    off (early stop deliberately trades run-set determinism for time, so
-    it is excluded from the bit-identity contract).  Failures to run a
+    Every variant runs with the same *seed*.  Failures to run a
     variant (e.g. no process pools in a sandbox) are recorded as
     ``error`` divergences rather than crashing the replay.
     """
@@ -250,7 +248,6 @@ def replay_decompose(
             n_workers=n_workers,
             start_backend=v.backend,
             tree_parallel=v.tree_parallel,
-            early_stop_cut=None,
             kway_refine=v.kway,
         )
         run = ReplayRun(

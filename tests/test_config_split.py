@@ -175,7 +175,7 @@ def test_fingerprint_moves_with_model_config():
         {"n_workers": 0},
         {"n_starts": 0},
         {"start_backend": "mpi"},
-        {"n_runs": 0},
+        {"n_vcycles": -1},
         {"backoff_cap": -1.0},
         {"heartbeat_timeout": 0.0},
     ],

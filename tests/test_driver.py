@@ -26,14 +26,6 @@ class TestPartitionHypergraph:
         assert np.array_equal(r1.part, r2.part)
         assert r1.cutsize == r2.cutsize
 
-    def test_multi_run_no_worse_than_single(self):
-        h = random_hypergraph(as_rng(2), 70, 60)
-        cfg1 = PartitionerConfig(n_runs=1)
-        cfg3 = PartitionerConfig(n_runs=3)
-        r1 = partition_hypergraph(h, 4, config=cfg1, seed=7)
-        r3 = partition_hypergraph(h, 4, config=cfg3, seed=7)
-        assert r3.cutsize <= r1.cutsize or r3.imbalance < r1.imbalance
-
     def test_structured_instance_quality(self):
         # 8 cliques of 8 chained by single links -> K=8 cut should be small
         nets = []

@@ -1,7 +1,7 @@
 """Fault injection: every degradation path fires, and the bits never move.
 
-The graceful-degradation promises (inline subtree recompute, serial
-fallback, supervision without heartbeats, guaranteed unlink) are asserted
+The graceful-degradation promises (inline subtree recompute, broken-pool
+inline path, serial fallback) are asserted
 here by actually making each failure happen via :mod:`repro.verify.faults`
 and checking (a) the documented fallback telemetry counter incremented and
 (b) the partition is bit-identical to the healthy run.  Sites that fire
@@ -15,7 +15,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.api import decompose
-from repro.hypergraph.shm import HeartbeatBoard
 from repro.partitioner import PartitionerConfig
 from repro.telemetry import use_recorder
 from repro.verify import faults
@@ -51,7 +50,7 @@ def _tree_cfg(**kw) -> PartitionerConfig:
 # ----------------------------------------------------------------------
 class TestPlanParsing:
     @pytest.mark.parametrize(
-        "text", ["tree.task:crash", "shm.unlink:oserror@all",
+        "text", ["tree.task:crash", "checkpoint.write:oserror@all",
                  "tree.task:sleep0.5@2", "pool.submit:crash@3"]
     )
     def test_spec_round_trips(self, text):
@@ -62,9 +61,9 @@ class TestPlanParsing:
         assert s.hit == 1 and s.action == "crash"
 
     def test_plan_round_trip(self):
-        plan = FaultPlan.parse("tree.task:crash, shm.create:oserror@all")
+        plan = FaultPlan.parse("tree.task:crash, serve.compute:oserror@all")
         assert len(plan.specs) == 2
-        assert plan.spec_string() == "tree.task:crash,shm.create:oserror@all"
+        assert plan.spec_string() == "tree.task:crash,serve.compute:oserror@all"
 
     @pytest.mark.parametrize(
         "bad", ["no-colon", "mars.base:crash", "tree.task:explode",
@@ -86,16 +85,16 @@ class TestPlanParsing:
     def test_inject_restores_previous_plan(self):
         outer = FaultPlan.parse("tree.task:crash@99")
         with inject(outer):
-            with inject("shm.create:oserror@99") as inner:
+            with inject("pool.submit:oserror@99") as inner:
                 assert faults.active_plan() is inner
             assert faults.active_plan() is outer
         assert faults.active_plan() is None
 
     def test_env_plan_and_cache_invalidation(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_VAR, "shm.unlink:oserror@99")
+        monkeypatch.setenv(faults.ENV_VAR, "checkpoint.write:oserror@99")
         p1 = faults.active_plan()
         assert p1 is faults.active_plan()  # cached: counters persist
-        monkeypatch.setenv(faults.ENV_VAR, "shm.unlink:oserror@98")
+        monkeypatch.setenv(faults.ENV_VAR, "checkpoint.write:oserror@98")
         assert faults.active_plan() is not p1  # changed text re-parses
 
     def test_trip_is_noop_when_inactive(self):
@@ -194,49 +193,6 @@ def test_engine_start_crash_falls_back_to_serial(matrix, monkeypatch):
                         config=_engine_cfg("process"))
     assert rec.counter_totals().get("engine.backend_fallbacks", 0) >= 1
     assert np.array_equal(res.part, ref.part)
-
-
-def test_shm_create_failure_degrades_to_death_detection(matrix):
-    """No heartbeat board: the supervisor still runs the starts on the
-    process backend, detecting dead workers only, with the same bits."""
-    ref = decompose(matrix, 3, method="finegrain", seed=1,
-                    config=_engine_cfg("serial"))
-    with use_recorder() as rec, inject("shm.create:oserror") as plan:
-        res = decompose(matrix, 3, method="finegrain", seed=1,
-                        config=_engine_cfg("process"))
-    assert plan.fired == [("shm.create", "oserror", 1)]
-    counters = rec.counter_totals()
-    assert counters.get("engine.heartbeat_fallbacks", 0) >= 1
-    assert "engine.backend_fallbacks" not in counters
-    assert np.array_equal(res.part, ref.part)
-
-
-def _board_gone(name: str) -> bool:
-    try:
-        HeartbeatBoard.attach(name, 1).close()
-    except FileNotFoundError:
-        return True
-    return False
-
-
-def test_shm_unlink_failure_is_absorbed():
-    """An unlink OSError must not fail a succeeded close(); it is counted,
-    and the segment can still be reclaimed afterwards."""
-    from multiprocessing import shared_memory
-
-    board = HeartbeatBoard.create(2)
-    name = board.name
-    with use_recorder() as rec, inject("shm.unlink:oserror") as plan:
-        board.close()  # must not raise
-    assert plan.fired == [("shm.unlink", "oserror", 1)]
-    assert rec.counter_totals().get("shm.unlink_errors", 0) == 1
-    # close() is idempotent and the board is spent; reclaim manually so
-    # the injected leak does not outlive the test
-    board.close()
-    leaked = shared_memory.SharedMemory(name=name)
-    leaked.close()
-    leaked.unlink()
-    assert _board_gone(name)
 
 
 def test_engine_result_unchanged_when_no_fault_matches(matrix):

@@ -9,6 +9,7 @@ the bits.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
@@ -226,12 +227,16 @@ class TestCheckpoint:
             with pytest.raises(FaultInjected):
                 run(h, cfg)
         with pytest.warns(UserWarning, match="different sweep"):
-            store = CheckpointStore.open(cfg.checkpoint_path, "ignore", 0.03, 8, 2)
+            store = CheckpointStore.open(
+                cfg.checkpoint_path, "ignore", 0.03, 8, 2, h.num_vertices
+            )
         assert not store.completed
         # fingerprint mismatch loads nothing; re-open with the real one
         rng_probe = np.random.default_rng(0)
         fp = sweep_fingerprint(h, 2, cfg, rng_probe)
-        store = CheckpointStore.open(cfg.checkpoint_path, fp, 0.03, 8, 2)
+        store = CheckpointStore.open(
+            cfg.checkpoint_path, fp, 0.03, 8, 2, h.num_vertices
+        )
         assert sorted(store.completed) == [0, 1, 2]
 
         # the rerun completes exactly the 5 remaining starts ...
@@ -290,24 +295,39 @@ class TestCheckpoint:
             f.write('{"kind": "start"')  # a torn half-write
         rec = TelemetryRecorder()
         with use_recorder(rec):
-            CheckpointStore.open(path, "fp", 0.03, 4, 2)
+            CheckpointStore.open(path, "fp", 0.03, 4, 2, 10)
         assert not os.path.exists(path + ".tmp")
         assert rec.counter_totals().get("checkpoint.tmp_swept") == 1
         # nothing to sweep: quiet no-op
         assert CheckpointStore.sweep_stale_tmp(path) is False
 
-    def test_corrupt_checkpoint_starts_fresh(self, tmp_path, engine_cfg):
+    @pytest.mark.parametrize("damage", ["not-json", "missing-field", "bad-part"])
+    def test_corrupt_checkpoint_starts_fresh(self, tmp_path, engine_cfg, damage):
+        # each damage edits a real sweep's checkpoint, so its header still
+        # matches the rerun: only the damaged record can refuse it
         h = random_hypergraph(np.random.default_rng(2), nv=60, nn=150)
-        path = tmp_path / "junk.ndjson"
-        path.write_text("not json at all\n")
-        with pytest.warns(UserWarning, match="unreadable"):
-            res, _ = run(h, engine_cfg.with_(checkpoint_path=str(path)))
+        cfg = engine_cfg.with_(checkpoint_path=str(tmp_path / "sweep.ndjson"))
         golden, _ = run(h, engine_cfg)
+        run(h, cfg)
+        with open(cfg.checkpoint_path) as f:
+            recs = [json.loads(s) for s in f if s.strip()]
+        if damage == "missing-field":
+            first = next(i for i, r in enumerate(recs) if r["kind"] == "start")
+            recs[first] = {"kind": "start", "start": 0}
+        elif damage == "bad-part":
+            next(r for r in recs if r["kind"] == "best")["part_b64"] = "!!!"
+        with open(cfg.checkpoint_path, "w") as f:
+            if damage == "not-json":
+                f.write("not json at all\n")
+            else:
+                f.writelines(json.dumps(r) + "\n" for r in recs)
+        with pytest.warns(UserWarning, match="unreadable"):
+            res, counters = run(h, cfg)
+        assert counters["engine.checkpoint_mismatches"] == 1
+        assert "engine.starts_resumed" not in counters
         assert np.array_equal(res.part, golden.part)
 
     def test_file_is_always_a_complete_snapshot(self, tmp_path, engine_cfg):
-        import json
-
         h = random_hypergraph(np.random.default_rng(2), nv=60, nn=150)
         path = str(tmp_path / "sweep.ndjson")
         res, _ = run(h, engine_cfg.with_(checkpoint_path=path))
@@ -386,6 +406,27 @@ class TestSupervision:
         counters = rec.counter_totals()
         assert counters["engine.worker_restarts"] >= 1
         assert counters["engine.backend_fallbacks"] >= 1
+        assert np.array_equal(res.part, golden.part)
+
+    def test_live_heartbeats_prevent_false_recycling(self, monkeypatch):
+        # every start outlasts the heartbeat timeout three times over: only
+        # the stamps the workers write into the array they share with the
+        # supervisor keep it from presuming them hung
+        h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
+        cfg = PartitionerConfig(
+            n_starts=2, n_workers=2, start_backend="process",
+            heartbeat_interval=0.05, heartbeat_timeout=0.5,
+        )
+        golden = partition_multistart(
+            h, 2, cfg.with_(start_backend="serial", n_workers=1), seed=0
+        )
+        monkeypatch.setenv("REPRO_FAULTS", "engine.start:sleep1.5@all")
+        rec = TelemetryRecorder()
+        with use_recorder(rec):
+            res = partition_multistart(h, 2, cfg, seed=0)
+        counters = rec.counter_totals()
+        assert "engine.worker_restarts" not in counters
+        assert "engine.backend_fallbacks" not in counters
         assert np.array_equal(res.part, golden.part)
 
     def test_supervised_process_backend_matches_serial(self, medium_hypergraph):

@@ -112,6 +112,11 @@ class TestProtocol:
                 {"op": "decompose", "matrix": {"path": "x"}, "k": 2,
                  "method": "nope"}
             )
+        with pytest.raises(ProtocolError, match="'seed' must be >= 0"):
+            parse_decompose(
+                {"op": "decompose", "matrix": {"path": "x"}, "k": 2,
+                 "seed": -5}
+            )
 
     def test_fingerprint_lookup_needs_no_k(self):
         fields = parse_decompose(

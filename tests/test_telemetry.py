@@ -281,7 +281,6 @@ class TestPipelineIntegration:
         names = {s.name for root in rec.roots for s, _ in root.walk()}
         for expected in (
             "partition",
-            "partition.run",
             "bisection",
             "coarsen",
             "coarsen.level",

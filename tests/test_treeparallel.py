@@ -1,4 +1,4 @@
-"""Tree-parallel recursion, shared worker budget, and the heartbeat board.
+"""Tree-parallel recursion, shared worker budget, and supervised-worker cleanup.
 
 The two contracts under test:
 
@@ -6,9 +6,9 @@ The two contracts under test:
    bit-identical partition at any worker count, on any backend, because
    every recursion node's randomness is a pure function of
    ``(root entropy, tree path)`` and never of call order or scheduling.
-2. **shm lifecycle** — the engine's supervised process backend keeps one
-   shared-memory heartbeat board that is guaranteed to be unlinked on
-   every exit path, including a crashing start.
+2. **No leaked shared memory** — the engine's supervised process backend
+   leaves no ``/dev/shm`` entry behind on any exit path, including a
+   crashing start.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from tests.golden import check_golden
 from repro._util import as_rng
 from repro.core.api import decompose
 from repro.hypergraph import Hypergraph
-from repro.hypergraph.shm import HeartbeatBoard
 from repro.partitioner import (
     PartitionerConfig,
     TreeScheduler,
@@ -226,33 +225,10 @@ def test_scheduler_survives_task_failure(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the supervisor's shared-memory heartbeat board
+# the supervised process backend leaves no shared memory behind
 # ----------------------------------------------------------------------
 def _shm_segments() -> set:
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-
-
-def _board_gone(name: str) -> bool:
-    try:
-        HeartbeatBoard.attach(name, 1).close()
-    except FileNotFoundError:
-        return True
-    return False
-
-
-def test_shm_roundtrip_and_unlink():
-    board = HeartbeatBoard.create(3)
-    assert board.last_beat(1) == 0.0
-    worker = HeartbeatBoard.attach(board.name, 3)
-    worker.beat(1)
-    # a stamp written through one mapping is read through the other
-    assert board.last_beat(1) == worker.last_beat(1) > 0.0
-    assert board.last_beat(0) == 0.0
-    worker.close()  # attaching is not owning: the segment survives
-    assert not _board_gone(board.name)
-    board.close()
-    board.close()  # idempotent
-    assert _board_gone(board.name)
 
 
 def _crashing_start(h, k, cfg, seed):
@@ -261,46 +237,16 @@ def _crashing_start(h, k, cfg, seed):
 
 
 def test_engine_unlinks_shm_when_a_start_crashes(monkeypatch):
-    """Inject a failing start; the board must not outlive the engine."""
+    """Inject a failing start; no shared memory may outlive the engine."""
     import repro.partitioner.engine as eng
 
     h = random_hypergraph(as_rng(1), 150, 120)
-    boards = []
-    real_create = HeartbeatBoard.create
-
-    def tracking_create(n_slots):
-        board = real_create(n_slots)
-        boards.append(board.name)
-        return board
-
     before = _shm_segments()
-    monkeypatch.setattr(HeartbeatBoard, "create", staticmethod(tracking_create))
     monkeypatch.setattr(eng, "_run_start", _crashing_start)
     cfg = PartitionerConfig(n_starts=3, n_workers=2, start_backend="process")
     with pytest.raises(ValueError, match="injected start crash"):
         partition_multistart(h, 4, cfg, seed=0)
-    assert boards, "process backend did not create a heartbeat board"
-    assert all(_board_gone(name) for name in boards)
     assert not (_shm_segments() - before)
-
-
-def test_engine_shm_fallback_when_shm_unavailable(monkeypatch):
-    """No shared memory for the heartbeat board: supervision degrades to
-    death detection and the process backend still returns serial bits."""
-
-    def broken_create(n_slots):
-        raise OSError("no /dev/shm")
-
-    monkeypatch.setattr(HeartbeatBoard, "create", staticmethod(broken_create))
-    h = random_hypergraph(as_rng(2), 120, 100)
-    cfg = PartitionerConfig(n_starts=2, n_workers=2, start_backend="process")
-    serial = partition_multistart(
-        h, 4, PartitionerConfig(n_starts=2, start_backend="serial"), seed=1
-    )
-    with use_recorder() as rec:
-        res = partition_multistart(h, 4, cfg, seed=1)
-    assert rec.counter_totals().get("engine.heartbeat_fallbacks", 0) >= 1
-    assert np.array_equal(res.part, serial.part)
 
 
 # ----------------------------------------------------------------------
