@@ -31,35 +31,47 @@ __all__ = [
 ]
 
 
+def _env_raw(name: str) -> str | None:
+    """The variable's stripped text, or ``None`` when unset or empty."""
+    raw = os.environ.get(name, "").strip()
+    return raw or None
+
+
 def _env_bool(name: str, fallback: bool) -> bool:
-    raw = os.environ.get(name)
+    raw = _env_raw(name)
     if raw is None:
         return fallback
-    return raw.strip().lower() not in ("", "0", "false", "no", "off")
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(
+        f"{name}={raw!r} is not a boolean (1/0, true/false, yes/no, on/off)"
+    )
 
 
 def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
+    raw = _env_raw(name)
     if raw is None:
         return fallback
     try:
         return int(raw)
     except ValueError:
-        return fallback
+        raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
 def _env_str(name: str, fallback: str) -> str:
-    return os.environ.get(name, fallback)
+    return _env_raw(name) or fallback
 
 
 def _env_float(name: str, fallback: float | None) -> float | None:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
+    raw = _env_raw(name)
+    if raw is None:
         return fallback
     try:
         return float(raw)
     except ValueError:
-        return fallback
+        raise ValueError(f"{name}={raw!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -192,31 +204,12 @@ class ExecutionPolicy:
     start_backend: str = field(
         default_factory=lambda: _env_str("REPRO_START_BACKEND", "auto")
     )
-    #: maximum recursion-tree depth at which subtree tasks may be handed to
-    #: the worker pool (the fan-out frontier: at most ``2**spawn_depth``
-    #: concurrent subtrees); deeper nodes always run inline.  Purely a
-    #: scheduling knob — never affects the partition.
-    spawn_depth: int = field(default_factory=lambda: _env_int("REPRO_SPAWN_DEPTH", 2))
-    #: a subtree is only worth shipping to a worker when its sub-hypergraph
-    #: has at least this many vertices (below it, task overhead dominates).
-    #: Purely a scheduling knob — never affects the partition.
-    spawn_min_vertices: int = field(
-        default_factory=lambda: _env_int("REPRO_SPAWN_MIN_VERTICES", 4096)
-    )
-    #: seconds to wait for a spawned subtree task before abandoning it and
-    #: recomputing the subtree inline (``None`` waits indefinitely).  A
-    #: timeout costs wall clock, never correctness — the seed tree makes
-    #: the inline recompute bit-identical.  Counted as
-    #: ``tree.task_timeouts`` telemetry.  Env-overridable default:
-    #: ``REPRO_TREE_TASK_TIMEOUT``.
-    tree_task_timeout: float | None = field(
-        default_factory=lambda: _env_float("REPRO_TREE_TASK_TIMEOUT", None)
-    )
-    #: how many times a failed/crashed engine start (or spawned subtree
-    #: task) is retried before giving up.  A retried start re-derives its
-    #: original seed, so retries never move the bits — they only buy
-    #: wall-clock robustness.  ``0`` preserves the pre-resilience behavior
-    #: (first failure triggers the backend fallback chain).
+    #: how many times a failed/crashed engine start is retried before
+    #: giving up.  A retried start re-derives its original seed, so
+    #: retries never move the bits — they only buy wall-clock robustness.
+    #: ``0`` preserves the pre-resilience behavior (first failure triggers
+    #: the backend fallback chain).  A failed tree-parallel subtree task
+    #: is never retried: it is recomputed inline at once.
     #: Env-overridable default: ``REPRO_MAX_RETRIES``.
     max_retries: int = field(default_factory=lambda: _env_int("REPRO_MAX_RETRIES", 0))
     #: first retry delay in seconds; attempt ``a`` waits
@@ -266,12 +259,6 @@ class ExecutionPolicy:
             raise ValueError("n_workers must be >= 1")
         if self.start_backend not in ("auto", "process", "thread", "serial"):
             raise ValueError(f"unknown start_backend {self.start_backend!r}")
-        if self.spawn_depth < 0:
-            raise ValueError("spawn_depth must be >= 0")
-        if self.spawn_min_vertices < 0:
-            raise ValueError("spawn_min_vertices must be >= 0")
-        if self.tree_task_timeout is not None and self.tree_task_timeout <= 0:
-            raise ValueError("tree_task_timeout must be positive (or None)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         for name in ("backoff_base", "backoff_cap"):

@@ -12,14 +12,16 @@ provides the two pieces that exploit it without ever changing the result:
   oversubscribe the machine.
 * :class:`TreeScheduler` — fork-one/walk-one scheduling: at each recursion
   node the caller offers one side to the pool and walks the other side
-  itself.  When no slot is free (or the subproblem is too small, or the
-  node is below ``spawn_depth``) the side simply runs inline.  Because
-  seeds come from the per-node seed tree, *where* a subtree runs is
-  invisible in the output — scheduling is pure wall-clock policy.
+  itself.  When no slot is free (or the subproblem has fewer than
+  :data:`_SPAWN_MIN_VERTICES` vertices, or the node is
+  :data:`_SPAWN_DEPTH` or more levels deep) the side simply runs inline.
+  Because seeds come from the per-node seed tree, *where* a subtree runs
+  is invisible in the output — scheduling is pure wall-clock policy.
 
 The scheduler degrades gracefully: if the process pool cannot be created
-or a submitted task dies, the subtree is recomputed inline and the run
-completes serially (mirroring the engine's backend fallback chain).
+or a submitted task dies, the subtree is recomputed inline at once and
+the run completes serially (mirroring the engine's backend fallback
+chain).
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ from repro.telemetry import get_recorder
 from repro.verify.faults import trip as _fault_trip
 
 __all__ = ["WorkerBudget", "TreeScheduler"]
+
+#: the fan-out frontier: only nodes fewer than this many levels deep offer
+#: a subtree (at most ``2**_SPAWN_DEPTH`` concurrent subtrees)
+_SPAWN_DEPTH = 2
+#: a subtree ships only when its sub-hypergraph has at least this many
+#: vertices; below it, task overhead dominates
+_SPAWN_MIN_VERTICES = 4096
 
 
 class WorkerBudget:
@@ -58,17 +67,16 @@ class TreeScheduler:
     """Offers recursion subtrees to a bounded process pool; inline otherwise.
 
     The executor is created lazily on the first accepted offer, so a call
-    whose subproblems never clear ``spawn_min_vertices`` pays no pool
+    whose subproblems never clear :data:`_SPAWN_MIN_VERTICES` pays no pool
     startup cost at all.  ``shutdown`` must run in a ``finally`` — the
     driver owns that.
     """
 
-    def __init__(self, cfg: PartitionerConfig, budget: WorkerBudget | None = None):
-        self.cfg = cfg
+    def __init__(self, cfg: PartitionerConfig):
         self.backend = resolve_backend(cfg) if cfg.tree_parallel else "serial"
         # the walking thread itself works a subtree, so only n_workers - 1
         # extra tasks may be in flight at once
-        self.budget = budget if budget is not None else WorkerBudget(cfg.n_workers - 1)
+        self.budget = WorkerBudget(cfg.n_workers - 1)
         self._executor = None
         self._lock = threading.Lock()
         self._broken = False
@@ -97,9 +105,7 @@ class TreeScheduler:
         """
         if self.backend == "serial" or self._broken:
             return None
-        if depth >= self.cfg.spawn_depth:
-            return None
-        if num_vertices < self.cfg.spawn_min_vertices:
+        if depth >= _SPAWN_DEPTH or num_vertices < _SPAWN_MIN_VERTICES:
             return None
         if not self.budget.try_acquire():
             return None

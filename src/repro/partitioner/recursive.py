@@ -13,25 +13,28 @@ Arbitrary K is supported (not only powers of two) by splitting K into
 
 Execution models
 ----------------
-*Legacy sequential* (``cfg.tree_parallel=False``, the default): one RNG
-stream threads through the tree in depth-first visit order — kept
-bit-compatible with the original implementation (golden-partition suite).
+Both models walk one recursion body (:func:`_solve_node`) in depth-first
+order; they differ only in where each node's randomness comes from.
+
+*Legacy stream* (``cfg.tree_parallel=False``, the default): the caller's
+one generator is every node's generator, consumed in depth-first visit
+order — kept bit-compatible with the original implementation
+(golden-partition suite).
 
 *Seed-tree* (``cfg.tree_parallel=True``): each recursion node draws its
 randomness from ``SeedSequence(root_entropy, spawn_key=tree_path)`` where
 ``tree_path`` is the 0/1 left/right path from the root.  Child seeds are a
 function of the parent seed and the path — never of call order — so the
 two subproblems a bisection produces are schedulable tasks: a
-:class:`~repro.partitioner.pool.TreeScheduler` may run either side on a
-worker while the caller walks the other, and the result is **bit-identical**
+:class:`~repro.partitioner.pool.TreeScheduler` may run the right side on a
+worker while the caller walks the left, and the result is **bit-identical**
 to running the whole tree serially, at any worker count, on any backend.
+A subtree task that fails is recomputed inline at once.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import TimeoutError as _FutureTimeout
 
 import numpy as np
 
@@ -128,7 +131,6 @@ def partition_recursive(
     cfg: PartitionerConfig,
     rng: np.random.Generator | int | None = None,
     fixed: np.ndarray | None = None,
-    _eps_b: float | None = None,
     scheduler=None,
 ) -> tuple[np.ndarray, list[int]]:
     """Partition *h* into *k* parts; returns ``(part, bisection_cuts)``.
@@ -138,7 +140,7 @@ def partition_recursive(
     equals the connectivity-minus-one cutsize of the returned partition
     (property 4 of DESIGN.md, asserted by the test suite).  The cuts are
     listed in depth-first (root, left subtree, right subtree) order in both
-    execution models.
+    execution models, which is also the order the ``bisection`` spans open.
 
     ``scheduler`` (a :class:`~repro.partitioner.pool.TreeScheduler`) only
     matters with ``cfg.tree_parallel=True``; it may run subtrees on workers
@@ -149,54 +151,26 @@ def partition_recursive(
         raise ValueError("k must be >= 1")
     if k == 1:
         return np.zeros(h.num_vertices, dtype=INDEX_DTYPE), []
-    eps_b = bisection_epsilon(cfg.epsilon, k) if _eps_b is None else _eps_b
+    eps_b = bisection_epsilon(cfg.epsilon, k)
 
     if cfg.tree_parallel:
         # one draw fixes the whole seed tree; everything below is a pure
         # function of (entropy, tree path) — execution order is irrelevant
-        entropy = int(rng.integers(0, _ENTROPY_BOUND))
-        return _solve_node(h, k, cfg, entropy, (), fixed, eps_b, scheduler)
-    return _solve_sequential(h, k, cfg, rng, fixed, eps_b)
+        stream = int(rng.integers(0, _ENTROPY_BOUND))
+    else:
+        # the legacy stream only reproduces in visit order: nothing ships
+        stream, scheduler = rng, None
+    return _solve_node(h, k, cfg, stream, (), fixed, eps_b, scheduler)
 
 
-def _solve_sequential(
-    h: Hypergraph,
-    k: int,
-    cfg: PartitionerConfig,
-    rng: np.random.Generator,
-    fixed: np.ndarray | None,
-    eps_b: float,
-) -> tuple[np.ndarray, list[int]]:
-    """Legacy model: one RNG stream, depth-first order (bit-pinned)."""
-    if k == 1:
-        return np.zeros(h.num_vertices, dtype=INDEX_DTYPE), []
-    k1, k2, t0, t1 = _split_targets(h, k)
-
-    fixed01 = None
-    if fixed is not None:
-        fixed01 = np.where(fixed >= 0, (fixed >= k1).astype(INDEX_DTYPE), -1)
-
-    rec = get_recorder()
-    with rec.span("bisection", k=k, vertices=h.num_vertices, nets=h.num_nets) as sp:
-        part01, cut = multilevel_bisect(h, (t0, t1), eps_b, cfg, rng, fixed01)
-        cuts = [cut]
-        sp.set(cut=cut)
-
-        part = np.zeros(h.num_vertices, dtype=INDEX_DTYPE)
-        for side, k_side, offset in ((0, k1, 0), (1, k2, k1)):
-            sub, vertex_ids, _ = extract_side(h, part01, side)
-            sub_fixed = _side_fixed(fixed, vertex_ids, offset)
-            sub_part, sub_cuts = _solve_sequential(
-                sub, k_side, cfg, rng, sub_fixed, eps_b
-            )
-            part[vertex_ids] = offset + sub_part
-            cuts.extend(sub_cuts)
-    return part, cuts
-
-
-def _node_rng(entropy: int, path: tuple[int, ...]) -> np.random.Generator:
-    """The per-node generator of the seed tree (pure function of the path)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=path))
+def _node_rng(
+    stream: int | np.random.Generator, path: tuple[int, ...]
+) -> np.random.Generator:
+    """The generator of the node at *path*: the legacy stream itself, or
+    the seed tree's per-node one (a pure function of the path)."""
+    if isinstance(stream, np.random.Generator):
+        return stream
+    return np.random.default_rng(np.random.SeedSequence(stream, spawn_key=path))
 
 
 def _path_label(path: tuple[int, ...]) -> str:
@@ -213,7 +187,8 @@ def _solve_subtree(
     fixed: np.ndarray | None,
     eps_b: float,
 ) -> tuple[np.ndarray, list[int]]:
-    """Worker task body: solve one subtree inline (top-level for pickling)."""
+    """Worker task body: solve one seed-tree subtree inline (top-level for
+    pickling)."""
     _fault_trip("tree.task")
     return _solve_node(h, k, cfg, entropy, path, fixed, eps_b, None)
 
@@ -222,13 +197,14 @@ def _solve_node(
     h: Hypergraph,
     k: int,
     cfg: PartitionerConfig,
-    entropy: int,
+    stream: int | np.random.Generator,
     path: tuple[int, ...],
     fixed: np.ndarray | None,
     eps_b: float,
     sched,
 ) -> tuple[np.ndarray, list[int]]:
-    """Seed-tree model: solve the recursion node at *path*."""
+    """Solve the recursion node at *path*; *stream* is the legacy
+    generator or the seed tree's root entropy (see :func:`_node_rng`)."""
     if k == 1:
         return np.zeros(h.num_vertices, dtype=INDEX_DTYPE), []
     k1, k2, t0, t1 = _split_targets(h, k)
@@ -247,7 +223,7 @@ def _solve_node(
         depth=len(path),
     ) as sp:
         part01, cut = multilevel_bisect(
-            h, (t0, t1), eps_b, cfg, _node_rng(entropy, path), fixed01
+            h, (t0, t1), eps_b, cfg, _node_rng(stream, path), fixed01
         )
         sp.set(cut=cut)
 
@@ -265,55 +241,28 @@ def _solve_node(
         if sched is not None and k_r > 1:
             fut = sched.offer(
                 len(path), sub_r.num_vertices, _solve_subtree,
-                sub_r, k_r, cfg, entropy, path + (1,), fix_r, eps_b,
+                sub_r, k_r, cfg, stream, path + (1,), fix_r, eps_b,
             )
 
         k_l, off_l, sub_l, vids_l, fix_l = sides[0]
         part_l, cuts_l = _solve_node(
-            sub_l, k_l, cfg, entropy, path + (0,), fix_l, eps_b, sched
+            sub_l, k_l, cfg, stream, path + (0,), fix_l, eps_b, sched
         )
 
-        if fut is not None:
-            # a stuck task is abandoned after cfg.tree_task_timeout seconds,
-            # a dead one (broken pool, crashed task) immediately; either
-            # way the subtree is re-offered to the pool up to
-            # cfg.max_retries times with backoff, then recomputed inline.
-            # The seed tree makes every path bit-identical.
-            attempt = 0
-            while True:
-                try:
-                    part_r, cuts_r = fut.result(timeout=cfg.tree_task_timeout)
-                    break
-                except _FutureTimeout:
-                    fut.cancel()  # the budget slot frees when it finishes
-                    rec.add("tree.task_timeouts")
-                except Exception:
-                    rec.add("tree.task_failures")
-                fut = None
-                if attempt < cfg.max_retries and sched is not None:
-                    from repro.partitioner.resilience import backoff_delay
-
-                    time.sleep(
-                        backoff_delay(
-                            cfg, attempt, salt=f"{entropy}:{_path_label(path)}"
-                        )
-                    )
-                    fut = sched.offer(
-                        len(path), sub_r.num_vertices, _solve_subtree,
-                        sub_r, k_r, cfg, entropy, path + (1,), fix_r, eps_b,
-                    )
-                attempt += 1
-                if fut is None:
-                    part_r, cuts_r = _solve_node(
-                        sub_r, k_r, cfg, entropy, path + (1,), fix_r, eps_b,
-                        None,
-                    )
-                    break
-                rec.add("tree.task_retries")
-        else:
+        if fut is None:
             part_r, cuts_r = _solve_node(
-                sub_r, k_r, cfg, entropy, path + (1,), fix_r, eps_b, sched
+                sub_r, k_r, cfg, stream, path + (1,), fix_r, eps_b, sched
             )
+        else:
+            try:
+                part_r, cuts_r = fut.result()
+            except Exception:
+                # a dead task (crashed, broken pool) is recomputed inline
+                # at once; the seed tree makes that bit-identical
+                rec.add("tree.task_failures")
+                part_r, cuts_r = _solve_node(
+                    sub_r, k_r, cfg, stream, path + (1,), fix_r, eps_b, None
+                )
 
         part = np.zeros(h.num_vertices, dtype=INDEX_DTYPE)
         part[vids_l] = off_l + part_l

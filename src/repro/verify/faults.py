@@ -28,10 +28,10 @@ A plan is a comma-separated list of ``site:action[@hit]`` specs::
     submit (exercises the broken-pool inline path).
 ``tree.task``
     :func:`repro.partitioner.recursive._solve_subtree`, the subtree task
-    body in a pool worker process (exercises the inline-recompute path;
-    combine ``sleep`` with ``PartitionerConfig.tree_task_timeout`` to
-    exercise the timeout path; fire it via the environment so worker
-    processes see it).
+    body in a pool worker process (``crash`` exercises the inline
+    recompute of a failed subtree; ``sleep`` only delays it, since the
+    walking thread waits for every shipped subtree; fire it via the
+    environment so worker processes see it).
 ``worker.heartbeat``
     The heartbeat loop of a supervised engine worker
     (:mod:`repro.partitioner.resilience`), before each beat is written.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.fingerprint import BIT_FIELDS
@@ -140,7 +141,7 @@ def test_fingerprint_invariant_under_execution_policy():
     a = _instance()
     variants = [
         PartitionerConfig(n_workers=8),
-        PartitionerConfig(spawn_depth=0, spawn_min_vertices=1),
+        PartitionerConfig(n_workers=2, start_backend="process"),
         PartitionerConfig(heartbeat_interval=1.0, heartbeat_timeout=5.0),
         PartitionerConfig(max_retries=3, deadline=60.0),
         PartitionerConfig(start_backend="serial"),
@@ -252,3 +253,35 @@ def test_kernels_report_is_json():
     doc = json.loads(json.dumps(repro.kernels()))
     assert set(doc) == {"phases"}
     assert set(doc["phases"]) == {"fm", "matching", "coarse_build", "initial", "kway"}
+
+
+# every REPRO_* variable a config default or decompose() reads, with a
+# malformed value; REPRO_CHECKPOINT is a free-form path and cannot be one
+@pytest.mark.parametrize("var, value, match", [
+    ("REPRO_TREE_PARALLEL", "flase", "REPRO_TREE_PARALLEL='flase'"),
+    ("REPRO_N_WORKERS", "two", "REPRO_N_WORKERS='two'"),
+    ("REPRO_START_BACKEND", "proces", "start_backend 'proces'"),
+    ("REPRO_MAX_RETRIES", "3x", "REPRO_MAX_RETRIES='3x'"),
+    ("REPRO_BACKOFF_BASE", "fast", "REPRO_BACKOFF_BASE='fast'"),
+    ("REPRO_BACKOFF_CAP", "2s", "REPRO_BACKOFF_CAP='2s'"),
+    ("REPRO_DEADLINE", "10s", "REPRO_DEADLINE='10s'"),
+    ("REPRO_HEARTBEAT_INTERVAL", "1/4", "REPRO_HEARTBEAT_INTERVAL='1/4'"),
+    ("REPRO_HEARTBEAT_TIMEOUT", "abc", "REPRO_HEARTBEAT_TIMEOUT='abc'"),
+    ("REPRO_VERIFY", "maybe", "REPRO_VERIFY='maybe'"),
+])
+def test_malformed_env_values_raise(var, value, match, monkeypatch):
+    """A typo never silently becomes the default; unset or empty does.
+
+    ``decompose()`` without a config reads every variable listed."""
+    import scipy.sparse as sp
+
+    from repro.core.api import decompose
+
+    a = sp.random(
+        12, 12, density=0.3, random_state=np.random.RandomState(1), format="csr"
+    )
+    monkeypatch.setenv(var, value)
+    with pytest.raises(ValueError, match=match):
+        decompose(a, 2, seed=0)
+    monkeypatch.setenv(var, "")
+    assert decompose(a, 2, seed=0).k == 2

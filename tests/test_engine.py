@@ -156,10 +156,20 @@ def test_config_validation(kwargs):
         PartitionerConfig(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [{"n_runs": 3}, {"early_stop_cut": 5}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_runs": 3},
+        {"early_stop_cut": 5},
+        {"spawn_depth": 2},
+        {"spawn_min_vertices": 1},
+        {"tree_task_timeout": 1.0},
+    ],
+)
 def test_removed_fields_are_type_errors(kwargs, small_matrix):
     # repeated runs live in the engine only (n_starts); nothing may let
-    # wall-clock timing choose which partition comes back
+    # wall-clock timing choose which partition comes back, and the tree
+    # scheduler's spawn frontier and failure rule are fixed
     with pytest.raises(TypeError):
         PartitionerConfig(**kwargs)
     with pytest.raises(TypeError):

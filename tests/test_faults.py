@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.api import decompose
-from repro.partitioner import PartitionerConfig
+from repro.partitioner import PartitionerConfig, pool
 from repro.telemetry import use_recorder
 from repro.verify import faults
 from repro.verify.faults import FaultInjected, FaultPlan, FaultSpec, inject
@@ -38,11 +38,14 @@ def matrix() -> sp.csr_matrix:
     return sp.csr_matrix(a)
 
 
-def _tree_cfg(**kw) -> PartitionerConfig:
-    return PartitionerConfig(
-        tree_parallel=True, n_workers=2, start_backend="process",
-        spawn_min_vertices=0, **kw,
-    )
+@pytest.fixture(autouse=True)
+def _ship_tiny_subtrees(monkeypatch):
+    """The 60-row test matrix is far below the production size floor."""
+    monkeypatch.setattr(pool, "_SPAWN_MIN_VERTICES", 0)
+
+
+def _tree_cfg() -> PartitionerConfig:
+    return PartitionerConfig(tree_parallel=True, n_workers=2, start_backend="process")
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +105,7 @@ class TestPlanParsing:
 
 
 # ----------------------------------------------------------------------
-# tree-parallel recursion: crash, submit failure, timeout
+# tree-parallel recursion: crash, submit failure
 # ----------------------------------------------------------------------
 def test_tree_task_crash_recomputes_inline(matrix, monkeypatch):
     ref = decompose(matrix, 4, method="finegrain", seed=3, config=_tree_cfg())
@@ -121,31 +124,6 @@ def test_pool_submit_failure_breaks_pool_and_runs_inline(matrix):
     assert plan.fired == [("pool.submit", "oserror", 1)]
     assert rec.counter_totals().get("tree.pool_fallbacks", 0) >= 1
     assert np.array_equal(res.part, ref.part)
-
-
-def test_tree_task_timeout_cancels_and_recomputes(matrix, monkeypatch):
-    ref = decompose(matrix, 4, method="finegrain", seed=3, config=_tree_cfg())
-    cfg = _tree_cfg(tree_task_timeout=0.05)
-    monkeypatch.setenv(faults.ENV_VAR, "tree.task:sleep0.5")
-    with use_recorder() as rec:
-        res = decompose(matrix, 4, method="finegrain", seed=3, config=cfg)
-    assert rec.counter_totals().get("tree.task_timeouts", 0) >= 1
-    assert np.array_equal(res.part, ref.part)
-
-
-def test_tree_task_timeout_config_validation():
-    with pytest.raises(ValueError, match="tree_task_timeout"):
-        PartitionerConfig(tree_task_timeout=0.0)
-    with pytest.raises(ValueError, match="tree_task_timeout"):
-        PartitionerConfig(tree_task_timeout=-1.0)
-    assert PartitionerConfig(tree_task_timeout=None).tree_task_timeout is None
-
-
-def test_tree_task_timeout_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_TREE_TASK_TIMEOUT", "2.5")
-    assert PartitionerConfig().tree_task_timeout == 2.5
-    monkeypatch.setenv("REPRO_TREE_TASK_TIMEOUT", "not-a-number")
-    assert PartitionerConfig().tree_task_timeout is None
 
 
 @pytest.mark.parametrize("var, field, default", [

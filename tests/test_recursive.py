@@ -118,3 +118,23 @@ class TestPartitionRecursive:
         h = random_hypergraph(as_rng(43), 5, 3)
         with pytest.raises(ValueError):
             partition_recursive(h, 0, PartitionerConfig(), as_rng(0))
+
+    def test_both_streams_walk_one_recursion(self):
+        """Legacy and seed-tree runs open their ``bisection`` spans in the
+        same depth-first ``path=`` order: one walk, two RNG sources."""
+        from repro.telemetry import use_recorder
+
+        h = random_hypergraph(as_rng(44), 90, 70)
+
+        def paths(tree_parallel: bool) -> list[str]:
+            cfg = PartitionerConfig(tree_parallel=tree_parallel)
+            with use_recorder() as rec:
+                partition_recursive(h, 6, cfg, as_rng(45))
+            return [
+                s.attrs["path"]
+                for root in rec.roots
+                for s, _ in root.walk()
+                if s.name == "bisection"
+            ]
+
+        assert paths(False) == paths(True) == ["r", "r0", "r00", "r1", "r10"]

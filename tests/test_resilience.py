@@ -144,12 +144,20 @@ class TestRetry:
         assert np.array_equal(res.part, golden.part)
 
     def test_subtree_retry_is_bit_identical(self, monkeypatch):
+        """``max_retries`` covers engine starts only: a crashed subtree
+        task is recomputed inline at once, never re-offered to the pool,
+        and the partition keeps the serial seed-tree bits."""
+        from repro.partitioner import pool
+
+        monkeypatch.setattr(pool, "_SPAWN_MIN_VERTICES", 8)
         h = random_hypergraph(np.random.default_rng(5), nv=300, nn=900)
         cfg = PartitionerConfig(
-            tree_parallel=True, n_workers=4, spawn_min_vertices=8,
-            start_backend="process",
+            tree_parallel=True, n_workers=4, start_backend="process",
         )
-        golden = partition_hypergraph(h, 8, cfg, seed=3)
+        golden = partition_hypergraph(h, 8, cfg.with_(n_workers=1), seed=3)
+        healthy = TelemetryRecorder()
+        with use_recorder(healthy):
+            partition_hypergraph(h, 8, cfg, seed=3)
         rec = TelemetryRecorder()
         # every pool worker's first subtree task crashes
         monkeypatch.setenv("REPRO_FAULTS", "tree.task:crash@1")
@@ -159,7 +167,10 @@ class TestRetry:
             )
         counters = rec.counter_totals()
         assert counters["tree.task_failures"] >= 1
-        assert counters["tree.task_retries"] >= 1
+        assert "tree.task_retries" not in counters
+        assert counters["tree.tasks_spawned"] <= (
+            healthy.counter_totals()["tree.tasks_spawned"]
+        )
         assert np.array_equal(res.part, golden.part)
 
 

@@ -388,23 +388,54 @@ class TestVocabulary:
     """Every span and counter a traced ``decompose()`` emits is listed in
     docs/telemetry.md, the vocabulary trace tooling reads."""
 
-    @pytest.mark.parametrize("method", ["finegrain", "columnnet"])
-    def test_emitted_names_are_documented(self, method):
-        from pathlib import Path
-
+    @staticmethod
+    def _traced(config_kw: dict, method: str = "finegrain"):
         from repro.core.api import decompose
         from repro.partitioner import PartitionerConfig
 
-        doc = Path(__file__).parents[1] / "docs" / "telemetry.md"
-        spans, counters = _documented_names(doc.read_text())
-        cfg = PartitionerConfig(
-            kway_refine=True, initial_method="exact", tree_parallel=False,
-            coarsen_to=16,
-        )
+        cfg = PartitionerConfig(**config_kw)
         with use_recorder() as rec:
             decompose(small_matrix(80, 0.06), 4, method=method, config=cfg, seed=0)
         emitted = {s.name for root in rec.roots for s, _ in root.walk()}
+        return emitted, rec.counter_totals()
+
+    @staticmethod
+    def _assert_documented(emitted: set, counted: dict) -> None:
+        from pathlib import Path
+
+        doc = Path(__file__).parents[1] / "docs" / "telemetry.md"
+        spans, counters = _documented_names(doc.read_text())
+        assert emitted - spans == set()
+        assert set(counted) - counters == set()
+
+    @pytest.mark.parametrize("method", ["finegrain", "columnnet"])
+    def test_emitted_names_are_documented(self, method):
+        emitted, counted = self._traced(
+            dict(kway_refine=True, initial_method="exact", tree_parallel=False,
+                 coarsen_to=16),
+            method,
+        )
         # the run reaches the spans this test exists for
         assert {"coarsen.match", "initial.exact", "uncoarsen.level", "kway"} <= emitted
-        assert emitted - spans == set()
-        assert set(rec.counter_totals()) - counters == set()
+        self._assert_documented(emitted, counted)
+
+    def test_multistart_names_are_documented(self):
+        emitted, counted = self._traced(
+            dict(n_starts=2, n_workers=1, tree_parallel=False)
+        )
+        assert {"engine", "engine.start"} <= emitted
+        assert {"engine.starts", "engine.best_cut", "engine.cut_spread"} <= set(
+            counted
+        )
+        self._assert_documented(emitted, counted)
+
+    def test_tree_parallel_names_are_documented(self, monkeypatch):
+        from repro.partitioner import pool
+
+        # ship every subtree the frontier allows, however small
+        monkeypatch.setattr(pool, "_SPAWN_MIN_VERTICES", 1)
+        emitted, counted = self._traced(
+            dict(tree_parallel=True, n_workers=2, start_backend="process")
+        )
+        assert counted.get("tree.tasks_spawned", 0) >= 1
+        self._assert_documented(emitted, counted)

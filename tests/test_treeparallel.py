@@ -31,20 +31,22 @@ from repro.partitioner import (
     partition_hypergraph,
     partition_multistart,
 )
+from repro.partitioner import pool
 from repro.partitioner.engine import _tree_workers
 from repro.partitioner.recursive import partition_recursive
 from repro.telemetry import use_recorder
 
 
-def _tree_cfg(workers: int, backend: str, **kw) -> PartitionerConfig:
-    # spawn_min_vertices=1 so even tiny test hypergraphs actually ship
-    # subtrees to workers instead of short-circuiting inline
+@pytest.fixture(autouse=True)
+def _ship_tiny_subtrees(monkeypatch):
+    """Even tiny test hypergraphs ship subtrees to workers instead of
+    short-circuiting inline."""
+    monkeypatch.setattr(pool, "_SPAWN_MIN_VERTICES", 1)
+
+
+def _tree_cfg(workers: int, backend: str) -> PartitionerConfig:
     return PartitionerConfig(
-        tree_parallel=True,
-        n_workers=workers,
-        start_backend=backend,
-        spawn_min_vertices=1,
-        **kw,
+        tree_parallel=True, n_workers=workers, start_backend=backend
     )
 
 
@@ -109,15 +111,14 @@ def test_tree_parallel_respects_fixed_vertices():
     assert np.array_equal(par.part[:6], fixed[:6])
 
 
-def test_tree_mode_spawn_knobs_never_change_bits():
-    """spawn_depth / spawn_min_vertices are pure scheduling policy."""
+def test_tree_mode_spawn_knobs_never_change_bits(monkeypatch):
+    """The spawn frontier and size floor are pure scheduling policy."""
     h = random_hypergraph(as_rng(8), 100, 80)
     ref = partition_hypergraph(h, 8, _tree_cfg(1, "serial"), seed=1)
     for depth, minv in [(0, 1), (1, 50), (3, 1), (2, 10**9)]:
-        cfg = _tree_cfg(3, "process", spawn_depth=depth).with_(
-            spawn_min_vertices=minv
-        )
-        res = partition_hypergraph(h, 8, cfg, seed=1)
+        monkeypatch.setattr(pool, "_SPAWN_DEPTH", depth)
+        monkeypatch.setattr(pool, "_SPAWN_MIN_VERTICES", minv)
+        res = partition_hypergraph(h, 8, _tree_cfg(3, "process"), seed=1)
         assert np.array_equal(res.part, ref.part), (depth, minv)
 
 
@@ -193,11 +194,10 @@ def test_worker_budget_slots():
     assert not WorkerBudget(0).try_acquire()
 
 
-def test_scheduler_declines_below_frontier_and_size():
-    cfg = PartitionerConfig(
-        tree_parallel=True, n_workers=4, start_backend="process",
-        spawn_depth=2, spawn_min_vertices=100,
-    )
+def test_scheduler_declines_below_frontier_and_size(monkeypatch):
+    monkeypatch.setattr(pool, "_SPAWN_DEPTH", 2)
+    monkeypatch.setattr(pool, "_SPAWN_MIN_VERTICES", 100)
+    cfg = PartitionerConfig(tree_parallel=True, n_workers=4, start_backend="process")
     with TreeScheduler(cfg) as sched:
         assert sched.offer(2, 10**6, lambda: None) is None  # too deep
         assert sched.offer(0, 99, lambda: None) is None  # too small
@@ -252,13 +252,6 @@ def test_engine_unlinks_shm_when_a_start_crashes(monkeypatch):
 # ----------------------------------------------------------------------
 # config / env knobs
 # ----------------------------------------------------------------------
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PartitionerConfig(spawn_depth=-1)
-    with pytest.raises(ValueError):
-        PartitionerConfig(spawn_min_vertices=-1)
-
-
 def test_env_defaults(monkeypatch):
     monkeypatch.setenv("REPRO_TREE_PARALLEL", "1")
     monkeypatch.setenv("REPRO_N_WORKERS", "3")
