@@ -60,8 +60,11 @@ def _env_int(name: str, fallback: int) -> int:
         raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
-def _env_str(name: str, fallback: str) -> str:
-    return _env_raw(name) or fallback
+def _env_str(name: str, fallback: str, choices: tuple[str, ...]) -> str:
+    raw = _env_raw(name) or fallback
+    if raw not in choices:
+        raise ValueError(f"{name}={raw!r} is not one of {', '.join(choices)}")
+    return raw
 
 
 def _env_float(name: str, fallback: float | None) -> float | None:
@@ -72,6 +75,10 @@ def _env_float(name: str, fallback: float | None) -> float | None:
         return float(raw)
     except ValueError:
         raise ValueError(f"{name}={raw!r} is not a number") from None
+
+
+#: accepted ``start_backend`` spellings ("thread" is normalised to "auto")
+_BACKENDS = ("auto", "process", "thread", "serial")
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,7 @@ class ExecutionPolicy:
     #: matching and FM hold the GIL, so threads lost to serial.
     #: Env-overridable default: ``REPRO_START_BACKEND``.
     start_backend: str = field(
-        default_factory=lambda: _env_str("REPRO_START_BACKEND", "auto")
+        default_factory=lambda: _env_str("REPRO_START_BACKEND", "auto", _BACKENDS)
     )
     #: how many times a failed/crashed engine start is retried before
     #: giving up.  A retried start re-derives its original seed, so
@@ -247,8 +254,9 @@ class ExecutionPolicy:
         default_factory=lambda: _env_float("REPRO_HEARTBEAT_INTERVAL", 0.25)
     )
     #: a supervised worker whose newest heartbeat (or task dispatch) is
-    #: older than this many seconds while a start is in flight is presumed
-    #: hung: it is killed, respawned and its seed re-queued.
+    #: older than this many seconds while a task is in flight is presumed
+    #: hung: an engine worker is killed, respawned and its seed re-queued;
+    #: a subtree child is killed and its subtree recomputed inline.
     #: Env-overridable default: ``REPRO_HEARTBEAT_TIMEOUT``.
     heartbeat_timeout: float = field(
         default_factory=lambda: _env_float("REPRO_HEARTBEAT_TIMEOUT", 30.0)
@@ -257,7 +265,7 @@ class ExecutionPolicy:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.start_backend not in ("auto", "process", "thread", "serial"):
+        if self.start_backend not in _BACKENDS:
             raise ValueError(f"unknown start_backend {self.start_backend!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")

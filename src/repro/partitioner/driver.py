@@ -15,7 +15,7 @@ from repro.hypergraph.partition import (
     imbalance,
     validate_partition,
 )
-from repro.partitioner.config import PartitionerConfig, resolve_backend
+from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.kway import kway_refine
 from repro.partitioner.pool import TreeScheduler
 from repro.partitioner.recursive import partition_recursive
@@ -92,10 +92,7 @@ def partition_hypergraph(
 
     rec = get_recorder()
     # the scheduler only ever affects wall clock — the seed tree pins the bits
-    scheduler = None
-    if cfg.tree_parallel and k > 2 and resolve_backend(cfg) != "serial":
-        scheduler = TreeScheduler(cfg)
-    try:
+    with TreeScheduler(cfg) as scheduler:
         with rec.span(
             "partition",
             k=k,
@@ -115,9 +112,6 @@ def partition_hypergraph(
             cut = cutsize_connectivity(h, part)
             imb = imbalance(h, part, k)
             psp.set(cutsize=cut, imbalance=round(imb, 6))
-    finally:
-        if scheduler is not None:
-            scheduler.shutdown()
     return PartitionResult(
         part=part,
         k=k,

@@ -11,25 +11,21 @@ provides the two pieces that exploit it without ever changing the result:
   each start its share for subtree fan-out, so starts × subtrees can never
   oversubscribe the machine.
 * :class:`TreeScheduler` — fork-one/walk-one scheduling: at each recursion
-  node the caller offers one side to the pool and walks the other side
-  itself.  When no slot is free (or the subproblem has fewer than
-  :data:`_SPAWN_MIN_VERTICES` vertices, or the node is
-  :data:`_SPAWN_DEPTH` or more levels deep) the side simply runs inline.
+  node the caller offers one side and walks the other itself.  An
+  accepted offer forks the side at once as a supervised child
+  (:class:`~repro.partitioner.resilience.SupervisedTask`); a declined one
+  (no free slot, fewer than :data:`_SPAWN_MIN_VERTICES` vertices, at
+  least :data:`_SPAWN_DEPTH` levels deep, or a failed fork) runs inline.
   Because seeds come from the per-node seed tree, *where* a subtree runs
   is invisible in the output — scheduling is pure wall-clock policy.
-
-The scheduler degrades gracefully: if the process pool cannot be created
-or a submitted task dies, the subtree is recomputed inline at once and
-the run completes serially (mirroring the engine's backend fallback
-chain).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
 
 from repro.partitioner.config import PartitionerConfig, resolve_backend
+from repro.partitioner.resilience import SupervisedTask
 from repro.telemetry import get_recorder
 from repro.verify.faults import trip as _fault_trip
 
@@ -64,73 +60,51 @@ class WorkerBudget:
 
 
 class TreeScheduler:
-    """Offers recursion subtrees to a bounded process pool; inline otherwise.
+    """Forks recursion subtrees as supervised children; inline otherwise.
 
-    The executor is created lazily on the first accepted offer, so a call
-    whose subproblems never clear :data:`_SPAWN_MIN_VERTICES` pays no pool
-    startup cost at all.  ``shutdown`` must run in a ``finally`` — the
-    driver owns that.
+    A call makes at most ``2**_SPAWN_DEPTH - 1`` offers.  Use it as a
+    context manager: leaving it (normally or by an exception) kills and
+    reaps every child not collected yet.
     """
 
     def __init__(self, cfg: PartitionerConfig):
+        self.cfg = cfg
         self.backend = resolve_backend(cfg) if cfg.tree_parallel else "serial"
-        # the walking thread itself works a subtree, so only n_workers - 1
-        # extra tasks may be in flight at once
+        # the walking process itself works a subtree, so only n_workers - 1
+        # children may be out at once
         self.budget = WorkerBudget(cfg.n_workers - 1)
-        self._executor = None
-        self._lock = threading.Lock()
-        self._broken = False
+        self._live: set[SupervisedTask] = set()
 
-    # ------------------------------------------------------------------
-    def _ensure_executor(self):
-        with self._lock:
-            if self._executor is None and not self._broken:
-                try:
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=max(self.budget.slots, 1)
-                    )
-                except (OSError, RuntimeError, ImportError):
-                    # restricted environments can refuse pools; run inline
-                    self._broken = True
-                    get_recorder().add("tree.pool_fallbacks")
-            return self._executor
-
-    def offer(self, depth: int, num_vertices: int, fn, /, *args) -> Future | None:
-        """Submit ``fn(*args)`` as a subtree task, or decline.
-
-        Declines (returns ``None``) when the node is past the fan-out
-        frontier, the subproblem is too small to be worth shipping, no
-        budget slot is free, or the pool is broken.  The caller then runs
-        the subtree inline — same bits either way.
-        """
-        if self.backend == "serial" or self._broken:
+    def offer(self, depth: int, num_vertices: int, fn, /, *args):
+        """Fork ``fn(*args)`` as a :class:`SupervisedTask` for the caller
+        to collect, or decline with ``None`` (see the module docstring);
+        the caller then runs the subtree inline — same bits either way."""
+        if self.backend == "serial":
             return None
         if depth >= _SPAWN_DEPTH or num_vertices < _SPAWN_MIN_VERTICES:
             return None
         if not self.budget.try_acquire():
             return None
-        ex = self._ensure_executor()
-        if ex is None:
-            self.budget.release()
-            return None
         try:
             _fault_trip("pool.submit")
-            fut = ex.submit(fn, *args)
+            task = SupervisedTask(self.cfg, fn, args, on_close=self._closed)
         except (OSError, RuntimeError):
+            # declines this one offer; the next one forks again
             self.budget.release()
-            self._broken = True
-            get_recorder().add("tree.pool_fallbacks")
+            get_recorder().add("tree.task_failures")
             return None
-        fut.add_done_callback(lambda _f: self.budget.release())
+        self._live.add(task)
         get_recorder().add("tree.tasks_spawned")
-        return fut
+        return task
+
+    def _closed(self, task: SupervisedTask) -> None:
+        self._live.discard(task)
+        self.budget.release()
 
     def shutdown(self) -> None:
-        """Tear the executor down (idempotent)."""
-        with self._lock:
-            ex, self._executor = self._executor, None
-        if ex is not None:
-            ex.shutdown(wait=True)
+        """Kill and reap every child that was never collected (idempotent)."""
+        for task in list(self._live):
+            task.cancel()
 
     def __enter__(self) -> "TreeScheduler":
         return self

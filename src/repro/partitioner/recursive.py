@@ -26,10 +26,11 @@ randomness from ``SeedSequence(root_entropy, spawn_key=tree_path)`` where
 ``tree_path`` is the 0/1 left/right path from the root.  Child seeds are a
 function of the parent seed and the path — never of call order — so the
 two subproblems a bisection produces are schedulable tasks: a
-:class:`~repro.partitioner.pool.TreeScheduler` may run the right side on a
-worker while the caller walks the left, and the result is **bit-identical**
-to running the whole tree serially, at any worker count, on any backend.
-A subtree task that fails is recomputed inline at once.
+:class:`~repro.partitioner.pool.TreeScheduler` may fork the right side as a
+supervised child while the caller walks the left, and the result is
+**bit-identical** to running the whole tree serially, at any worker count,
+on any backend.  A subtree task that fails, dies or stops heartbeating is
+recomputed inline at once.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def _solve_subtree(
     fixed: np.ndarray | None,
     eps_b: float,
 ) -> tuple[np.ndarray, list[int]]:
-    """Worker task body: solve one seed-tree subtree inline (top-level for
-    pickling)."""
+    """Body of a shipped subtree task: solve one seed-tree subtree inline
+    in the forked child."""
     _fault_trip("tree.task")
     return _solve_node(h, k, cfg, entropy, path, fixed, eps_b, None)
 
@@ -233,13 +234,13 @@ def _solve_node(
             sides.append((k_side, offset, sub, vertex_ids,
                           _side_fixed(fixed, vertex_ids, offset)))
 
-        # fork-one/walk-one: offer the right subtree to the pool, walk the
-        # left one on this thread, then collect.  Declined offers (no slot,
-        # too small, too deep) run inline — the bits cannot tell.
+        # fork-one/walk-one: offer the right subtree to the scheduler, walk
+        # the left one here, then collect.  Declined offers (no slot, too
+        # small, too deep, failed fork) run inline — the bits cannot tell.
         k_r, off_r, sub_r, vids_r, fix_r = sides[1]
-        fut = None
+        task = None
         if sched is not None and k_r > 1:
-            fut = sched.offer(
+            task = sched.offer(
                 len(path), sub_r.num_vertices, _solve_subtree,
                 sub_r, k_r, cfg, stream, path + (1,), fix_r, eps_b,
             )
@@ -249,16 +250,16 @@ def _solve_node(
             sub_l, k_l, cfg, stream, path + (0,), fix_l, eps_b, sched
         )
 
-        if fut is None:
+        if task is None:
             part_r, cuts_r = _solve_node(
                 sub_r, k_r, cfg, stream, path + (1,), fix_r, eps_b, sched
             )
         else:
             try:
-                part_r, cuts_r = fut.result()
+                part_r, cuts_r = task.result()
             except Exception:
-                # a dead task (crashed, broken pool) is recomputed inline
-                # at once; the seed tree makes that bit-identical
+                # a failed, dead or hung task is recomputed inline at once;
+                # the seed tree makes that bit-identical
                 rec.add("tree.task_failures")
                 part_r, cuts_r = _solve_node(
                     sub_r, k_r, cfg, stream, path + (1,), fix_r, eps_b, None

@@ -13,16 +13,18 @@ retry with backoff
     seed, so retries are invisible in the output — the partition stays
     bit-identical to a failure-free run.
 worker supervision
-    The process backend runs under a supervisor (not a bare
-    ``ProcessPoolExecutor``): workers are forked, so each inherits the
-    hypergraph without a copy, and each stamps its heartbeat slot of an
-    unnamed shared array, allocated before the fork, from a background
-    thread; the parent detects dead or hung workers, kills and respawns
-    them, and re-queues their in-flight seeds
+    The process backend runs under a supervisor: workers are forked, so
+    each inherits the hypergraph without a copy, and each stamps its
+    heartbeat slot of an unnamed shared array, allocated before the fork,
+    from a background thread; the parent detects dead or hung workers,
+    kills and respawns them, and re-queues their in-flight seeds
     (``engine.worker_restarts`` telemetry).  A bounded restart budget
     keeps a deterministic crash from looping forever — when it runs out
     the pool declares itself broken and the engine falls back to
-    in-process serial execution.
+    in-process serial execution.  A shipped seed-tree subtree is a
+    one-task worker of the same kind (:class:`SupervisedTask`): forked at
+    offer time, heartbeating, and killed when it dies or hangs, so the
+    caller can recompute it inline.
 deadline budget
     ``cfg.deadline`` (or ``decompose(deadline=...)`` /
     ``REPRO_DEADLINE``) caps the engine call's wall clock *gracefully*:
@@ -42,10 +44,10 @@ checkpoint / resume
     corrupt record: the sweep starts fresh.
 
 Every failure path here is driven deterministically by the
-``engine.start``, ``worker.heartbeat`` and ``checkpoint.write`` fault
-sites of :mod:`repro.verify.faults`, and the bit-identity promises are
-asserted by ``tests/test_resilience.py`` against the failure-free golden
-partitions.
+``engine.start``, ``worker.heartbeat``, ``tree.task`` and
+``checkpoint.write`` fault sites of :mod:`repro.verify.faults`, and the
+bit-identity promises are asserted by ``tests/test_resilience.py``
+against the failure-free golden partitions.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ __all__ = [
     "ResumedStart",
     "CheckpointStore",
     "StartsOutcome",
+    "SupervisedTask",
     "WorkerPoolBroken",
     "sweep_fingerprint",
     "run_starts",
@@ -498,6 +501,25 @@ def _beat_loop(beats, rank: int, interval: float,
             return
 
 
+def _hung(beats, rank: int, since: float, timeout: float) -> bool:
+    """Worker *rank*'s newest heartbeat, or *since* (its task's hand-over
+    time) if later, is older than *timeout* seconds."""
+    return time.monotonic() - max(beats[rank], since) > timeout
+
+
+def _reap(proc, grace: float = 0.0) -> None:
+    """Join *proc*; kill it if still alive after *grace* seconds."""
+    proc.join(timeout=grace)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(timeout=5)
+
+
+def _tick(cfg: PartitionerConfig) -> float:
+    """Polling period of a parent waiting on supervised workers."""
+    return max(0.01, min(cfg.heartbeat_interval, 0.1))
+
+
 def _supervised_worker(rank, task_q, result_q, beats, hb_interval,
                        h, k, single) -> None:
     """One supervised engine worker (child-process main).
@@ -584,7 +606,7 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
     # (start_index, attempt, not_before) — retried entries carry a backoff
     # horizon instead of blocking the supervisor in time.sleep
     pending: list = [(i, 0, 0.0) for i in todo]
-    tick = max(0.01, min(cfg.heartbeat_interval, 0.1))
+    tick = _tick(cfg)
 
     def spawn(slot: _Slot) -> None:
         slot.queue = ctx.Queue()
@@ -602,8 +624,7 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
         """Kill a dead/hung worker, re-queue its seed, respawn."""
         nonlocal restart_budget
         if slot.proc is not None:
-            slot.proc.kill()
-            slot.proc.join(timeout=5)
+            _reap(slot.proc)
         if slot.task is not None:
             i, attempt = slot.task
             if i not in outcome.completed:
@@ -688,7 +709,6 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
                     )
 
             # monitor: recycle dead or hung workers
-            now = time.monotonic()
             for slot in slots:
                 if slot.proc is None:
                     continue
@@ -696,10 +716,10 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
                     if slot.task is not None or pending:
                         recycle(slot, "died")
                     continue
-                if slot.task is not None:
-                    newest = max(beats[slot.rank], slot.dispatched_at)
-                    if now - newest > cfg.heartbeat_timeout:
-                        recycle(slot, "stopped heartbeating")
+                if slot.task is not None and _hung(
+                    beats, slot.rank, slot.dispatched_at, cfg.heartbeat_timeout
+                ):
+                    recycle(slot, "stopped heartbeating")
     finally:
         for slot in slots:
             if slot.queue is not None:
@@ -708,21 +728,89 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
                 except Exception:
                     pass
         for slot in slots:
-            if slot.proc is None:
-                continue
-            slot.proc.join(timeout=2)
-            if slot.proc.is_alive():
-                slot.proc.terminate()
-                slot.proc.join(timeout=2)
-                if slot.proc.is_alive():  # pragma: no cover - defensive
-                    slot.proc.kill()
-                    slot.proc.join(timeout=2)
+            if slot.proc is not None:
+                _reap(slot.proc, grace=2)
         for slot in slots:
             if slot.queue is not None:
                 slot.queue.close()
                 slot.queue.cancel_join_thread()
         result_q.close()
         result_q.cancel_join_thread()
+
+
+# ----------------------------------------------------------------------
+# one-task supervised children (shipped seed-tree subtrees)
+# ----------------------------------------------------------------------
+def _one_task_worker(conn, beats, hb_interval, fn, args) -> None:
+    """Child main of a :class:`SupervisedTask`: stamp ``beats[0]`` while
+    ``fn(*args)`` runs, then send ``(ok, value_or_exc)``."""
+    stop = threading.Event()
+    threading.Thread(
+        target=_beat_loop, args=(beats, 0, hb_interval, stop), daemon=True
+    ).start()
+    try:
+        out = (True, fn(*args))
+    except Exception as exc:
+        out = (False, exc)
+    stop.set()
+    conn.send(out)  # an unpicklable payload kills the child: EOF upstream
+
+
+class SupervisedTask:
+    """``fn(*args)`` in a child forked by the constructor — so it inherits
+    *args* without a pickle — and supervised like an engine worker.
+
+    :meth:`result` polls for the child's answer.  A child that dies
+    without one, or is :func:`_hung` past ``cfg.heartbeat_timeout``, is
+    killed and reaped, and ``result()`` raises.  :meth:`cancel` kills and
+    reaps a child that will not be collected.  Either calls *on_close*
+    once.
+    """
+
+    def __init__(self, cfg: PartitionerConfig, fn, args: tuple,
+                 on_close) -> None:
+        ctx = _mp_context()
+        self._cfg, self._on_close = cfg, on_close
+        self._beats = ctx.RawArray("d", 1)  # made before the fork
+        self._conn, child_conn = ctx.Pipe(duplex=False)
+        self._proc = ctx.Process(
+            target=_one_task_worker,
+            args=(child_conn, self._beats, cfg.heartbeat_interval, fn, args),
+        )
+        try:
+            self._proc.start()
+        except BaseException:
+            self._conn.close()
+            raise
+        finally:
+            child_conn.close()  # so the child's death reads as EOF here
+        self._forked_at = time.monotonic()
+
+    def result(self):
+        """The child's return value; re-raises its exception."""
+        try:
+            while True:
+                # sampled before the wait: a child already dead by then
+                # has put all it ever will into the pipe
+                alive = self._proc.is_alive()
+                if self._conn.poll(_tick(self._cfg)):
+                    ok, value = self._conn.recv()  # EOFError: died silently
+                    break
+                if not alive or _hung(self._beats, 0, self._forked_at,
+                                      self._cfg.heartbeat_timeout):
+                    raise RuntimeError("subtree child died or hung")
+        finally:
+            self.cancel()
+        if not ok:
+            raise value
+        return value
+
+    def cancel(self) -> None:
+        """Kill and reap the child unless already done (idempotent)."""
+        if not self._conn.closed:
+            _reap(self._proc)
+            self._conn.close()
+            self._on_close(self)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Deterministic fault injection for the parallel machinery.
 
-The engine, the tree scheduler and the engine's worker supervisor all
-promise graceful degradation: a crashed start falls back to serial, a dead
-subtree task is recomputed inline, and a worker whose heartbeat stops is
-killed, respawned and its seed re-queued.  Those promises are only worth
-anything if the failure paths actually run — this module makes them run
-*on demand and deterministically* so the test suite (and CI) can assert
-each one.
+The engine, the tree scheduler and the worker supervisor all promise
+graceful degradation: a crashed start falls back to serial, a dead or hung
+subtree task is killed and recomputed inline, and an engine worker whose
+heartbeat stops is killed, respawned and its seed re-queued.  Those
+promises are only worth anything if the failure paths actually run —
+this module makes them run *on demand and deterministically* so the test
+suite (and CI) can assert each one.
 
 Fault plans
 -----------
@@ -15,7 +15,7 @@ A plan is a comma-separated list of ``site:action[@hit]`` specs::
     tree.task:crash            # first subtree task raises FaultInjected
     checkpoint.write:oserror   # first checkpoint write fails
     tree.task:sleep0.5@2       # second subtree task sleeps half a second
-    pool.submit:oserror@all    # every submit fails
+    pool.submit:oserror@all    # every subtree fork fails
 
 *Sites* are the named ``trip()`` calls wired into the production code:
 
@@ -24,22 +24,22 @@ A plan is a comma-separated list of ``site:action[@hit]`` specs::
     backend's process or in a supervised worker (fire it via the
     environment so worker processes see it).
 ``pool.submit``
-    :meth:`repro.partitioner.pool.TreeScheduler.offer`, at the executor
-    submit (exercises the broken-pool inline path).
+    :meth:`repro.partitioner.pool.TreeScheduler.offer`, just before the
+    subtree child is forked (exercises the failed-fork path: that one
+    offer is declined and the subtree runs inline).
 ``tree.task``
     :func:`repro.partitioner.recursive._solve_subtree`, the subtree task
-    body in a pool worker process (``crash`` exercises the inline
-    recompute of a failed subtree; ``sleep`` only delays it, since the
-    walking thread waits for every shipped subtree; fire it via the
-    environment so worker processes see it).
+    body in a forked child (``crash`` exercises the inline recompute of
+    a failed subtree; ``sleep`` only delays it while the child keeps
+    heartbeating; fire it via the environment so the children see it).
 ``worker.heartbeat``
-    The heartbeat loop of a supervised engine worker
-    (:mod:`repro.partitioner.resilience`), before each beat is written.
-    ``crash`` silently kills the heartbeat thread, so with a small
-    ``PartitionerConfig.heartbeat_timeout`` the supervisor presumes the
-    worker hung, kills it, respawns and re-queues its seed (exercises the
-    kill/respawn/re-queue path; fire it via the environment so worker
-    processes see it).
+    The heartbeat loop of a supervised worker — an engine worker or a
+    subtree child (:mod:`repro.partitioner.resilience`) — before each
+    beat is written.  ``crash`` silently kills the heartbeat thread, so
+    with a small ``PartitionerConfig.heartbeat_timeout`` the parent
+    presumes the worker hung and kills it: an engine worker is respawned
+    and its seed re-queued, a subtree is recomputed inline (fire it via
+    the environment so worker processes see it).
 ``checkpoint.write``
     :meth:`repro.partitioner.resilience.CheckpointStore` just before the
     atomic ``os.replace`` — a failed checkpoint write must never fail the

@@ -260,7 +260,7 @@ def test_kernels_report_is_json():
 @pytest.mark.parametrize("var, value, match", [
     ("REPRO_TREE_PARALLEL", "flase", "REPRO_TREE_PARALLEL='flase'"),
     ("REPRO_N_WORKERS", "two", "REPRO_N_WORKERS='two'"),
-    ("REPRO_START_BACKEND", "proces", "start_backend 'proces'"),
+    ("REPRO_START_BACKEND", "proces", "REPRO_START_BACKEND='proces'"),
     ("REPRO_MAX_RETRIES", "3x", "REPRO_MAX_RETRIES='3x'"),
     ("REPRO_BACKOFF_BASE", "fast", "REPRO_BACKOFF_BASE='fast'"),
     ("REPRO_BACKOFF_CAP", "2s", "REPRO_BACKOFF_CAP='2s'"),

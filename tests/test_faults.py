@@ -1,11 +1,11 @@
 """Fault injection: every degradation path fires, and the bits never move.
 
-The graceful-degradation promises (inline subtree recompute, broken-pool
-inline path, serial fallback) are asserted
-here by actually making each failure happen via :mod:`repro.verify.faults`
-and checking (a) the documented fallback telemetry counter incremented and
-(b) the partition is bit-identical to the healthy run.  Sites that fire
-inside worker processes get their plan through ``REPRO_FAULTS``.
+The graceful-degradation promises (inline subtree recompute, failed-fork
+inline path, serial fallback) are asserted here by actually making each
+failure happen via :mod:`repro.verify.faults` and checking (a) the
+documented fallback telemetry counter incremented and (b) the partition
+is bit-identical to the healthy run.  Sites that fire inside worker
+processes get their plan through ``REPRO_FAULTS``.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class TestPlanParsing:
 
 
 # ----------------------------------------------------------------------
-# tree-parallel recursion: crash, submit failure
+# tree-parallel recursion: crash, fork failure
 # ----------------------------------------------------------------------
 def test_tree_task_crash_recomputes_inline(matrix, monkeypatch):
     ref = decompose(matrix, 4, method="finegrain", seed=3, config=_tree_cfg())
@@ -117,12 +117,16 @@ def test_tree_task_crash_recomputes_inline(matrix, monkeypatch):
     assert res.cutsize == ref.cutsize
 
 
-def test_pool_submit_failure_breaks_pool_and_runs_inline(matrix):
-    ref = decompose(matrix, 4, method="finegrain", seed=3, config=_tree_cfg())
+def test_fork_failure_declines_one_offer_and_runs_inline(matrix):
+    """A failed fork declines that one offer: its subtree runs inline,
+    counted as a task failure, and the next offer forks again."""
+    ref = decompose(matrix, 8, method="finegrain", seed=3, config=_tree_cfg())
     with use_recorder() as rec, inject("pool.submit:oserror") as plan:
-        res = decompose(matrix, 4, method="finegrain", seed=3, config=_tree_cfg())
+        res = decompose(matrix, 8, method="finegrain", seed=3, config=_tree_cfg())
     assert plan.fired == [("pool.submit", "oserror", 1)]
-    assert rec.counter_totals().get("tree.pool_fallbacks", 0) >= 1
+    counters = rec.counter_totals()
+    assert counters.get("tree.task_failures", 0) == 1
+    assert counters.get("tree.tasks_spawned", 0) >= 1
     assert np.array_equal(res.part, ref.part)
 
 

@@ -1,15 +1,16 @@
 """The resilient execution runtime (:mod:`repro.partitioner.resilience`).
 
 Every recovery path is driven deterministically through the fault-injection
-sites (``engine.start``, ``worker.heartbeat``, ``checkpoint.write``) or by
-killing real worker processes, and every recovered run is asserted
-bit-identical to its failure-free counterpart — resilience must never move
-the bits.
+sites (``engine.start``, ``worker.heartbeat``, ``tree.task``,
+``checkpoint.write``) or by killing real worker processes, and every
+recovered run is asserted bit-identical to its failure-free counterpart —
+resilience must never move the bits.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
 import os
 import signal
 import threading
@@ -159,7 +160,7 @@ class TestRetry:
         with use_recorder(healthy):
             partition_hypergraph(h, 8, cfg, seed=3)
         rec = TelemetryRecorder()
-        # every pool worker's first subtree task crashes
+        # every forked subtree child inherits the plan and crashes
         monkeypatch.setenv("REPRO_FAULTS", "tree.task:crash@1")
         with use_recorder(rec):
             res = partition_hypergraph(
@@ -448,6 +449,98 @@ class TestSupervision:
         )
         res = partition_multistart(medium_hypergraph, 2, cfg, seed=0)
         assert np.array_equal(res.part, golden.part)
+
+
+# ----------------------------------------------------------------------
+# shipped seed-tree subtrees are supervised children
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def sherman3_finegrain():
+    """Fine-grain ``sherman3@0.5``: big enough that K=4 ships the root's
+    right subtree (and only that one) to a forked child."""
+    from repro.cli import load_matrix_arg
+    from repro.core.finegrain import build_finegrain_model
+
+    h = build_finegrain_model(load_matrix_arg("collection:sherman3@0.5")).hypergraph
+    serial = PartitionerConfig(tree_parallel=True, n_workers=1)
+    return h, partition_hypergraph(h, 4, serial, seed=0).part
+
+
+class TestSubtreeSupervision:
+    CFG = dict(
+        tree_parallel=True, n_workers=2, start_backend="process",
+        heartbeat_interval=0.05, heartbeat_timeout=0.5,
+    )
+
+    def run(self, h):
+        rec = TelemetryRecorder()
+        with use_recorder(rec):
+            res = partition_hypergraph(h, 4, PartitionerConfig(**self.CFG), seed=0)
+        return res, rec.counter_totals()
+
+    def test_hung_subtree_is_killed_and_recomputed(
+        self, sherman3_finegrain, monkeypatch
+    ):
+        # the child's heartbeat dies at once and its task sleeps 8 s: the
+        # walker kills it after heartbeat_timeout and solves it inline
+        h, golden = sherman3_finegrain
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "worker.heartbeat:crash@1,tree.task:sleep8"
+        )
+        t0 = time.monotonic()
+        res, counters = self.run(h)
+        assert time.monotonic() - t0 < 4.0
+        assert counters["tree.tasks_spawned"] == 1
+        assert counters["tree.task_failures"] == 1
+        assert np.array_equal(res.part, golden)
+        assert not mp.active_children()
+
+    def test_slow_subtree_with_live_heartbeats_is_waited_for(
+        self, sherman3_finegrain, monkeypatch
+    ):
+        # the task outlasts the heartbeat timeout three times over: only
+        # the child's stamps keep the walker from presuming it hung
+        h, golden = sherman3_finegrain
+        monkeypatch.setenv("REPRO_FAULTS", "tree.task:sleep1.5")
+        res, counters = self.run(h)
+        assert counters["tree.tasks_spawned"] == 1
+        assert "tree.task_failures" not in counters
+        assert np.array_equal(res.part, golden)
+
+    def test_silently_dead_subtree_is_recomputed(
+        self, sherman3_finegrain, monkeypatch
+    ):
+        from repro.partitioner import recursive
+
+        h, golden = sherman3_finegrain
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        # forked children inherit the patch: the child exits, sending nothing
+        monkeypatch.setattr(recursive, "_solve_subtree", lambda *a: os._exit(3))
+        res, counters = self.run(h)
+        assert counters["tree.task_failures"] == 1
+        assert np.array_equal(res.part, golden)
+        assert not mp.active_children()
+
+    def test_failed_walk_kills_the_shipped_child(
+        self, sherman3_finegrain, monkeypatch
+    ):
+        from repro.partitioner import recursive
+
+        h, _ = sherman3_finegrain
+        monkeypatch.setenv("REPRO_FAULTS", "tree.task:sleep30")
+        node_rng = recursive._node_rng
+
+        def walk_fails_at_r0(stream, path):
+            if path == (0,):
+                raise ValueError("walk failed at r0")
+            return node_rng(stream, path)
+
+        monkeypatch.setattr(recursive, "_node_rng", walk_fails_at_r0)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="walk failed at r0"):
+            self.run(h)
+        assert time.monotonic() - t0 < 5.0
+        assert not mp.active_children()
 
 
 # ----------------------------------------------------------------------
