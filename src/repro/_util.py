@@ -24,6 +24,7 @@ __all__ = [
     "ensure_int_array",
     "multi_arange",
     "prefix_from_counts",
+    "sorted_without_zeros",
     "Timer",
 ]
 
@@ -101,3 +102,21 @@ def prefix_from_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     out[0] = 0
     np.cumsum(counts, out=out[1:])
     return out
+
+
+def sorted_without_zeros(a, fmt: str = "csr"):
+    """*a* as a ``"csr"`` or ``"csc"`` scipy matrix with stored zeros
+    dropped and indices sorted.
+
+    Converting a matrix already in *fmt* shares its arrays, so when there
+    is anything to drop or sort the work happens on a copy: the caller's
+    matrix is never reordered under it.
+    """
+    import scipy.sparse as sp
+
+    a = sp.csr_matrix(a) if fmt == "csr" else sp.csc_matrix(a)
+    if not a.has_sorted_indices or not a.data.all():
+        a = a.copy()
+        a.eliminate_zeros()
+        a.sort_indices()
+    return a

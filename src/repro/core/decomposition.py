@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro._util import INDEX_DTYPE, ensure_int_array
+from repro._util import INDEX_DTYPE, ensure_int_array, sorted_without_zeros
 from repro.core.finegrain import FineGrainModel
 
 __all__ = [
@@ -191,10 +191,7 @@ def decomposition_from_finegrain_rect(
 
 
 def _coo_arrays(a: sp.spmatrix):
-    a = sp.csr_matrix(a)
-    a.eliminate_zeros()
-    a.sort_indices()
-    coo = a.tocoo()
+    coo = sorted_without_zeros(a).tocoo()
     return (
         coo.row.astype(INDEX_DTYPE),
         coo.col.astype(INDEX_DTYPE),

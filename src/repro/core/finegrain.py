@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro._util import INDEX_DTYPE, prefix_from_counts
+from repro._util import INDEX_DTYPE, prefix_from_counts, sorted_without_zeros
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = ["FineGrainModel", "build_finegrain_model"]
@@ -94,14 +94,12 @@ def build_finegrain_model(
     Explicitly stored zeros are dropped first: they would create vertices
     with real weight but no numeric effect.
     """
-    a = sp.csr_matrix(a)
+    a = sorted_without_zeros(a)
     if consistency and a.shape[0] != a.shape[1]:
         raise ValueError(
             "the consistent fine-grain model requires a square matrix; "
             "use consistency=False for rectangular reductions"
         )
-    a.eliminate_zeros()
-    a.sort_indices()
     m, n = a.shape
     z = a.nnz
 

@@ -99,9 +99,12 @@ def instance_digest(instance) -> dict:
     import scipy.sparse as sp
 
     if sp.issparse(instance):
+        # csr_matrix() shares a CSR input's arrays: canonicalize a copy so
+        # the caller's matrix is never reordered under it
         a = sp.csr_matrix(instance)
-        a.sum_duplicates()
-        a.sort_indices()
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
         return {
             "kind": "matrix",
             "shape": [int(a.shape[0]), int(a.shape[1])],

@@ -26,7 +26,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from repro._util import INDEX_DTYPE
+from repro._util import INDEX_DTYPE, sorted_without_zeros
 from repro.core.decomposition import Decomposition
 
 __all__ = ["processor_grid", "balanced_stripes", "decompose_2d_checkerboard"]
@@ -66,11 +66,9 @@ def decompose_2d_checkerboard(a: sp.spmatrix, k: int) -> Decomposition:
     Deterministic (no partitioner involved — that is the point of the
     baseline: zero effort toward reducing communication volume).
     """
-    a = sp.csr_matrix(a)
+    a = sorted_without_zeros(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("checkerboard decomposition requires a square matrix")
-    a.eliminate_zeros()
-    a.sort_indices()
     m = a.shape[0]
     r, c = processor_grid(k)
 

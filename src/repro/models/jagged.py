@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro._util import INDEX_DTYPE, as_rng
+from repro._util import INDEX_DTYPE, as_rng, sorted_without_zeros
 from repro.core.decomposition import Decomposition
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.models.checkerboard import processor_grid
@@ -62,11 +62,9 @@ def decompose_2d_jagged(
     colpart_stripe(j)(j))`` — the owner of the diagonal position — keeping
     the x/y distribution symmetric.
     """
-    a = sp.csr_matrix(a)
+    a = sorted_without_zeros(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("jagged decomposition requires a square matrix")
-    a.eliminate_zeros()
-    a.sort_indices()
     m = a.shape[0]
     r, c = processor_grid(k)
     rng = as_rng(seed)

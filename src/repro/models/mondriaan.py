@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro._util import INDEX_DTYPE, as_rng, prefix_from_counts
+from repro._util import INDEX_DTYPE, as_rng, prefix_from_counts, sorted_without_zeros
 from repro.core.decomposition import Decomposition
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.bisect import multilevel_bisect
@@ -111,11 +111,9 @@ def decompose_2d_mondriaan(
     ``try_both=False`` always splits rowwise (degenerating towards a
     recursive 1D scheme), exposed for the ablation.
     """
-    a = sp.csr_matrix(a)
+    a = sorted_without_zeros(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("mondriaan decomposition requires a square matrix")
-    a.eliminate_zeros()
-    a.sort_indices()
     m = a.shape[0]
     coo = a.tocoo()
     nnz_row = coo.row.astype(INDEX_DTYPE)

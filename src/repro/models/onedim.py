@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro._util import INDEX_DTYPE, prefix_from_counts
+from repro._util import INDEX_DTYPE, prefix_from_counts, sorted_without_zeros
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = ["OneDimModel", "build_columnnet_model", "build_rownet_model"]
@@ -93,11 +93,9 @@ def _build(a_csc: sp.csc_matrix, orientation: str) -> OneDimModel:
 
 def build_columnnet_model(a: sp.spmatrix, consistency: bool = True) -> OneDimModel:
     """Column-net model: partition rows, nets are columns."""
-    a = sp.csc_matrix(a)
+    a = sorted_without_zeros(a, "csc")
     if a.shape[0] != a.shape[1]:
         raise ValueError("1D models require a square matrix")
-    a.eliminate_zeros()
-    a.sort_indices()
     model = _build(a, "row")
     if not consistency:
         # rebuild without the pin fix: use raw CSC arrays directly
@@ -114,11 +112,9 @@ def build_columnnet_model(a: sp.spmatrix, consistency: bool = True) -> OneDimMod
 
 def build_rownet_model(a: sp.spmatrix, consistency: bool = True) -> OneDimModel:
     """Row-net model: partition columns, nets are rows (dual of column-net)."""
-    at = sp.csc_matrix(sp.csr_matrix(a).T)
+    at = sorted_without_zeros(sp.csr_matrix(a).T, "csc")
     if at.shape[0] != at.shape[1]:
         raise ValueError("1D models require a square matrix")
-    at.eliminate_zeros()
-    at.sort_indices()
     model = _build(at, "col")
     if not consistency:
         h = Hypergraph(

@@ -57,6 +57,7 @@ import copy
 import json
 import multiprocessing as mp
 import os
+import pickle
 import queue as queue_mod
 import threading
 import time
@@ -520,6 +521,17 @@ def _tick(cfg: PartitionerConfig) -> float:
     return max(0.01, min(cfg.heartbeat_interval, 0.1))
 
 
+def _shippable(exc: Exception) -> Exception:
+    """*exc* if it survives a pickle round trip, else a ``RuntimeError``
+    summary.  ``mp.Queue.put`` pickles in a feeder thread, where a failure
+    is printed and lost, so the check has to happen before the put."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
 def _supervised_worker(rank, task_q, result_q, beats, hb_interval,
                        h, k, single) -> None:
     """One supervised engine worker (child-process main).
@@ -545,13 +557,7 @@ def _supervised_worker(rank, task_q, result_q, beats, hb_interval,
             try:
                 res = _engine._run_start(h, k, single, seed)
             except Exception as exc:
-                try:
-                    result_q.put((rank, i, False, exc))
-                except Exception:  # unpicklable exception: ship a summary
-                    result_q.put(
-                        (rank, i, False,
-                         RuntimeError(f"{type(exc).__name__}: {exc}"))
-                    )
+                result_q.put((rank, i, False, _shippable(exc)))
             else:
                 result_q.put((rank, i, True, res))
     finally:

@@ -26,6 +26,13 @@ cache
     trace).  Unseeded requests (no ``seed``) are served but never
     cached, deduplicated, or resumed — their fingerprint is entropy-
     unique by construction.
+fingerprint memo
+    A seeded ``inline`` or ``collection`` request whose bytes already
+    decoded and fingerprinted once finds its fingerprint again from a
+    SHA-256 digest of the request (a bounded LRU, ``_FP_MEMO_CAP``), so
+    a cache hit decodes nothing.  The matrix is decoded only when the
+    request computes.  ``path`` specs never enter: the file can change
+    under the same name.
 deadline
     A per-request ``deadline`` (seconds, measured from arrival; falling
     back to ``default_deadline``) is converted to the engine's graceful
@@ -66,11 +73,12 @@ crash safety
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -229,6 +237,48 @@ class FairAdmission:
 #: part fields stripped from a canonical result doc for want_part=false
 _PART_KEYS = ("part_b64", "dtype", "n")
 
+#: entries of the request-digest -> fingerprint memo (least recently used
+#: evicted first); one entry is a 32-byte key and a 64-character value
+_FP_MEMO_CAP = 4096
+
+
+def _request_digest(fields: dict, n_starts: int, engine_workers: int) -> bytes | None:
+    """SHA-256 of a request's matrix spec as sent plus every field that
+    feeds its fingerprint, or ``None`` when the request may not use the
+    fingerprint memo.
+
+    Unseeded requests are excluded (their fingerprint is fresh entropy),
+    and so are ``path`` specs (a file can change under the same name).
+    """
+    spec = fields["matrix"]
+    if fields.get("seed") is None or not isinstance(spec, dict):
+        return None
+    # the branch resolve_matrix takes
+    kind = "inline" if "inline" in spec else "collection"
+    if kind not in spec:
+        return None
+    body = spec[kind] if isinstance(spec[kind], dict) else {"": spec[kind]}
+    # string values (the base64 arrays) are hashed as bytes after a head
+    # that records their lengths: a JSON copy of them costs more than the
+    # rest of a cache hit.  The tags keep the encoding one-to-one.
+    try:
+        keys = sorted(body)
+        head = json.dumps(
+            [kind,
+             [[key, ["s", len(body[key])] if isinstance(body[key], str)
+               else ["j", body[key]]] for key in keys],
+             fields["k"], fields["method"], fields["seed"],
+             fields.get("epsilon"), n_starts, engine_workers],
+            sort_keys=True, separators=(",", ":"),
+        )
+    except (TypeError, ValueError):  # not JSON: decode it every time
+        return None
+    h = hashlib.sha256(head.encode())
+    for key in keys:
+        if isinstance(body[key], str):
+            h.update(body[key].encode("utf-8", "surrogatepass"))
+    return h.digest()
+
 
 class PartitionService:
     """The request-handling core behind :class:`PartitionServer`.
@@ -255,6 +305,9 @@ class PartitionService:
         )
         #: fingerprint -> future resolving to the canonical result doc
         self._inflight: dict[str, asyncio.Future] = {}
+        #: request digest -> fingerprint, for requests whose bytes already
+        #: decoded and fingerprinted (see :func:`_request_digest`)
+        self._fp_memo: OrderedDict[bytes, str] = OrderedDict()
         self._counters: dict[str, int] = {}
         self._latencies_ms: deque[float] = deque(maxlen=4096)
         self._t0 = time.monotonic()
@@ -492,23 +545,34 @@ class PartitionService:
         # cache, dedup, or answer it from the cache
         cacheable = fp_only or seed is not None
 
+        # the matrix and its config are built only when the fingerprint
+        # needs them or the request computes
+        a = cfg_used = None
         if fp_only:
             fp = str(fields["matrix"]["fingerprint"])
-            a = cfg_used = None
         else:
-            a = resolve_matrix(fields["matrix"])
-            overrides = {
-                "n_starts": min(fields.get("n_starts", 1), self.cfg.max_n_starts),
-                "n_workers": min(
-                    fields.get("engine_workers", 1), self.cfg.max_engine_workers
-                ),
-            }
-            if "epsilon" in fields:
-                overrides["epsilon"] = fields["epsilon"]
-            cfg_used = self.base_config.with_(**overrides)
-            fp = fingerprint(
-                a, cfg_used, seed, k=fields["k"], method=fields["method"]
+            n_starts = min(fields.get("n_starts", 1), self.cfg.max_n_starts)
+            n_workers = min(
+                fields.get("engine_workers", 1), self.cfg.max_engine_workers
             )
+            with scoped_recorder(rec), rec.span("serve.fingerprint") as span:
+                digest = _request_digest(fields, n_starts, n_workers)
+                fp = self._fp_memo.get(digest) if digest is not None else None
+                span.set(memo=fp is not None)
+                if fp is not None:
+                    self._count("fingerprint_memo_hits")
+                    self._fp_memo.move_to_end(digest)
+                else:
+                    self._count("fingerprint_memo_misses")
+                    a, cfg_used = self._decode(fields, n_starts, n_workers, rec)
+                    fp = fingerprint(
+                        a, cfg_used, seed, k=fields["k"], method=fields["method"]
+                    )
+                    if digest is not None:
+                        # only bytes that decoded and fingerprinted enter
+                        self._fp_memo[digest] = fp
+                        while len(self._fp_memo) > _FP_MEMO_CAP:
+                            self._fp_memo.popitem(last=False)
 
         # ---- cache probe (a hit never touches the engine) -------------
         tc = time.monotonic()
@@ -568,6 +632,9 @@ class PartitionService:
 
         admitted = False
         try:
+            if a is None:  # the memo gave the fingerprint: decode now
+                a, cfg_used = self._decode(fields, n_starts, n_workers, rec)
+
             # ---- fair admission over the bounded compute pool ---------
             tq = time.monotonic()
             await self.admission.acquire(client)
@@ -657,20 +724,30 @@ class PartitionService:
         return self._finish(req_id, client, fp, result, tier, t0, timings, rec)
 
     # ------------------------------------------------------------------
+    def _decode(self, fields: dict, n_starts: int, n_workers: int, rec):
+        """The request's matrix and the config it runs under."""
+        with scoped_recorder(rec), rec.span("serve.decode"):
+            a = resolve_matrix(fields["matrix"])
+        overrides = {"n_starts": n_starts, "n_workers": n_workers}
+        if "epsilon" in fields:
+            overrides["epsilon"] = fields["epsilon"]
+        return a, self.base_config.with_(**overrides)
+
     def _finish(
         self, req_id, client, fp, result, tier, t0, timings, rec
     ) -> dict:
         self._count("ok")
         timings["total_ms"] = self._observe(t0)
         served = {"cache": tier, **{k: round(v, 3) for k, v in timings.items()}}
-        self._write_trace(
-            {
-                "type": "request",
-                "id": req_id,
-                "client": client,
-                "fingerprint": fp,
-                "served": served,
-                "telemetry": trace_to_dict(rec, spans=True),
-            }
-        )
+        if self.cfg.trace_path:
+            self._write_trace(
+                {
+                    "type": "request",
+                    "id": req_id,
+                    "client": client,
+                    "fingerprint": fp,
+                    "served": served,
+                    "telemetry": trace_to_dict(rec, spans=True),
+                }
+            )
         return ok_response(req_id, result, served=served)

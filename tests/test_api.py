@@ -96,3 +96,45 @@ class TestMessageBounds:
             dec, _ = fn(test_matrix, k, seed=0)
             stats = communication_stats(dec)
             assert stats.max_messages <= bound, fn.__name__
+
+
+class TestInputIsNotMutated:
+    """Fingerprinting canonicalizes a copy: the caller's arrays keep their
+    order, duplicates and flags."""
+
+    @staticmethod
+    def unsorted_with_duplicates():
+        # row 0 lists columns 2, 0, 1, 0 (column 0 twice); rows 2, 3 are sorted
+        indptr = np.array([0, 4, 4, 6, 7])
+        indices = np.array([2, 0, 1, 0, 0, 3, 1])
+        data = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        return sp.csr_matrix((data, indices, indptr), shape=(4, 4))
+
+    @staticmethod
+    def arrays(a):
+        return a.indptr.copy(), a.indices.copy(), a.data.copy()
+
+    def assert_unchanged(self, a, before):
+        for got, want in zip(self.arrays(a), before):
+            assert np.array_equal(got, want)
+
+    def test_fingerprint_leaves_the_matrix_alone(self):
+        from repro.fingerprint import fingerprint
+
+        a = self.unsorted_with_duplicates()
+        before = self.arrays(a)
+        fp = fingerprint(a, k=2, method="finegrain", seed=0)
+        self.assert_unchanged(a, before)
+        canonical = a.copy()
+        canonical.sum_duplicates()
+        assert fp == fingerprint(canonical, k=2, method="finegrain", seed=0)
+
+    def test_decompose_leaves_the_matrix_alone(self):
+        from repro.core.api import decompose
+        from repro.fingerprint import fingerprint
+
+        a = self.unsorted_with_duplicates()
+        before = self.arrays(a)
+        res = decompose(a, 2, method="finegrain", seed=0)
+        self.assert_unchanged(a, before)
+        assert res.fingerprint == fingerprint(a, k=2, method="finegrain", seed=0)

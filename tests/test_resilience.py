@@ -450,6 +450,70 @@ class TestSupervision:
         res = partition_multistart(medium_hypergraph, 2, cfg, seed=0)
         assert np.array_equal(res.part, golden.part)
 
+    def test_unpicklable_start_exception_ends_the_sweep(self):
+        # the worker must not hand the queue an exception it cannot
+        # pickle: the queue's feeder thread would drop it while the
+        # worker keeps heartbeating, and the sweep would wait forever.
+        # Shipped as a RuntimeError summary, the failure exhausts the
+        # retries and degrades the sweep to the serial fallback body.
+        # The sweep runs in a forked child so a hang fails the test
+        # here instead of hanging the suite.
+        ctx = mp.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_sweep_with_unpicklable_failure, args=(send,))
+        child.start()
+        send.close()
+        child.join(30)
+        if child.is_alive():
+            os.killpg(child.pid, signal.SIGKILL)  # the child and its workers
+            child.join()
+            pytest.fail("the sweep was still waiting after 30 s")
+        assert recv.poll(), f"the child exited ({child.exitcode}) without a report"
+        outcome, elapsed = recv.recv()
+        assert outcome == "serial bits after a backend fallback"
+        assert elapsed < 10.0
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception cannot be pickled")
+
+
+def _raise_unpicklable(*_args):
+    raise _Unpicklable("start failed")
+
+
+def _sweep_with_unpicklable_failure(conn) -> None:
+    """Child main: a two-start process sweep whose every start raises an
+    exception that cannot be pickled; reports how the sweep ended."""
+    from repro.partitioner import engine
+
+    os.setpgrp()  # one group with the workers, so a hang is killed whole
+    h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
+    cfg = PartitionerConfig(
+        n_starts=2, n_workers=2, start_backend="process",
+        heartbeat_interval=0.05, heartbeat_timeout=1.0, backoff_base=0.001,
+    )
+    golden = partition_multistart(
+        h, 2, cfg.with_(start_backend="serial", n_workers=1), seed=0
+    )
+    engine._run_start = _raise_unpicklable  # forked workers inherit it
+    t0 = time.monotonic()
+    try:
+        with use_recorder() as rec:
+            res = partition_multistart(h, 2, cfg, seed=0)
+    except Exception as exc:
+        outcome = f"raised {type(exc).__name__}"
+    else:
+        fell_back = rec.counter_totals().get("engine.backend_fallbacks", 0)
+        same = np.array_equal(res.part, golden.part)
+        outcome = (
+            "serial bits after a backend fallback" if fell_back and same
+            else f"fallbacks={fell_back} same_bits={same}"
+        )
+    conn.send((outcome, time.monotonic() - t0))
+    conn.close()
+
 
 # ----------------------------------------------------------------------
 # shipped seed-tree subtrees are supervised children

@@ -20,6 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.cache import CacheEntry, PartitionCache
 from repro.serve.protocol import (
@@ -468,6 +470,237 @@ class TestServiceOps:
         r = run_service(scenario, cfg)
         assert r["ok"] is False
         assert r["error"]["code"] == "bad-request"
+
+
+# ----------------------------------------------------------------------
+# the fingerprint memo: a repeated request skips decode and fingerprint
+# ----------------------------------------------------------------------
+def serve_all(requests, cfg: ServeConfig):
+    """Serve *requests* one after another; the responses, the counters and
+    the memo's size after each request."""
+
+    async def scenario(svc):
+        out, memo_sizes = [], []
+        for obj in requests:
+            out.append(await svc.handle(dict(obj), "c"))
+            memo_sizes.append(len(svc._fp_memo))
+        return out, svc.stats()["counters"], memo_sizes
+
+    return run_service(scenario, cfg)
+
+
+def expected_fingerprint(obj: dict) -> str:
+    """What :func:`repro.fingerprint` gives for *obj*'s decoded matrix under
+    the service's default base config."""
+    from repro.fingerprint import fingerprint
+    from repro.partitioner import PartitionerConfig
+
+    fields = parse_decompose(obj)
+    cfg_kw = {
+        "n_starts": fields.get("n_starts", 1),
+        "n_workers": fields.get("engine_workers", 1),
+        **({"epsilon": fields["epsilon"]} if "epsilon" in fields else {}),
+    }
+    a = matrix_from_inline(obj["matrix"]["inline"])
+    return fingerprint(
+        a, PartitionerConfig().with_(**cfg_kw), fields["seed"],
+        k=fields["k"], method=fields["method"],
+    )
+
+
+def with_array_byte(obj: dict, key: str, index: int, value: int) -> dict:
+    """*obj* with byte *index* of its inline *key* array set to *value*."""
+    import base64
+
+    raw = bytearray(base64.b64decode(obj["matrix"]["inline"][key]))
+    raw[index] = value
+    inline = dict(obj["matrix"]["inline"])
+    inline[key] = base64.b64encode(bytes(raw)).decode("ascii")
+    return {**obj, "matrix": {"inline": inline}}
+
+
+class TestFingerprintMemo:
+    @settings(max_examples=15)
+    @given(
+        n=st.integers(4, 9),
+        density=st.floats(0.2, 0.6),
+        mat_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**31),
+        k=st.integers(2, 3),
+        method=st.sampled_from(["finegrain", "columnnet", "rownet"]),
+        epsilon=st.sampled_from([None, 0.03, 0.1]),
+        n_starts=st.integers(1, 2),
+    )
+    def test_memo_fingerprint_equals_the_decoded_one(
+        self, tmp_path_factory, n, density, mat_seed, seed, k, method,
+        epsilon, n_starts,
+    ):
+        a = sp.random(n, n, density=density, format="csr", random_state=mat_seed)
+        a = a + sp.identity(n, format="csr")  # no empty rows or columns
+        obj = req(a, seed=seed, k=k, method=method, n_starts=n_starts)
+        if epsilon is not None:
+            obj["epsilon"] = epsilon
+        cfg = service_cfg(tmp_path_factory.mktemp("memo"))
+        (first, second), counters, _ = serve_all([obj, obj], cfg)
+        assert counters["fingerprint_memo_hits"] == 1
+        assert first["result"]["fingerprint"] == expected_fingerprint(obj)
+        assert second["served"]["cache"] == "hit-memory"
+        assert canonical_result_bytes(second["result"]) == canonical_result_bytes(
+            first["result"]
+        )
+
+    def test_any_changed_field_misses_the_memo(self, tmp_path, a):
+        from repro.core.api import decompose
+        from repro.partitioner import PartitionerConfig
+
+        base = req(a, seed=0, k=4, epsilon=0.03, n_starts=1)
+        inline = base["matrix"]["inline"]
+        grown = dict(inline, shape=[a.shape[0] + 1, a.shape[1] + 1])
+        variants = {
+            "seed": {**base, "seed": 1},
+            "k": {**base, "k": 3},
+            "method": {**base, "method": "columnnet"},
+            "epsilon": {**base, "epsilon": 0.1},
+            "n_starts": {**base, "n_starts": 2},
+            "shape": {**base, "matrix": {"inline": grown}},
+            # the low byte of the first row / column index, the first
+            # value's lowest mantissa byte: all stay valid
+            "rows_b64": with_array_byte(
+                base, "rows_b64", 0, (a.tocoo().row[0] + 1) % a.shape[0]
+            ),
+            "cols_b64": with_array_byte(
+                base, "cols_b64", 0, (a.tocoo().col[0] + 1) % a.shape[1]
+            ),
+            "vals_b64": with_array_byte(base, "vals_b64", 0, 0x5A),
+        }
+        requests = [base, base]
+        for variant in variants.values():
+            requests += [variant, variant]
+        responses, counters, _ = serve_all(requests, service_cfg(tmp_path))
+        # every variant's first ask misses the memo, its repeat hits it
+        assert counters["fingerprint_memo_misses"] == 1 + len(variants)
+        assert counters["fingerprint_memo_hits"] == 1 + len(variants)
+        for name, first, repeat in zip(
+            variants, responses[2::2], responses[3::2]
+        ):
+            obj = variants[name]
+            assert first["ok"], name
+            assert first["result"]["fingerprint"] == expected_fingerprint(obj)
+            fields = parse_decompose(obj)
+            cfg = PartitionerConfig().with_(
+                n_starts=fields["n_starts"], epsilon=fields["epsilon"]
+            )
+            direct = decompose(
+                matrix_from_inline(obj["matrix"]["inline"]), fields["k"],
+                method=fields["method"], config=cfg, seed=fields["seed"],
+            )
+            assert np.array_equal(part_from_b64(first["result"]), direct.part), name
+            assert canonical_result_bytes(repeat["result"]) == canonical_result_bytes(
+                first["result"]
+            ), name
+
+    def test_memo_hit_after_eviction_recomputes_the_same_bits(self, tmp_path, a):
+        trace = tmp_path / "trace.ndjson"
+        cfg = service_cfg(tmp_path, cache_dir=None, trace_path=str(trace))
+
+        async def scenario(svc):
+            first = await svc.handle(req(a, seed=3), "c")
+            svc.cache.clear()
+            again = await svc.handle(req(a, seed=3), "c")
+            return first, again, svc.stats()["counters"]
+
+        first, again, counters = run_service(scenario, cfg)
+        assert counters["fingerprint_memo_hits"] == 1
+        assert counters["computed"] == 2
+        assert again["served"]["cache"] == "computed"
+        assert canonical_result_bytes(again["result"]) == canonical_result_bytes(
+            first["result"]
+        )
+        # the repeat found its fingerprint in the memo, then decoded to compute
+        spans = [
+            {s["name"]: s.get("attrs", {}) for s in line["telemetry"]["spans"]}
+            for line in map(json.loads, trace.read_text().splitlines())
+            if line["type"] == "request"
+        ]
+        assert spans[0]["serve.fingerprint"]["memo"] is False
+        assert spans[1]["serve.fingerprint"]["memo"] is True
+        assert "serve.decode" in spans[1] and "serve.compute" in spans[1]
+
+    def test_unseeded_and_path_requests_never_enter(self, tmp_path, a):
+        from repro.matrix.io import write_matrix_market
+
+        path = tmp_path / "a.mtx"
+        write_matrix_market(a, path)
+        by_path = {"op": "decompose", "matrix": {"path": str(path)}, "k": 4,
+                   "seed": 0}
+        unseeded = req(a, seed=None)
+        responses, counters, memo_sizes = serve_all(
+            [by_path, by_path, unseeded, unseeded], service_cfg(tmp_path)
+        )
+        assert memo_sizes == [0, 0, 0, 0]
+        assert "fingerprint_memo_hits" not in counters
+        assert counters["fingerprint_memo_misses"] == 4
+        # the path's repeat is still a cache hit, through its decode
+        assert responses[1]["served"]["cache"] == "hit-memory"
+
+    def test_path_request_sees_a_rewritten_file(self, tmp_path, a):
+        from repro.cli import load_matrix_arg
+        from repro.fingerprint import fingerprint
+        from repro.matrix.io import write_matrix_market
+        from repro.partitioner import PartitionerConfig
+
+        path = tmp_path / "a.mtx"
+        by_path = {"op": "decompose", "matrix": {"path": str(path)}, "k": 4,
+                   "seed": 0}
+        b = sp.random(50, 50, density=0.1, format="csr", random_state=7)
+
+        async def scenario(svc):
+            write_matrix_market(a, path)
+            first = await svc.handle(dict(by_path), "c")
+            write_matrix_market(b, path)
+            second = await svc.handle(dict(by_path), "c")
+            return first, second
+
+        first, second = run_service(scenario, service_cfg(tmp_path))
+        cfg = PartitionerConfig().with_(n_starts=1, n_workers=1)
+        assert second["result"]["fingerprint"] == fingerprint(
+            load_matrix_arg(str(path)), cfg, 0, k=4, method="finegrain"
+        )
+        assert second["result"]["fingerprint"] != first["result"]["fingerprint"]
+
+    def test_memo_never_grows_past_its_cap(self, tmp_path, a, monkeypatch):
+        from repro.serve import service as service_mod
+
+        monkeypatch.setattr(service_mod, "_FP_MEMO_CAP", 3)
+        requests = [req(a, seed=s) for s in range(6)] + [req(a, seed=0)]
+        responses, counters, memo_sizes = serve_all(requests, service_cfg(tmp_path))
+        assert memo_sizes == [1, 2, 3, 3, 3, 3, 3]
+        # seed 0 was the least recently used entry: evicted, so its repeat
+        # decodes again and is answered from the result cache
+        assert "fingerprint_memo_hits" not in counters
+        assert responses[-1]["served"]["cache"] == "hit-memory"
+
+    def test_out_of_range_index_is_still_refused(self, tmp_path, a):
+        base = req(a, seed=0)
+        # the low byte of the first row index now names row 200 of 60
+        bad = with_array_byte(base, "rows_b64", 0, 200)
+        responses, counters, memo_sizes = serve_all(
+            [base, base, bad], service_cfg(tmp_path)
+        )
+        assert counters["fingerprint_memo_hits"] == 1
+        assert responses[2]["ok"] is False
+        assert responses[2]["error"]["code"] == "bad-request"
+        assert memo_sizes[-1] == 1
+
+    def test_memo_hit_response_is_byte_identical(self, tmp_path, a):
+        obj = req(a, seed=9, want_part=True)
+        (first, second), counters, _ = serve_all([obj, obj], service_cfg(tmp_path))
+        assert first["served"]["cache"] == "computed"
+        assert second["served"]["cache"] == "hit-memory"
+        assert counters["fingerprint_memo_hits"] == 1
+        assert canonical_result_bytes(second["result"]) == canonical_result_bytes(
+            first["result"]
+        )
 
 
 # ----------------------------------------------------------------------

@@ -439,3 +439,45 @@ class TestVocabulary:
         )
         assert counted.get("tree.tasks_spawned", 0) >= 1
         self._assert_documented(emitted, counted)
+
+    def test_served_miss_and_hit_names_are_documented(self, tmp_path):
+        import asyncio
+        from pathlib import Path
+
+        from repro.serve.protocol import inline_matrix
+        from repro.serve.service import PartitionService, ServeConfig
+
+        trace = tmp_path / "trace.ndjson"
+        service = PartitionService(
+            ServeConfig(port=None, n_workers=1, trace_path=str(trace))
+        )
+        obj = {"op": "decompose", "matrix": {"inline": inline_matrix(small_matrix())},
+               "k": 4, "seed": 0}
+
+        async def miss_then_hit():
+            return [await service.handle(dict(obj), "c") for _ in range(2)]
+
+        try:
+            miss, hit = asyncio.run(miss_then_hit())
+        finally:
+            service.close()
+        assert [miss["served"]["cache"], hit["served"]["cache"]] == [
+            "computed", "hit-memory",
+        ]
+        telemetry = [
+            line["telemetry"]
+            for line in map(json.loads, trace.read_text().splitlines())
+            if line["type"] == "request"
+        ]
+        spans = [{s["name"]: s["attrs"] for s in t["spans"]} for t in telemetry]
+        # the hit found its fingerprint in the memo: nothing was decoded
+        assert spans[0]["serve.fingerprint"]["memo"] is False
+        assert spans[1]["serve.fingerprint"]["memo"] is True
+        assert {"serve.decode", "serve.compute"} <= set(spans[0])
+        assert "serve.decode" not in spans[1]
+        emitted = set(spans[0]) | set(spans[1])
+        counted = {**telemetry[0]["counters"], **telemetry[1]["counters"]}
+        self._assert_documented(emitted, counted)
+        doc = (Path(__file__).parents[1] / "docs" / "telemetry.md").read_text()
+        for name in ("fingerprint_memo_hits", "fingerprint_memo_misses"):
+            assert f"`{name}`" in doc
