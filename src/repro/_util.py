@@ -22,8 +22,8 @@ __all__ = [
     "check_in_range",
     "check_positive",
     "ensure_int_array",
-    "multi_arange",
     "prefix_from_counts",
+    "reap",
     "sorted_without_zeros",
     "Timer",
 ]
@@ -77,24 +77,6 @@ def ensure_int_array(data: Iterable[int] | np.ndarray, name: str = "array") -> n
     return np.ascontiguousarray(arr)
 
 
-def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(starts[i], starts[i] + counts[i])`` for all i.
-
-    The vectorized equivalent of gathering many CSR segments at once:
-    ``data[multi_arange(offsets[sel], lengths[sel])]`` pulls the selected
-    segments in order without a Python loop.
-    """
-    starts = np.asarray(starts, dtype=INDEX_DTYPE)
-    counts = np.asarray(counts, dtype=INDEX_DTYPE)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    ends = np.cumsum(counts)
-    return np.repeat(starts - (ends - counts), counts) + np.arange(
-        total, dtype=INDEX_DTYPE
-    )
-
-
 def prefix_from_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     """Build a CSR-style offset array (length ``len(counts)+1``) from counts."""
     counts = np.asarray(counts, dtype=INDEX_DTYPE)
@@ -102,6 +84,17 @@ def prefix_from_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     out[0] = 0
     np.cumsum(counts, out=out[1:])
     return out
+
+
+def reap(proc, grace: float = 0.0) -> bool:
+    """Join the child process *proc*; kill it if it is still alive after
+    *grace* seconds.  Returns whether it had to be killed."""
+    proc.join(timeout=grace)
+    if not proc.is_alive():
+        return False
+    proc.kill()
+    proc.join(timeout=5)
+    return True
 
 
 def sorted_without_zeros(a, fmt: str = "csr"):

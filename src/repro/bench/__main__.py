@@ -20,7 +20,7 @@ experiments
 vcycle
     End-to-end ``decompose()`` benchmark at K=64 with a telemetry phase
     breakdown (matching, coarse build, initial, FM, K-way) and the
-    self time of each matching and K-way route; write
+    self time of each matching route; write
     BENCH_vcycle.json.  ``--quick`` shrinks the instances to a CI smoke.
     Exits 1 if two repeats of an instance produce different partitions.
 verify

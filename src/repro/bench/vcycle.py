@@ -2,8 +2,8 @@
 
 Where does a whole ``decompose()`` call spend its time — coarsening
 (matching + coarse build), initial bisection, FM refinement up the
-V-cycle, K-way boundary refinement — and which route did matching and
-K-way refinement take (see :mod:`repro.partitioner.kernels`)?
+V-cycle, K-way boundary refinement — and which route did matching
+take (see :mod:`repro.partitioner.kernels`)?
 
 Every run partitions into the paper's K=64.  Four instances cover the
 regimes the structural routes separate:
@@ -22,9 +22,9 @@ regimes the structural routes separate:
 Each instance runs *repeats* times and the minimum wall time is kept —
 on a shared machine the min-of-N is the noise-robust estimator.  The
 telemetry phase breakdown (self time per span name) of the min-time run
-provides the attribution table, with matching and K-way split further
-by the ``route=`` their spans name, and the coarse builds' dropped and
-merged net counts.
+provides the attribution table, with matching split further by the
+``route=`` its spans name (the only phase with two routes), and the
+coarse builds' dropped and merged net counts.
 
 Every repeat must produce the same partition — the benchmark hashes
 each part vector and reports ``deterministic``; the CLI exits 1 when
@@ -218,8 +218,8 @@ def run_vcycle_bench(
         "end-to-end wall time of decompose(), min over "
         f"{repeats} repetition(s); the phase table is the telemetry "
         "self-time breakdown of the fastest run.",
-        "routes splits coarsen.match and kway self time by the route= "
-        "their spans name; coarse_build totals the nets each level's "
+        "routes splits coarsen.match self time by the route= its spans "
+        "name; coarse_build totals the nets each level's "
         "build dropped (< 2 distinct clusters) and merged (identical to "
         "an earlier net).",
         "deterministic is true when every repetition hashed the same "

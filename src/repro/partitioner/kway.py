@@ -17,37 +17,30 @@ of cost c):
 Both counts are maintained in an ``N x K`` dense matrix — affordable for
 the paper's K ≤ 64.
 
-A boundary of at least :data:`_KWAY_VECTOR_MIN` vertices takes the
-*flat-sweep* route, which batch-scores a whole permutation chunk at once:
-``g(v, q) = gain_remove(v) - total_cost(v) + connected_cost(v, q)`` falls
-out of one gather of the counts matrix plus segmented reductions, and any
-vertex whose best exact gain is ≤ 0 provably cannot move (the balance
-bound only removes candidates), so the sequential pass skips it without
-touching any state.  Vertices with a positive candidate — or whose nets
-were touched by an earlier move in the same chunk, invalidating their
-batch score — run the ordinary reference body, which keeps the flat
-sweep bit-identical by construction.
+One sweep, :func:`_kway_pass`, visits the boundary in random order.  It
+skips v unless some net of v with nonzero cost has ``count[p] == 1``.
+The skip is exact: :class:`Hypergraph` rejects negative costs, so with
+``gain_remove == 0`` every candidate's gain is ``-loss <= 0`` and nothing
+moves.  Otherwise it gathers ``rows = counts[nets_v]`` once and scores
+every part at once, ``g = c @ (rows[:, p] == 1) - c @ (rows == 0)``, then
+takes the feasible part with the largest positive gain.  Ties go to the
+part the per-vertex reference :func:`_move_one` meets first: the smallest
+index of a net of v holding it, then the smallest part id.  The sweep
+therefore moves the same vertices to the same parts as the reference
+sweep :func:`_kway_pass_ref`, which the tests diff it against by
+patching ``_kway_pass``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._util import INDEX_DTYPE, as_rng, multi_arange
+from repro._util import INDEX_DTYPE, as_rng
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
 from repro.telemetry import get_recorder
 
 __all__ = ["kway_refine"]
-
-#: vertices per batch-scoring chunk of the flat sweep; shorter chunks waste
-#: numpy call overhead, longer ones go stale faster (a move invalidates
-#: the batch scores of every later vertex sharing one of its nets)
-_KWAY_CHUNK = 4096
-
-#: below this first-pass boundary size the reference sweep wins outright;
-#: the seam a test patches to force either sweep
-_KWAY_VECTOR_MIN = 64
 
 
 def _move_one(
@@ -124,9 +117,7 @@ def _kway_pass_ref(
     return moved, gained
 
 
-def _kway_pass_flat(
-    h: Hypergraph,
-    k: int,
+def _kway_pass(
     perm: np.ndarray,
     part_l: list[int],
     counts: np.ndarray,
@@ -137,62 +128,44 @@ def _kway_pass_flat(
     xnets: list[int],
     vnets: list[int],
 ) -> tuple[int, int]:
-    """One flat sweep: batch-score chunks, skip provably-unmovable
-    vertices, run the reference body for the rest (see module docstring
-    for the exactness argument)."""
-    xnets_np, vnets_np = h.xnets, h.vnets
-    cost_np = np.asarray(h.net_costs, dtype=np.int64)
-    touch = [-1] * h.num_nets  # move index that last changed each net
-    move_no = 0
+    """One production sweep over *perm*: moves the same vertices to the
+    same parts as :func:`_kway_pass_ref` (see the module docstring)."""
+    vnets_np = np.asarray(vnets, dtype=np.intp)
+    cost_np = np.asarray(cost, dtype=np.int64)
     moved = 0
     gained = 0
-    NEG = np.int64(-(1 << 60))
-    for lo in range(0, len(perm), _KWAY_CHUNK):
-        chunk = perm[lo : lo + _KWAY_CHUNK].astype(np.int64)
-        m = len(chunk)
-        deg = xnets_np[chunk + 1] - xnets_np[chunk]
-        starts = np.zeros(m, dtype=np.int64)
-        np.cumsum(deg[:-1], out=starts[1:])
-        ns = vnets_np[multi_arange(xnets_np[chunk], deg)]
-        C = counts[ns]  # (E, k) gather of the live counts matrix
-        cpos = C > 0
-        ce = cost_np[ns]
-        conn = np.add.reduceat(cpos * ce[:, None], starts, axis=0)
-        candq = np.add.reduceat(cpos, starts, axis=0) > 0
-        totc = np.add.reduceat(ce, starts)
-        p_arr = np.fromiter(
-            (part_l[v] for v in chunk.tolist()), dtype=np.int64, count=m
-        )
-        crit = ce * (C[np.arange(len(ns)), np.repeat(p_arr, deg)] == 1)
-        gain_remove = np.add.reduceat(crit, starts)
-        g = gain_remove[:, None] - totc[:, None] + conn
-        g = np.where(candq, g, NEG)
-        g[np.arange(m), p_arr] = NEG
-        gmax = g.max(axis=1)
-
-        chunk_t = move_no  # scores are valid for nets untouched since here
-        hot = gmax > 0
-        for j, v in enumerate(chunk.tolist()):
-            nets_v = vnets[xnets[v] : xnets[v + 1]]
-            fresh = True
-            for n in nets_v:
-                if touch[n] >= chunk_t:
-                    fresh = False
-                    break
-            if fresh and not hot[j]:
-                # exact batch gain ≤ 0 for every candidate: the balance
-                # bound can only shrink the candidate set, so the
-                # reference body would not move v either — skip it
-                continue
-            g1, mnets = _move_one(
-                v, part_l, counts, W, maxw, wl, cost, xnets, vnets
-            )
-            if g1:
-                moved += 1
-                gained += g1
-                for n in mnets:
-                    touch[n] = move_no
-                move_no += 1
+    for v in perm.tolist():
+        p = part_l[v]
+        lo, hi = xnets[v], xnets[v + 1]
+        for n in vnets[lo:hi]:
+            if counts[n, p] == 1 and cost[n]:
+                break
+        else:
+            continue  # gain_remove == 0: no part has a positive gain
+        nets_v = vnets_np[lo:hi]
+        rows = counts[nets_v]
+        c = cost_np[nets_v]
+        present = rows > 0
+        wv = wl[v]
+        g = c @ (rows[:, p] == 1) - c @ (rows == 0)
+        ok = present.any(axis=0) & (W + wv <= maxw)
+        ok[p] = False
+        g = np.where(ok, g, 0)
+        best = int(g.max())
+        if best <= 0:
+            continue
+        # ties: the part the reference meets first — smallest first-net
+        # index, then smallest part id (argmin keeps the first minimum)
+        tie = np.flatnonzero(g == best)
+        q = int(tie[present[:, tie].argmax(axis=0).argmin()])
+        # pins are unique per net, so nets_v has no repeats
+        counts[nets_v, p] -= 1
+        counts[nets_v, q] += 1
+        W[p] -= wv
+        W[q] += wv
+        part_l[v] = q
+        moved += 1
+        gained += best
     return moved, gained
 
 
@@ -208,10 +181,6 @@ def kway_refine(
 
     Only strictly positive-gain, balance-preserving moves are applied, so
     the cutsize never increases and Eq. 1 feasibility is preserved.
-
-    The route (``flat-sweep`` or ``reference``) is fixed for the whole
-    call from the first pass's boundary size; both sweeps move the same
-    vertices, so the choice affects speed only.
     """
     rng = as_rng(rng)
     part = np.asarray(part, dtype=INDEX_DTYPE).copy()
@@ -237,8 +206,7 @@ def kway_refine(
         free &= fixed < 0
 
     rec = get_recorder()
-    with rec.span("kway", k=k, vertices=nv, nets=nn, pins=h.num_pins) as sp:
-        flat = None
+    with rec.span("kway", k=k, vertices=nv, nets=nn, pins=h.num_pins):
         for _ in range(cfg.kway_passes):
             # boundary = vertices on some net with connectivity > 1
             lam = (counts > 0).sum(axis=1)
@@ -248,18 +216,9 @@ def kway_refine(
             if len(bnd) == 0:
                 break
             perm = rng.permutation(bnd)
-            if flat is None:
-                flat = len(bnd) >= _KWAY_VECTOR_MIN
-                sp.set(route="flat-sweep" if flat else "reference")
-            if flat:
-                moved, gained = _kway_pass_flat(
-                    h, k, perm, part_l, counts, W, maxw, wl, cost,
-                    xnets, vnets,
-                )
-            else:
-                moved, gained = _kway_pass_ref(
-                    perm, part_l, counts, W, maxw, wl, cost, xnets, vnets
-                )
+            moved, gained = _kway_pass(
+                perm, part_l, counts, W, maxw, wl, cost, xnets, vnets
+            )
             if rec.enabled:
                 rec.add("kway.passes")
                 rec.add("kway.moves", moved)

@@ -18,13 +18,14 @@ worker supervision
     heartbeat slot of an unnamed shared array, allocated before the fork,
     from a background thread; the parent detects dead or hung workers,
     kills and respawns them, and re-queues their in-flight seeds
-    (``engine.worker_restarts`` telemetry).  A bounded restart budget
-    keeps a deterministic crash from looping forever — when it runs out
-    the pool declares itself broken and the engine falls back to
-    in-process serial execution.  A shipped seed-tree subtree is a
-    one-task worker of the same kind (:class:`SupervisedTask`): forked at
-    offer time, heartbeating, and killed when it dies or hangs, so the
-    caller can recompute it inline.
+    (``engine.worker_restarts`` telemetry).  A worker whose parent dies
+    exits on its next heartbeat tick instead of living on as an orphan.
+    A bounded restart budget keeps a deterministic crash from looping
+    forever — when it runs out the pool declares itself broken and the
+    engine falls back to in-process serial execution.  A shipped
+    seed-tree subtree is a one-task worker of the same kind
+    (:class:`SupervisedTask`): forked at offer time, heartbeating, and
+    killed when it dies or hangs, so the caller can recompute it inline.
 deadline budget
     ``cfg.deadline`` (or ``decompose(deadline=...)`` /
     ``REPRO_DEADLINE``) caps the engine call's wall clock *gracefully*:
@@ -67,6 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._util import reap
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
 from repro.telemetry import get_recorder
@@ -482,15 +484,20 @@ def _serial_starts(h, k, single, seeds, todo, cfg, outcome, store, deadline,
 # ----------------------------------------------------------------------
 # supervised process backend
 # ----------------------------------------------------------------------
-def _beat_loop(beats, rank: int, interval: float,
-               stop: threading.Event) -> None:
+def _beat_loop(beats, rank: int, interval: float, stop: threading.Event,
+               parent: int) -> None:
     """Worker-side heartbeat writer (daemon thread).
 
     Stamps ``beats[rank]`` with ``time.monotonic()``, which is system-wide
     on the platforms we run on, so the parent compares it with its own
-    clock directly.
+    clock directly.  Ends the whole process once its parent, whose pid
+    *parent* was recorded before the fork, is gone: nothing would ever
+    collect its result or tell it to stop, so it would live on as an
+    orphan blocked on its task queue.
     """
     while True:
+        if os.getppid() != parent:
+            os._exit(1)
         try:
             _fault_trip("worker.heartbeat")
             beats[rank] = time.monotonic()
@@ -506,14 +513,6 @@ def _hung(beats, rank: int, since: float, timeout: float) -> bool:
     """Worker *rank*'s newest heartbeat, or *since* (its task's hand-over
     time) if later, is older than *timeout* seconds."""
     return time.monotonic() - max(beats[rank], since) > timeout
-
-
-def _reap(proc, grace: float = 0.0) -> None:
-    """Join *proc*; kill it if still alive after *grace* seconds."""
-    proc.join(timeout=grace)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(timeout=5)
 
 
 def _tick(cfg: PartitionerConfig) -> float:
@@ -532,7 +531,7 @@ def _shippable(exc: Exception) -> Exception:
     return exc
 
 
-def _supervised_worker(rank, task_q, result_q, beats, hb_interval,
+def _supervised_worker(rank, task_q, result_q, beats, hb_interval, parent,
                        h, k, single) -> None:
     """One supervised engine worker (child-process main).
 
@@ -546,7 +545,8 @@ def _supervised_worker(rank, task_q, result_q, beats, hb_interval,
 
     stop = threading.Event()
     threading.Thread(
-        target=_beat_loop, args=(beats, rank, hb_interval, stop), daemon=True
+        target=_beat_loop, args=(beats, rank, hb_interval, stop, parent),
+        daemon=True,
     ).start()
     try:
         while True:
@@ -619,7 +619,7 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
         slot.proc = ctx.Process(
             target=_supervised_worker,
             args=(slot.rank, slot.queue, result_q, beats,
-                  cfg.heartbeat_interval, h, k, single),
+                  cfg.heartbeat_interval, os.getpid(), h, k, single),
         )
         slot.proc.start()
         _LAST_WORKER_PIDS[:] = [
@@ -630,7 +630,7 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
         """Kill a dead/hung worker, re-queue its seed, respawn."""
         nonlocal restart_budget
         if slot.proc is not None:
-            _reap(slot.proc)
+            reap(slot.proc)
         if slot.task is not None:
             i, attempt = slot.task
             if i not in outcome.completed:
@@ -735,7 +735,7 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
                     pass
         for slot in slots:
             if slot.proc is not None:
-                _reap(slot.proc, grace=2)
+                reap(slot.proc, grace=2)
         for slot in slots:
             if slot.queue is not None:
                 slot.queue.close()
@@ -747,12 +747,13 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
 # ----------------------------------------------------------------------
 # one-task supervised children (shipped seed-tree subtrees)
 # ----------------------------------------------------------------------
-def _one_task_worker(conn, beats, hb_interval, fn, args) -> None:
+def _one_task_worker(conn, beats, hb_interval, parent, fn, args) -> None:
     """Child main of a :class:`SupervisedTask`: stamp ``beats[0]`` while
     ``fn(*args)`` runs, then send ``(ok, value_or_exc)``."""
     stop = threading.Event()
     threading.Thread(
-        target=_beat_loop, args=(beats, 0, hb_interval, stop), daemon=True
+        target=_beat_loop, args=(beats, 0, hb_interval, stop, parent),
+        daemon=True,
     ).start()
     try:
         out = (True, fn(*args))
@@ -781,7 +782,8 @@ class SupervisedTask:
         self._conn, child_conn = ctx.Pipe(duplex=False)
         self._proc = ctx.Process(
             target=_one_task_worker,
-            args=(child_conn, self._beats, cfg.heartbeat_interval, fn, args),
+            args=(child_conn, self._beats, cfg.heartbeat_interval,
+                  os.getpid(), fn, args),
         )
         try:
             self._proc.start()
@@ -814,7 +816,7 @@ class SupervisedTask:
     def cancel(self) -> None:
         """Kill and reap the child unless already done (idempotent)."""
         if not self._conn.closed:
-            _reap(self._proc)
+            reap(self._proc)
             self._conn.close()
             self._on_close(self)
 

@@ -29,6 +29,7 @@ import queue as queue_mod
 import numpy as np
 import scipy.sparse as sp
 
+from repro._util import reap
 from repro.core.decomposition import Decomposition
 from repro.spmv.plan import CommPlan, build_comm_plan
 from repro.telemetry import get_recorder
@@ -188,19 +189,11 @@ def _run_workers(
                 for i, v in y_local.items():
                     y[i] = v
     finally:
-        # escalating shutdown: join politely, terminate stragglers, kill
-        # anything that survives SIGTERM (e.g. a rank wedged in a queue
-        # feeder); leaked children would hold the inbox pipes open forever
+        # kill any rank that outlives a grace join (e.g. one wedged in a
+        # queue feeder); leaked children would hold the inbox pipes open
         for proc in procs:
-            proc.join(timeout=5)
-        for proc in procs:
-            if proc.is_alive():
+            if reap(proc, grace=5):
                 rec.add("spmv.worker_killed")
-                proc.terminate()
-                proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - defensive cleanup
-                proc.kill()
-                proc.join(timeout=5)
         for q in inboxes:
             q.close()
             q.cancel_join_thread()

@@ -151,7 +151,6 @@ class TestVcycleBench:
         assert doc["summary"]["seconds_by_instance"] == {"tiny": row["seconds"]}
         assert set(row["routes"]) <= {
             "coarsen.match/single-term", "coarsen.match/product",
-            "kway/flat-sweep", "kway/reference",
         }
         assert "coarsen.match/single-term" in row["routes"]
         build = row["coarse_build"]

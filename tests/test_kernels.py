@@ -32,7 +32,7 @@ def test_kernels_introspection_shape():
     # the per-net build loop no longer ships: the coarse build sorts
     assert info["phases"]["coarse_build"] == ["sort"]
     info["phases"]["kway"].append("other")
-    assert repro.kernels()["phases"]["kway"] == ["flat-sweep", "reference"]
+    assert repro.kernels()["phases"]["kway"] == ["reference"]
     json.dumps(info)
 
 

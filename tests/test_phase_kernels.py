@@ -1,15 +1,14 @@
-"""Phase-route parity: the matching and K-way routes == their oracles.
+"""Phase parity: the matching routes and the K-way sweep == their oracles.
 
-Two V-cycle phases pick a route from the level's structure: matching
-(the single-term and product routes) and K-way refinement (the flat
-sweep, or the per-vertex sweep below a boundary size).  Each route
-promises the output of its phase's reference body: the per-pin matcher
-``coarsen._match_reference`` and the per-vertex sweep
+Matching picks a route from the level's structure (the single-term and
+product routes); K-way refinement runs one sweep, ``kway._kway_pass``.
+Each promises the output of its phase's reference body: the per-pin
+matcher ``coarsen._match_reference`` and the scalar per-vertex sweep
 ``kway._kway_pass_ref``.  Tests reach the reference bodies through one
-seam per phase — ``coarsen._pick_matcher`` and
-``kway._KWAY_VECTOR_MIN`` — patched per level by the A/B and hypothesis
-harnesses below, and for a whole ``decompose()`` by the end-to-end
-oracle test.  The ``route`` span attribute must name the path that ran.
+seam per phase — ``coarsen._pick_matcher`` and ``kway._kway_pass`` —
+patched per level by the A/B and hypothesis harnesses below, and for a
+whole ``decompose()`` by the end-to-end oracle test.  The matcher's
+``route`` span attribute must name the path that ran.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import unittest.mock as mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import random_hypergraph
@@ -43,10 +42,11 @@ def _match_ref(h, rng, **kw):
         return C.match_vertices(h, rng, **kw)
 
 
-def _kway(h, part, k, rng, fixed=None, flat=True):
-    """``kway_refine`` forced onto the flat sweep or the per-vertex
-    reference sweep through its boundary-size seam."""
-    with mock.patch.object(KW, "_KWAY_VECTOR_MIN", 1 if flat else 1 << 62):
+def _kway(h, part, k, rng, fixed=None, ref=False):
+    """``kway_refine`` on its production sweep, or with its seam patched
+    to the scalar reference sweep."""
+    sweep = KW._kway_pass_ref if ref else KW._kway_pass
+    with mock.patch.object(KW, "_kway_pass", sweep):
         return KW.kway_refine(h, part, k, PartitionerConfig(), rng, fixed)
 
 
@@ -493,10 +493,10 @@ def test_finest_levels_take_single_term_route():
 
 
 # ----------------------------------------------------------------------
-# K-way refinement: flat sweep == reference sweep
+# K-way refinement: production sweep == reference sweep
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("with_fixed", [False, True])
-def test_kway_flat_matches_reference(with_fixed):
+def test_kway_pass_matches_reference(with_fixed):
     for hseed, seed, k in [(0, 1, 4), (6, 3, 8)]:
         h = random_hypergraph(as_rng(hseed), 160, 140, weighted=True)
         rng0 = as_rng(seed)
@@ -505,24 +505,74 @@ def test_kway_flat_matches_reference(with_fixed):
         if with_fixed:
             fixed = np.full(h.num_vertices, -1, dtype=np.int64)
             fixed[:12] = rng0.integers(0, k, size=12)
-        p_ref = _kway(h, part, k, as_rng(seed + 1), fixed, flat=False)
-        p_flat = _kway(h, part, k, as_rng(seed + 1), fixed, flat=True)
-        assert np.array_equal(p_ref, p_flat)
+        p_ref = _kway(h, part, k, as_rng(seed + 1), fixed, ref=True)
+        p_new = _kway(h, part, k, as_rng(seed + 1), fixed)
+        assert np.array_equal(p_ref, p_new)
 
 
-@settings(max_examples=20, deadline=None)
-@given(hseed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
-       k=st.integers(2, 8))
-def test_kway_flat_matches_reference_hypothesis(hseed, seed, k):
-    h = random_hypergraph(as_rng(hseed), 60, 50, weighted=True)
-    part = as_rng(seed).integers(0, k, size=h.num_vertices)
-    p_ref = _kway(h, part, k, as_rng(seed), flat=False)
-    p_flat = _kway(h, part, k, as_rng(seed), flat=True)
-    assert np.array_equal(p_ref, p_flat)
+@st.composite
+def _kway_sweeps(draw):
+    """The inputs of one K-way sweep, drawn to reach every case the
+    production sweep must agree with the reference on: zero-cost nets,
+    vertices with no nets, fixed vertices (pins that never enter the
+    sweep order), a part exactly at the cap for some vertex
+    (``W[q] + w_v == maxw``) and, from unit costs on small nets, equal
+    gains that only the first-seen-net tie rule separates."""
+    k = draw(st.integers(2, 5))
+    nv = draw(st.integers(2, 16))
+    isolated = draw(st.integers(0, 2))  # vertices no net touches
+    nets = draw(st.lists(
+        st.lists(st.integers(0, nv - 1), min_size=1, max_size=5, unique=True),
+        min_size=1, max_size=16,
+    ))
+    n = nv + isolated
+    costs = draw(st.lists(st.sampled_from([0, 1, 1, 2]),
+                          min_size=len(nets), max_size=len(nets)))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    part = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    fixed = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    order = draw(st.permutations([v for v in range(n) if v not in fixed]))
+    W = np.bincount(part, weights=weights, minlength=k).astype(np.int64)
+    q, v = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+    maxw = int(W[q]) + weights[v] + draw(st.sampled_from([0, 0, 1, 3]))
+    return dict(k=k, n=n, nets=nets, costs=costs, weights=weights,
+                part=part, order=order, maxw=maxw)
+
+
+def _run_sweep(sweep, k, n, nets, costs, weights, part, order, maxw):
+    """One sweep over *order*; returns everything it may change."""
+    h = hypergraph_from_netlists(n, nets, vertex_weights=weights,
+                                 net_costs=costs)
+    counts = np.zeros((h.num_nets, k), dtype=np.int32)
+    np.add.at(counts, (h.net_of_pin(), np.asarray(part)[h.pins]), 1)
+    W = np.bincount(part, weights=weights, minlength=k).astype(np.int64)
+    part_l = list(part)
+    moved, gained = sweep(
+        np.asarray(order, dtype=np.int64), part_l, counts, W, maxw,
+        h.weights_list(), h.costs_list(), h.xnets_list(), h.vnets_list(),
+    )
+    return part_l, counts.tolist(), W.tolist(), moved, gained
+
+
+#: vertex 0 sits alone in part 0 on two nets; moving it to part 2 (first
+#: seen, on net 0) or to part 1 (net 1) gains 1 either way, and part 2 is
+#: exactly at the cap for it
+_FIRST_SEEN_TIE = dict(
+    k=3, n=3, nets=[[0, 1], [0, 2]], costs=[1, 1], weights=[1, 1, 1],
+    part=[0, 2, 1], order=[0], maxw=2,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kway_sweeps())
+@example(case=_FIRST_SEEN_TIE)
+def test_kway_pass_matches_reference_hypothesis(case):
+    new = _run_sweep(KW._kway_pass, **case)
+    assert new == _run_sweep(KW._kway_pass_ref, **case)
 
 
 def _spy_routes(monkeypatch):
-    """Record, in call order, the matcher and K-way sweep routes that ran."""
+    """Record, in call order, the matcher routes and K-way sweeps that ran."""
     ran = {"match": [], "kway": []}
 
     def spy(orig, phase, route):
@@ -532,12 +582,12 @@ def _spy_routes(monkeypatch):
 
         return wrapped
 
+    sweep = "reference" if KW._kway_pass is KW._kway_pass_ref else "production"
     for mod, name, phase, route in [
         (C, "_match_reference", "match", "reference"),
         (C, "_match_single_term", "match", "single-term"),
         (C, "_match_product", "match", "product"),
-        (KW, "_kway_pass_ref", "kway", "reference"),
-        (KW, "_kway_pass_flat", "kway", "flat-sweep"),
+        (KW, "_kway_pass", "kway", sweep),
     ]:
         monkeypatch.setattr(mod, name, spy(getattr(mod, name), phase, route))
     return ran
@@ -545,38 +595,37 @@ def _spy_routes(monkeypatch):
 
 def _use_reference_routes(monkeypatch):
     """Patch both seams: every level matches with the per-pin loop and
-    every K-way pass runs the per-vertex sweep."""
+    every K-way pass runs the scalar per-vertex sweep."""
     monkeypatch.setattr(C, "_pick_matcher", _reference_matcher)
-    monkeypatch.setattr(KW, "_KWAY_VECTOR_MIN", 1 << 62)
+    monkeypatch.setattr(KW, "_kway_pass", KW._kway_pass_ref)
 
 
-#: ``routes`` is ``fast`` for the production routes and ``reference`` for
+#: ``routes`` is ``fast`` for the production code and ``reference`` for
 #: the oracles forced through the seams
-@pytest.mark.parametrize("n, k, routes, kway_route", [
-    (300, 8, "fast", "flat-sweep"),
-    (300, 8, "reference", "reference"),
-    (40, 2, "fast", "reference"),  # boundary below _KWAY_VECTOR_MIN
-])
-def test_route_attrs_name_the_path_that_ran(monkeypatch, n, k, routes, kway_route):
+@pytest.mark.parametrize("routes", ["fast", "reference"])
+def test_route_attrs_name_the_path_that_ran(monkeypatch, routes):
     """A traced 1D partition with K-way refinement: every ``coarsen.match``
-    and ``kway`` span's ``route`` names the implementation that ran."""
+    span's ``route`` names the matcher that ran, and the ``kway`` span,
+    whose phase has one implementation, names none."""
     from repro.core.api import decompose
 
     if routes == "reference":
         _use_reference_routes(monkeypatch)
     ran = _spy_routes(monkeypatch)
-    a = sp.random(n, n, density=0.05, random_state=3, format="csr")
+    a = sp.random(300, 300, density=0.05, random_state=3, format="csr")
     cfg = PartitionerConfig(kway_refine=True, tree_parallel=False, coarsen_to=16)
     rec = TelemetryRecorder()
     with use_recorder(rec):
-        decompose(a, k, method="rownet", config=cfg, seed=0)
+        decompose(a, 8, method="rownet", config=cfg, seed=0)
     spans = [s for root in rec.roots for s, _ in root.walk()]
     match_routes = [s.attrs["route"] for s in spans if s.name == "coarsen.match"]
     assert match_routes and match_routes == ran["match"]
     assert set(match_routes) == ({"reference"} if routes == "reference" else {"product"})
     (kway,) = [s for s in spans if s.name == "kway"]
-    assert kway.attrs["route"] == kway_route
-    assert ran["kway"] and set(ran["kway"]) == {kway_route}
+    assert "route" not in kway.attrs
+    assert ran["kway"] and set(ran["kway"]) == (
+        {"reference"} if routes == "reference" else {"production"}
+    )
     # which route ran is named by route= alone: no span carries a kernel
     assert not any("kernel" in s.attrs for s in spans)
 
@@ -594,9 +643,9 @@ def _part_sha(part):
 ])
 def test_fast_routes_match_reference_end_to_end(monkeypatch, instance, method):
     """One whole ``decompose()`` at K=8 with K-way refinement, production
-    routes against the seams patched to the oracles: the same partition
-    bits.  The unpatched run must take the fast routes, so the two runs
-    execute different code."""
+    code against the seams patched to the oracles: the same partition
+    bits and the same K-way moves.  The unpatched run must take the fast
+    matching routes, so the two runs execute different code."""
     from repro.core.api import decompose
     from repro.matrix.collection import load_collection_matrix
 
@@ -617,16 +666,18 @@ def test_fast_routes_match_reference_end_to_end(monkeypatch, instance, method):
             for root in rec.roots for s, _ in root.walk()
             if "route" in s.attrs
         }
-        return res, routes
+        counters = rec.counter_totals()
+        assert counters["kway.passes"] > 0
+        return res, routes, counters["kway.moves"]
 
-    fast, fast_routes = run()
-    assert ("kway", "flat-sweep") in fast_routes
+    fast, fast_routes, fast_moves = run()
     assert ("coarsen.match", "product") in fast_routes
     if method == "finegrain":
         assert ("coarsen.match", "single-term") in fast_routes
     _use_reference_routes(monkeypatch)
-    ref, ref_routes = run()
-    assert ref_routes == {("coarsen.match", "reference"), ("kway", "reference")}
+    ref, ref_routes, ref_moves = run()
+    assert ref_routes == {("coarsen.match", "reference")}
+    assert ref_moves == fast_moves
     assert _part_sha(fast.part) == _part_sha(ref.part)
     assert fast.cutsize == ref.cutsize
 
@@ -674,7 +725,7 @@ def test_kernels_introspection_lists_all_phases():
         "matching": ["single-term", "product"],
         "coarse_build": ["sort"],
         "initial": ["reference"],
-        "kway": ["flat-sweep", "reference"],
+        "kway": ["reference"],
     }}
 
 

@@ -474,6 +474,65 @@ class TestSupervision:
         assert elapsed < 10.0
 
 
+    def test_killed_parent_leaves_no_workers(self):
+        # a process running a multi-start sweep is SIGKILLed while its
+        # workers sleep in their starts: each worker notices its parent
+        # is gone on its next heartbeat tick and exits
+        interval = 0.1
+        ctx = mp.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(
+            target=_sweep_reporting_worker_pids, args=(send, interval)
+        )
+        child.start()
+        send.close()
+        pids = []
+        try:
+            assert recv.poll(30), "the sweep never reported its workers"
+            pids = recv.recv()
+            assert len(pids) == 2 and all(_running(p) for p in pids)
+            os.kill(child.pid, signal.SIGKILL)
+            child.join()
+            deadline = time.monotonic() + 20 * interval
+            while any(_running(p) for p in pids) and time.monotonic() < deadline:
+                time.sleep(interval / 2)
+            assert not [p for p in pids if _running(p)]
+        finally:
+            if child.is_alive() or any(_running(p) for p in pids):
+                os.killpg(child.pid, signal.SIGKILL)  # the child and its workers
+            child.join()
+
+
+def _running(pid: int) -> bool:
+    """*pid* names a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _sweep_reporting_worker_pids(conn, interval: float) -> None:
+    """Child main: a two-worker process sweep whose starts sleep for a
+    minute; sends the worker pids once both are running."""
+    os.setpgrp()  # one group with the workers, so cleanup can kill it whole
+    os.environ["REPRO_FAULTS"] = "engine.start:sleep60@all"
+    resilience._LAST_WORKER_PIDS.clear()  # forked with the suite's last sweep
+
+    def report():
+        while len(resilience._LAST_WORKER_PIDS) < 2:
+            time.sleep(0.01)
+        conn.send(list(resilience._LAST_WORKER_PIDS))
+
+    threading.Thread(target=report, daemon=True).start()
+    h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
+    cfg = PartitionerConfig(
+        n_starts=2, n_workers=2, start_backend="process",
+        heartbeat_interval=interval, heartbeat_timeout=120.0,
+    )
+    partition_multistart(h, 2, cfg, seed=0)
+
+
 class _Unpicklable(Exception):
     def __reduce__(self):
         raise TypeError("this exception cannot be pickled")
