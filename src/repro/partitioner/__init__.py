@@ -12,7 +12,8 @@ the same multilevel pipeline from scratch:
    coarsest hypergraph.
 3. **Uncoarsening with refinement** (:mod:`~repro.partitioner.refine`):
    boundary Fiduccia–Mattheyses passes with gain buckets
-   (:mod:`~repro.partitioner.gainbucket`) and hill-climbing rollback.
+   (:class:`~repro.partitioner.refine.FMBuckets`) and hill-climbing
+   rollback.
 4. **K-way via recursive bisection** (:mod:`~repro.partitioner.recursive`)
    with *cut-net splitting*, which makes the sum of bisection cuts equal the
    connectivity-minus-one cutsize of the final K-way partition — the

@@ -5,14 +5,9 @@ value, plus a moving max-gain pointer.  All operations the refinement inner
 loop needs are O(1) except :meth:`GainBucket.best`, whose amortized cost is
 bounded by the gain-range walk (the standard FM argument).
 
-Weight-capped selection (:meth:`GainBucket.best_capped`) adds one exact
-memo on top: a walk that finds nothing has seen every stored vertex, so it
-records their minimum weight, and later calls whose cap is below that
-minimum return ``None`` without walking.  Only inserts can lower the
-minimum, so only :meth:`~GainBucket.insert` and
-:meth:`~GainBucket.bulk_insert` invalidate it; removals and relinks keep
-it valid.  Without the memo, FM re-walks a side where nothing fits on
-every move of a pass.
+The graph partitioner's FM and growing use it.  Hypergraph FM and GHG use
+the flat two-sided store :class:`repro.partitioner.refine.FMBuckets`,
+which shares its gain list with the move engine and relinks inline.
 
 Plain Python lists are used instead of numpy arrays deliberately: the inner
 loop performs millions of single-element reads/writes, where list indexing
@@ -24,14 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 __all__ = ["GainBucket"]
-
-#: ``GainBucket.wfloor`` while no empty-handed walk is on record: no cap is below it
-_NO_FLOOR = float("-inf")
-#: start of a walk's running minimum: every weight is below it
-_NO_CEIL = float("inf")
 
 
 class GainBucket:
@@ -41,9 +29,7 @@ class GainBucket:
     most one bucket at a time.
     """
 
-    __slots__ = (
-        "offset", "heads", "nxt", "prv", "gain", "inside", "maxptr", "count", "wfloor",
-    )
+    __slots__ = ("offset", "heads", "nxt", "prv", "gain", "inside", "maxptr", "count")
 
     def __init__(self, n: int, max_gain: int) -> None:
         if max_gain < 0:
@@ -57,9 +43,6 @@ class GainBucket:
         self.inside = [False] * n
         self.maxptr = -1  # index into heads of the highest non-empty bucket
         self.count = 0
-        #: lower bound on the weight of every stored vertex, set by a
-        #: :meth:`best_capped` walk that returned ``None``
-        self.wfloor = _NO_FLOOR
 
     # -- primitive ops -------------------------------------------------
     def insert(self, v: int, gain: int) -> None:
@@ -78,7 +61,6 @@ class GainBucket:
         self.gain[v] = gain
         self.inside[v] = True
         self.count += 1
-        self.wfloor = _NO_FLOOR
         if b > self.maxptr:
             self.maxptr = b
 
@@ -105,81 +87,6 @@ class GainBucket:
         g = self.gain[v] + delta
         self.remove(v)
         self.insert(v, g)
-
-    def move_to(self, v: int, g: int) -> None:
-        """Relink stored vertex *v* into the bucket for gain *g*.
-
-        Equivalent to ``remove(v)`` + ``insert(v, g)`` (new head of the
-        target bucket) with the call overhead and revalidation stripped —
-        this is the single hottest operation of an FM pass.  *v* must be
-        stored and *g* in range; the refinement loop guarantees both.
-        """
-        nxt, prv, heads = self.nxt, self.prv, self.heads
-        nx, pv = nxt[v], prv[v]
-        if pv != -1:
-            nxt[pv] = nx
-        else:
-            heads[self.gain[v] + self.offset] = nx
-        if nx != -1:
-            prv[nx] = pv
-        b = g + self.offset
-        head = heads[b]
-        nxt[v] = head
-        prv[v] = -1
-        if head != -1:
-            prv[head] = v
-        heads[b] = v
-        self.gain[v] = g
-        if b > self.maxptr:
-            self.maxptr = b
-
-    def bulk_insert(self, vs: np.ndarray, gains: np.ndarray) -> None:
-        """Insert vertices *vs* (insertion order) with their *gains* at once.
-
-        Produces the exact linked-list state the equivalent sequence of
-        :meth:`insert` calls would: within each bucket, later-inserted
-        vertices sit closer to the head (LIFO).  None of *vs* may already
-        be stored.
-        """
-        m = len(vs)
-        if m == 0:
-            return
-        b = np.asarray(gains, dtype=np.int64) + self.offset
-        if int(b.min()) < 0 or int(b.max()) >= len(self.heads):
-            raise ValueError(f"gain outside bucket range ±{self.offset}")
-        # bucket-major, reverse insertion order within a bucket: walking the
-        # sorted sequence then links head -> tail of every bucket chain
-        ordr = np.lexsort((-np.arange(m), b))
-        sv = np.asarray(vs)[ordr].tolist()
-        sb = b[ordr].tolist()
-        heads, nxt, prv = self.heads, self.nxt, self.prv
-        gain, inside = self.gain, self.inside
-        off = self.offset
-        prev_b = -1
-        prev_v = -1
-        for i in range(m):
-            v = sv[i]
-            if inside[v]:
-                raise ValueError(f"vertex {v} already in bucket")
-            bb = sb[i]
-            if bb != prev_b:
-                if prev_v != -1:
-                    nxt[prev_v] = -1
-                heads[bb] = v
-                prv[v] = -1
-            else:
-                nxt[prev_v] = v
-                prv[v] = prev_v
-            gain[v] = bb - off
-            inside[v] = True
-            prev_b = bb
-            prev_v = v
-        nxt[prev_v] = -1
-        self.count += m
-        self.wfloor = _NO_FLOOR
-        mb = int(b.max())
-        if mb > self.maxptr:
-            self.maxptr = mb
 
     def __len__(self) -> int:
         return self.count
@@ -216,36 +123,6 @@ class GainBucket:
                 if feasible is None or feasible(v):
                     return v
                 v = nxt[v]
-        return None
-
-    def best_capped(self, w: list[int], cap: int) -> int | None:
-        """:meth:`best` specialized to the feasibility test ``w[v] <= cap``.
-
-        Same walk and same result as ``best(lambda v: w[v] <= cap)`` but
-        without a Python call per candidate — the dominant selection path
-        when neither side is overweight.
-
-        A walk that returns ``None`` records the minimum weight it saw in
-        :attr:`wfloor`; while no vertex is inserted, a later call with
-        ``cap < wfloor`` returns ``None`` at once.  The memo is exact as
-        long as every call passes the same, unchanging *w* (FM and GHG
-        pass the hypergraph's vertex weights).
-        """
-        if self.count == 0 or cap < self.wfloor:
-            return None
-        self._settle_maxptr()
-        heads, nxt = self.heads, self.nxt
-        lo = _NO_CEIL
-        for b in range(self.maxptr, -1, -1):
-            v = heads[b]
-            while v != -1:
-                wv = w[v]
-                if wv <= cap:
-                    return v
-                if wv < lo:
-                    lo = wv
-                v = nxt[v]
-        self.wfloor = lo
         return None
 
     def pop_best(self, feasible: Callable[[int], bool] | None = None) -> int | None:

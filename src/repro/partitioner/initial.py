@@ -20,7 +20,6 @@ import numpy as np
 from repro._util import INDEX_DTYPE, as_rng
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
-from repro.partitioner.gainbucket import GainBucket
 from repro.partitioner.refine import FMCore, fm_refine_bisection
 from repro.telemetry import get_recorder
 
@@ -44,44 +43,39 @@ def ghg_bisection(
 ) -> np.ndarray:
     """Greedy hypergraph growing: grow part 0 up to ``target0`` weight.
 
-    A random seed vertex moves first, then the max-gain vertex of the
-    :class:`~repro.partitioner.gainbucket.GainBucket` that still fits
-    under ``max0``, with FM critical-net gain updates after each move.
+    A random seed vertex moves first, then the max-gain part-1 vertex of
+    the :class:`~repro.partitioner.refine.FMBuckets` that still fits under
+    ``max0``, with FM critical-net gain updates after each move.
     """
     rng = as_rng(rng)
     part = _base_part(h, fixed)
     core = FMCore(h, part, fixed)
     gain = core.compute_all_gains()
-    bound = core.max_gain_bound()
-    b0 = GainBucket(h.num_vertices, bound)  # unused side, kept for symmetry
-    b1 = GainBucket(h.num_vertices, bound)
-    core.buckets = (b0, b1)
-    core.insert_on_touch = False
+    bk = core.bk
 
-    # the free part-1 vertices in a random order; one bulk insert links the
-    # same LIFO bucket chains as inserting them one by one in this order
+    # the free part-1 vertices in a random order, linked in that order
     order = rng.permutation(h.num_vertices)
-    growable = np.asarray(core.free, dtype=bool) & (part == 1)
-    order = order[growable[order]]
-    b1.bulk_insert(order, gain[order])
+    order = order[(core.free & (part == 1))[order]]
+    bk.load(order, 1, gain[order], touch=False)
 
     w = core.w
     W = core.W
+    movable = core.movable
     max0 = int(max0)
     # force a random seed vertex first so different starts explore
     # different regions even when many gains tie
     seeded = False
-    while W[0] < target0 and len(b1):
+    while W[0] < target0 and bk.count[1]:
         if not seeded:
             v = int(order[rng.integers(len(order))])
             seeded = True
         else:
-            v = b1.best_capped(w, max0 - W[0])
+            v = bk.best_capped(1, w, max0 - W[0])
             if v is None:
                 break
-        b1.remove(v)
-        core.locked[v] = True  # each vertex enters part 0 at most once
-        core.apply_move(v, update_gains=True)
+        bk.remove(1, v)
+        movable[v] = False  # each vertex enters part 0 at most once
+        core.apply_move(v)
     return core.part_array()
 
 

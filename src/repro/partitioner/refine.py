@@ -8,31 +8,177 @@ guarantee to K-way connectivity cutsize (see recursive.py).
 
 The module exposes a small engine class, :class:`FMCore`, shared by the
 refinement pass and by greedy hypergraph growing in initial.py: it owns the
-pin-count bookkeeping, the gain array, and the critical-net gain updates of
-a vertex move.
+pin-count bookkeeping, the gain array, the flat two-sided gain-bucket
+store (:class:`FMBuckets`) and the one move body, which applies the
+critical-net gain updates and relinks every touched pin inline.
 
 Hot loops operate on plain Python lists (see gainbucket.py for why).
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro._util import INDEX_DTYPE, as_rng
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
-from repro.partitioner.gainbucket import GainBucket
 from repro.telemetry import get_recorder
 
-__all__ = ["FMCore", "fm_refine_bisection"]
+__all__ = ["FMBuckets", "FMCore", "fm_refine_bisection"]
+
+
+#: ``FMBuckets.wfloor`` entry while no empty-handed walk is on record
+_NO_FLOOR = float("-inf")
+#: start of a walk's running minimum: every weight is below it
+_NO_CEIL = float("inf")
+
+
+class FMBuckets:
+    """Both sides' FM gain buckets in one flat store.
+
+    One doubly-linked chain per (side, gain): side *s* owns
+    ``heads[s * span : (s + 1) * span]`` and a vertex of gain *g* on side
+    *s* sits in chain ``base[s] + g``.  A vertex is on one side, so the
+    sides share ``nxt``, ``prv`` and ``inside``.  The gain of a stored
+    vertex is read from :attr:`FMCore.gain` itself, so a relink writes one
+    number.  Per side the store keeps ``top`` (no chain above it is
+    non-empty), ``count`` and ``wfloor``.
+
+    Chains are LIFO: a vertex linked (inserted or relinked) into a chain
+    becomes its head, and a walk visits higher gains first, heads first.
+
+    ``wfloor`` is an exact memo of :meth:`best_capped`: a walk that finds
+    nothing has seen every stored vertex of its side, so it records their
+    minimum weight, and later calls whose cap is below it return ``None``
+    without walking.  Only inserts can lower the minimum, so only
+    :meth:`load` and a boundary-mode insert in :meth:`FMCore.apply_move`
+    reset it; removals and relinks keep it valid.  Without the memo, FM
+    re-walks a side where nothing fits on every move of a pass.
+
+    Only :meth:`FMCore.apply_move` relinks, inline, once per touched pin;
+    every other operation is a call per move or per pass.
+    """
+
+    __slots__ = (
+        "gain", "bound", "span", "base", "heads", "nxt", "prv", "inside",
+        "top", "count", "wfloor", "touch",
+    )
+
+    def __init__(self, gain: list[int], bound: int) -> None:
+        self.gain = gain
+        self.bound = bound
+        self.span = 2 * bound + 1
+        #: chain of gain 0 on each side
+        self.base = (bound, self.span + bound)
+        # empty until the first load: nothing is stored, so apply_move
+        # only updates gains, and no chain or link is read
+        self.heads: list[int] = []
+        self.nxt: list[int] = []
+        self.prv: list[int] = []
+        self.inside = [False] * len(gain)
+        self.top = [-1, self.span - 1]
+        self.count = [0, 0]
+        self.wfloor = [_NO_FLOOR, _NO_FLOOR]
+        self.touch = False
+
+    def load(self, vs: np.ndarray, sides, gains: np.ndarray, touch: bool) -> None:
+        """Store exactly the vertices *vs*, linked one by one in this order:
+        ``vs[i]`` on side ``sides[i]`` (an array, or one side for all) with
+        gain ``gains[i]``, which must equal its entry in :attr:`gain`.
+
+        With *touch*, :meth:`FMCore.apply_move` also links every movable
+        vertex whose gain it changes (boundary mode).
+        """
+        n = len(self.gain)
+        span = self.span
+        self.heads = heads = [-1] * (2 * span)
+        self.inside = inside = [False] * n
+        if len(self.nxt) != n:
+            # links of unstored vertices are never read: reuse the lists
+            self.nxt = [-1] * n
+            self.prv = [-1] * n
+        nxt, prv = self.nxt, self.prv
+        chains = np.asarray(sides, dtype=np.int64) * span + self.bound + gains
+        for v, b in zip(vs.tolist(), chains.tolist()):
+            hd = heads[b]
+            nxt[v] = hd
+            prv[v] = -1
+            if hd != -1:
+                prv[hd] = v
+            heads[b] = v
+            inside[v] = True
+        m1 = int(np.count_nonzero(chains >= span))
+        self.count = [len(chains) - m1, m1]
+        self.top = [span - 1, 2 * span - 1]  # settled by the first walk
+        self.wfloor = [_NO_FLOOR, _NO_FLOOR]
+        self.touch = touch
+
+    def remove(self, s: int, v: int) -> None:
+        """Unlink stored vertex *v* of side *s*."""
+        nxt, prv = self.nxt, self.prv
+        nx, pv = nxt[v], prv[v]
+        if pv != -1:
+            nxt[pv] = nx
+        else:
+            self.heads[self.base[s] + self.gain[v]] = nx
+        if nx != -1:
+            prv[nx] = pv
+        self.inside[v] = False
+        self.count[s] -= 1
+
+    def best_capped(self, s: int, w: list[int], cap: int) -> int | None:
+        """The first vertex of side *s* in walk order with ``w[v] <= cap``.
+
+        Every call must pass the same, unchanging *w* (FM and GHG pass the
+        hypergraph's vertex weights): that keeps the memo exact.
+        """
+        if self.count[s] == 0 or cap < self.wfloor[s]:
+            return None
+        heads, nxt = self.heads, self.nxt
+        b = self.top[s]
+        while heads[b] == -1:
+            b -= 1
+        self.top[s] = b
+        lo = _NO_CEIL
+        for b in range(b, s * self.span - 1, -1):
+            v = heads[b]
+            while v != -1:
+                wv = w[v]
+                if wv <= cap:
+                    return v
+                if wv < lo:
+                    lo = wv
+                v = nxt[v]
+        self.wfloor[s] = lo
+        return None
+
+    def best(self, s: int, feasible: Callable[[int], bool]) -> int | None:
+        """The first vertex of side *s* in walk order that is *feasible*."""
+        if self.count[s] == 0:
+            return None
+        heads, nxt = self.heads, self.nxt
+        b = self.top[s]
+        while heads[b] == -1:
+            b -= 1
+        self.top[s] = b
+        for b in range(b, s * self.span - 1, -1):
+            v = heads[b]
+            while v != -1:
+                if feasible(v):
+                    return v
+                v = nxt[v]
+        return None
 
 
 class FMCore:
     """Shared move engine for 2-way FM refinement and greedy growing.
 
     Holds the mutable bisection state: part vector, per-net pin counts on
-    both sides, part weights, the per-vertex gain array, and (optionally)
-    the gain buckets to keep synchronized during moves.
+    both sides, part weights, the per-vertex gain array, which vertices
+    may still move, and the gain buckets (:attr:`bk`) that
+    :meth:`apply_move` keeps in sync.
     """
 
     def __init__(
@@ -52,18 +198,18 @@ class FMCore:
         self.w = h.weights_list()
         self.cost = h.costs_list()
         self.part: list[int] = np.asarray(part, dtype=INDEX_DTYPE).tolist()
-        self.free = [True] * self.nv
-        if fixed is not None:
-            for v in np.flatnonzero(fixed >= 0):
-                self.free[int(v)] = False
+        #: vertices that are not fixed
+        self.free = (
+            np.ones(self.nv, dtype=bool) if fixed is None else np.asarray(fixed) < 0
+        )
         # pin counts per side
         self._net_of_pin = h.net_of_pin()
         self.recount()
         self.gain: list[int] = [0] * self.nv
-        self.locked: list[bool] = [False] * self.nv
-        self.buckets: tuple[GainBucket, GainBucket] | None = None
-        #: in boundary mode, vertices touched by a gain update get inserted
-        self.insert_on_touch = False
+        #: free vertices not moved yet in this pass or growth: the only
+        #: ones whose gains :meth:`apply_move` maintains
+        self.movable: list[bool] = self.free.tolist()
+        self.bk = FMBuckets(self.gain, h.max_incident_cost())
 
     # -- bookkeeping -----------------------------------------------------
     def part_array(self) -> np.ndarray:
@@ -90,7 +236,8 @@ class FMCore:
     def compute_all_gains(self) -> np.ndarray:
         """Vectorized FM gain of every vertex (positive = cut decreases).
 
-        Stores the gains in :attr:`gain` and returns them as an array.
+        Stores the gains in :attr:`gain` (in place: the buckets read that
+        list) and returns them as an array.
         """
         pc0 = np.asarray(self.pc[0], dtype=np.int64)
         pc1 = np.asarray(self.pc[1], dtype=np.int64)
@@ -106,7 +253,7 @@ class FMCore:
         g = np.bincount(
             self.h.pins, weights=contrib, minlength=self.nv
         ).astype(np.int64)
-        self.gain = g.tolist()
+        self.gain[:] = g.tolist()
         return g
 
     def boundary_vertices(self) -> np.ndarray:
@@ -117,87 +264,119 @@ class FMCore:
         sel = cutmask[self._net_of_pin]
         return np.unique(self.h.pins[sel])
 
-    def max_gain_bound(self) -> int:
-        """Upper bound on |gain|: the max total incident net cost."""
-        return self.h.max_incident_cost()
-
     # -- the move --------------------------------------------------------
-    def _bump(self, u: int, delta: int) -> None:
-        """Apply a gain delta to vertex *u*, keeping buckets in sync."""
-        g = self.gain[u] + delta
-        self.gain[u] = g
-        if self.buckets is not None:
-            b = self.buckets[self.part[u]]
-            if b.inside[u]:
-                b.move_to(u, g)
-            elif self.insert_on_touch and not self.locked[u] and self.free[u]:
-                b.insert(u, g)
+    def apply_move(self, v: int) -> None:
+        """Move vertex *v* to the other side.
 
-    def apply_move(self, v: int, update_gains: bool = True) -> None:
-        """Move vertex *v* to the opposite side, updating pin counts,
-        weights, and (when *update_gains*) neighbour gains by the FM
-        critical-net rules."""
-        frm = self.part[v]
+        Updates pin counts and part weights, and applies the FM
+        critical-net rules to the gains of the movable pins of each net of
+        *v*, relinking every such pin that is stored in :attr:`bk` (in
+        boundary mode, linking it if it is not).  Before the move, for a
+        net with ``F`` pins on *v*'s side and ``T`` on the other:
+
+        * ``T == 0``: the other pins (all on *v*'s side) can no longer keep
+          the net uncut by staying, so each gains the net's cost;
+        * ``T == 1``: the lone pin on the other side no longer uncuts the
+          net by leaving, so it loses the cost;
+        * ``F == 1``: the net ends up wholly on the other side, so every
+          other pin loses the incentive to pull it back;
+        * ``F == 2``: the one pin left on *v*'s side gains the cost.
+
+        Two rules hit one pin only on a 2-pin net (``T == 0`` and
+        ``F == 2``, or ``T == 1`` and ``F == 1``); its two deltas are
+        applied as one relink, which leaves the same chains as two.  Pins of
+        different sides sit in disjoint chains, so visiting them in pin
+        order is the same as rule by rule.
+        """
+        part, gain, movable = self.part, self.gain, self.movable
+        pins, xpins, cost = self.pins, self.xpins, self.cost
+        bk = self.bk
+        heads, nxt, prv, inside = bk.heads, bk.nxt, bk.prv, bk.inside
+        top, count, wfloor, touch = bk.top, bk.count, bk.wfloor, bk.touch
+        frm = part[v]
         to = 1 - frm
         pcf = self.pc[frm]
         pct = self.pc[to]
-        xpins, pins, cost = self.xpins, self.pins, self.cost
-        part, locked, free = self.part, self.locked, self.free
-        bump = self._bump
+        base_f = bk.base[frm]
+        base_t = bk.base[to]
         for n in self.vnets[self.xnets[v] : self.xnets[v + 1]]:
-            c = cost[n]
-            T = pct[n]
             F = pcf[n]
-            if update_gains and c:
-                lo, hi = xpins[n], xpins[n + 1]
-                if T == 0:
-                    # net leaves the "entirely in frm" state: every other
-                    # pin can now cut it one unit less by following v
-                    for u in pins[lo:hi]:
-                        if u != v and not locked[u] and free[u]:
-                            bump(u, c)
-                elif T == 1:
-                    # the lone to-side pin loses its uncut-by-moving gain
-                    for u in pins[lo:hi]:
-                        if part[u] == to:
-                            if not locked[u] and free[u]:
-                                bump(u, -c)
-                            break
-                if F == 1:
-                    # net becomes entirely in 'to': every pin loses the
-                    # incentive (it can no longer uncut the net)
-                    for u in pins[lo:hi]:
-                        if u != v and not locked[u] and free[u]:
-                            bump(u, -c)
-                elif F == 2:
-                    # exactly one frm-side pin remains: it gains
-                    for u in pins[lo:hi]:
-                        if u != v and part[u] == frm:
-                            if not locked[u] and free[u]:
-                                bump(u, c)
-                            break
+            T = pct[n]
             pcf[n] = F - 1
             pct[n] = T + 1
-        self.part[v] = to
+            c = cost[n]
+            if (T > 1 and F > 2) or not c:
+                continue  # not critical: no gain changes
+            # deltas for the other pins on v's side and on the other side,
+            # and how many pins carry a nonzero one (the loop ends there)
+            df = (c if T == 0 else 0) + (c if F == 2 else 0)
+            dt = -(c if T == 1 else 0) - (c if F == 1 else 0)
+            left = (F - 1 if df else 0) + (T if dt else 0)
+            if not left:
+                continue
+            for u in pins[xpins[n] : xpins[n + 1]]:
+                if part[u] == frm:
+                    if u == v or not df:
+                        continue
+                    d, s, base = df, frm, base_f
+                elif dt:
+                    d, s, base = dt, to, base_t
+                else:
+                    continue
+                if not movable[u]:
+                    pass
+                elif inside[u] or touch:
+                    g = gain[u]
+                    if inside[u]:
+                        nx, pv = nxt[u], prv[u]
+                        if pv != -1:
+                            nxt[pv] = nx
+                        else:
+                            heads[base + g] = nx
+                        if nx != -1:
+                            prv[nx] = pv
+                    else:
+                        inside[u] = True
+                        count[s] += 1
+                        wfloor[s] = _NO_FLOOR
+                    g += d
+                    gain[u] = g
+                    b = base + g
+                    hd = heads[b]
+                    nxt[u] = hd
+                    prv[u] = -1
+                    if hd != -1:
+                        prv[hd] = u
+                    heads[b] = u
+                    if b > top[s]:
+                        top[s] = b
+                else:
+                    gain[u] += d
+                left -= 1
+                if not left:
+                    break
+        part[v] = to
         wv = self.w[v]
         self.W[frm] -= wv
         self.W[to] += wv
         # v's own gain simply flips sign for the reverse move
-        self.gain[v] = -self.gain[v]
+        gain[v] = -gain[v]
 
-    def undo_move(self, v: int) -> None:
-        """Reverse a prior :meth:`apply_move` without gain maintenance."""
-        frm = self.part[v]  # side v is on now
-        to = 1 - frm
-        pcf = self.pc[frm]
-        pct = self.pc[to]
-        for n in self.vnets[self.xnets[v] : self.xnets[v + 1]]:
-            pcf[n] -= 1
-            pct[n] += 1
-        self.part[v] = to
-        wv = self.w[v]
-        self.W[frm] -= wv
-        self.W[to] += wv
+    def undo_moves(self, moves: list[int]) -> None:
+        """Reverse *moves* (latest first) without gain maintenance."""
+        pc, W, w = self.pc, self.W, self.w
+        part, vnets, xnets = self.part, self.vnets, self.xnets
+        for v in reversed(moves):
+            frm = part[v]  # side v is on now
+            to = 1 - frm
+            pcf = pc[frm]
+            pct = pc[to]
+            for n in vnets[xnets[v] : xnets[v + 1]]:
+                pcf[n] -= 1
+                pct[n] += 1
+            part[v] = to
+            W[frm] -= w[v]
+            W[to] += w[v]
 
 
 def _excess(W: list[int], maxw: tuple[int, int]) -> int:
@@ -256,13 +435,19 @@ def fm_refine_bisection(
         pins=h.num_pins,
     ) as sp:
         cut0 = cut
+        passes = moves = rollbacks = 0
         for _ in range(cfg.fm_passes):
-            gain, moved = _fm_pass(core, maxw, cfg, rng)
+            gain, kept, undone = _fm_pass(core, maxw, cfg, rng)
             cut -= gain
-            rec.add("fm.passes")
-            if gain <= 0 and not moved:
+            passes += 1
+            moves += kept
+            rollbacks += undone
+            if gain <= 0 and not kept:
                 break
-        sp.set(cut=cut)
+        sp.set(cut=cut, passes=passes, moves=moves, rollbacks=rollbacks)
+        rec.add("fm.passes", passes)
+        rec.add("fm.moves", moves)
+        rec.add("fm.rollbacks", rollbacks)
         rec.add("fm.cut_delta", cut0 - cut)
     return core.part_array(), cut
 
@@ -272,48 +457,42 @@ def _fm_pass(
     maxw: tuple[int, int],
     cfg: PartitionerConfig,
     rng: np.random.Generator,
-) -> tuple[int, bool]:
-    """One FM pass.  Returns (cut improvement, whether anything changed).
+) -> tuple[int, int, int]:
+    """One FM pass.  Returns (cut improvement, moves kept, moves undone);
+    the improvement is 0 when no move is kept.
 
     A pass whose candidates cannot make a first move (none fits under the
     other side's cap and no rescue move applies) moves nothing, so it
-    returns ``(0, False)`` right after drawing its candidate permutation —
-    before computing gains or building buckets — and counts as an
+    returns ``(0, 0, 0)`` right after drawing its candidate permutation —
+    before computing gains or filling buckets — and counts as an
     ``fm.idle_passes``.  Nothing else in a pass draws from *rng*, so the
     exit leaves the RNG stream and the result bit-identical to running the
     pass through.
     """
     nv = core.nv
-    rec = get_recorder()
     boundary_mode = nv > cfg.fm_boundary_threshold
     if boundary_mode:
         cand = core.boundary_vertices()
     else:
         cand = np.arange(nv)
-    cand = cand[np.asarray(core.free, dtype=bool)[cand]]
+    cand = cand[core.free[cand]]
     if len(cand) == 0:
-        rec.add("fm.idle_passes")
-        return 0, False
+        get_recorder().add("fm.idle_passes")
+        return 0, 0, 0
     seq = cand[rng.permutation(len(cand))]
     side = np.asarray(core.part, dtype=np.int64)[seq]
     W = core.W
     if not _any_first_move(core.h.vertex_weights[seq].astype(np.int64), side, W, maxw):
-        rec.add("fm.idle_passes")
-        return 0, False
+        get_recorder().add("fm.idle_passes")
+        return 0, 0, 0
 
     gain_np = core.compute_all_gains()
-    core.locked = [False] * nv
-    bound = core.max_gain_bound()
-    b0 = GainBucket(nv, bound)
-    b1 = GainBucket(nv, bound)
-    core.buckets = (b0, b1)
-    core.insert_on_touch = boundary_mode
-    # seed both buckets in permutation order; the buckets are independent,
-    # so splitting by side preserves each one's insertion sequence exactly
-    b0.bulk_insert(seq[side == 0], gain_np[seq[side == 0]])
-    b1.bulk_insert(seq[side == 1], gain_np[seq[side == 1]])
+    core.movable = movable = core.free.tolist()
+    bk = core.bk
+    # seed both sides in permutation order
+    bk.load(seq, side, gain_np[seq], touch=boundary_mode)
 
-    w = core.w
+    w, gain, part = core.w, core.gain, core.part
     exc0 = _excess(W, maxw)
 
     # move log for rollback
@@ -332,26 +511,25 @@ def _fm_pass(
         return lambda v: _may_move(w[v], *args)
 
     # boundary mode can grow the candidate pool mid-pass, so cap at nv
-    max_moves = nv
-    for _ in range(max_moves):
-        # fast path: when the source side is not overweight the feasibility
-        # test collapses to a weight cap, which best_capped checks inline
+    for _ in range(nv):
+        # when the source side is not overweight the feasibility test
+        # collapses to the other side's weight cap; else the rescue walk
         if W[0] > maxw[0]:
-            v0 = b0.best(feasible_to(1))
+            v0 = bk.best(0, feasible_to(1))
         else:
-            v0 = b0.best_capped(w, maxw[1] - W[1])
+            v0 = bk.best_capped(0, w, maxw[1] - W[1])
         if W[1] > maxw[1]:
-            v1 = b1.best(feasible_to(0))
+            v1 = bk.best(1, feasible_to(0))
         else:
-            v1 = b1.best_capped(w, maxw[0] - W[0])
-        if v0 is None and v1 is None:
-            break
+            v1 = bk.best_capped(1, w, maxw[0] - W[0])
         if v0 is None:
+            if v1 is None:
+                break
             v = v1
         elif v1 is None:
             v = v0
         else:
-            g0, g1 = core.gain[v0], core.gain[v1]
+            g0, g1 = gain[v0], gain[v1]
             if g0 > g1:
                 v = v0
             elif g1 > g0:
@@ -359,11 +537,10 @@ def _fm_pass(
             else:
                 # tie: move from the heavier side to help balance
                 v = v0 if W[0] >= W[1] else v1
-        b = b0 if core.part[v] == 0 else b1
-        b.remove(v)
-        core.locked[v] = True
-        g = core.gain[v]
-        core.apply_move(v, update_gains=True)
+        bk.remove(part[v], v)
+        movable[v] = False
+        g = gain[v]
+        core.apply_move(v)
         moves.append(v)
         cum += g
         e0 = W[0] - maxw[0]
@@ -390,13 +567,5 @@ def _fm_pass(
                 break
 
     # roll back to the best prefix
-    core.buckets = None
-    for v in reversed(moves[best_idx:]):
-        core.undo_move(v)
-        core.locked[v] = False
-
-    if rec.enabled:
-        rec.add("fm.moves", best_idx)
-        rec.add("fm.rollbacks", len(moves) - best_idx)
-    changed = best_idx > 0
-    return (best_cum if changed else 0), changed
+    core.undo_moves(moves[best_idx:])
+    return (best_cum if best_idx else 0), best_idx, len(moves) - best_idx

@@ -86,9 +86,9 @@ __all__ = [
     "run_starts",
 ]
 
-#: pids of the most recently spawned supervised workers (test hook: lets
-#: the kill-a-worker-mid-start suite SIGKILL a live worker without
-#: reaching into the pool internals)
+#: pids of the live supervised workers of the sweep in flight, empty once
+#: it has reaped them (test hook: lets the kill-a-worker-mid-start suite
+#: SIGKILL a live worker without reaching into the pool internals)
 _LAST_WORKER_PIDS: list[int] = []
 
 
@@ -736,6 +736,9 @@ def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
         for slot in slots:
             if slot.proc is not None:
                 reap(slot.proc, grace=2)
+        # reaped pids may be reused by the OS: a later reader must not
+        # signal them
+        _LAST_WORKER_PIDS.clear()
         for slot in slots:
             if slot.queue is not None:
                 slot.queue.close()

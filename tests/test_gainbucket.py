@@ -1,11 +1,16 @@
-"""Tests for the FM gain-bucket priority structure."""
+"""Tests for the gain-bucket priority structures: the graph partitioner's
+``GainBucket`` and the flat two-sided store FM and GHG use."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hypergraph import hypergraph_from_netlists
 from repro.partitioner.gainbucket import GainBucket
+from repro.partitioner.refine import FMCore
+from tests import fm_reference
+from tests.conftest import hypergraphs
 
 
 class TestBasics:
@@ -117,94 +122,100 @@ class TestAgainstReference:
             assert b.max_gain() == max(ref.values())
 
 
-class _OrderModel:
-    """Reference model of the bucket walk order.
-
-    A bucket walk visits higher gains first and, within one gain, the most
-    recently linked vertex first (chains are LIFO).  So the model keys every
-    stored vertex by ``(gain, stamp)``, where *stamp* increases with every
-    insert and relink, and the capped best vertex is the key maximum among
-    vertices that fit.
-    """
-
-    def __init__(self):
-        self.key: dict[int, tuple[int, int]] = {}
-        self.clock = 0
-
-    def link(self, v: int, g: int) -> None:
-        self.clock += 1
-        self.key[v] = (g, self.clock)
-
-    def best_capped(self, w: list[int], cap: int) -> int | None:
-        fits = [v for v in self.key if w[v] <= cap]
-        return max(fits, key=self.key.__getitem__, default=None)
+def _store(weights, nets, part, stored, touch=False):
+    """An FMCore on a hypergraph with unit-cost *nets*, its gains computed
+    and the vertices *stored* loaded into its flat bucket store."""
+    h = hypergraph_from_netlists(len(weights), nets, vertex_weights=weights)
+    core = FMCore(h, np.asarray(part))
+    gains = core.compute_all_gains()
+    vs = np.asarray(stored, dtype=np.int64)
+    core.bk.load(vs, np.asarray(part)[vs], gains[vs], touch)
+    return core
 
 
 class TestCappedOrder:
-    N, MG = 16, 6
-    ops = st.lists(
-        st.tuples(
-            st.sampled_from(["ins", "bulk", "rem", "move", "best", "best"]),
-            st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
-            st.integers(-6, 6),
-            st.integers(-1, 7),
-        ),
-        max_size=80,
-    )
+    """The capped walk of the flat two-sided store (``refine.FMBuckets``)
+    and its min-weight memo."""
 
-    @given(st.lists(st.integers(0, 6), min_size=16, max_size=16), ops)
+    @given(
+        hypergraphs(max_vertices=16, max_nets=14, weighted=True),
+        st.integers(0, 2**16),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["move", "best", "best"]),
+                st.integers(0, 15),
+                st.integers(-1, 7),
+            ),
+            max_size=40,
+        ),
+    )
     @settings(max_examples=150, deadline=None)
-    def test_best_capped_is_reference_argmax(self, w, ops):
-        """best_capped returns exactly the reference's argmax of fitting
-        vertices after any insert/bulk_insert/remove/move_to sequence —
-        including repeated empty-handed calls and the memo reset on insert."""
-        b = GainBucket(self.N, self.MG)
-        ref = _OrderModel()
-        for op, vs, g, cap in ops:
-            if op == "ins" and vs[0] not in ref.key:
-                b.insert(vs[0], g)
-                ref.link(vs[0], g)
-            elif op == "bulk":
-                fresh = [v for v in vs if v not in ref.key]
-                gains = [(g + i) % (2 * self.MG + 1) - self.MG for i in range(len(fresh))]
-                b.bulk_insert(np.array(fresh), np.array(gains))
-                for v, gv in zip(fresh, gains):
-                    ref.link(v, gv)
-            elif op == "rem" and vs[0] in ref.key:
-                b.remove(vs[0])
-                del ref.key[vs[0]]
-            elif op == "move" and vs[0] in ref.key:
-                b.move_to(vs[0], g)
-                ref.link(vs[0], g)
-            elif op == "best":
+    def test_best_capped_is_reference_argmax(self, h, seed, touch, ops):
+        """best_capped returns exactly the two-bucket reference's capped pick
+        after any sequence of moves (removal, relinks and, with *touch*,
+        inserts) — including repeated empty-handed calls and the memo reset
+        on insert."""
+        nv = h.num_vertices
+        rng = np.random.default_rng(seed)
+        part = rng.integers(0, 2, size=nv)
+        stored = rng.permutation(nv)[: int(rng.integers(0, nv + 1))]
+        core = FMCore(h, part)
+        ref = fm_reference.ReferenceCore(h, part)
+        gains = core.compute_all_gains()
+        ref.compute_all_gains()
+        core.bk.load(stored, part[stored], gains[stored], touch)
+        bound = h.max_incident_cost()
+        ref.buckets = (GainBucket(nv, bound), GainBucket(nv, bound))
+        ref.insert_on_touch = touch
+        for v in stored.tolist():
+            ref.buckets[part[v]].insert(v, ref.gain[v])
+        w = core.w
+        for op, i, cap in ops:
+            if op == "move":
+                inside = [v for v in range(nv) if core.bk.inside[v]]
+                if not inside:
+                    continue
+                v = inside[i % len(inside)]
+                core.bk.remove(core.part[v], v)
+                core.movable[v] = False
+                core.apply_move(v)
+                ref.buckets[ref.part[v]].remove(v)
+                ref.locked[v] = True
+                ref.apply_move(v)
+            else:
+                s = i % 2
+                want = ref.buckets[s].best(lambda u: w[u] <= cap)
                 # twice: the second call may be answered by the memo
-                for _ in range(2):
-                    got = b.best_capped(w, cap)
-                    assert got == ref.best_capped(w, cap) == b.best(lambda v: w[v] <= cap)
-        assert len(b) == len(ref.key)
+                assert core.bk.best_capped(s, w, cap) == want
+                assert core.bk.best_capped(s, w, cap) == want
+        assert core.gain == ref.gain
+        assert core.bk.count == [len(ref.buckets[0]), len(ref.buckets[1])]
 
     def test_empty_walk_records_min_weight(self):
-        w = [5, 3, 4, 1]
-        b = GainBucket(4, 3)
-        for v, g in ((0, 1), (1, -2), (2, 3)):
-            b.insert(v, g)
-        assert b.best_capped(w, 2) is None
-        assert b.wfloor == 3
-        # removal and relinks keep the floor a valid lower bound
-        b.remove(1)
-        b.move_to(2, -3)
-        assert b.wfloor == 3
-        assert b.best_capped(w, 2) is None
-        assert b.best_capped(w, 4) == 2
+        # vertex 3 (side 1) shares a net with vertex 2 (side 0)
+        core = _store([5, 3, 4, 1], [[2, 3]], [0, 0, 0, 1], [0, 1, 2])
+        w, bk = core.w, core.bk
+        assert bk.best_capped(0, w, 2) is None
+        assert bk.wfloor[0] == 3
+        # removal and relinks keep the floor a valid lower bound: moving
+        # vertex 3 relinks vertex 2 from gain 1 to gain -1
+        bk.remove(0, 1)
+        core.apply_move(3)
+        assert core.gain[2] == -1
+        assert bk.wfloor[0] == 3
+        assert bk.best_capped(0, w, 2) is None
+        assert bk.best_capped(0, w, 4) == 2
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_insert_invalidates_memo(self, bulk):
-        w = [5, 3, 4, 1]
-        b = GainBucket(4, 3)
-        b.insert(0, 1)
-        assert b.best_capped(w, 2) is None
+        # only vertex 0 is stored; in boundary mode (touch) moving vertex 4
+        # changes the gain of vertex 3 and so links it
+        core = _store([5, 3, 4, 1, 2], [[3, 4]], [0, 0, 0, 0, 1], [0], touch=True)
+        w, bk = core.w, core.bk
+        assert bk.best_capped(0, w, 2) is None
         if bulk:
-            b.bulk_insert(np.array([3]), np.array([-3]))
+            bk.load(np.array([0, 3]), 0, np.array([core.gain[0], core.gain[3]]), True)
         else:
-            b.insert(3, -3)
-        assert b.best_capped(w, 2) == 3
+            core.apply_move(4)
+        assert bk.best_capped(0, w, 2) == 3

@@ -638,14 +638,16 @@ def _part_sha(part):
 
 
 @pytest.mark.parametrize("instance, method", [
-    ("sherman3@0.25", "finegrain"),
+    ("ken-11@0.05", "finegrain"),
     ("dense-200", "columnnet"),
 ])
 def test_fast_routes_match_reference_end_to_end(monkeypatch, instance, method):
     """One whole ``decompose()`` at K=8 with K-way refinement, production
     code against the seams patched to the oracles: the same partition
     bits and the same K-way moves.  The unpatched run must take the fast
-    matching routes, so the two runs execute different code."""
+    matching routes, so the two runs execute different code, and must make
+    K-way moves, so the oracle is checked on moves and not only on the
+    skip."""
     from repro.core.api import decompose
     from repro.matrix.collection import load_collection_matrix
 
@@ -654,7 +656,7 @@ def test_fast_routes_match_reference_end_to_end(monkeypatch, instance, method):
                       rng=np.random.default_rng(11))
         a.data[:] = 1.0
     else:
-        a = load_collection_matrix("sherman3", scale=0.25)
+        a = load_collection_matrix("ken-11", scale=0.05)
     cfg = PartitionerConfig(kway_refine=True, tree_parallel=False, n_workers=1)
 
     def run():
@@ -671,6 +673,7 @@ def test_fast_routes_match_reference_end_to_end(monkeypatch, instance, method):
         return res, routes, counters["kway.moves"]
 
     fast, fast_routes, fast_moves = run()
+    assert fast_moves > 0
     assert ("coarsen.match", "product") in fast_routes
     if method == "finegrain":
         assert ("coarsen.match", "single-term") in fast_routes

@@ -2,18 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro._util import as_rng
-from repro.hypergraph import cutsize_connectivity, hypergraph_from_netlists
+from repro.hypergraph import Hypergraph, cutsize_connectivity, hypergraph_from_netlists
 from repro.hypergraph.partition import compute_part_weights
-from repro.partitioner import refine
+from repro.partitioner import initial, refine
 from repro.partitioner.config import PartitionerConfig
-from repro.partitioner.gainbucket import GainBucket
 from repro.partitioner.initial import ghg_bisection, initial_bisection
 from repro.partitioner.refine import FMCore, fm_refine_bisection
 from repro.telemetry import use_recorder
+from tests import fm_reference
 from tests.conftest import hypergraphs, random_hypergraph
 
 
@@ -67,8 +67,10 @@ class TestFMCore:
         before_pc = [list(core.pc[0]), list(core.pc[1])]
         before_W = list(core.W)
         core.apply_move(3)
-        core.undo_move(3)
+        core.apply_move(5)
+        core.undo_moves([3, 5])
         assert core.part[3] == part[3]
+        assert core.part[5] == part[5]
         assert [list(core.pc[0]), list(core.pc[1])] == before_pc
         assert core.W == before_W
 
@@ -162,6 +164,86 @@ def tight_instances(draw):
     return h, part, fixed, maxw, boundary_threshold, draw(st.integers(0, 1000))
 
 
+@st.composite
+def oracle_instances(draw):
+    """An FM/GHG input drawn to reach every branch of the move kernel.
+
+    Zero vertex weights and zero net costs come from ``hypergraphs``; unit
+    weights instead make equal side weights, and so the heavier-side tie
+    rule, common.  The part vector is often skewed so one side starts
+    overweight (the rescue walk), fixed vertices are mixed in, a threshold
+    of 0 puts the pass in boundary mode (insert-on-touch), and caps within
+    a few units of half the total weight make capped walks come back empty
+    (the memo).
+    """
+    h = draw(hypergraphs(max_vertices=16, max_nets=14, weighted=True))
+    nv = h.num_vertices
+    if draw(st.booleans()):
+        h = Hypergraph(nv, h.xpins, h.pins, net_costs=h.net_costs)
+    rng = as_rng(draw(st.integers(0, 2**16)))
+    p1 = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    part = (rng.random(nv) < p1).astype(np.int64)
+    p_fixed = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    fixed = np.where(rng.random(nv) < p_fixed, part, -1)
+    total = h.total_vertex_weight()
+    half = total // 2
+    maxw = (
+        max(0, half + draw(st.integers(-3, 3))),
+        max(0, total - half + draw(st.integers(-3, 3))),
+    )
+    cfg = PartitionerConfig(
+        fm_boundary_threshold=draw(st.sampled_from([0, 6, 100])),
+        fm_stall_min=draw(st.sampled_from([0, 2, 50])),
+    )
+    return h, part, fixed, maxw, cfg, draw(st.integers(0, 1000))
+
+
+def _fm_state(core, rng):
+    return core.part, core.pc, core.W, core.gain, rng.bit_generator.state
+
+
+class TestOracle:
+    """The flat move kernel against the two-bucket reference in
+    ``tests/fm_reference.py``: whole state after every pass and every GHG
+    run, bit for bit."""
+
+    @given(oracle_instances())
+    @example((  # equal gains on both sides at equal side weights: the tie rule
+        hypergraph_from_netlists(4, [[0, 2], [1, 3]]),
+        np.array([0, 0, 1, 1]), np.full(4, -1), (3, 3), PartitionerConfig(), 0,
+    ))
+    @settings(deadline=None)
+    def test_fm_passes_match_reference(self, inst):
+        h, part, fixed, maxw, cfg, seed = inst
+        core, rng = FMCore(h, part, fixed), as_rng(seed)
+        ref, ref_rng = fm_reference.ReferenceCore(h, part, fixed), as_rng(seed)
+        for _ in range(3):
+            got = refine._fm_pass(core, maxw, cfg, rng)
+            want = fm_reference.fm_pass(ref, maxw, cfg, ref_rng)
+            assert got == want
+            assert _fm_state(core, rng) == _fm_state(ref, ref_rng)
+
+    @given(oracle_instances())
+    @settings(deadline=None)
+    def test_ghg_matches_reference(self, inst):
+        h, _, fixed, maxw, _, seed = inst
+        target0 = maxw[0] // 2 + seed % 3
+        cores = []
+
+        class Recorded(FMCore):
+            def __init__(self, *args):
+                super().__init__(*args)
+                cores.append(self)
+
+        rng, ref_rng = as_rng(seed), as_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(initial, "FMCore", Recorded)
+            got = ghg_bisection(h, target0, maxw[0], rng, fixed)
+        ref = fm_reference.ghg(h, target0, maxw[0], ref_rng, fixed)
+        assert got.tolist() == ref.part
+        assert _fm_state(cores[0], rng) == _fm_state(ref, ref_rng)
+
+
 class TestExactExits:
     """The no-move exit and the min-weight memo never change a result."""
 
@@ -184,13 +266,13 @@ class TestExactExits:
 
         fast = run()
         # the same calls with the no-move exit and the best_capped memo off:
-        # every pass builds its buckets, every capped selection walks
+        # every pass loads its buckets, every capped selection walks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(refine, "_any_first_move", lambda *args: True)
             mp.setattr(
-                GainBucket,
+                refine.FMBuckets,
                 "best_capped",
-                lambda self, w, cap: self.best(lambda v: w[v] <= cap),
+                lambda self, s, w, cap: self.best(s, lambda v: w[v] <= cap),
             )
             assert run() == fast
 
@@ -221,8 +303,9 @@ class TestExactExits:
         part = np.array([0, 0, 1, 1])
         rng = as_rng(7)
         with pytest.MonkeyPatch.context() as mp, use_recorder() as rec:
-            # the exit comes before any bucket is built
-            mp.setattr(refine, "GainBucket", None)
+            # the exit comes before any gain is computed or bucket loaded
+            mp.setattr(FMCore, "compute_all_gains", None)
+            mp.setattr(refine.FMBuckets, "load", None)
             new, cut = fm_refine_bisection(h, part, (6, 6), PartitionerConfig(), rng)
         assert new.tolist() == part.tolist()
         assert cut == cutsize_connectivity(h, part) == 2

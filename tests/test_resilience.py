@@ -450,6 +450,14 @@ class TestSupervision:
         res = partition_multistart(medium_hypergraph, 2, cfg, seed=0)
         assert np.array_equal(res.part, golden.part)
 
+    def test_completed_sweep_forgets_its_worker_pids(self):
+        # the OS may reuse a reaped worker's pid: a later reader of the
+        # test hook must not find it and SIGKILL an unrelated process
+        h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
+        cfg = PartitionerConfig(n_starts=2, n_workers=2, start_backend="process")
+        partition_multistart(h, 2, cfg, seed=0)
+        assert resilience._LAST_WORKER_PIDS == []
+
     def test_unpicklable_start_exception_ends_the_sweep(self):
         # the worker must not hand the queue an exception it cannot
         # pickle: the queue's feeder thread would drop it while the
@@ -517,7 +525,6 @@ def _sweep_reporting_worker_pids(conn, interval: float) -> None:
     minute; sends the worker pids once both are running."""
     os.setpgrp()  # one group with the workers, so cleanup can kill it whole
     os.environ["REPRO_FAULTS"] = "engine.start:sleep60@all"
-    resilience._LAST_WORKER_PIDS.clear()  # forked with the suite's last sweep
 
     def report():
         while len(resilience._LAST_WORKER_PIDS) < 2:

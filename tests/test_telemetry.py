@@ -293,6 +293,26 @@ class TestPipelineIntegration:
         assert totals.get("fm.passes", 0) > 0
         assert totals.get("coarsen.pins_visited", 0) > 0
 
+    def test_fm_spans_carry_their_share_of_fm_counters(self):
+        from repro.core.finegrain import build_finegrain_model
+        from repro.partitioner import partition_hypergraph
+
+        h = build_finegrain_model(small_matrix()).hypergraph
+        base = partition_hypergraph(h, 4, seed=5)
+        with use_recorder() as rec:
+            traced = partition_hypergraph(h, 4, seed=5)
+        np.testing.assert_array_equal(base.part, traced.part)
+        fm = [s for root in rec.roots for s, _ in root.walk() if s.name == "refine.fm"]
+        assert fm
+        names = {"passes": "fm.passes", "moves": "fm.moves", "rollbacks": "fm.rollbacks"}
+        for span in fm:
+            for attr, counter in names.items():
+                assert span.attrs[attr] == span.counters.get(counter, 0)
+        totals = rec.counter_totals()
+        for attr, counter in names.items():
+            assert sum(s.attrs[attr] for s in fm) == totals[counter]
+        assert totals["fm.moves"] > 0 and totals["fm.rollbacks"] > 0
+
     def test_spmv_counters_match_communication_stats(self):
         from repro.core.api import decompose_2d_finegrain
         from repro.spmv import communication_stats
