@@ -10,6 +10,10 @@ followed by FM refinement; the best feasible result wins:
   for net costs.
 * **random** — random balanced assignment, useful as a diversifier.
 
+A GHG start's FM runs on the :class:`~repro.partitioner.refine.FMCore`
+that GHG grew, starting from the cut GHG tracked; a random start builds
+one core from its part vector.
+
 Fixed vertices are pre-placed and never moved.
 """
 
@@ -20,7 +24,7 @@ import numpy as np
 from repro._util import INDEX_DTYPE, as_rng
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
-from repro.partitioner.refine import FMCore, fm_refine_bisection
+from repro.partitioner.refine import FMCore, fm_refine_core
 from repro.telemetry import get_recorder
 
 __all__ = ["ghg_bisection", "random_bisection", "initial_bisection"]
@@ -47,10 +51,28 @@ def ghg_bisection(
     the :class:`~repro.partitioner.refine.FMBuckets` that still fits under
     ``max0``, with FM critical-net gain updates after each move.
     """
-    rng = as_rng(rng)
+    core, _ = _grow(h, target0, max0, as_rng(rng), fixed)
+    return core.part_array()
+
+
+def _grow(
+    h: Hypergraph,
+    target0: int,
+    max0: int,
+    rng: np.random.Generator,
+    fixed: np.ndarray | None,
+) -> tuple[FMCore, int]:
+    """GHG on a fresh core; returns the core and its cut after growth.
+
+    The cut starts at construction's count and drops by each moved
+    vertex's gain, which is exact: a vertex moves only while it is
+    movable, and :meth:`FMCore.apply_move` keeps the gains of movable
+    vertices current.
+    """
     part = _base_part(h, fixed)
     core = FMCore(h, part, fixed)
-    gain = core.compute_all_gains()
+    cut, arrays = core.setup
+    gain = core.compute_all_gains(*arrays)
     bk = core.bk
 
     # the free part-1 vertices in a random order, linked in that order
@@ -60,6 +82,7 @@ def ghg_bisection(
 
     w = core.w
     W = core.W
+    gl = core.gain
     movable = core.movable
     max0 = int(max0)
     # force a random seed vertex first so different starts explore
@@ -75,8 +98,9 @@ def ghg_bisection(
                 break
         bk.remove(1, v)
         movable[v] = False  # each vertex enters part 0 at most once
+        cut -= gl[v]
         core.apply_move(v)
-    return core.part_array()
+    return core, cut
 
 
 def random_bisection(
@@ -128,7 +152,6 @@ def initial_bisection(
     rng = as_rng(rng)
     best_part: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
-    w = h.vertex_weights
     rec = get_recorder()
     if (
         cfg.initial_method == "exact"
@@ -160,16 +183,19 @@ def initial_bisection(
         for s in range(cfg.n_initial_starts):
             if s % 3 == 2:
                 raw = random_bisection(h, targets[0], max_weights[0], rng, fixed)
+                core = FMCore(h, raw, fixed)
+                cut, arrays = core.setup
             else:
-                raw = ghg_bisection(h, targets[0], max_weights[0], rng, fixed)
-            part, cut = fm_refine_bisection(h, raw, max_weights, cfg, rng, fixed)
-            w0 = int(w[part == 0].sum())
-            w1 = int(w.sum()) - w0
-            excess = max(0, w0 - max_weights[0]) + max(0, w1 - max_weights[1])
+                # one core serves the start: FM refines what GHG grew
+                core, cut = _grow(h, targets[0], max_weights[0], rng, fixed)
+                arrays = None
+            cut = fm_refine_core(core, cut, max_weights, cfg, rng, arrays)
+            W = core.W
+            excess = max(0, W[0] - max_weights[0]) + max(0, W[1] - max_weights[1])
             key = (excess, cut)
             if best_key is None or key < best_key:
                 best_key = key
-                best_part = part
+                best_part = core.part_array()
         sp.set(cut=best_key[1], excess=best_key[0])
     assert best_part is not None
     return best_part

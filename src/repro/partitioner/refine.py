@@ -10,9 +10,20 @@ The module exposes a small engine class, :class:`FMCore`, shared by the
 refinement pass and by greedy hypergraph growing in initial.py: it owns the
 pin-count bookkeeping, the gain array, the flat two-sided gain-bucket
 store (:class:`FMBuckets`) and the one move body, which applies the
-critical-net gain updates and relinks every touched pin inline.
+critical-net gain updates and relinks every touched pin inline.  One core
+serves a GHG start and its FM: :func:`fm_refine_core` refines the core
+GHG grew, with the cut GHG tracked, and :func:`fm_refine_bisection` builds
+a core from a part vector first.
 
-Hot loops operate on plain Python lists (see gainbucket.py for why).
+Set-up is paid once per core: construction counts both sides' pins with
+one ``bincount`` and takes the cut and the side weights from the same
+arrays, and the first pass of a call reads its side lookup and gain
+inputs from those arrays instead of rebuilding them from the lists.
+
+The move loops operate on plain Python lists, not numpy arrays: they make
+millions of single-element reads and writes, where list indexing is
+several times faster than numpy scalar indexing.  Numpy does the
+whole-array steps between them (counts, gains, candidate tests).
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
 from repro.telemetry import get_recorder
 
-__all__ = ["FMBuckets", "FMCore", "fm_refine_bisection"]
+__all__ = ["FMBuckets", "FMCore", "fm_refine_bisection", "fm_refine_core"]
 
 
 #: ``FMBuckets.wfloor`` entry while no empty-handed walk is on record
@@ -197,14 +208,19 @@ class FMCore:
         self.vnets = h.vnets_list()
         self.w = h.weights_list()
         self.cost = h.costs_list()
-        self.part: list[int] = np.asarray(part, dtype=INDEX_DTYPE).tolist()
+        pa = np.asarray(part, dtype=INDEX_DTYPE)
+        self.part: list[int] = pa.tolist()
         #: vertices that are not fixed
         self.free = (
             np.ones(self.nv, dtype=bool) if fixed is None else np.asarray(fixed) < 0
         )
         # pin counts per side
         self._net_of_pin = h.net_of_pin()
-        self.recount()
+        #: ``(cut, (part array, pin-count array))`` as construction counted
+        #: them.  The arrays describe the state before any move, so only the
+        #: caller that built the core reads them, before it moves
+        #: (:func:`fm_refine_bisection` hands them to its first pass).
+        self.setup = self.recount(pa)
         self.gain: list[int] = [0] * self.nv
         #: free vertices not moved yet in this pass or growth: the only
         #: ones whose gains :meth:`apply_move` maintains
@@ -216,35 +232,54 @@ class FMCore:
         """The part vector as a numpy array (copy)."""
         return np.asarray(self.part, dtype=INDEX_DTYPE)
 
-    def recount(self) -> None:
-        """Recompute pin counts and part weights from the part vector."""
-        pa = self.part_array()
-        part_of_pin = pa[self.h.pins]
-        pc0 = np.bincount(self._net_of_pin[part_of_pin == 0], minlength=self.nn)
-        pc1 = np.bincount(self._net_of_pin[part_of_pin == 1], minlength=self.nn)
-        self.pc = [pc0.astype(np.int64).tolist(), pc1.astype(np.int64).tolist()]
+    def pin_counts(self) -> np.ndarray:
+        """The pin counts as one array (copy): entry ``2 * n + s`` is net
+        *n*'s pin count on side *s*."""
+        return np.array(self.pc, dtype=np.int64).T.ravel()
+
+    def recount(
+        self, pa: np.ndarray | None = None
+    ) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+        """Recompute pin counts and part weights from the part vector.
+
+        *pa* is the part vector as an array, if the caller has one.
+        Returns ``(cut, (part array, pin-count array))``: both sides'
+        counts come from one ``bincount`` of ``2 * net + side``, and the
+        cut from the same array.
+        """
+        if pa is None:
+            pa = self.part_array()
+        key = 2 * self._net_of_pin + pa[self.h.pins]
+        pcs = np.bincount(key, minlength=2 * self.nn)
+        self.pc = pcs.reshape(-1, 2).T.tolist()
         w = self.h.vertex_weights
         w1 = int(w[pa == 1].sum())
         self.W = [int(w.sum()) - w1, w1]
+        cut = int(self.h.net_costs[_cut_nets(pcs)].sum())
+        return cut, (pa, pcs)
 
     def cut(self) -> int:
         """Current cut cost (sum of costs of nets with pins on both sides)."""
-        pc0 = np.asarray(self.pc[0])
-        pc1 = np.asarray(self.pc[1])
-        return int(self.h.net_costs[(pc0 > 0) & (pc1 > 0)].sum())
+        return int(self.h.net_costs[_cut_nets(self.pin_counts())].sum())
 
-    def compute_all_gains(self) -> np.ndarray:
+    def compute_all_gains(
+        self, pa: np.ndarray | None = None, pcs: np.ndarray | None = None
+    ) -> np.ndarray:
         """Vectorized FM gain of every vertex (positive = cut decreases).
 
+        *pa* and *pcs* are the part vector and the pin counts as arrays
+        (:meth:`part_array`, :meth:`pin_counts`), if the caller has them.
         Stores the gains in :attr:`gain` (in place: the buckets read that
         list) and returns them as an array.
         """
-        pc0 = np.asarray(self.pc[0], dtype=np.int64)
-        pc1 = np.asarray(self.pc[1], dtype=np.int64)
+        if pa is None:
+            pa = self.part_array()
+        if pcs is None:
+            pcs = self.pin_counts()
         non = self._net_of_pin
-        pp = self.part_array()[self.h.pins]
-        same = np.where(pp == 0, pc0[non], pc1[non])
-        other = np.where(pp == 0, pc1[non], pc0[non])
+        key = 2 * non + pa[self.h.pins]
+        same = pcs[key]
+        other = pcs[key ^ 1]
         contrib = self.h.net_costs[non] * (
             (same == 1).astype(np.int64) - (other == 0).astype(np.int64)
         )
@@ -256,12 +291,12 @@ class FMCore:
         self.gain[:] = g.tolist()
         return g
 
-    def boundary_vertices(self) -> np.ndarray:
-        """Vertices incident to at least one cut net."""
-        pc0 = np.asarray(self.pc[0])
-        pc1 = np.asarray(self.pc[1])
-        cutmask = (pc0 > 0) & (pc1 > 0)
-        sel = cutmask[self._net_of_pin]
+    def boundary_vertices(self, pcs: np.ndarray | None = None) -> np.ndarray:
+        """Vertices incident to at least one cut net (*pcs* as in
+        :meth:`compute_all_gains`)."""
+        if pcs is None:
+            pcs = self.pin_counts()
+        sel = _cut_nets(pcs)[self._net_of_pin]
         return np.unique(self.h.pins[sel])
 
     # -- the move --------------------------------------------------------
@@ -379,6 +414,13 @@ class FMCore:
             W[to] += w[v]
 
 
+def _cut_nets(pcs: np.ndarray) -> np.ndarray:
+    """Mask of the nets with pins on both sides (*pcs* as in
+    :meth:`FMCore.pin_counts`)."""
+    pcs = pcs.reshape(-1, 2)
+    return (pcs[:, 0] > 0) & (pcs[:, 1] > 0)
+
+
 def _excess(W: list[int], maxw: tuple[int, int]) -> int:
     return max(0, W[0] - maxw[0]) + max(0, W[1] - maxw[1])
 
@@ -422,11 +464,29 @@ def fm_refine_bisection(
     balance excess (when the input violates ``max_weights``); never
     increases balance excess.
     """
-    rng = as_rng(rng)
     core = FMCore(h, part, fixed)
-    maxw = (int(max_weights[0]), int(max_weights[1]))
-    cut = core.cut()
+    cut, arrays = core.setup
+    cut = fm_refine_core(core, cut, max_weights, cfg, as_rng(rng), arrays)
+    return core.part_array(), cut
 
+
+def fm_refine_core(
+    core: FMCore,
+    cut: int,
+    max_weights: tuple[int, int],
+    cfg: PartitionerConfig,
+    rng: np.random.Generator,
+    arrays: tuple[np.ndarray, np.ndarray] | None = None,
+) -> int:
+    """Run up to ``cfg.fm_passes`` FM passes on *core*, whose current cut
+    is *cut*; returns the cut after them.  The core holds the result.
+
+    *arrays* are the core's part and pin-count arrays (``core.setup``)
+    when it has not moved since construction: the first pass reads them
+    instead of rebuilding them from the lists.
+    """
+    h = core.h
+    maxw = (int(max_weights[0]), int(max_weights[1]))
     rec = get_recorder()
     with rec.span(
         "refine.fm",
@@ -437,7 +497,8 @@ def fm_refine_bisection(
         cut0 = cut
         passes = moves = rollbacks = 0
         for _ in range(cfg.fm_passes):
-            gain, kept, undone = _fm_pass(core, maxw, cfg, rng)
+            gain, kept, undone = _fm_pass(core, maxw, cfg, rng, arrays)
+            arrays = None
             cut -= gain
             passes += 1
             moves += kept
@@ -449,7 +510,7 @@ def fm_refine_bisection(
         rec.add("fm.moves", moves)
         rec.add("fm.rollbacks", rollbacks)
         rec.add("fm.cut_delta", cut0 - cut)
-    return core.part_array(), cut
+    return cut
 
 
 def _fm_pass(
@@ -457,9 +518,13 @@ def _fm_pass(
     maxw: tuple[int, int],
     cfg: PartitionerConfig,
     rng: np.random.Generator,
+    arrays: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, int, int]:
     """One FM pass.  Returns (cut improvement, moves kept, moves undone);
     the improvement is 0 when no move is kept.
+
+    *arrays* are the core's current part and pin-count arrays, if the
+    caller has them; otherwise the pass builds them from the lists.
 
     A pass whose candidates cannot make a first move (none fits under the
     other side's cap and no rescue move applies) moves nothing, so it
@@ -471,8 +536,13 @@ def _fm_pass(
     """
     nv = core.nv
     boundary_mode = nv > cfg.fm_boundary_threshold
+    if arrays is None:
+        pa = core.part_array()
+        pcs = core.pin_counts() if boundary_mode else None
+    else:
+        pa, pcs = arrays
     if boundary_mode:
-        cand = core.boundary_vertices()
+        cand = core.boundary_vertices(pcs)
     else:
         cand = np.arange(nv)
     cand = cand[core.free[cand]]
@@ -480,13 +550,13 @@ def _fm_pass(
         get_recorder().add("fm.idle_passes")
         return 0, 0, 0
     seq = cand[rng.permutation(len(cand))]
-    side = np.asarray(core.part, dtype=np.int64)[seq]
+    side = pa[seq]
     W = core.W
     if not _any_first_move(core.h.vertex_weights[seq].astype(np.int64), side, W, maxw):
         get_recorder().add("fm.idle_passes")
         return 0, 0, 0
 
-    gain_np = core.compute_all_gains()
+    gain_np = core.compute_all_gains(pa, pcs)
     core.movable = movable = core.free.tolist()
     bk = core.bk
     # seed both sides in permutation order

@@ -10,7 +10,7 @@ from repro.hypergraph import Hypergraph, cutsize_connectivity, hypergraph_from_n
 from repro.hypergraph.partition import compute_part_weights
 from repro.partitioner import initial, refine
 from repro.partitioner.config import PartitionerConfig
-from repro.partitioner.initial import ghg_bisection, initial_bisection
+from repro.partitioner.initial import ghg_bisection, initial_bisection, random_bisection
 from repro.partitioner.refine import FMCore, fm_refine_bisection
 from repro.telemetry import use_recorder
 from tests import fm_reference
@@ -23,11 +23,41 @@ def excess(h, part, maxw):
 
 
 class TestFMCore:
-    def test_cut_matches_metric(self):
-        h = random_hypergraph(as_rng(0), 20, 15)
+    @pytest.mark.parametrize("source", ["construction", "recount", "ghg"])
+    def test_cut_matches_metric(self, source):
+        """The cut, pin counts and side weights a core reports: as
+        construction counts them, as ``recount`` counts them after moves,
+        and as GHG tracks the cut through its growth."""
+        h = random_hypergraph(as_rng(0), 20, 15, weighted=True)
         part = as_rng(1).integers(0, 2, size=20)
-        core = FMCore(h, part)
-        assert core.cut() == cutsize_connectivity(h, part)
+        if source == "construction":
+            core = FMCore(h, part)
+            cut, (pa, pcs) = core.setup
+            assert pa.tolist() == part.tolist()
+        elif source == "recount":
+            core = FMCore(h, part)
+            for v in (3, 7, 11, 3):
+                core.apply_move(v)
+            cut, (pa, pcs) = core.recount()
+            assert pa.tolist() == core.part
+        else:
+            fixed = np.full(20, -1)
+            fixed[:3] = [0, 1, 1]
+            core, cut = initial._grow(h, 14, 16, as_rng(2), fixed)
+            assert core.W[0] >= 14  # the growth moved several vertices
+            pcs = core.pin_counts()
+        now = np.array(core.part)
+        assert cut == core.cut() == cutsize_connectivity(h, now)
+        per_net = [
+            [
+                int(np.count_nonzero(now[h.pins[h.xpins[n] : h.xpins[n + 1]]] == s))
+                for n in range(h.num_nets)
+            ]
+            for s in (0, 1)
+        ]
+        # entry 2 * n + s of the count array is net n's count on side s
+        assert core.pc == pcs.reshape(-1, 2).T.tolist() == per_net
+        assert core.W == [int(h.vertex_weights[now == s].sum()) for s in (0, 1)]
 
     def test_gains_match_definition(self):
         h = random_hypergraph(as_rng(2), 15, 12)
@@ -242,6 +272,42 @@ class TestOracle:
         ref = fm_reference.ghg(h, target0, maxw[0], ref_rng, fixed)
         assert got.tolist() == ref.part
         assert _fm_state(cores[0], rng) == _fm_state(ref, ref_rng)
+
+    @given(oracle_instances())
+    @settings(deadline=None)
+    def test_initial_bisection_matches_reference(self, inst):
+        """``initial_bisection``, whose GHG starts hand their core to FM,
+        against the composition it replaced: reference GHG, then up to
+        ``cfg.fm_passes`` reference passes on a fresh core built from its
+        part, keeping the best (excess, cut) over the starts."""
+        h, _, fixed, maxw, cfg, seed = inst
+        targets = (maxw[0] // 2 + seed % 3, maxw[1] // 2)
+        rng, ref_rng = as_rng(seed), as_rng(seed)
+        with use_recorder() as rec:
+            got = initial_bisection(h, targets, maxw, cfg, rng, fixed)
+        (span,) = rec.roots
+
+        best = None
+        for s in range(cfg.n_initial_starts):
+            if s % 3 == 2:
+                raw = random_bisection(h, targets[0], maxw[0], ref_rng, fixed)
+            else:
+                grown = fm_reference.ghg(h, targets[0], maxw[0], ref_rng, fixed)
+                raw = np.array(grown.part)
+            core = fm_reference.ReferenceCore(h, raw, fixed)
+            cut = cutsize_connectivity(h, raw)
+            for _ in range(cfg.fm_passes):
+                gain, kept, _ = fm_reference.fm_pass(core, maxw, cfg, ref_rng)
+                cut -= gain
+                if gain <= 0 and not kept:
+                    break
+            key = (refine._excess(core.W, maxw), cut)
+            if best is None or key < best[0]:
+                best = (key, list(core.part))
+        assert got.tolist() == best[1]
+        assert (span.attrs["excess"], span.attrs["cut"]) == best[0]
+        assert cutsize_connectivity(h, got) == best[0][1]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestExactExits:
