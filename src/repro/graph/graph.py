@@ -19,7 +19,7 @@ class Graph:
     them).
     """
 
-    __slots__ = ("num_vertices", "xadj", "adj", "adjwgt", "vwgt")
+    __slots__ = ("num_vertices", "xadj", "adj", "adjwgt", "vwgt", "_views")
 
     def __init__(
         self,
@@ -41,6 +41,7 @@ class Graph:
             self.vwgt = np.ones(self.num_vertices, dtype=INDEX_DTYPE)
         else:
             self.vwgt = ensure_int_array(vwgt, "vwgt")
+        self._views: dict[str, object] = {}
         if validate:
             self._check()
 
@@ -58,9 +59,7 @@ class Graph:
         if len(self.adj):
             if self.adj.min() < 0 or self.adj.max() >= self.num_vertices:
                 raise ValueError("adjacency index out of range")
-            src = np.repeat(
-                np.arange(self.num_vertices, dtype=INDEX_DTYPE), np.diff(self.xadj)
-            )
+            src = self.source()
             if np.any(src == self.adj):
                 raise ValueError("self loops are not allowed")
             # symmetry: multiset of (u,v,w) must equal multiset of (v,u,w)
@@ -88,8 +87,61 @@ class Graph:
         return int(self.xadj[v + 1] - self.xadj[v])
 
     def total_vertex_weight(self) -> int:
-        """Sum of vertex weights."""
-        return int(self.vwgt.sum())
+        """Sum of vertex weights (cached)."""
+        return self._view("total_w", lambda: int(self.vwgt.sum()))
+
+    # ------------------------------------------------------------------
+    # cached derived views
+    #
+    # The graph is immutable after construction, so the structures the
+    # partitioner's inner loops need are computed once and shared by every
+    # FM and growing call on the same level (as ``Hypergraph._view`` does).
+    # Callers must treat the returned objects as read-only.
+    # ------------------------------------------------------------------
+    def _view(self, key: str, make):
+        views = self._views
+        out = views.get(key)
+        if out is None:
+            out = views[key] = make()
+        return out
+
+    def xadj_list(self) -> list[int]:
+        """``xadj`` as a plain list (cached; read-only)."""
+        return self._view("xadj", self.xadj.tolist)
+
+    def adj_list(self) -> list[int]:
+        """``adj`` as a plain list (cached; read-only)."""
+        return self._view("adj", self.adj.tolist)
+
+    def adjwgt2_list(self) -> list[int]:
+        """Twice ``adjwgt`` as a plain list (cached; read-only): the gain
+        change a move makes to a neighbour across each edge."""
+        return self._view("adjwgt2", lambda: (2 * self.adjwgt).tolist())
+
+    def vwgt_list(self) -> list[int]:
+        """``vwgt`` as a plain list (cached; read-only)."""
+        return self._view("vwgt", self.vwgt.tolist)
+
+    def source(self) -> np.ndarray:
+        """Source vertex of every adjacency entry (cached; read-only)."""
+        return self._view(
+            "src",
+            lambda: np.repeat(
+                np.arange(self.num_vertices, dtype=INDEX_DTYPE), np.diff(self.xadj)
+            ),
+        )
+
+    def max_weighted_degree(self) -> int:
+        """Max over vertices of the total incident edge weight, at least 1
+        (cached): the bound on an FM gain's magnitude."""
+
+        def compute() -> int:
+            wd = np.bincount(
+                self.source(), weights=self.adjwgt, minlength=self.num_vertices
+            )
+            return max(int(wd.max(initial=1)), 1)
+
+        return self._view("gain_bound", compute)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(V={self.num_vertices}, E={self.num_edges})"

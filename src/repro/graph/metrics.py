@@ -12,8 +12,7 @@ __all__ = ["edge_cut", "graph_part_weights", "graph_imbalance", "validate_graph_
 
 def edge_cut(g: Graph, part: np.ndarray) -> int:
     """Total weight of edges whose endpoints lie in different parts."""
-    src = np.repeat(np.arange(g.num_vertices, dtype=INDEX_DTYPE), np.diff(g.xadj))
-    cut = part[src] != part[g.adj]
+    cut = part[g.source()] != part[g.adj]
     # each undirected edge is stored twice
     return int(g.adjwgt[cut].sum() // 2)
 

@@ -14,20 +14,25 @@ graph model):
    edge-cut metric with gain buckets.
 4. **K-way** — recursive bisection; removed cut edges make the total edge
    cut the sum of the bisection cuts.
+
+FM and growing run on :class:`GraphCore`, which gives the hypergraph FM
+pass (``refine._fm_pass``) and bucket store (``refine.FMBuckets``) an
+edge-cut move body; one core serves a growing start and its FM.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import INDEX_DTYPE, Timer, as_rng
+from repro._util import INDEX_DTYPE, Timer, as_rng, prefix_from_counts
 from repro.graph.graph import Graph
 from repro.graph.metrics import edge_cut, graph_imbalance, validate_graph_partition
 from repro.partitioner.config import PartitionerConfig
-from repro.partitioner.gainbucket import GainBucket
+from repro.partitioner.refine import _NO_FLOOR, FMBuckets, _excess, _fm_pass
+from repro.telemetry import get_recorder
 
 __all__ = ["GraphPartitionResult", "partition_graph"]
 
@@ -40,10 +45,10 @@ def heavy_edge_matching(
 ) -> tuple[np.ndarray, int]:
     """Heavy-edge matching; returns ``(cmap, n_coarse)``."""
     nv = g.num_vertices
-    xadj = g.xadj.tolist()
-    adj = g.adj.tolist()
+    xadj = g.xadj_list()
+    adj = g.adj_list()
     wgt = g.adjwgt.tolist()
-    vw = g.vwgt.tolist()
+    vw = g.vwgt_list()
     match = [-1] * nv
     cmap = [-1] * nv
     nc = 0
@@ -71,8 +76,7 @@ def heavy_edge_matching(
 def contract(g: Graph, cmap: np.ndarray, nc: int) -> Graph:
     """Contract *g* along *cmap*: merge parallel edges, drop self loops."""
     cw = np.bincount(cmap, weights=g.vwgt, minlength=nc).astype(INDEX_DTYPE)
-    src = np.repeat(np.arange(g.num_vertices, dtype=INDEX_DTYPE), np.diff(g.xadj))
-    cs = cmap[src]
+    cs = cmap[g.source()]
     cd = cmap[g.adj]
     keep = cs != cd
     cs, cd, w = cs[keep], cd[keep], g.adjwgt[keep]
@@ -92,23 +96,157 @@ def contract(g: Graph, cmap: np.ndarray, nc: int) -> Graph:
     else:
         merged_w = np.empty(0, dtype=INDEX_DTYPE)
         usrc = udst = np.empty(0, dtype=INDEX_DTYPE)
-    xadj = np.zeros(nc + 1, dtype=INDEX_DTYPE)
-    np.add.at(xadj, usrc + 1, 1)
-    np.cumsum(xadj, out=xadj)
+    xadj = prefix_from_counts(np.bincount(usrc, minlength=nc))
     return Graph(nc, xadj, udst, adjwgt=merged_w, vwgt=cw, validate=False)
 
 
 # ----------------------------------------------------------------------
-# FM refinement (edge cut)
+# FM refinement and greedy growing (edge cut)
 # ----------------------------------------------------------------------
-def _graph_gains(g: Graph, part: np.ndarray) -> np.ndarray:
-    """FM gain (external minus internal weighted degree) of every vertex."""
-    src = np.repeat(np.arange(g.num_vertices, dtype=INDEX_DTYPE), np.diff(g.xadj))
-    ext = part[src] != part[g.adj]
-    signed = np.where(ext, g.adjwgt, -g.adjwgt)
-    gains = np.zeros(g.num_vertices, dtype=np.int64)
-    np.add.at(gains, src, signed)
-    return gains
+class GraphCore:
+    """Move engine for 2-way FM and greedy growing on the edge-cut metric.
+
+    Offers the interface :func:`repro.partitioner.refine._fm_pass` drives
+    (the one FM pass of both models) and keeps the same state as
+    :class:`~repro.partitioner.refine.FMCore`: the part vector, the part
+    weights ``W``, the per-vertex gains, which vertices may still move,
+    and the flat two-sided gain-bucket store :attr:`bk`.  Only the move
+    body differs: moving ``v`` changes the gain of each neighbour across
+    an edge of weight ``w`` by ``+2w`` if it is on ``v``'s side (the edge
+    becomes cut) and by ``-2w`` if not (the edge becomes uncut).
+
+    Where :class:`FMCore` keeps per-net pin counts, this core derives
+    per-edge cut flags from the part array when a pass starts
+    (:meth:`cut_state`).
+    """
+
+    def __init__(self, g: Graph, part: np.ndarray) -> None:
+        self.g = g
+        self.nv = g.num_vertices
+        self.xadj = g.xadj_list()
+        self.adj = g.adj_list()
+        self.wgt2 = g.adjwgt2_list()
+        self.w = g.vwgt_list()
+        self.vwgt = g.vwgt
+        pa = np.asarray(part, dtype=INDEX_DTYPE)
+        self.part: list[int] = pa.tolist()
+        #: the graph model has no fixed vertices
+        self.free = np.ones(self.nv, dtype=bool)
+        w1 = int(g.vwgt[pa == 1].sum())
+        self.W = [g.total_vertex_weight() - w1, w1]
+        cut = self.cut_state(pa)
+        #: ``(edge cut, (part array, cut flags))`` as construction computed
+        #: them, for the caller that built the core to hand to its first
+        #: pass before it moves (cf. ``FMCore.setup``)
+        self.setup = (int(g.adjwgt[cut].sum()) // 2, (pa, cut))
+        self.gain: list[int] = [0] * self.nv
+        self.movable: list[bool] = [True] * self.nv
+        self.bk = FMBuckets(self.gain, g.max_weighted_degree())
+
+    def part_array(self) -> np.ndarray:
+        """The part vector as a numpy array (copy)."""
+        return np.asarray(self.part, dtype=INDEX_DTYPE)
+
+    def cut_state(self, pa: np.ndarray | None = None) -> np.ndarray:
+        """Whether each adjacency entry's edge is cut under *pa* (default:
+        the current part vector)."""
+        if pa is None:
+            pa = self.part_array()
+        return pa[self.g.source()] != pa[self.g.adj]
+
+    def compute_all_gains(
+        self, pa: np.ndarray | None = None, cut: np.ndarray | None = None
+    ) -> np.ndarray:
+        """FM gain of every vertex: external minus internal weighted degree.
+
+        *cut* is :meth:`cut_state` of *pa*, if the caller has it.  Stores
+        the gains in :attr:`gain` (in place: the buckets read that list)
+        and returns them as an array.
+        """
+        g = self.g
+        if cut is None:
+            cut = self.cut_state(pa)
+        signed = np.where(cut, g.adjwgt, -g.adjwgt)
+        # exact: float64 sums of integers far below 2**53
+        gains = np.bincount(
+            g.source(), weights=signed, minlength=self.nv
+        ).astype(np.int64)
+        self.gain[:] = gains.tolist()
+        return gains
+
+    def boundary_vertices(self, cut: np.ndarray | None = None) -> np.ndarray:
+        """Vertices with at least one cut edge (*cut* as in
+        :meth:`compute_all_gains`)."""
+        if cut is None:
+            cut = self.cut_state()
+        return np.unique(self.g.source()[cut])
+
+    def apply_move(self, v: int) -> None:
+        """Move vertex *v* to the other side.
+
+        Walks *v*'s adjacency list in order and changes the gain of each
+        movable neighbour by ``±2w``, relinking it in :attr:`bk` if it is
+        stored (and, in touch mode, linking it if not).  A zero-weight
+        edge still relinks its neighbour: that moves it to the head of
+        its chain, so it is not skipped.
+        """
+        part, gain, movable = self.part, self.gain, self.movable
+        bk = self.bk
+        heads, nxt, prv, inside = bk.heads, bk.nxt, bk.prv, bk.inside
+        top, count, wfloor, touch = bk.top, bk.count, bk.wfloor, bk.touch
+        frm = part[v]
+        to = 1 - frm
+        base_f, base_t = bk.base[frm], bk.base[to]
+        lo, hi = self.xadj[v], self.xadj[v + 1]
+        for u, d in zip(self.adj[lo:hi], self.wgt2[lo:hi]):
+            if not movable[u]:
+                continue
+            if part[u] == frm:
+                s, base = frm, base_f
+            else:
+                d, s, base = -d, to, base_t
+            g = gain[u]
+            if inside[u]:
+                nx, pv = nxt[u], prv[u]
+                if pv != -1:
+                    nxt[pv] = nx
+                else:
+                    heads[base + g] = nx
+                if nx != -1:
+                    prv[nx] = pv
+            elif touch:
+                inside[u] = True
+                count[s] += 1
+                wfloor[s] = _NO_FLOOR
+            else:
+                gain[u] = g + d
+                continue
+            g += d
+            gain[u] = g
+            b = base + g
+            hd = heads[b]
+            nxt[u] = hd
+            prv[u] = -1
+            if hd != -1:
+                prv[hd] = u
+            heads[b] = u
+            if b > top[s]:
+                top[s] = b
+        part[v] = to
+        wv = self.w[v]
+        self.W[frm] -= wv
+        self.W[to] += wv
+        # v's own gain simply flips sign for the reverse move
+        gain[v] = -gain[v]
+
+    def undo_moves(self, moves: list[int]) -> None:
+        """Reverse *moves* (latest first) without gain maintenance."""
+        part, W, w = self.part, self.W, self.w
+        for v in reversed(moves):
+            frm = part[v]  # side v is on now
+            part[v] = 1 - frm
+            W[frm] -= w[v]
+            W[1 - frm] += w[v]
 
 
 def fm_refine_graph(
@@ -119,196 +257,89 @@ def fm_refine_graph(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
     """Boundary FM on the edge-cut metric; returns ``(part, cut)``."""
-    nv = g.num_vertices
-    part = np.asarray(part, dtype=INDEX_DTYPE).copy()
-    cut = edge_cut(g, part)
-    if nv == 0:
-        return part, cut
+    core = GraphCore(g, part)
+    cut, arrays = core.setup
+    cut = _refine(core, cut, max_weights, cfg, rng, arrays)
+    return core.part_array(), cut
 
-    xadj = g.xadj.tolist()
-    adj = g.adj.tolist()
-    wgt = g.adjwgt.tolist()
-    vw = g.vwgt.tolist()
+
+def _refine(
+    core: GraphCore,
+    cut: int,
+    max_weights: tuple[int, int],
+    cfg: PartitionerConfig,
+    rng: np.random.Generator,
+    arrays: tuple[np.ndarray, np.ndarray] | None = None,
+) -> int:
+    """Run up to ``cfg.fm_passes`` FM passes on *core*, whose current edge
+    cut is *cut*; returns the cut after them.  The core holds the result.
+
+    Unlike hypergraph FM (``refine.fm_refine_core``), the graph stops after
+    any pass that keeps no move or does not lower the cut.
+    """
     maxw = (int(max_weights[0]), int(max_weights[1]))
-
+    cut0 = cut
+    passes = moves = rollbacks = 0
     for _ in range(cfg.fm_passes):
-        gains = _graph_gains(g, part).tolist()
-        part_l = part.tolist()
-        W1 = int(g.vwgt[part == 1].sum())
-        W = [g.total_vertex_weight() - W1, W1]
-
-        boundary_mode = nv > cfg.fm_boundary_threshold
-        if boundary_mode:
-            src = np.repeat(np.arange(nv, dtype=INDEX_DTYPE), np.diff(g.xadj))
-            bnd = np.unique(src[part[src] != part[g.adj]])
-            cand = bnd
-        else:
-            cand = np.arange(nv)
-        if len(cand) == 0:
+        gain, kept, undone = _fm_pass(core, maxw, cfg, rng, arrays)
+        arrays = None
+        cut -= gain
+        passes += 1
+        moves += kept
+        rollbacks += undone
+        if not kept or gain <= 0:
             break
-
-        wd = np.zeros(nv, dtype=np.int64)
-        if len(g.adj):
-            src_all = np.repeat(np.arange(nv, dtype=INDEX_DTYPE), np.diff(g.xadj))
-            np.add.at(wd, src_all, g.adjwgt)
-        bound = max(int(wd.max(initial=1)), 1)
-        b0 = GainBucket(nv, bound)
-        b1 = GainBucket(nv, bound)
-        locked = [False] * nv
-        inb = [False] * nv
-        for i in rng.permutation(len(cand)):
-            v = int(cand[i])
-            (b0 if part_l[v] == 0 else b1).insert(v, gains[v])
-            inb[v] = True
-
-        exc0 = max(0, W[0] - maxw[0]) + max(0, W[1] - maxw[1])
-        moves: list[int] = []
-        cum = 0
-        best_cum, best_idx = 0, 0
-        best_feas = exc0 == 0
-        best_exc = exc0
-        stall_window = max(int(cfg.fm_stall_frac * len(cand)), cfg.fm_stall_min)
-        stalls = 0
-
-        def feasible_to(d: int):
-            cap = maxw[d] - W[d]
-            s = 1 - d
-            over = W[s] > maxw[s]
-
-            def ok(v: int) -> bool:
-                wv = vw[v]
-                if wv <= cap:
-                    return True
-                if not over:
-                    return False
-                red = min(wv, W[s] - maxw[s])
-                inc = max(0, W[d] + wv - maxw[d])
-                return inc < red
-
-            return ok
-
-        for _ in range(nv):
-            v0 = b0.best(feasible_to(1))
-            v1 = b1.best(feasible_to(0))
-            if v0 is None and v1 is None:
-                break
-            if v0 is None:
-                v = v1
-            elif v1 is None:
-                v = v0
-            elif gains[v0] != gains[v1]:
-                v = v0 if gains[v0] > gains[v1] else v1
-            else:
-                v = v0 if W[0] >= W[1] else v1
-            frm = part_l[v]
-            to = 1 - frm
-            (b0 if frm == 0 else b1).remove(v)
-            inb[v] = False
-            locked[v] = True
-            g_v = gains[v]
-            # apply: neighbours previously internal become external and
-            # vice versa -> delta of +-2w
-            for t in range(xadj[v], xadj[v + 1]):
-                u = adj[t]
-                if locked[u]:
-                    continue
-                delta = 2 * wgt[t] if part_l[u] == frm else -2 * wgt[t]
-                gains[u] += delta
-                if inb[u]:
-                    (b0 if part_l[u] == 0 else b1).adjust(u, delta)
-                elif boundary_mode:
-                    (b0 if part_l[u] == 0 else b1).insert(u, gains[u])
-                    inb[u] = True
-            part_l[v] = to
-            gains[v] = -g_v
-            W[frm] -= vw[v]
-            W[to] += vw[v]
-            moves.append(v)
-            cum += g_v
-            exc = max(0, W[0] - maxw[0]) + max(0, W[1] - maxw[1])
-            feas = exc == 0
-            better = False
-            if feas and not best_feas:
-                better = True
-            elif feas == best_feas:
-                if feas:
-                    better = cum > best_cum
-                else:
-                    better = exc < best_exc or (exc == best_exc and cum > best_cum)
-            if better:
-                best_cum, best_idx = cum, len(moves)
-                best_feas, best_exc = feas, exc
-                stalls = 0
-            else:
-                stalls += 1
-                if stalls > stall_window:
-                    break
-
-        for v in reversed(moves[best_idx:]):
-            part_l[v] = 1 - part_l[v]
-        part = np.asarray(part_l, dtype=INDEX_DTYPE)
-        cut -= best_cum if best_idx > 0 else 0
-        if best_idx == 0 or best_cum <= 0:
-            break
-    return part, cut
+    rec = get_recorder()
+    rec.add("fm.passes", passes)
+    rec.add("fm.moves", moves)
+    rec.add("fm.rollbacks", rollbacks)
+    rec.add("fm.cut_delta", cut0 - cut)
+    return cut
 
 
 # ----------------------------------------------------------------------
 # initial bisection
 # ----------------------------------------------------------------------
+def _grow(
+    g: Graph, target0: int, max0: int, rng: np.random.Generator
+) -> tuple[GraphCore, int]:
+    """Greedy graph growing of part 0 from a random seed; returns the core
+    it grew and its edge cut."""
+    nv = g.num_vertices
+    core = GraphCore(g, np.ones(nv, dtype=INDEX_DTYPE))
+    if nv == 0:
+        return core, 0
+    # gain of moving v into part 0 under the all-ones start: every
+    # neighbour is internal, so gain = -weighted_degree(v)
+    core.compute_all_gains(*core.setup[1])
+    gain, movable, w, W = core.gain, core.movable, core.w, core.W
+    bk = core.bk
+    seed = int(rng.integers(nv))
+    bk.load(np.array([seed]), 1, np.array([gain[seed]]), touch=True)
+    cut = 0
+    while W[0] < target0:
+        cap = max0 - W[0]
+        v = bk.best_capped(1, w, cap)
+        if v is None:
+            # grow from a fresh random seed in the unplaced region (every
+            # queued vertex is over the cap, so none is in *rest*)
+            rest = [u for u in range(nv) if movable[u] and w[u] <= cap]
+            if not rest:
+                break
+            v = rest[int(rng.integers(len(rest)))]
+        else:
+            bk.remove(1, v)
+        movable[v] = False
+        cut -= gain[v]
+        core.apply_move(v)
+    return core, cut
+
+
 def ggg_bisection(
     g: Graph, target0: int, max0: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Greedy graph growing: BFS-like growth of part 0 by best gain."""
-    nv = g.num_vertices
-    part = np.ones(nv, dtype=INDEX_DTYPE)
-    if nv == 0:
-        return part
-    xadj = g.xadj.tolist()
-    adj = g.adj.tolist()
-    wgt = g.adjwgt.tolist()
-    vw = g.vwgt.tolist()
-    # gain of moving v into part 0 under the all-ones start: every
-    # neighbour is internal, so gain = -weighted_degree(v)
-    gains = _graph_gains(g, part).tolist()
-    in_q = [False] * nv
-    placed = [False] * nv
-    bound = 1
-    if len(g.adj):
-        src = np.repeat(np.arange(nv, dtype=INDEX_DTYPE), np.diff(g.xadj))
-        wd = np.zeros(nv, dtype=np.int64)
-        np.add.at(wd, src, g.adjwgt)
-        bound = max(int(wd.max()), 1)
-    bucket = GainBucket(nv, bound)
-    W0 = 0
-    seed = int(rng.integers(nv))
-    bucket.insert(seed, gains[seed])
-    in_q[seed] = True
-    while W0 < target0:
-        cap = max0 - W0
-        v = bucket.pop_best(lambda u: vw[u] <= cap)
-        if v is None:
-            # grow from a fresh random seed in the unplaced region
-            rest = [u for u in range(nv) if not placed[u] and not in_q[u] and vw[u] <= cap]
-            if not rest:
-                break
-            v = rest[int(rng.integers(len(rest)))]
-        in_q[v] = False
-        placed[v] = True
-        part[v] = 0
-        W0 += vw[v]
-        for t in range(xadj[v], xadj[v + 1]):
-            u = adj[t]
-            if placed[u]:
-                continue
-            delta = 2 * wgt[t]
-            gains[u] += delta
-            if in_q[u]:
-                bucket.adjust(u, delta)
-            else:
-                bucket.insert(u, gains[u])
-                in_q[u] = True
-    return part
+    return _grow(g, target0, max0, rng)[0].part_array()
 
 
 def random_graph_bisection(
@@ -356,22 +387,22 @@ def multilevel_graph_bisect(
 
     best_part, best_key = None, None
     for s in range(cfg.n_initial_starts):
+        # a growing start's FM refines the core it grew
         if s % 3 == 2:
-            raw = random_graph_bisection(cur, t0, maxw[0], rng)
+            core = GraphCore(cur, random_graph_bisection(cur, t0, maxw[0], rng))
+            c, arrays = core.setup
         else:
-            raw = ggg_bisection(cur, t0, maxw[0], rng)
-        p, c = fm_refine_graph(cur, raw, maxw, cfg, rng)
-        w0 = int(cur.vwgt[p == 0].sum())
-        w1 = cur.total_vertex_weight() - w0
-        excess = max(0, w0 - maxw[0]) + max(0, w1 - maxw[1])
-        key = (excess, c)
+            core, c = _grow(cur, t0, maxw[0], rng)
+            arrays = None
+        c = _refine(core, c, maxw, cfg, rng, arrays)
+        key = (_excess(core.W, maxw), c)
         if best_key is None or key < best_key:
-            best_part, best_key = p, key
-    part = best_part
+            best_part, best_key = core.part_array(), key
+    # projection keeps the edge cut, and FM tracks it exactly
+    part, cut = best_part, best_key[1]
     for fine, cmap in reversed(levels):
-        part = part[cmap]
-        part, _ = fm_refine_graph(fine, part, maxw, cfg, rng)
-    return part, edge_cut(g, part)
+        part, cut = fm_refine_graph(fine, part[cmap], maxw, cfg, rng)
+    return part, cut
 
 
 def _extract_graph_side(g: Graph, part01: np.ndarray, side: int) -> tuple[Graph, np.ndarray]:
@@ -379,14 +410,12 @@ def _extract_graph_side(g: Graph, part01: np.ndarray, side: int) -> tuple[Graph,
     ids = np.flatnonzero(vmask)
     old2new = np.full(g.num_vertices, -1, dtype=INDEX_DTYPE)
     old2new[ids] = np.arange(len(ids), dtype=INDEX_DTYPE)
-    src = np.repeat(np.arange(g.num_vertices, dtype=INDEX_DTYPE), np.diff(g.xadj))
+    src = g.source()
     keep = vmask[src] & vmask[g.adj]
     s = old2new[src[keep]]
     d = old2new[g.adj[keep]]
     w = g.adjwgt[keep]
-    xadj = np.zeros(len(ids) + 1, dtype=INDEX_DTYPE)
-    np.add.at(xadj, s + 1, 1)
-    np.cumsum(xadj, out=xadj)
+    xadj = prefix_from_counts(np.bincount(s, minlength=len(ids)))
     order = np.argsort(s, kind="stable")
     sub = Graph(
         len(ids), xadj, d[order], adjwgt=w[order], vwgt=g.vwgt[ids], validate=False

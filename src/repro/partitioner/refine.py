@@ -15,6 +15,10 @@ serves a GHG start and its FM: :func:`fm_refine_core` refines the core
 GHG grew, with the cut GHG tracked, and :func:`fm_refine_bisection` builds
 a core from a part vector first.
 
+The graph partitioner's :class:`~repro.graph.partitioner.GraphCore` offers
+the same interface with an edge-cut move body, so :func:`_fm_pass` and
+:class:`FMBuckets` serve both models' FM and growing.
+
 Set-up is paid once per core: construction counts both sides' pins with
 one ``bincount`` and takes the cut and the side weights from the same
 arrays, and the first pass of a call reads its side lookup and gain
@@ -53,9 +57,9 @@ class FMBuckets:
     ``heads[s * span : (s + 1) * span]`` and a vertex of gain *g* on side
     *s* sits in chain ``base[s] + g``.  A vertex is on one side, so the
     sides share ``nxt``, ``prv`` and ``inside``.  The gain of a stored
-    vertex is read from :attr:`FMCore.gain` itself, so a relink writes one
-    number.  Per side the store keeps ``top`` (no chain above it is
-    non-empty), ``count`` and ``wfloor``.
+    vertex is read from its core's ``gain`` list itself, so a relink
+    writes one number.  Per side the store keeps ``top`` (no chain above
+    it is non-empty), ``count`` and ``wfloor``.
 
     Chains are LIFO: a vertex linked (inserted or relinked) into a chain
     becomes its head, and a walk visits higher gains first, heads first.
@@ -64,11 +68,12 @@ class FMBuckets:
     nothing has seen every stored vertex of its side, so it records their
     minimum weight, and later calls whose cap is below it return ``None``
     without walking.  Only inserts can lower the minimum, so only
-    :meth:`load` and a boundary-mode insert in :meth:`FMCore.apply_move`
+    :meth:`load` and a touch-mode insert in a core's ``apply_move``
     reset it; removals and relinks keep it valid.  Without the memo, FM
     re-walks a side where nothing fits on every move of a pass.
 
-    Only :meth:`FMCore.apply_move` relinks, inline, once per touched pin;
+    Only the cores' ``apply_move`` (:meth:`FMCore.apply_move`,
+    ``GraphCore.apply_move``) relinks, inline, once per touched vertex;
     every other operation is a call per move or per pass.
     """
 
@@ -99,8 +104,8 @@ class FMBuckets:
         ``vs[i]`` on side ``sides[i]`` (an array, or one side for all) with
         gain ``gains[i]``, which must equal its entry in :attr:`gain`.
 
-        With *touch*, :meth:`FMCore.apply_move` also links every movable
-        vertex whose gain it changes (boundary mode).
+        With *touch*, the core's ``apply_move`` also links every movable
+        vertex whose gain it changes (boundary mode, and growing).
         """
         n = len(self.gain)
         span = self.span
@@ -142,8 +147,8 @@ class FMBuckets:
     def best_capped(self, s: int, w: list[int], cap: int) -> int | None:
         """The first vertex of side *s* in walk order with ``w[v] <= cap``.
 
-        Every call must pass the same, unchanging *w* (FM and GHG pass the
-        hypergraph's vertex weights): that keeps the memo exact.
+        Every call must pass the same, unchanging *w* (FM and growing pass
+        their core's vertex weights): that keeps the memo exact.
         """
         if self.count[s] == 0 or cap < self.wfloor[s]:
             return None
@@ -207,6 +212,7 @@ class FMCore:
         self.xnets = h.xnets_list()
         self.vnets = h.vnets_list()
         self.w = h.weights_list()
+        self.vwgt = h.vertex_weights
         self.cost = h.costs_list()
         pa = np.asarray(part, dtype=INDEX_DTYPE)
         self.part: list[int] = pa.tolist()
@@ -236,6 +242,10 @@ class FMCore:
         """The pin counts as one array (copy): entry ``2 * n + s`` is net
         *n*'s pin count on side *s*."""
         return np.array(self.pc, dtype=np.int64).T.ravel()
+
+    #: the array :func:`_fm_pass` hands to :meth:`boundary_vertices` and
+    #: :meth:`compute_all_gains` (the graph's core has per-edge cut flags)
+    cut_state = pin_counts
 
     def recount(
         self, pa: np.ndarray | None = None
@@ -520,11 +530,14 @@ def _fm_pass(
     rng: np.random.Generator,
     arrays: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, int, int]:
-    """One FM pass.  Returns (cut improvement, moves kept, moves undone);
-    the improvement is 0 when no move is kept.
+    """One FM pass on *core* (an :class:`FMCore` or a
+    :class:`~repro.graph.partitioner.GraphCore`).  Returns (cut
+    improvement, moves kept, moves undone); the improvement is 0 when no
+    move is kept.
 
-    *arrays* are the core's current part and pin-count arrays, if the
-    caller has them; otherwise the pass builds them from the lists.
+    *arrays* are the core's current part array and :meth:`cut_state`
+    (pin counts, or the graph's per-edge cut flags), if the caller has
+    them; otherwise the pass builds them from the lists.
 
     A pass whose candidates cannot make a first move (none fits under the
     other side's cap and no rescue move applies) moves nothing, so it
@@ -538,7 +551,7 @@ def _fm_pass(
     boundary_mode = nv > cfg.fm_boundary_threshold
     if arrays is None:
         pa = core.part_array()
-        pcs = core.pin_counts() if boundary_mode else None
+        pcs = core.cut_state() if boundary_mode else None
     else:
         pa, pcs = arrays
     if boundary_mode:
@@ -552,7 +565,7 @@ def _fm_pass(
     seq = cand[rng.permutation(len(cand))]
     side = pa[seq]
     W = core.W
-    if not _any_first_move(core.h.vertex_weights[seq].astype(np.int64), side, W, maxw):
+    if not _any_first_move(core.vwgt[seq].astype(np.int64), side, W, maxw):
         get_recorder().add("fm.idle_passes")
         return 0, 0, 0
 

@@ -1,7 +1,7 @@
 """Reference FM pass and GHG: the test oracle for ``refine`` and ``initial``.
 
 This is the two-bucket formulation the flat move kernel replaced: one
-:class:`~repro.partitioner.gainbucket.GainBucket` per side, each with its
+:class:`~tests.graph_reference.GainBucket` per side, each with its
 own gain copy, and one ``_bump`` call per touched pin.  It uses only the
 bucket's plain operations (``insert``, ``remove``, ``adjust``, ``best``):
 one ``insert`` per vertex in seeding order builds the same LIFO chains as
@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partitioner import refine
-from repro.partitioner.gainbucket import GainBucket
 from repro.partitioner.initial import _base_part
 from repro.partitioner.refine import FMCore
+from tests.graph_reference import GainBucket
 
 
 class ReferenceCore(FMCore):

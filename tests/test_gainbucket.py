@@ -1,5 +1,6 @@
-"""Tests for the gain-bucket priority structures: the graph partitioner's
-``GainBucket`` and the flat two-sided store FM and GHG use."""
+"""Tests for the gain-bucket priority structures: the reference
+``GainBucket`` (``tests/graph_reference.py``) and the flat two-sided store
+FM and greedy growing use."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hypergraph import hypergraph_from_netlists
-from repro.partitioner.gainbucket import GainBucket
 from repro.partitioner.refine import FMCore
 from tests import fm_reference
 from tests.conftest import hypergraphs
+from tests.graph_reference import GainBucket
 
 
 class TestBasics:

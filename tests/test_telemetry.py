@@ -313,6 +313,25 @@ class TestPipelineIntegration:
             assert sum(s.attrs[attr] for s in fm) == totals[counter]
         assert totals["fm.moves"] > 0 and totals["fm.rollbacks"] > 0
 
+    def test_graph_fm_counts_fm_counters(self):
+        from repro.graph import edge_cut, partition_graph
+        from repro.models.graph_model import build_standard_graph_model
+
+        g = build_standard_graph_model(small_matrix()).graph
+        base = partition_graph(g, 4, seed=5)
+        with use_recorder() as rec:
+            traced = partition_graph(g, 4, seed=5)
+        np.testing.assert_array_equal(base.part, traced.part)
+        totals = rec.counter_totals()
+        assert totals["fm.passes"] > 0 and totals["fm.moves"] > 0
+        assert totals["fm.rollbacks"] > 0
+        assert 0 <= totals.get("fm.idle_passes", 0) <= totals["fm.passes"]
+        assert totals["fm.cut_delta"] > 0
+        assert edge_cut(g, traced.part) == traced.edge_cut
+        # graph FM opens no hypergraph FM span
+        names = {s.name for root in rec.roots for s, _ in root.walk()}
+        assert "graph.partition" in names and "refine.fm" not in names
+
     def test_spmv_counters_match_communication_stats(self):
         from repro.core.api import decompose_2d_finegrain
         from repro.spmv import communication_stats
