@@ -17,8 +17,9 @@ the crash-safety work promises to survive:
   byte-identical;
 * **journal-write failure** — ``serve.journal_write:oserror`` makes the
   journal append fail: absorbed and counted, the request still served;
-* **worker kill** — a supervised engine worker dies mid-request
-  (``worker.heartbeat:crash``) and is respawned; the engine invariant
+* **worker kill** — a supervised start child dies mid-request
+  (``worker.heartbeat:crash``) and is killed, its start recomputed
+  inline; the engine invariant
   ("recovery never moves a bit") must hold through the serving stack.
 
 Every served partition is compared byte-for-byte against the local
@@ -424,7 +425,7 @@ def run_chaos_bench(
     })
 
     # ---- stage 5: engine worker kill ---------------------------------
-    progress("worker kill (heartbeat crash, supervised respawn)")
+    progress("worker kill (heartbeat crash, start recomputed inline)")
     proc = _start_daemon(state, n_workers,
                          faults="worker.heartbeat:crash@2")
     with Client(state.sock, client_id="worker", timeout=120.0,

@@ -14,8 +14,9 @@ it with a mixed workload from concurrent client threads, and writes
   witness the SLO path;
 * optionally one request under **fault injection** (``--faults``, e.g.
   ``worker.heartbeat:crash@2``): the daemon runs with ``REPRO_FAULTS``
-  set, a mid-load engine worker dies, and the request must still return
-  the correct result.
+  set, a mid-load start child stops heartbeating and is killed, its
+  start recomputed inline, and the request must still return the
+  correct result.
 
 The result carries the same hardware-honesty block as the other
 ``BENCH_*`` files (``usable_cores``, ``oversubscribed``) plus a

@@ -124,9 +124,9 @@ def _parse(argv):
                     help="audit the result with the independent oracles "
                          "before reporting; non-zero exit on failure")
     pp.add_argument("--retries", type=int, default=None, metavar="N",
-                    help="retry a failed/crashed engine start up to N times "
-                         "with backoff (retries re-derive the original seed: "
-                         "bit-identical results)")
+                    help="retry a failed serial-backend engine start up to "
+                         "N times with backoff (retries re-derive the "
+                         "original seed: bit-identical results)")
     pp.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                     help="wall-clock budget for the multi-start sweep; past "
                          "it the best completed start is returned (marked "

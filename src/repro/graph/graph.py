@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro._util import INDEX_DTYPE, ensure_int_array
+from repro._util import INDEX_DTYPE, ensure_int_array, prefix_from_counts
 
 __all__ = ["Graph", "graph_from_sparse"]
 
@@ -154,17 +154,14 @@ def graph_from_sparse(adj_matrix: sp.spmatrix, vwgt=None) -> Graph:
     must be positive integers); the diagonal is ignored.
     """
     a = sp.csr_matrix(adj_matrix)
-    if a.shape[0] != a.shape[1]:
+    n = a.shape[0]
+    if n != a.shape[1]:
         raise ValueError("adjacency matrix must be square")
-    a = a.tolil()
-    a.setdiag(0)
-    a = a.tocsr()
-    a.eliminate_zeros()
-    a.sort_indices()
-    return Graph(
-        a.shape[0],
-        a.indptr,
-        a.indices,
-        adjwgt=a.data,
-        vwgt=vwgt,
-    )
+    if not a.has_canonical_format:
+        a = a.copy()  # converting a CSR input shares the caller's arrays
+        a.sum_duplicates()  # sorts the indices too
+    # one mask drops the diagonal and the stored zeros
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    keep = (a.indices != rows) & (a.data != 0)
+    xadj = prefix_from_counts(np.bincount(rows[keep], minlength=n))
+    return Graph(n, xadj, a.indices[keep], adjwgt=a.data[keep], vwgt=vwgt)

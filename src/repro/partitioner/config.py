@@ -211,12 +211,12 @@ class ExecutionPolicy:
     start_backend: str = field(
         default_factory=lambda: _env_str("REPRO_START_BACKEND", "auto", _BACKENDS)
     )
-    #: how many times a failed/crashed engine start is retried before
-    #: giving up.  A retried start re-derives its original seed, so
-    #: retries never move the bits — they only buy wall-clock robustness.
-    #: ``0`` preserves the pre-resilience behavior (first failure triggers
-    #: the backend fallback chain).  A failed tree-parallel subtree task
-    #: is never retried: it is recomputed inline at once.
+    #: how many times a failed serial-backend engine start is retried
+    #: before its exception propagates.  A retried start re-derives its
+    #: original seed, so retries never move the bits — they only buy
+    #: wall-clock robustness.  A failed process-backend start and a
+    #: failed tree-parallel subtree task are never retried: each is
+    #: recomputed inline at once.
     #: Env-overridable default: ``REPRO_MAX_RETRIES``.
     max_retries: int = field(default_factory=lambda: _env_int("REPRO_MAX_RETRIES", 0))
     #: first retry delay in seconds; attempt ``a`` waits
@@ -248,15 +248,14 @@ class ExecutionPolicy:
     checkpoint_path: str | None = field(
         default_factory=lambda: os.environ.get("REPRO_CHECKPOINT") or None
     )
-    #: seconds between heartbeat writes of a supervised worker.
+    #: seconds between heartbeat writes of a supervised child.
     #: Env-overridable default: ``REPRO_HEARTBEAT_INTERVAL``.
     heartbeat_interval: float = field(
         default_factory=lambda: _env_float("REPRO_HEARTBEAT_INTERVAL", 0.25)
     )
-    #: a supervised worker whose newest heartbeat (or task dispatch) is
-    #: older than this many seconds while a task is in flight is presumed
-    #: hung: an engine worker is killed, respawned and its seed re-queued;
-    #: a subtree child is killed and its subtree recomputed inline.
+    #: a supervised child whose newest heartbeat (or fork time) is older
+    #: than this many seconds is presumed hung: it is killed and its start
+    #: or subtree recomputed inline.
     #: Env-overridable default: ``REPRO_HEARTBEAT_TIMEOUT``.
     heartbeat_timeout: float = field(
         default_factory=lambda: _env_float("REPRO_HEARTBEAT_TIMEOUT", 30.0)

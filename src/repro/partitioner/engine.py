@@ -12,18 +12,18 @@ Execution backends
     the per-start seeds derive from the engine seed, every start runs,
     and the best is chosen by a total order.
 ``process``
-    ``n_workers`` supervised worker processes
-    (:mod:`repro.partitioner.resilience`).  They are started with
-    ``fork``, so each inherits the hypergraph from the parent without a
-    copy; tasks ship only start indices and seeds.  Threads are not a
-    backend: matching and FM hold the GIL, so threads lose to serial.
+    Each start is a one-task supervised child
+    (:class:`~repro.partitioner.resilience.SupervisedTask`), at most
+    ``n_workers`` at once.  Children are forked, so each inherits the
+    hypergraph from the parent without a copy; only its result travels
+    back.  Threads are not a backend: matching and FM hold the GIL, so
+    threads lose to serial.
 ``auto``
     ``process`` when ``n_workers > 1`` and the machine has more than one
     CPU core, else ``serial`` (:func:`~repro.partitioner.config.resolve_backend`).
 
-The fallback chain is process -> serial: if the process backend cannot
-run (restricted environments, exhausted restart budget), the starts are
-recomputed in-process.
+A process start that cannot fork, or whose child raises, dies or stops
+heartbeating, is recomputed in-process at once with the same seed.
 
 Determinism contract: with ``n_starts=1`` the engine is a pass-through to
 :func:`repro.partitioner.partition_hypergraph` — bit-identical results.
@@ -33,10 +33,11 @@ can cut the sweep short, and the result then says so (``degraded``).
 
 Resilience: execution is delegated to
 :mod:`repro.partitioner.resilience` — retry with backoff for failed
-starts, worker supervision (heartbeats, kill/respawn/re-queue) for the
-process backend, a graceful ``cfg.deadline`` budget, and crash-resumable
-sweeps via ``cfg.checkpoint_path``.  None of it moves the bits: retried
-and resumed starts re-derive their original seeds.
+serial starts, child supervision (heartbeats, kill and inline recompute)
+for the process backend, a graceful ``cfg.deadline`` budget, and
+crash-resumable sweeps via ``cfg.checkpoint_path``.  None of it moves
+the bits: retried, recomputed and resumed starts re-derive their
+original seeds.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class StartStat:
 def _run_start(
     h: Hypergraph, k: int, cfg: PartitionerConfig, seed: int
 ) -> PartitionResult:
-    """Worker body: one single-start pipeline behind the ``engine.start``
+    """Start body: one single-start pipeline behind the ``engine.start``
     fault site (top-level, so it pickles under a non-fork start method)."""
     _fault_trip("engine.start")
     return partition_hypergraph(h, k, cfg, seed)

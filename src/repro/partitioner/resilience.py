@@ -7,25 +7,22 @@ module is the recovery layer the fault-injection suite (PR 4) exists to
 exercise:
 
 retry with backoff
-    A failed or crashed start is retried up to ``cfg.max_retries`` times
-    with exponential backoff and deterministic jitter
-    (:func:`backoff_delay`).  A retried start re-derives its original
-    seed, so retries are invisible in the output — the partition stays
-    bit-identical to a failure-free run.
-worker supervision
-    The process backend runs under a supervisor: workers are forked, so
-    each inherits the hypergraph without a copy, and each stamps its
-    heartbeat slot of an unnamed shared array, allocated before the fork,
-    from a background thread; the parent detects dead or hung workers,
-    kills and respawns them, and re-queues their in-flight seeds
-    (``engine.worker_restarts`` telemetry).  A worker whose parent dies
-    exits on its next heartbeat tick instead of living on as an orphan.
-    A bounded restart budget keeps a deterministic crash from looping
-    forever — when it runs out the pool declares itself broken and the
-    engine falls back to in-process serial execution.  A shipped
-    seed-tree subtree is a one-task worker of the same kind
-    (:class:`SupervisedTask`): forked at offer time, heartbeating, and
-    killed when it dies or hangs, so the caller can recompute it inline.
+    A start that raises on the serial backend is retried up to
+    ``cfg.max_retries`` times with exponential backoff and deterministic
+    jitter (:func:`backoff_delay`).  A retried start re-derives its
+    original seed, so retries are invisible in the output — the partition
+    stays bit-identical to a failure-free run.
+child supervision
+    On the process backend every start is a one-task supervised child
+    (:class:`SupervisedTask`), and so is every shipped seed-tree subtree.
+    The child is forked, so it inherits its inputs without a copy, and it
+    stamps a heartbeat slot of an unnamed shared array, allocated before
+    the fork, from a background thread.  The parent kills and reaps a
+    child that raises, dies or stops heartbeating and recomputes its work
+    inline at once with the fault-free body (``engine.start_failures``,
+    ``tree.task_failures``); a start whose fork is refused is recomputed
+    the same way.  A child whose parent dies exits on its next heartbeat
+    tick instead of living on as an orphan.
 deadline budget
     ``cfg.deadline`` (or ``decompose(deadline=...)`` /
     ``REPRO_DEADLINE``) caps the engine call's wall clock *gracefully*:
@@ -58,13 +55,12 @@ import copy
 import json
 import multiprocessing as mp
 import os
-import pickle
-import queue as queue_mod
 import threading
 import time
 import warnings
 import zlib
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _wait_any
 
 import numpy as np
 
@@ -81,21 +77,9 @@ __all__ = [
     "CheckpointStore",
     "StartsOutcome",
     "SupervisedTask",
-    "WorkerPoolBroken",
     "sweep_fingerprint",
     "run_starts",
 ]
-
-#: pids of the live supervised workers of the sweep in flight, empty once
-#: it has reaped them (test hook: lets the kill-a-worker-mid-start suite
-#: SIGKILL a live worker without reaching into the pool internals)
-_LAST_WORKER_PIDS: list[int] = []
-
-
-class WorkerPoolBroken(RuntimeError):
-    """The supervised pool exhausted its restart budget (a RuntimeError on
-    purpose: the engine's serial fallback catches it)."""
-
 
 # ----------------------------------------------------------------------
 # retry policy
@@ -408,14 +392,6 @@ class StartsOutcome:
     #: start indices that never ran (deadline hit)
     skipped: list = field(default_factory=list)
 
-    def reset_fresh(self) -> None:
-        """Drop the fresh-execution state before a backend fallback rerun
-        (resumed state survives — it came from the checkpoint)."""
-        self.completed.clear()
-        self.retries.clear()
-        self.skipped = []
-        self.degraded_reason = None
-
 
 def _fresh_seed(seeds: list, i: int):
     """The seed start *i* runs with — always re-derived from the pristine
@@ -424,51 +400,55 @@ def _fresh_seed(seeds: list, i: int):
     return copy.deepcopy(s) if isinstance(s, np.random.Generator) else s
 
 
+def _seed_label(seeds: list, i: int) -> int:
+    """Start *i*'s integer seed; ``-1`` for an engine-RNG replay."""
+    return seeds[i] if isinstance(seeds[i], int) else -1
+
+
 def _complete(outcome: StartsOutcome, store: CheckpointStore | None,
               i: int, seeds: list, res) -> None:
     outcome.completed[i] = res
     if store is not None:
-        seed_i = seeds[i] if isinstance(seeds[i], int) else -1
-        store.record(i, seed_i, res, retries=outcome.retries.get(i, 0))
+        store.record(i, _seed_label(seeds, i), res,
+                     retries=outcome.retries.get(i, 0))
+
+
+def _past_deadline(deadline: Deadline | None, outcome: StartsOutcome,
+                   inflight: bool) -> bool:
+    """No start may launch: the deadline expired and some start has
+    completed, been resumed or is in flight (so at least one always runs)."""
+    return (
+        deadline is not None
+        and deadline.expired()
+        and bool(outcome.completed or outcome.resumed or inflight)
+    )
+
+
+def _skip_rest(outcome: StartsOutcome, rest: list) -> None:
+    outcome.skipped = list(rest)
+    outcome.degraded_reason = "deadline"
+    get_recorder().add("engine.deadline_hits")
 
 
 # ----------------------------------------------------------------------
 # serial backend
 # ----------------------------------------------------------------------
-def _serial_starts(h, k, single, seeds, todo, cfg, outcome, store, deadline,
-                   trip: bool) -> None:
-    """Run *todo* starts in-process.
-
-    ``trip=True`` routes each start through the ``engine.start`` fault
-    site with the retry policy; ``trip=False`` is the last-resort
-    fallback body (no site, no retry) used when the process backend has
-    already failed — it must not re-fire the very faults it is
-    recovering from.
-    """
+def _serial_starts(h, k, single, seeds, todo, cfg, outcome, store,
+                   deadline) -> None:
+    """Run *todo* starts in-process, each behind the ``engine.start``
+    fault site and under the retry-with-backoff policy."""
     rec = get_recorder()
     from repro.partitioner import engine as _engine
-    from repro.partitioner.driver import partition_hypergraph
 
     for pos, i in enumerate(todo):
-        if (
-            deadline is not None
-            and deadline.expired()
-            and (outcome.completed or outcome.resumed)
-        ):
-            outcome.skipped = list(todo[pos:])
-            outcome.degraded_reason = "deadline"
-            rec.add("engine.deadline_hits")
+        if _past_deadline(deadline, outcome, False):
+            _skip_rest(outcome, todo[pos:])
             break
-        seed_label = seeds[i] if isinstance(seeds[i], int) else -1
-        with rec.span("engine.start", start=i, seed=seed_label) as sp:
+        with rec.span("engine.start", start=i, seed=_seed_label(seeds, i)) as sp:
             attempt = 0
             while True:
-                s = _fresh_seed(seeds, i)
                 try:
-                    if trip:
-                        res = _engine._run_start(h, k, single, s)
-                    else:
-                        res = partition_hypergraph(h, k, single, s)
+                    res = _engine._run_start(h, k, single, _fresh_seed(seeds, i))
                     break
                 except Exception:
                     if attempt >= cfg.max_retries:
@@ -482,18 +462,17 @@ def _serial_starts(h, k, single, seeds, todo, cfg, outcome, store, deadline,
 
 
 # ----------------------------------------------------------------------
-# supervised process backend
+# one-task supervised children
 # ----------------------------------------------------------------------
 def _beat_loop(beats, rank: int, interval: float, stop: threading.Event,
                parent: int) -> None:
-    """Worker-side heartbeat writer (daemon thread).
+    """Child-side heartbeat writer (daemon thread).
 
     Stamps ``beats[rank]`` with ``time.monotonic()``, which is system-wide
     on the platforms we run on, so the parent compares it with its own
     clock directly.  Ends the whole process once its parent, whose pid
     *parent* was recorded before the fork, is gone: nothing would ever
-    collect its result or tell it to stop, so it would live on as an
-    orphan blocked on its task queue.
+    collect its answer or kill it, so it would live on as an orphan.
     """
     while True:
         if os.getppid() != parent:
@@ -503,78 +482,21 @@ def _beat_loop(beats, rank: int, interval: float, stop: threading.Event,
             beats[rank] = time.monotonic()
         except Exception:
             # a dead heartbeat is the *signal*, not an error: the
-            # supervisor will presume the worker hung and recycle it
+            # parent will presume the child hung and kill it
             return
         if stop.wait(interval):
             return
 
 
 def _hung(beats, rank: int, since: float, timeout: float) -> bool:
-    """Worker *rank*'s newest heartbeat, or *since* (its task's hand-over
+    """Slot *rank*'s newest heartbeat, or *since* (its task's hand-over
     time) if later, is older than *timeout* seconds."""
     return time.monotonic() - max(beats[rank], since) > timeout
 
 
 def _tick(cfg: PartitionerConfig) -> float:
-    """Polling period of a parent waiting on supervised workers."""
+    """Polling period of a parent waiting on supervised children."""
     return max(0.01, min(cfg.heartbeat_interval, 0.1))
-
-
-def _shippable(exc: Exception) -> Exception:
-    """*exc* if it survives a pickle round trip, else a ``RuntimeError``
-    summary.  ``mp.Queue.put`` pickles in a feeder thread, where a failure
-    is printed and lost, so the check has to happen before the put."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
-def _supervised_worker(rank, task_q, result_q, beats, hb_interval, parent,
-                       h, k, single) -> None:
-    """One supervised engine worker (child-process main).
-
-    Pulls ``(start_index, seed)`` tasks from its private queue, runs the
-    single-start pipeline and posts ``(rank, start, ok, result_or_exc)``.
-    A background thread stamps ``beats[rank]``; the worker body calls
-    ``engine._run_start`` — the serial backend's body — so fault injection
-    and monkeypatching reach it identically.
-    """
-    from repro.partitioner import engine as _engine
-
-    stop = threading.Event()
-    threading.Thread(
-        target=_beat_loop, args=(beats, rank, hb_interval, stop, parent),
-        daemon=True,
-    ).start()
-    try:
-        while True:
-            item = task_q.get()
-            if item is None:
-                return
-            i, seed = item
-            try:
-                res = _engine._run_start(h, k, single, seed)
-            except Exception as exc:
-                result_q.put((rank, i, False, _shippable(exc)))
-            else:
-                result_q.put((rank, i, True, res))
-    finally:
-        stop.set()
-
-
-class _Slot:
-    """Supervisor-side state of one worker rank."""
-
-    __slots__ = ("rank", "proc", "queue", "task", "dispatched_at")
-
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.proc = None
-        self.queue = None
-        self.task = None  # (start_index, attempt) while one is in flight
-        self.dispatched_at = 0.0
 
 
 def _mp_context():
@@ -584,172 +506,6 @@ def _mp_context():
         return mp.get_context()
 
 
-def _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
-                       deadline) -> None:
-    """Process backend with heartbeats, kill/respawn and seed re-queueing.
-
-    Workers are forked, so each inherits *h* without a copy (a non-fork
-    start method pickles it once per worker spawn).  Liveness travels in
-    ``beats``, one ``float64`` per rank in an unnamed shared array
-    allocated before the first fork: nothing to name, attach or unlink.
-    Worker death or a heartbeat older than ``cfg.heartbeat_timeout``
-    (while a start is in flight) kills and respawns the worker and
-    re-queues the seed — a re-queue spends the restart budget
-    (``n_workers * (max_retries + 1)`` total), not the per-start retry
-    budget, because the *task* never reported failure.  A start that does
-    report an exception follows the normal retry-with-backoff policy.
-    When the restart budget runs out the pool raises
-    :class:`WorkerPoolBroken` and the engine falls back to serial.
-    """
-    rec = get_recorder()
-    ctx = _mp_context()
-    n_workers = min(cfg.n_workers, len(todo))
-    # an OSError here (no shared memory) takes run_starts' serial fallback
-    beats = ctx.RawArray("d", n_workers)
-    result_q = ctx.Queue()
-    slots = [_Slot(r) for r in range(n_workers)]
-    restart_budget = cfg.n_workers * (cfg.max_retries + 1)
-    # (start_index, attempt, not_before) — retried entries carry a backoff
-    # horizon instead of blocking the supervisor in time.sleep
-    pending: list = [(i, 0, 0.0) for i in todo]
-    tick = _tick(cfg)
-
-    def spawn(slot: _Slot) -> None:
-        slot.queue = ctx.Queue()
-        slot.proc = ctx.Process(
-            target=_supervised_worker,
-            args=(slot.rank, slot.queue, result_q, beats,
-                  cfg.heartbeat_interval, os.getpid(), h, k, single),
-        )
-        slot.proc.start()
-        _LAST_WORKER_PIDS[:] = [
-            s.proc.pid for s in slots if s.proc is not None and s.proc.is_alive()
-        ]
-
-    def recycle(slot: _Slot, why: str) -> None:
-        """Kill a dead/hung worker, re-queue its seed, respawn."""
-        nonlocal restart_budget
-        if slot.proc is not None:
-            reap(slot.proc)
-        if slot.task is not None:
-            i, attempt = slot.task
-            if i not in outcome.completed:
-                pending.insert(0, (i, attempt, time.monotonic()))
-            slot.task = None
-        if restart_budget <= 0:
-            raise WorkerPoolBroken(
-                f"supervised worker rank {slot.rank} {why} and the restart "
-                f"budget is exhausted"
-            )
-        restart_budget -= 1
-        beats[slot.rank] = 0.0
-        spawn(slot)
-        rec.add("engine.worker_restarts")
-
-    try:
-        for slot in slots:
-            spawn(slot)
-
-        while True:
-            inflight = any(s.task is not None for s in slots)
-            if not pending and not inflight:
-                break
-
-            # dispatch ready work to idle live workers
-            now = time.monotonic()
-            deadline_blocked = (
-                deadline is not None
-                and deadline.expired()
-                and (outcome.completed or outcome.resumed or inflight)
-            )
-            if not deadline_blocked:
-                for slot in slots:
-                    if not pending or slot.task is not None:
-                        continue
-                    if slot.proc is None or not slot.proc.is_alive():
-                        continue  # the monitor pass below recycles it
-                    ready = next(
-                        (idx for idx, (_i, _a, nb) in enumerate(pending)
-                         if nb <= now),
-                        None,
-                    )
-                    if ready is None:
-                        break
-                    i, attempt, _nb = pending.pop(ready)
-                    if i in outcome.completed:  # stale re-queue duplicate
-                        continue
-                    slot.queue.put((i, _fresh_seed(seeds, i)))
-                    slot.task = (i, attempt)
-                    slot.dispatched_at = now
-            elif not inflight:
-                # past the deadline with nothing left in flight: the rest
-                # of the sweep is abandoned gracefully
-                outcome.skipped = sorted(i for i, _a, _nb in pending)
-                outcome.degraded_reason = "deadline"
-                rec.add("engine.deadline_hits")
-                break
-
-            # collect one result (or just wait a tick)
-            try:
-                rank, i, ok, res = result_q.get(timeout=tick)
-            except queue_mod.Empty:
-                pass
-            else:
-                slot = slots[rank]
-                if slot.task is not None and slot.task[0] == i:
-                    attempt = slot.task[1]
-                    slot.task = None
-                else:  # result from a recycled rank; attempt is best-effort
-                    attempt = 0
-                if ok:
-                    if i not in outcome.completed:
-                        _complete(outcome, store, i, seeds, res)
-                else:
-                    if attempt >= cfg.max_retries:
-                        raise res
-                    rec.add("engine.start_retries")
-                    outcome.retries[i] = attempt + 1
-                    pending.append(
-                        (i, attempt + 1,
-                         time.monotonic() + backoff_delay(cfg, attempt, salt=i))
-                    )
-
-            # monitor: recycle dead or hung workers
-            for slot in slots:
-                if slot.proc is None:
-                    continue
-                if not slot.proc.is_alive():
-                    if slot.task is not None or pending:
-                        recycle(slot, "died")
-                    continue
-                if slot.task is not None and _hung(
-                    beats, slot.rank, slot.dispatched_at, cfg.heartbeat_timeout
-                ):
-                    recycle(slot, "stopped heartbeating")
-    finally:
-        for slot in slots:
-            if slot.queue is not None:
-                try:
-                    slot.queue.put(None)
-                except Exception:
-                    pass
-        for slot in slots:
-            if slot.proc is not None:
-                reap(slot.proc, grace=2)
-        # reaped pids may be reused by the OS: a later reader must not
-        # signal them
-        _LAST_WORKER_PIDS.clear()
-        for slot in slots:
-            if slot.queue is not None:
-                slot.queue.close()
-                slot.queue.cancel_join_thread()
-        result_q.close()
-        result_q.cancel_join_thread()
-
-
-# ----------------------------------------------------------------------
-# one-task supervised children (shipped seed-tree subtrees)
-# ----------------------------------------------------------------------
 def _one_task_worker(conn, beats, hb_interval, parent, fn, args) -> None:
     """Child main of a :class:`SupervisedTask`: stamp ``beats[0]`` while
     ``fn(*args)`` runs, then send ``(ok, value_or_exc)``."""
@@ -768,13 +524,15 @@ def _one_task_worker(conn, beats, hb_interval, parent, fn, args) -> None:
 
 class SupervisedTask:
     """``fn(*args)`` in a child forked by the constructor — so it inherits
-    *args* without a pickle — and supervised like an engine worker.
+    *args* without a pickle — that stamps a heartbeat while it works.
 
     :meth:`result` polls for the child's answer.  A child that dies
     without one, or is :func:`_hung` past ``cfg.heartbeat_timeout``, is
     killed and reaped, and ``result()`` raises.  :meth:`cancel` kills and
     reaps a child that will not be collected.  Either calls *on_close*
-    once.
+    once.  A task has a :meth:`fileno`, so a parent running several
+    collects them with one :func:`multiprocessing.connection.wait` and
+    :meth:`answer`.
     """
 
     def __init__(self, cfg: PartitionerConfig, fn, args: tuple,
@@ -797,21 +555,35 @@ class SupervisedTask:
             child_conn.close()  # so the child's death reads as EOF here
         self._forked_at = time.monotonic()
 
+    def fileno(self) -> int:
+        """The answer pipe's descriptor: readable once the child answered
+        or died."""
+        return self._conn.fileno()
+
+    def answer(self):
+        """The child's ``(ok, value_or_exc)`` answer, or ``None`` while it
+        works.  Raises when the child died without answering or stopped
+        heartbeating."""
+        # sampled before the poll: a child already dead by then has put
+        # all it ever will into the pipe
+        alive = self._proc.is_alive()
+        if self._conn.poll():
+            return self._conn.recv()  # EOFError: died silently
+        if not alive or _hung(self._beats, 0, self._forked_at,
+                              self._cfg.heartbeat_timeout):
+            raise RuntimeError("supervised child died or hung")
+        return None
+
     def result(self):
         """The child's return value; re-raises its exception."""
         try:
-            while True:
-                # sampled before the wait: a child already dead by then
-                # has put all it ever will into the pipe
-                alive = self._proc.is_alive()
-                if self._conn.poll(_tick(self._cfg)):
-                    ok, value = self._conn.recv()  # EOFError: died silently
-                    break
-                if not alive or _hung(self._beats, 0, self._forked_at,
-                                      self._cfg.heartbeat_timeout):
-                    raise RuntimeError("subtree child died or hung")
+            out = None
+            while out is None:
+                self._conn.poll(_tick(self._cfg))  # wait up to one tick
+                out = self.answer()
         finally:
             self.cancel()
+        ok, value = out
         if not ok:
             raise value
         return value
@@ -822,6 +594,73 @@ class SupervisedTask:
             reap(self._proc)
             self._conn.close()
             self._on_close(self)
+
+
+# ----------------------------------------------------------------------
+# process backend
+# ----------------------------------------------------------------------
+def _process_starts(h, k, single, seeds, todo, cfg, outcome, store,
+                    deadline) -> None:
+    """Run *todo* starts as one-task supervised children.
+
+    At most ``cfg.n_workers`` children are out at once; each tick collects
+    them with one wait over their pipes.  A start fails when its fork (or
+    its heartbeat array) is refused, or its child raises, dies or stops
+    heartbeating.  The child is killed and reaped, and the start is
+    recomputed inline at once with the fault-free body on a fresh copy of
+    its seed (``engine.start_failures``), so the bits never move.
+    """
+    rec = get_recorder()
+    from repro.partitioner import engine as _engine
+    from repro.partitioner.driver import partition_hypergraph
+
+    def recompute(i: int) -> None:
+        rec.add("engine.start_failures")
+        with rec.span("engine.start", start=i, seed=_seed_label(seeds, i),
+                      recomputed=True) as sp:
+            res = partition_hypergraph(h, k, single, _fresh_seed(seeds, i))
+            sp.set(cutsize=res.cutsize)
+        _complete(outcome, store, i, seeds, res)
+
+    pending = list(todo)
+    # child -> its start index; a child's cancel() drops it (on_close)
+    live: dict[SupervisedTask, int] = {}
+    try:
+        while pending or live:
+            while (pending and len(live) < cfg.n_workers
+                   and not _past_deadline(deadline, outcome, bool(live))):
+                i = pending.pop(0)
+                try:
+                    task = SupervisedTask(
+                        cfg, _engine._run_start,
+                        (h, k, single, _fresh_seed(seeds, i)),
+                        on_close=live.pop,
+                    )
+                except OSError:
+                    recompute(i)
+                else:
+                    live[task] = i
+            if not live:
+                if pending:  # past the deadline with nothing in flight
+                    _skip_rest(outcome, pending)
+                break
+            _wait_any(list(live), timeout=_tick(cfg))
+            for task, i in list(live.items()):
+                try:
+                    out = task.answer()
+                except Exception:  # died, hung or sent an unreadable answer
+                    out = (False, None)
+                if out is None:
+                    continue
+                task.cancel()
+                ok, res = out
+                if ok:
+                    _complete(outcome, store, i, seeds, res)
+                else:
+                    recompute(i)
+    finally:
+        for task in list(live):
+            task.cancel()
 
 
 # ----------------------------------------------------------------------
@@ -838,11 +677,9 @@ def run_starts(
 ) -> StartsOutcome:
     """Execute the engine's starts resiliently on *backend*.
 
-    Resumes from ``cfg.checkpoint_path`` when it records this sweep,
-    applies the retry policy at every level, honours the deadline budget,
-    and degrades from the supervised process backend to in-process
-    serial: only ``OSError`` / ``RuntimeError`` / ``ImportError`` trigger
-    the fallback; anything else is a real bug and propagates.
+    Resumes from ``cfg.checkpoint_path`` when it records this sweep and
+    honours the deadline budget.  The serial backend retries a failed
+    start with backoff; the process backend recomputes it inline.
     """
     rec = get_recorder()
     store = None
@@ -857,24 +694,8 @@ def run_starts(
         outcome.resumed_best = store.best_result()
         rec.add("engine.starts_resumed", len(outcome.resumed))
     todo = [i for i in range(len(seeds)) if i not in outcome.resumed]
-    if not todo:
-        return outcome
-    deadline = Deadline.from_config(cfg)
-
-    if backend == "serial":
-        _serial_starts(h, k, single, seeds, todo, cfg, outcome, store,
-                       deadline, trip=True)
-        return outcome
-
-    try:
-        _supervised_starts(h, k, single, seeds, todo, cfg, outcome, store,
-                           deadline)
-        return outcome
-    except (OSError, RuntimeError, ImportError):
-        # restricted environments can refuse processes (no fork / sem);
-        # retries are exhausted; degrade rather than fail
-        rec.add("engine.backend_fallbacks")
-        outcome.reset_fresh()
-    _serial_starts(h, k, single, seeds, todo, cfg, outcome, store,
-                   deadline, trip=False)
+    if todo:
+        run = _serial_starts if backend == "serial" else _process_starts
+        run(h, k, single, seeds, todo, cfg, outcome, store,
+            Deadline.from_config(cfg))
     return outcome

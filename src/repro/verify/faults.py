@@ -1,12 +1,12 @@
 """Deterministic fault injection for the parallel machinery.
 
-The engine, the tree scheduler and the worker supervisor all promise
-graceful degradation: a crashed start falls back to serial, a dead or hung
-subtree task is killed and recomputed inline, and an engine worker whose
-heartbeat stops is killed, respawned and its seed re-queued.  Those
-promises are only worth anything if the failure paths actually run —
-this module makes them run *on demand and deterministically* so the test
-suite (and CI) can assert each one.
+The engine, the tree scheduler and the child supervisor all promise
+graceful degradation: a crashed start is retried (serial backend) or
+recomputed inline (process backend), and a dead or hung child, whether
+it runs an engine start or a subtree, is killed and its work recomputed
+inline.  Those promises are only worth anything if the failure paths
+actually run — this module makes them run *on demand and
+deterministically* so the test suite (and CI) can assert each one.
 
 Fault plans
 -----------
@@ -21,8 +21,8 @@ A plan is a comma-separated list of ``site:action[@hit]`` specs::
 
 ``engine.start``
     A multi-start engine start (``engine._run_start``), in the serial
-    backend's process or in a supervised worker (fire it via the
-    environment so worker processes see it).
+    backend's process or in a start's supervised child (fire it via the
+    environment so the children see it).
 ``pool.submit``
     :meth:`repro.partitioner.pool.TreeScheduler.offer`, just before the
     subtree child is forked (exercises the failed-fork path: that one
@@ -33,13 +33,12 @@ A plan is a comma-separated list of ``site:action[@hit]`` specs::
     a failed subtree; ``sleep`` only delays it while the child keeps
     heartbeating; fire it via the environment so the children see it).
 ``worker.heartbeat``
-    The heartbeat loop of a supervised worker — an engine worker or a
-    subtree child (:mod:`repro.partitioner.resilience`) — before each
-    beat is written.  ``crash`` silently kills the heartbeat thread, so
-    with a small ``PartitionerConfig.heartbeat_timeout`` the parent
-    presumes the worker hung and kills it: an engine worker is respawned
-    and its seed re-queued, a subtree is recomputed inline (fire it via
-    the environment so worker processes see it).
+    The heartbeat loop of a supervised child — an engine start or a
+    subtree (:mod:`repro.partitioner.resilience`) — before each beat is
+    written.  ``crash`` silently kills the heartbeat thread, so with a
+    small ``PartitionerConfig.heartbeat_timeout`` the parent presumes the
+    child hung, kills it and recomputes its start or subtree inline (fire
+    it via the environment so the children see it).
 ``checkpoint.write``
     :meth:`repro.partitioner.resilience.CheckpointStore` just before the
     atomic ``os.replace`` — a failed checkpoint write must never fail the

@@ -158,7 +158,7 @@ def test_heartbeat_env_zero_raises_like_the_keyword(monkeypatch, var, field):
 
 
 # ----------------------------------------------------------------------
-# engine: worker crash, heartbeat-board create/unlink failures
+# engine: a crashed start on the process backend
 # ----------------------------------------------------------------------
 def _engine_cfg(backend: str, **kw) -> PartitionerConfig:
     return PartitionerConfig(
@@ -173,7 +173,8 @@ def test_engine_start_crash_falls_back_to_serial(matrix, monkeypatch):
     with use_recorder() as rec:
         res = decompose(matrix, 3, method="finegrain", seed=1,
                         config=_engine_cfg("process"))
-    assert rec.counter_totals().get("engine.backend_fallbacks", 0) >= 1
+    # every start's child crashes and is recomputed inline, fault-free
+    assert rec.counter_totals()["engine.start_failures"] == 2
     assert np.array_equal(res.part, ref.part)
 
 

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro.graph import Graph, edge_cut, graph_from_sparse, graph_imbalance
 from repro.graph.metrics import graph_part_weights, validate_graph_partition
+from repro.matrix.collection import collection_names, load_collection_matrix
 
 
 def path_graph(n: int) -> Graph:
@@ -54,6 +55,58 @@ class TestGraph:
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError, match="square"):
             graph_from_sparse(sp.csr_matrix((2, 3)))
+
+
+def _lil_route(a):
+    """``(xadj, adj, adjwgt)`` by the LIL round trip that drops the
+    diagonal and stored zeros: the reference for the one-mask build."""
+    a = sp.csr_matrix(a, copy=True).tolil()
+    a.setdiag(0)
+    a = a.tocsr()
+    a.eliminate_zeros()
+    a.sort_indices()
+    return a.indptr, a.indices, a.data
+
+
+def _assert_same_as_lil_route(a):
+    g = graph_from_sparse(a)
+    xadj, adj, adjwgt = _lil_route(a)
+    assert np.array_equal(g.xadj, xadj)
+    assert np.array_equal(g.adj, adj)
+    assert np.array_equal(g.adjwgt, adjwgt)
+
+
+class TestFromSparseMatchesLilRoute:
+    @pytest.mark.parametrize("name", collection_names())
+    def test_corpus_graph_models(self, name):
+        # the graph model's input: edge weight = stored directions, with
+        # the corpus matrix's own diagonal still stored
+        a = load_collection_matrix(name, scale=0.1)
+        pattern = sp.csr_matrix(
+            (np.ones(a.nnz, dtype=np.int64), a.indices, a.indptr), shape=a.shape
+        )
+        sym = sp.csr_matrix(pattern + pattern.T)
+        assert sym.diagonal().any()
+        _assert_same_as_lil_route(sym)
+
+    def test_explicit_zeros_duplicates_and_diagonal(self):
+        # row 0: diagonal 7, (0,1) stored twice, (0,2) an explicit zero;
+        # row 1: an explicit zero diagonal; row 2: unsorted, an explicit
+        # zero, diagonal 5, and (2,3) stored twice summing to zero;
+        # row 3: an explicit zero
+        indptr = np.array([0, 4, 7, 12, 13])
+        indices = np.array([1, 0, 2, 1, 0, 1, 2, 2, 1, 0, 3, 3, 2])
+        data = np.array([1, 7, 0, 1, 2, 0, 3, 5, 3, 0, 4, -4, 0])
+        a = sp.csr_matrix((data, indices, indptr), shape=(4, 4))
+        untouched = (a.indptr.copy(), a.indices.copy(), a.data.copy())
+        _assert_same_as_lil_route(a)
+        g = graph_from_sparse(a)
+        assert g.xadj.tolist() == [0, 1, 3, 4, 4]
+        assert g.adj.tolist() == [1, 0, 2, 1]
+        assert g.adjwgt.tolist() == [2, 2, 3, 3]
+        # the caller's matrix is not reordered or summed under it
+        for before, after in zip(untouched, (a.indptr, a.indices, a.data)):
+            assert np.array_equal(before, after)
 
 
 class TestMetrics:

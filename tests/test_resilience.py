@@ -107,18 +107,21 @@ class TestRetry:
         # the retried start reports its retry count in the stats
         assert [s.retries for s in res.start_stats] == [1, 0, 0, 0]
 
-    def test_process_retry_is_bit_identical(
+    def test_process_crash_is_recomputed_inline(
         self, medium_hypergraph, engine_cfg, monkeypatch
     ):
-        # the plan travels to the forked workers through the environment;
-        # each worker's first start crashes and is retried with its seed
+        # the plan travels to the forked children through the environment;
+        # each child's one start crashes, and the parent recomputes it at
+        # once with its seed: max_retries governs serial starts only
         golden, _ = run(medium_hypergraph, engine_cfg)
         cfg = engine_cfg.with_(max_retries=1, n_workers=2, start_backend="process")
         monkeypatch.setenv("REPRO_FAULTS", "engine.start:crash@1")
         res, counters = run(medium_hypergraph, cfg)
-        assert counters["engine.start_retries"] >= 1
-        assert "engine.backend_fallbacks" not in counters
+        assert counters["engine.start_failures"] == engine_cfg.n_starts
+        assert "engine.start_retries" not in counters
         assert np.array_equal(res.part, golden.part)
+        assert [s.retries for s in res.start_stats] == [0, 0, 0, 0]
+        assert not mp.active_children()
 
     def test_no_retries_preserves_crash_behavior(self, medium_hypergraph, serial_cfg):
         # max_retries=0 is the pre-resilience contract: serial crash raises
@@ -134,15 +137,30 @@ class TestRetry:
     def test_process_crash_all_still_falls_back_to_serial(
         self, medium_hypergraph, engine_cfg, monkeypatch
     ):
-        # the fallback survives underneath the retry layer: when the
-        # retries are exhausted on the process backend the engine still
-        # degrades to the in-process serial path, which does not re-trip
+        # every child crashes; each start falls back to the in-process
+        # body, which has no fault site, so the sweep keeps serial bits
         golden, _ = run(medium_hypergraph, engine_cfg)
         cfg = engine_cfg.with_(max_retries=1, n_workers=2, start_backend="process")
         monkeypatch.setenv("REPRO_FAULTS", "engine.start:crash@all")
         res, counters = run(medium_hypergraph, cfg)
-        assert counters["engine.backend_fallbacks"] >= 1
+        assert counters["engine.start_failures"] == engine_cfg.n_starts
         assert np.array_equal(res.part, golden.part)
+        assert not mp.active_children()
+
+    def test_refused_fork_runs_the_start_inline(
+        self, medium_hypergraph, engine_cfg, monkeypatch
+    ):
+        golden, _ = run(medium_hypergraph, engine_cfg)
+
+        def refuse(*_args, **_kw):
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(resilience.SupervisedTask, "__init__", refuse)
+        cfg = engine_cfg.with_(n_workers=2, start_backend="process")
+        res, counters = run(medium_hypergraph, cfg)
+        assert counters["engine.start_failures"] == engine_cfg.n_starts
+        assert np.array_equal(res.part, golden.part)
+        assert not mp.active_children()
 
     def test_subtree_retry_is_bit_identical(self, monkeypatch):
         """``max_retries`` covers engine starts only: a crashed subtree
@@ -358,7 +376,7 @@ class TestCheckpoint:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestSupervision:
-    def test_killed_worker_is_respawned_and_bits_hold(self):
+    def test_killed_start_child_is_recomputed_and_bits_hold(self, monkeypatch):
         h = random_hypergraph(np.random.default_rng(8), nv=300, nn=2500)
         cfg = PartitionerConfig(
             n_starts=6, n_workers=2, start_backend="process",
@@ -367,14 +385,16 @@ class TestSupervision:
         golden = partition_multistart(
             h, 2, cfg.with_(start_backend="serial", n_workers=1), seed=0
         )
+        # each child sleeps before its start, so the SIGKILL lands mid-start
+        monkeypatch.setenv("REPRO_FAULTS", "engine.start:sleep0.5@all")
 
         def killer():
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
-                pids = list(resilience._LAST_WORKER_PIDS)
-                if pids:
+                children = mp.active_children()
+                if children:
                     try:
-                        os.kill(pids[0], signal.SIGKILL)
+                        os.kill(children[0].pid, signal.SIGKILL)
                         return
                     except ProcessLookupError:
                         pass
@@ -389,17 +409,15 @@ class TestSupervision:
         finally:
             t.join()
         counters = rec.counter_totals()
-        # the dead worker was respawned in place — no backend fallback
-        assert counters["engine.worker_restarts"] >= 1
-        assert "engine.backend_fallbacks" not in counters
+        assert counters["engine.start_failures"] >= 1
         assert np.array_equal(res.part, golden.part)
         assert res.cutsize == golden.cutsize
+        assert not mp.active_children()
 
     def test_dead_heartbeat_is_presumed_hung_and_recycled(self, monkeypatch):
-        # every supervised worker's heartbeat dies instantly and every
-        # start is slowed past the timeout: the supervisor recycles
-        # workers until the restart budget runs out, then the backend
-        # chain degrades — still bit-identical
+        # every child's heartbeat dies at once and every start is slowed
+        # past the timeout: the parent kills each child as hung and
+        # recomputes its start inline, with the serial bits
         h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
         cfg = PartitionerConfig(
             n_starts=3, n_workers=2, start_backend="process",
@@ -416,14 +434,14 @@ class TestSupervision:
         with use_recorder(rec):
             res = partition_multistart(h, 2, cfg, seed=0)
         counters = rec.counter_totals()
-        assert counters["engine.worker_restarts"] >= 1
-        assert counters["engine.backend_fallbacks"] >= 1
+        assert counters["engine.start_failures"] == cfg.n_starts
         assert np.array_equal(res.part, golden.part)
+        assert not mp.active_children()
 
     def test_live_heartbeats_prevent_false_recycling(self, monkeypatch):
         # every start outlasts the heartbeat timeout three times over: only
-        # the stamps the workers write into the array they share with the
-        # supervisor keep it from presuming them hung
+        # the stamps the children write into the arrays they share with
+        # the parent keep it from presuming them hung
         h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
         cfg = PartitionerConfig(
             n_starts=2, n_workers=2, start_backend="process",
@@ -437,8 +455,7 @@ class TestSupervision:
         with use_recorder(rec):
             res = partition_multistart(h, 2, cfg, seed=0)
         counters = rec.counter_totals()
-        assert "engine.worker_restarts" not in counters
-        assert "engine.backend_fallbacks" not in counters
+        assert "engine.start_failures" not in counters
         assert np.array_equal(res.part, golden.part)
 
     def test_supervised_process_backend_matches_serial(self, medium_hypergraph):
@@ -450,22 +467,49 @@ class TestSupervision:
         res = partition_multistart(medium_hypergraph, 2, cfg, seed=0)
         assert np.array_equal(res.part, golden.part)
 
-    def test_completed_sweep_forgets_its_worker_pids(self):
-        # the OS may reuse a reaped worker's pid: a later reader of the
-        # test hook must not find it and SIGKILL an unrelated process
+    def test_sweep_keeps_at_most_n_workers_children(
+        self, medium_hypergraph, monkeypatch
+    ):
+        cfg = PartitionerConfig(n_starts=4, n_workers=2, start_backend="process")
+        golden = partition_multistart(
+            medium_hypergraph, 2, cfg.with_(start_backend="serial", n_workers=1),
+            seed=0,
+        )
+        monkeypatch.setenv("REPRO_FAULTS", "engine.start:sleep0.3@all")
+        seen: list[int] = []
+        done = threading.Event()
+
+        def sample():
+            while not done.is_set():
+                seen.append(len(mp.active_children()))
+                time.sleep(0.01)
+
+        t = threading.Thread(target=sample)
+        t.start()
+        try:
+            rec = TelemetryRecorder()
+            with use_recorder(rec):
+                res = partition_multistart(medium_hypergraph, 2, cfg, seed=0)
+        finally:
+            done.set()
+            t.join()
+        assert max(seen) == 2
+        assert "engine.start_failures" not in rec.counter_totals()
+        assert np.array_equal(res.part, golden.part)
+
+    def test_completed_sweep_leaves_no_child_alive(self):
+        # every child is reaped before the sweep returns, so no later
+        # reader of the process table can find (and signal) a stale pid
         h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
-        cfg = PartitionerConfig(n_starts=2, n_workers=2, start_backend="process")
+        cfg = PartitionerConfig(n_starts=3, n_workers=2, start_backend="process")
         partition_multistart(h, 2, cfg, seed=0)
-        assert resilience._LAST_WORKER_PIDS == []
+        assert not mp.active_children()
 
     def test_unpicklable_start_exception_ends_the_sweep(self):
-        # the worker must not hand the queue an exception it cannot
-        # pickle: the queue's feeder thread would drop it while the
-        # worker keeps heartbeating, and the sweep would wait forever.
-        # Shipped as a RuntimeError summary, the failure exhausts the
-        # retries and degrades the sweep to the serial fallback body.
-        # The sweep runs in a forked child so a hang fails the test
-        # here instead of hanging the suite.
+        # the child cannot pickle its failure, so its send raises and the
+        # child dies; the parent reads EOF, kills and reaps the child and
+        # recomputes the start inline.  The sweep runs in a forked child
+        # so a hang fails the test here instead of hanging the suite.
         ctx = mp.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_sweep_with_unpicklable_failure, args=(send,))
@@ -473,18 +517,17 @@ class TestSupervision:
         send.close()
         child.join(30)
         if child.is_alive():
-            os.killpg(child.pid, signal.SIGKILL)  # the child and its workers
+            os.killpg(child.pid, signal.SIGKILL)  # the child and its children
             child.join()
             pytest.fail("the sweep was still waiting after 30 s")
         assert recv.poll(), f"the child exited ({child.exitcode}) without a report"
         outcome, elapsed = recv.recv()
-        assert outcome == "serial bits after a backend fallback"
+        assert outcome == "serial bits after inline recomputes"
         assert elapsed < 10.0
-
 
     def test_killed_parent_leaves_no_workers(self):
         # a process running a multi-start sweep is SIGKILLed while its
-        # workers sleep in their starts: each worker notices its parent
+        # children sleep in their starts: each child notices its parent
         # is gone on its next heartbeat tick and exits
         interval = 0.1
         ctx = mp.get_context("fork")
@@ -522,14 +565,14 @@ def _running(pid: int) -> bool:
 
 def _sweep_reporting_worker_pids(conn, interval: float) -> None:
     """Child main: a two-worker process sweep whose starts sleep for a
-    minute; sends the worker pids once both are running."""
+    minute; sends the start children's pids once both are running."""
     os.setpgrp()  # one group with the workers, so cleanup can kill it whole
     os.environ["REPRO_FAULTS"] = "engine.start:sleep60@all"
 
     def report():
-        while len(resilience._LAST_WORKER_PIDS) < 2:
+        while len(children := mp.active_children()) < 2:
             time.sleep(0.01)
-        conn.send(list(resilience._LAST_WORKER_PIDS))
+        conn.send([c.pid for c in children])
 
     threading.Thread(target=report, daemon=True).start()
     h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
@@ -554,7 +597,7 @@ def _sweep_with_unpicklable_failure(conn) -> None:
     exception that cannot be pickled; reports how the sweep ended."""
     from repro.partitioner import engine
 
-    os.setpgrp()  # one group with the workers, so a hang is killed whole
+    os.setpgrp()  # one group with its children, so a hang is killed whole
     h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
     cfg = PartitionerConfig(
         n_starts=2, n_workers=2, start_backend="process",
@@ -563,7 +606,7 @@ def _sweep_with_unpicklable_failure(conn) -> None:
     golden = partition_multistart(
         h, 2, cfg.with_(start_backend="serial", n_workers=1), seed=0
     )
-    engine._run_start = _raise_unpicklable  # forked workers inherit it
+    engine._run_start = _raise_unpicklable  # forked children inherit it
     t0 = time.monotonic()
     try:
         with use_recorder() as rec:
@@ -571,11 +614,13 @@ def _sweep_with_unpicklable_failure(conn) -> None:
     except Exception as exc:
         outcome = f"raised {type(exc).__name__}"
     else:
-        fell_back = rec.counter_totals().get("engine.backend_fallbacks", 0)
+        failures = rec.counter_totals().get("engine.start_failures", 0)
         same = np.array_equal(res.part, golden.part)
+        left = len(mp.active_children())
         outcome = (
-            "serial bits after a backend fallback" if fell_back and same
-            else f"fallbacks={fell_back} same_bits={same}"
+            "serial bits after inline recomputes"
+            if failures == 2 and same and not left
+            else f"failures={failures} same_bits={same} children_left={left}"
         )
     conn.send((outcome, time.monotonic() - t0))
     conn.close()

@@ -468,6 +468,17 @@ class TestVocabulary:
         )
         self._assert_documented(emitted, counted)
 
+    def test_crashed_start_names_are_documented(self, monkeypatch):
+        # every start child crashes through the environment's plan, and
+        # the parent recomputes each start inline
+        monkeypatch.setenv("REPRO_FAULTS", "engine.start:crash@1")
+        emitted, counted = self._traced(
+            dict(n_starts=2, n_workers=2, start_backend="process",
+                 tree_parallel=False)
+        )
+        assert counted.get("engine.start_failures") == 2
+        self._assert_documented(emitted, counted)
+
     def test_tree_parallel_names_are_documented(self, monkeypatch):
         from repro.partitioner import pool
 

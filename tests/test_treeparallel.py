@@ -232,21 +232,28 @@ def _shm_segments() -> set:
 
 
 def _crashing_start(h, k, cfg, seed):
-    """Stands in for ``engine._run_start``; forked workers inherit it."""
+    """Stands in for ``engine._run_start``; forked children inherit it."""
     raise ValueError("injected start crash")
 
 
 def test_engine_unlinks_shm_when_a_start_crashes(monkeypatch):
-    """Inject a failing start; no shared memory may outlive the engine."""
+    """Every start's child raises; each start is recomputed inline and no
+    shared memory or child process outlives the engine."""
+    import multiprocessing as mp
+
     import repro.partitioner.engine as eng
 
     h = random_hypergraph(as_rng(1), 150, 120)
+    cfg = PartitionerConfig(n_starts=3, n_workers=2, start_backend="process")
+    ref = partition_multistart(h, 4, cfg.with_(start_backend="serial"), seed=0)
     before = _shm_segments()
     monkeypatch.setattr(eng, "_run_start", _crashing_start)
-    cfg = PartitionerConfig(n_starts=3, n_workers=2, start_backend="process")
-    with pytest.raises(ValueError, match="injected start crash"):
-        partition_multistart(h, 4, cfg, seed=0)
+    with use_recorder() as rec:
+        res = partition_multistart(h, 4, cfg, seed=0)
+    assert rec.counter_totals()["engine.start_failures"] == 3
+    assert np.array_equal(res.part, ref.part)
     assert not (_shm_segments() - before)
+    assert not mp.active_children()
 
 
 # ----------------------------------------------------------------------
