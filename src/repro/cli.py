@@ -123,10 +123,6 @@ def _parse(argv):
     pp.add_argument("--verify", action="store_true",
                     help="audit the result with the independent oracles "
                          "before reporting; non-zero exit on failure")
-    pp.add_argument("--retries", type=int, default=None, metavar="N",
-                    help="retry a failed serial-backend engine start up to "
-                         "N times with backoff (retries re-derive the "
-                         "original seed: bit-identical results)")
     pp.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                     help="wall-clock budget for the multi-start sweep; past "
                          "it the best completed start is returned (marked "
@@ -265,8 +261,6 @@ def _config_from_args(args) -> PartitionerConfig:
         # only force the knob when the flag is given, so the
         # REPRO_TREE_PARALLEL env default still applies otherwise
         kwargs["tree_parallel"] = True
-    if getattr(args, "retries", None) is not None:
-        kwargs["max_retries"] = args.retries
     if getattr(args, "deadline", None) is not None:
         kwargs["deadline"] = args.deadline
     checkpoint = getattr(args, "checkpoint", None)

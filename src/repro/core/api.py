@@ -252,7 +252,6 @@ def decompose(
     tree_parallel: bool | None = None,
     deadline: float | None = None,
     checkpoint_path: str | None = None,
-    max_retries: int | None = None,
     verify: bool | None = None,
     **method_kwargs,
 ) -> DecomposeResult:
@@ -276,13 +275,12 @@ def decompose(
         engine).  ``n_workers`` is the one shared budget: starts and
         tree-parallel subtrees together never occupy more workers than
         this.
-    deadline, checkpoint_path, max_retries:
+    deadline, checkpoint_path:
         Convenience overrides for the resilience fields of *config* (see
         :mod:`repro.partitioner.resilience`): a graceful wall-clock
         budget in seconds (the best completed start is returned with
         ``result.degraded`` set when it expires — never an exception once
-        one start finished), a crash-resumable sweep checkpoint path, and
-        the per-start retry budget.
+        one start finished) and a crash-resumable sweep checkpoint path.
     verify:
         Audit the result with the independent oracles of
         :mod:`repro.verify` before returning (balance, cutsize,
@@ -313,7 +311,6 @@ def decompose(
             ("tree_parallel", tree_parallel),
             ("deadline", deadline),
             ("checkpoint_path", checkpoint_path),
-            ("max_retries", max_retries),
         )
         if value is not None
     }

@@ -15,7 +15,7 @@ The fingerprint is the SHA-256 of a canonical JSON document built from
 * the *bit-shaping* configuration fields of
   :class:`~repro.partitioner.config.PartitionerConfig` — the knobs that
   influence which partition comes out.  Pure execution knobs (workers,
-  backends, transports, retries) deliberately do not participate, so the
+  backends, deadlines, checkpoints) deliberately do not participate, so the
   same request served on different hardware hits the same cache entry;
 * the *seed* — an ``int`` hashes as itself; a ``numpy.random.Generator``
   hashes its bit-generator state *before any draws*; ``None`` hashes the
@@ -58,7 +58,7 @@ def _bit_fields() -> tuple:
 #: the single source of truth: a field is bit-shaping iff it lives on
 #: ``ModelConfig``.  Everything on
 #: :class:`~repro.partitioner.config.ExecutionPolicy` (workers, backends,
-#: retries, deadlines, checkpoints) is deliberately excluded so
+#: deadlines, checkpoints, heartbeats) is deliberately excluded so
 #: a resumed or cached sweep may run under different hardware settings.
 BIT_FIELDS = _bit_fields()
 

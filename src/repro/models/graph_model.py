@@ -52,11 +52,9 @@ def build_standard_graph_model(a: sp.spmatrix) -> GraphModel:
         (np.ones(a.nnz, dtype=np.int64), a.indices.copy(), a.indptr.copy()),
         shape=a.shape,
     )
-    # edge weight = number of stored directions (1 or 2)
+    # edge weight = number of stored directions (1 or 2); the diagonal
+    # is dropped by graph_from_sparse
     sym = pattern + pattern.T
-    sym = sp.csr_matrix(sym)
-    sym.setdiag(0)
-    sym.eliminate_zeros()
 
     vwgt = np.diff(a.indptr).astype(INDEX_DTYPE)  # nnz per row
     # rows with zero nonzeros would have zero weight; the balance model

@@ -7,10 +7,10 @@ enforces (:mod:`repro.fingerprint`):
   out (the bit-shaping fields).  ``repro.fingerprint()`` draws from this
   class directly, so adding a field here automatically makes it part of
   a request's content-addressed identity.
-* :class:`ExecutionPolicy` — workers, backend, retries, deadlines and
-  checkpoints.  Changing any of these must never move a bit; they are
-  deliberately excluded from the fingerprint so the same request served
-  on different hardware hits the same cache entry.
+* :class:`ExecutionPolicy` — workers, backend, deadlines, checkpoints
+  and child heartbeats.  Changing any of these must never move a bit;
+  they are deliberately excluded from the fingerprint so the same
+  request served on different hardware hits the same cache entry.
 
 :class:`PartitionerConfig` composes the two and keeps the original flat
 keyword API working (``PartitionerConfig(epsilon=0.1, n_workers=4)``)
@@ -77,8 +77,8 @@ def _env_float(name: str, fallback: float | None) -> float | None:
         raise ValueError(f"{name}={raw!r} is not a number") from None
 
 
-#: accepted ``start_backend`` spellings ("thread" is normalised to "auto")
-_BACKENDS = ("auto", "process", "thread", "serial")
+#: accepted ``start_backend`` values
+_BACKENDS = ("auto", "process", "serial")
 
 
 @dataclass(frozen=True)
@@ -205,31 +205,9 @@ class ExecutionPolicy:
     #: backend for ``n_workers > 1``: "process" (forked worker
     #: processes), "serial", or "auto" (process when the host has more
     #: than one CPU core, serial otherwise; see :func:`resolve_backend`).
-    #: The legacy value "thread" is accepted and normalised to "auto":
-    #: matching and FM hold the GIL, so threads lost to serial.
     #: Env-overridable default: ``REPRO_START_BACKEND``.
     start_backend: str = field(
         default_factory=lambda: _env_str("REPRO_START_BACKEND", "auto", _BACKENDS)
-    )
-    #: how many times a failed serial-backend engine start is retried
-    #: before its exception propagates.  A retried start re-derives its
-    #: original seed, so retries never move the bits — they only buy
-    #: wall-clock robustness.  A failed process-backend start and a
-    #: failed tree-parallel subtree task are never retried: each is
-    #: recomputed inline at once.
-    #: Env-overridable default: ``REPRO_MAX_RETRIES``.
-    max_retries: int = field(default_factory=lambda: _env_int("REPRO_MAX_RETRIES", 0))
-    #: first retry delay in seconds; attempt ``a`` waits
-    #: ``min(backoff_cap, backoff_base * 2**a)`` with deterministic jitter
-    #: (see :func:`repro.partitioner.resilience.backoff_delay`).
-    #: Env-overridable default: ``REPRO_BACKOFF_BASE``.
-    backoff_base: float = field(
-        default_factory=lambda: _env_float("REPRO_BACKOFF_BASE", 0.05)
-    )
-    #: upper bound on a single backoff delay in seconds.
-    #: Env-overridable default: ``REPRO_BACKOFF_CAP``.
-    backoff_cap: float = field(
-        default_factory=lambda: _env_float("REPRO_BACKOFF_CAP", 2.0)
     )
     #: wall-clock budget in seconds for one multi-start engine call
     #: (``None`` = unlimited).  Graceful degradation, never an exception:
@@ -266,19 +244,11 @@ class ExecutionPolicy:
             raise ValueError("n_workers must be >= 1")
         if self.start_backend not in _BACKENDS:
             raise ValueError(f"unknown start_backend {self.start_backend!r}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        for name in ("backoff_base", "backoff_cap"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
         for name in ("heartbeat_interval", "heartbeat_timeout"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        # frozen: normalise in place so only auto|process|serial is held
-        if self.start_backend == "thread":
-            object.__setattr__(self, "start_backend", "auto")
 
     def with_(self, **kwargs) -> "ExecutionPolicy":
         """Return a copy with the given fields replaced."""

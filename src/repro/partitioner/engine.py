@@ -22,8 +22,10 @@ Execution backends
     ``process`` when ``n_workers > 1`` and the machine has more than one
     CPU core, else ``serial`` (:func:`~repro.partitioner.config.resolve_backend`).
 
-A process start that cannot fork, or whose child raises, dies or stops
-heartbeating, is recomputed in-process at once with the same seed.
+A start that raises on either backend, and a process start that cannot
+fork or whose child dies or stops heartbeating, is recomputed once
+in-process at once with the same seed; if that raises too, the
+exception propagates.
 
 Determinism contract: with ``n_starts=1`` the engine is a pass-through to
 :func:`repro.partitioner.partition_hypergraph` — bit-identical results.
@@ -32,12 +34,11 @@ functions of the engine seed regardless of backend.  Only a ``deadline``
 can cut the sweep short, and the result then says so (``degraded``).
 
 Resilience: execution is delegated to
-:mod:`repro.partitioner.resilience` — retry with backoff for failed
-serial starts, child supervision (heartbeats, kill and inline recompute)
-for the process backend, a graceful ``cfg.deadline`` budget, and
-crash-resumable sweeps via ``cfg.checkpoint_path``.  None of it moves
-the bits: retried, recomputed and resumed starts re-derive their
-original seeds.
+:mod:`repro.partitioner.resilience` — one inline recompute per failed
+start, child supervision (heartbeats, kill) for the process backend, a
+graceful ``cfg.deadline`` budget, and crash-resumable sweeps via
+``cfg.checkpoint_path``.  None of it moves the bits: recomputed and
+resumed starts re-derive their original seeds.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class StartStat:
     imbalance: float
     #: wall-clock seconds of the start
     runtime: float
-    #: retries the start needed before completing (0 for a clean start;
-    #: resumed starts report the count recorded in the checkpoint)
-    retries: int = 0
 
 
 def _run_start(
@@ -195,7 +193,6 @@ def partition_multistart(
                         cutsize=res.cutsize,
                         imbalance=res.imbalance,
                         runtime=res.runtime,
-                        retries=outcome.retries.get(i, 0),
                     )
                 )
             else:
@@ -207,7 +204,6 @@ def partition_multistart(
                         cutsize=r.cutsize,
                         imbalance=r.imbalance,
                         runtime=r.runtime,
-                        retries=r.retries,
                     )
                 )
         if rec.enabled:

@@ -6,12 +6,15 @@ hung worker or OOM-killed process used to throw away hours of work.  This
 module is the recovery layer the fault-injection suite (PR 4) exists to
 exercise:
 
-retry with backoff
-    A start that raises on the serial backend is retried up to
-    ``cfg.max_retries`` times with exponential backoff and deterministic
-    jitter (:func:`backoff_delay`).  A retried start re-derives its
-    original seed, so retries are invisible in the output — the partition
-    stays bit-identical to a failure-free run.
+one failure rule
+    A failed engine start, on either backend, is recomputed once, at
+    once, in the engine's process with the fault-free body
+    (``partition_hypergraph`` on a fresh copy of its seed), counted in
+    ``engine.start_failures`` and traced as an ``engine.start`` span with
+    ``recomputed=True``.  The recompute re-derives the start's original
+    seed, so it is invisible in the output — the partition stays
+    bit-identical to a failure-free run.  If the recompute raises too,
+    that exception propagates.
 child supervision
     On the process backend every start is a one-task supervised child
     (:class:`SupervisedTask`), and so is every shipped seed-tree subtree.
@@ -19,10 +22,10 @@ child supervision
     stamps a heartbeat slot of an unnamed shared array, allocated before
     the fork, from a background thread.  The parent kills and reaps a
     child that raises, dies or stops heartbeating and recomputes its work
-    inline at once with the fault-free body (``engine.start_failures``,
-    ``tree.task_failures``); a start whose fork is refused is recomputed
-    the same way.  A child whose parent dies exits on its next heartbeat
-    tick instead of living on as an orphan.
+    inline under the rule above (``tree.task_failures`` counts the
+    subtrees); a start whose fork is refused is recomputed the same way.
+    A child whose parent dies exits on its next heartbeat tick instead of
+    living on as an orphan.
 deadline budget
     ``cfg.deadline`` (or ``decompose(deadline=...)`` /
     ``REPRO_DEADLINE``) caps the engine call's wall clock *gracefully*:
@@ -58,7 +61,6 @@ import os
 import threading
 import time
 import warnings
-import zlib
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_any
 
@@ -68,10 +70,10 @@ from repro._util import reap
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner.config import PartitionerConfig
 from repro.telemetry import get_recorder
+from repro.verify.faults import advance as _fault_advance
 from repro.verify.faults import trip as _fault_trip
 
 __all__ = [
-    "backoff_delay",
     "Deadline",
     "ResumedStart",
     "CheckpointStore",
@@ -80,25 +82,6 @@ __all__ = [
     "sweep_fingerprint",
     "run_starts",
 ]
-
-# ----------------------------------------------------------------------
-# retry policy
-# ----------------------------------------------------------------------
-def backoff_delay(cfg: PartitionerConfig, attempt: int, salt=0) -> float:
-    """Delay in seconds before retry number ``attempt`` (0-based).
-
-    Exponential growth ``backoff_base * 2**attempt`` capped at
-    ``backoff_cap``, scaled by a jitter factor in [0.5, 1.0] derived from
-    ``(salt, attempt)`` with CRC32 — deterministic (repeated runs sleep
-    identically; the partitioning RNG is never consumed) yet spread out,
-    so a crashed fan-out does not thunder back in lockstep.
-    """
-    if cfg.backoff_base <= 0:
-        return 0.0
-    raw = min(cfg.backoff_cap, cfg.backoff_base * (2.0 ** attempt))
-    u = zlib.crc32(f"{salt}:{attempt}".encode()) / 0xFFFFFFFF
-    return raw * (0.5 + 0.5 * u)
-
 
 # ----------------------------------------------------------------------
 # deadline budget
@@ -133,7 +116,6 @@ class ResumedStart:
     cutsize: int
     imbalance: float
     runtime: float
-    retries: int = 0
 
 
 def sweep_fingerprint(
@@ -166,7 +148,7 @@ class CheckpointStore:
 
         {"kind": "header", "version": 1, "fingerprint": ..., "n_starts": N, "k": K}
         {"kind": "start", "start": 0, "seed": -1, "cutsize": ..., "imbalance": ...,
-         "runtime": ..., "retries": 0}
+         "runtime": ...}
         {"kind": "best", "start": 2, "cutsize": ..., "cutsize_cutnet": ...,
          "imbalance": ..., "runtime": ..., "part_b64": "...", "dtype": "int64"}
 
@@ -176,7 +158,8 @@ class CheckpointStore:
     the start that was in flight.  A write failure (injectable at the
     ``checkpoint.write`` fault site) must never fail the partitioning run
     that produced the result: it is absorbed and counted as
-    ``checkpoint.write_errors``.
+    ``checkpoint.write_errors``.  The loader ignores keys it does not
+    read, such as the ``retries`` count that older files carry.
     """
 
     VERSION = 1
@@ -260,7 +243,6 @@ class CheckpointStore:
                         cutsize=int(rec["cutsize"]),
                         imbalance=float(rec["imbalance"]),
                         runtime=float(rec["runtime"]),
-                        retries=int(rec.get("retries", 0)),
                     )
                 elif rec["kind"] == "best":
                     self._best_record = rec
@@ -304,7 +286,7 @@ class CheckpointStore:
             bisection_cuts=[],
         )
 
-    def record(self, start: int, seed: int, res, retries: int = 0) -> None:
+    def record(self, start: int, seed: int, res) -> None:
         """Register one completed start and persist the new snapshot."""
         self.completed[start] = ResumedStart(
             start=start,
@@ -312,7 +294,6 @@ class CheckpointStore:
             cutsize=int(res.cutsize),
             imbalance=float(res.imbalance),
             runtime=float(res.runtime),
-            retries=int(retries),
         )
         key = _start_key(res.imbalance, res.cutsize, start, self.epsilon)
         if self._best_record is None or key < _start_key(
@@ -349,7 +330,7 @@ class CheckpointStore:
         lines += [
             {"kind": "start", "start": s.start, "seed": s.seed,
              "cutsize": s.cutsize, "imbalance": s.imbalance,
-             "runtime": s.runtime, "retries": s.retries}
+             "runtime": s.runtime}
             for s in sorted(self.completed.values(), key=lambda x: x.start)
         ]
         if self._best_record is not None:
@@ -381,8 +362,6 @@ class StartsOutcome:
 
     #: freshly computed results by start index
     completed: dict = field(default_factory=dict)
-    #: retry count by start index (fresh starts that needed retries only)
-    retries: dict = field(default_factory=dict)
     #: statistics of starts skipped because a checkpoint already had them
     resumed: dict = field(default_factory=dict)
     #: ``(start_index, PartitionResult)`` best among the resumed starts
@@ -395,7 +374,7 @@ class StartsOutcome:
 
 def _fresh_seed(seeds: list, i: int):
     """The seed start *i* runs with — always re-derived from the pristine
-    entry, so a retry replays the exact stream of the first attempt."""
+    entry, so a recompute replays the exact stream of the first attempt."""
     s = seeds[i]
     return copy.deepcopy(s) if isinstance(s, np.random.Generator) else s
 
@@ -409,8 +388,21 @@ def _complete(outcome: StartsOutcome, store: CheckpointStore | None,
               i: int, seeds: list, res) -> None:
     outcome.completed[i] = res
     if store is not None:
-        store.record(i, _seed_label(seeds, i), res,
-                     retries=outcome.retries.get(i, 0))
+        store.record(i, _seed_label(seeds, i), res)
+
+
+def _recompute(h, k, single, seeds, i, outcome, store) -> None:
+    """Recompute failed start *i* in this process with the fault-free
+    body on a fresh copy of its seed; its exception, if any, propagates."""
+    from repro.partitioner.driver import partition_hypergraph
+
+    rec = get_recorder()
+    rec.add("engine.start_failures")
+    with rec.span("engine.start", start=i, seed=_seed_label(seeds, i),
+                  recomputed=True) as sp:
+        res = partition_hypergraph(h, k, single, _fresh_seed(seeds, i))
+        sp.set(cutsize=res.cutsize)
+    _complete(outcome, store, i, seeds, res)
 
 
 def _past_deadline(deadline: Deadline | None, outcome: StartsOutcome,
@@ -436,7 +428,7 @@ def _skip_rest(outcome: StartsOutcome, rest: list) -> None:
 def _serial_starts(h, k, single, seeds, todo, cfg, outcome, store,
                    deadline) -> None:
     """Run *todo* starts in-process, each behind the ``engine.start``
-    fault site and under the retry-with-backoff policy."""
+    fault site; a start that raises is recomputed once."""
     rec = get_recorder()
     from repro.partitioner import engine as _engine
 
@@ -444,21 +436,15 @@ def _serial_starts(h, k, single, seeds, todo, cfg, outcome, store,
         if _past_deadline(deadline, outcome, False):
             _skip_rest(outcome, todo[pos:])
             break
-        with rec.span("engine.start", start=i, seed=_seed_label(seeds, i)) as sp:
-            attempt = 0
-            while True:
-                try:
-                    res = _engine._run_start(h, k, single, _fresh_seed(seeds, i))
-                    break
-                except Exception:
-                    if attempt >= cfg.max_retries:
-                        raise
-                    rec.add("engine.start_retries")
-                    outcome.retries[i] = attempt + 1
-                    time.sleep(backoff_delay(cfg, attempt, salt=i))
-                    attempt += 1
-            sp.set(cutsize=res.cutsize)
-        _complete(outcome, store, i, seeds, res)
+        try:
+            with rec.span("engine.start", start=i,
+                          seed=_seed_label(seeds, i)) as sp:
+                res = _engine._run_start(h, k, single, _fresh_seed(seeds, i))
+                sp.set(cutsize=res.cutsize)
+        except Exception:
+            _recompute(h, k, single, seeds, i, outcome, store)
+        else:
+            _complete(outcome, store, i, seeds, res)
 
 
 # ----------------------------------------------------------------------
@@ -607,20 +593,9 @@ def _process_starts(h, k, single, seeds, todo, cfg, outcome, store,
     them with one wait over their pipes.  A start fails when its fork (or
     its heartbeat array) is refused, or its child raises, dies or stops
     heartbeating.  The child is killed and reaped, and the start is
-    recomputed inline at once with the fault-free body on a fresh copy of
-    its seed (``engine.start_failures``), so the bits never move.
+    recomputed inline (:func:`_recompute`), so the bits never move.
     """
-    rec = get_recorder()
     from repro.partitioner import engine as _engine
-    from repro.partitioner.driver import partition_hypergraph
-
-    def recompute(i: int) -> None:
-        rec.add("engine.start_failures")
-        with rec.span("engine.start", start=i, seed=_seed_label(seeds, i),
-                      recomputed=True) as sp:
-            res = partition_hypergraph(h, k, single, _fresh_seed(seeds, i))
-            sp.set(cutsize=res.cutsize)
-        _complete(outcome, store, i, seeds, res)
 
     pending = list(todo)
     # child -> its start index; a child's cancel() drops it (on_close)
@@ -637,7 +612,12 @@ def _process_starts(h, k, single, seeds, todo, cfg, outcome, store,
                         on_close=live.pop,
                     )
                 except OSError:
-                    recompute(i)
+                    task = None
+                # the child inherited the hits counted so far: count its
+                # start here, so engine.start hit N is the sweep's N-th start
+                _fault_advance("engine.start")
+                if task is None:
+                    _recompute(h, k, single, seeds, i, outcome, store)
                 else:
                     live[task] = i
             if not live:
@@ -657,7 +637,7 @@ def _process_starts(h, k, single, seeds, todo, cfg, outcome, store,
                 if ok:
                     _complete(outcome, store, i, seeds, res)
                 else:
-                    recompute(i)
+                    _recompute(h, k, single, seeds, i, outcome, store)
     finally:
         for task in list(live):
             task.cancel()
@@ -678,8 +658,8 @@ def run_starts(
     """Execute the engine's starts resiliently on *backend*.
 
     Resumes from ``cfg.checkpoint_path`` when it records this sweep and
-    honours the deadline budget.  The serial backend retries a failed
-    start with backoff; the process backend recomputes it inline.
+    honours the deadline budget.  On both backends a failed start is
+    recomputed once inline.
     """
     rec = get_recorder()
     store = None

@@ -31,9 +31,8 @@ Resilience
 ----------
 A daemon restart used to kill the client on the first broken socket.
 With ``max_retries > 0`` the client instead reconnects under capped
-exponential backoff with deterministic CRC32 jitter (the
-:func:`repro.partitioner.resilience.backoff_delay` scheme) and resubmits
-the request.  Resubmission is *idempotent by construction*: a seeded
+exponential backoff with deterministic CRC32 jitter (:meth:`Client._backoff`)
+and resubmits the request.  Resubmission is *idempotent by construction*: a seeded
 ``decompose`` is content-addressed by its fingerprint, so if the first
 attempt completed server-side before the connection died, the retry is
 answered straight from the cache/journal — same bytes, no recompute.
@@ -215,8 +214,7 @@ class Client:
     backoff_base, backoff_cap:
         Exponential backoff schedule between attempts (seconds); the
         actual delay is jittered deterministically by CRC32 of the
-        client identity and attempt number, exactly like the engine's
-        retry machinery.
+        client identity and attempt number.
     """
 
     def __init__(
@@ -281,8 +279,10 @@ class Client:
 
     # ------------------------------------------------------------------
     def _backoff(self, attempt: int) -> float:
-        """Deterministic jittered delay before retry *attempt* (1-based);
-        the :func:`repro.partitioner.resilience.backoff_delay` scheme."""
+        """Deterministic jittered delay before retry *attempt* (1-based):
+        ``min(backoff_cap, backoff_base * 2**(attempt-1))`` scaled by a
+        factor in [0.5, 1.0] from the CRC32 of the client identity and
+        *attempt*, so reconnecting clients do not return in lockstep."""
         raw = min(self.backoff_cap, self.backoff_base * (2.0 ** (attempt - 1)))
         salt = f"{self.client_id or self.address}:{attempt}"
         u = zlib.crc32(salt.encode()) / 0xFFFFFFFF

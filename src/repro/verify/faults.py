@@ -1,12 +1,12 @@
 """Deterministic fault injection for the parallel machinery.
 
 The engine, the tree scheduler and the child supervisor all promise
-graceful degradation: a crashed start is retried (serial backend) or
-recomputed inline (process backend), and a dead or hung child, whether
-it runs an engine start or a subtree, is killed and its work recomputed
-inline.  Those promises are only worth anything if the failure paths
-actually run — this module makes them run *on demand and
-deterministically* so the test suite (and CI) can assert each one.
+graceful degradation: a crashed engine start is recomputed inline once
+(on either backend), and a dead or hung child, whether it runs an engine
+start or a subtree, is killed and its work recomputed inline.  Those
+promises are only worth anything if the failure paths actually run —
+this module makes them run *on demand and deterministically* so the
+test suite (and CI) can assert each one.
 
 Fault plans
 -----------
@@ -21,8 +21,10 @@ A plan is a comma-separated list of ``site:action[@hit]`` specs::
 
 ``engine.start``
     A multi-start engine start (``engine._run_start``), in the serial
-    backend's process or in a start's supervised child (fire it via the
-    environment so the children see it).
+    backend's process or in a start's supervised child.  Hits are
+    numbered per sweep on both backends: the parent counts one hit for
+    every start it hands to a child (:func:`advance`), so the N-th
+    child inherits N-1 and ``crash@N`` crashes exactly the N-th start.
 ``pool.submit``
     :meth:`repro.partitioner.pool.TreeScheduler.offer`, just before the
     subtree child is forked (exercises the failed-fork path: that one
@@ -76,7 +78,9 @@ so the existing degradation handlers catch it), ``oserror`` raises
 ``OSError``, and ``sleep<seconds>`` delays without raising.
 
 *Hits*: ``@N`` fires on the N-th invocation of ``trip(site)`` (1-based,
-counted per process; default ``@1``); ``@all`` fires every time.
+default ``@1``); ``@all`` fires every time.  A forked child starts from
+its parent's counts and counts on its own, so ``tree.task`` and
+``worker.heartbeat`` hits are numbered within each child.
 
 Activation
 ----------
@@ -86,10 +90,10 @@ Either scope a plan to a block in the current process::
         decompose(...)
     assert plan.count("tree.task") >= 1
 
-or export ``REPRO_FAULTS=<spec>`` so forked worker processes inherit the
-plan too (each process keeps its own hit counters).  ``trip()`` costs one
-dict lookup when nothing is active, so the production sites are free in
-normal runs.
+or export ``REPRO_FAULTS=<spec>`` to arm a whole process (a CLI run, a
+daemon).  Either way a forked child inherits the plan with its counts.
+``trip()`` costs one dict lookup when nothing is active, so the
+production sites are free in normal runs.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ __all__ = [
     "FaultPlan",
     "inject",
     "trip",
+    "advance",
     "active_plan",
     "reset",
 ]
@@ -187,10 +192,9 @@ class FaultPlan:
     """A set of :class:`FaultSpec` entries plus per-site hit counters.
 
     Thread-safe: the serve daemon's compute threads and the supervised
-    workers' heartbeat threads trip sites concurrently.
-    Counters are per plan instance — and therefore per process when the
-    plan travels through the environment (every forked worker parses its
-    own copy lazily).
+    children's heartbeat threads trip sites concurrently.  Counters are
+    per plan instance; a forked child gets a copy of its parent's plan,
+    counts included, and counts on from there.
     """
 
     def __init__(self, specs) -> None:
@@ -214,6 +218,12 @@ class FaultPlan:
         """How many times ``trip(site)`` ran under this plan."""
         with self._lock:
             return self._counts.get(site, 0)
+
+    def advance(self, site: str) -> None:
+        """Count one invocation of *site* that runs in a forked child,
+        without firing anything here."""
+        with self._lock:
+            self._counts[site] = self._counts.get(site, 0) + 1
 
     def trip(self, site: str) -> None:
         """Record one invocation of *site* and fire any matching spec."""
@@ -267,6 +277,15 @@ def trip(site: str) -> None:
         plan.trip(site)
 
 
+def advance(site: str) -> None:
+    """Parent-side hook: count one *site* hit that a just-forked child
+    will trip, so the next child inherits it (free when no plan is
+    active, like :func:`trip`)."""
+    plan = active_plan()
+    if plan is not None:
+        plan.advance(site)
+
+
 def reset() -> None:
     """Deactivate any plan and drop the env-plan cache (test isolation)."""
     global _ACTIVE, _ENV_CACHE
@@ -279,8 +298,8 @@ class inject:
 
     Accepts a plan string or a :class:`FaultPlan`; yields the plan so the
     caller can assert on :attr:`FaultPlan.fired` / :meth:`FaultPlan.count`
-    afterwards.  Worker *processes* do not see it — use ``REPRO_FAULTS``
-    for those.
+    afterwards.  A child forked inside the block inherits the plan with
+    its counts at the fork; what the child fires is not seen here.
     """
 
     def __init__(self, plan: FaultPlan | str) -> None:

@@ -28,14 +28,14 @@ from dataclasses import fields
 # construction and routing
 # ----------------------------------------------------------------------
 def test_flat_kwargs_route_to_sub_configs():
-    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, max_retries=3)
+    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, heartbeat_timeout=3.0)
     assert cfg.model.epsilon == 0.1
     assert cfg.execution.n_workers == 4
-    assert cfg.execution.max_retries == 3
+    assert cfg.execution.heartbeat_timeout == 3.0
     # flat attribute access keeps working
     assert cfg.epsilon == 0.1
     assert cfg.n_workers == 4
-    assert cfg.max_retries == 3
+    assert cfg.heartbeat_timeout == 3.0
 
 
 def test_explicit_sub_config_construction():
@@ -67,12 +67,12 @@ def test_mixing_sub_config_with_other_sides_kwargs_is_fine():
 
 def test_with_routes_flat_fields():
     cfg = PartitionerConfig()
-    cfg2 = cfg.with_(epsilon=0.2, max_retries=3)
+    cfg2 = cfg.with_(epsilon=0.2, heartbeat_timeout=3.0)
     assert cfg2.model.epsilon == 0.2
-    assert cfg2.execution.max_retries == 3
+    assert cfg2.execution.heartbeat_timeout == 3.0
     # originals untouched (immutability)
     assert cfg.model.epsilon == 0.03
-    assert cfg.execution.max_retries == 0
+    assert cfg.execution.heartbeat_timeout == 30.0
     with pytest.raises(TypeError, match="unknown config fields"):
         cfg.with_(bogus=1)
 
@@ -96,10 +96,10 @@ def test_equality_and_hash():
 
 
 def test_pickle_round_trip():
-    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, max_retries=3)
+    cfg = PartitionerConfig(epsilon=0.1, n_workers=4, heartbeat_timeout=3.0)
     back = pickle.loads(pickle.dumps(cfg))
     assert back == cfg
-    assert back.max_retries == 3
+    assert back.heartbeat_timeout == 3.0
 
 
 def test_attribute_error_for_unknown_field():
@@ -143,9 +143,8 @@ def test_fingerprint_invariant_under_execution_policy():
         PartitionerConfig(n_workers=8),
         PartitionerConfig(n_workers=2, start_backend="process"),
         PartitionerConfig(heartbeat_interval=1.0, heartbeat_timeout=5.0),
-        PartitionerConfig(max_retries=3, deadline=60.0),
+        PartitionerConfig(heartbeat_timeout=3.0, deadline=60.0),
         PartitionerConfig(start_backend="serial"),
-        PartitionerConfig(start_backend="thread"),
         PartitionerConfig(checkpoint_path="/tmp/ckpt.json"),
     ]
     ref = fingerprint(a, config=PartitionerConfig(), seed=0,
@@ -177,7 +176,7 @@ def test_fingerprint_moves_with_model_config():
         {"n_starts": 0},
         {"start_backend": "mpi"},
         {"n_vcycles": -1},
-        {"backoff_cap": -1.0},
+        {"deadline": 0.0},
         {"heartbeat_timeout": 0.0},
     ],
 )
@@ -195,16 +194,15 @@ def test_validation_via_flat_kwargs(kwargs):
 def test_sub_configs_expose_with_():
     m = ModelConfig().with_(epsilon=0.2)
     assert m.epsilon == 0.2
-    e = ExecutionPolicy().with_(max_retries=2)
-    assert e.max_retries == 2
+    e = ExecutionPolicy().with_(heartbeat_timeout=2.0)
+    assert e.heartbeat_timeout == 2.0
 
 
-# the backend axis: auto|process|serial, the deleted "thread" normalised
+# the backend axis: auto|process|serial, each held as given
 @pytest.mark.parametrize("value, expected", [
     ("auto", "auto"),
     ("process", "process"),
     ("serial", "serial"),
-    ("thread", "auto"),
 ])
 def test_legacy_start_backend_values_normalise(value, expected, monkeypatch):
     assert ExecutionPolicy(start_backend=value).start_backend == expected
@@ -217,9 +215,19 @@ def test_legacy_start_backend_values_normalise(value, expected, monkeypatch):
     assert PartitionerConfig().start_backend == expected
 
 
+def test_thread_backend_is_refused(monkeypatch):
+    """Threads are no backend (matching and FM hold the GIL): the old
+    spelling raises like any unknown value."""
+    with pytest.raises(ValueError, match="unknown start_backend 'thread'"):
+        ExecutionPolicy(start_backend="thread")
+    monkeypatch.setenv("REPRO_START_BACKEND", "thread")
+    with pytest.raises(ValueError, match="REPRO_START_BACKEND='thread'"):
+        PartitionerConfig()
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("backend", ["auto", "process", "serial", "thread"])
+@pytest.mark.parametrize("backend", ["auto", "process", "serial"])
 def test_resolve_backend_policy(backend, n_workers, cores, monkeypatch):
     """One resolver serves the engine, the tree scheduler and
     ``partition_hypergraph``."""
@@ -234,7 +242,7 @@ def test_resolve_backend_policy(backend, n_workers, cores, monkeypatch):
         expected = "serial"
     elif backend == "process":
         expected = "process"
-    else:  # auto, and the legacy thread spelling of it
+    else:  # auto
         expected = "process" if cores > 1 else "serial"
     assert resolve_backend(cfg) == expected
     assert resolve_backend(cfg.execution) == expected
@@ -261,9 +269,6 @@ def test_kernels_report_is_json():
     ("REPRO_TREE_PARALLEL", "flase", "REPRO_TREE_PARALLEL='flase'"),
     ("REPRO_N_WORKERS", "two", "REPRO_N_WORKERS='two'"),
     ("REPRO_START_BACKEND", "proces", "REPRO_START_BACKEND='proces'"),
-    ("REPRO_MAX_RETRIES", "3x", "REPRO_MAX_RETRIES='3x'"),
-    ("REPRO_BACKOFF_BASE", "fast", "REPRO_BACKOFF_BASE='fast'"),
-    ("REPRO_BACKOFF_CAP", "2s", "REPRO_BACKOFF_CAP='2s'"),
     ("REPRO_DEADLINE", "10s", "REPRO_DEADLINE='10s'"),
     ("REPRO_HEARTBEAT_INTERVAL", "1/4", "REPRO_HEARTBEAT_INTERVAL='1/4'"),
     ("REPRO_HEARTBEAT_TIMEOUT", "abc", "REPRO_HEARTBEAT_TIMEOUT='abc'"),

@@ -124,10 +124,9 @@ def test_multistart_deterministic_repeat():
     assert [s.seed for s in a.start_stats] == [s.seed for s in b.start_stats]
 
 
-# "thread" is the deleted backend's legacy spelling: it normalises to
-# "auto" (process workers on a multi-core host), and an old config naming
-# it must still reproduce the serial bits
-@pytest.mark.parametrize("backend", ["thread", "process"])
+# "auto" runs process workers on a multi-core host, serial otherwise:
+# either way the serial bits
+@pytest.mark.parametrize("backend", ["auto", "process"])
 def test_parallel_backends_match_serial(backend):
     h = random_hypergraph(as_rng(2), 200, 160)
     serial = partition_multistart(

@@ -130,21 +130,6 @@ def test_fork_failure_declines_one_offer_and_runs_inline(matrix):
     assert np.array_equal(res.part, ref.part)
 
 
-@pytest.mark.parametrize("var, field, default", [
-    ("REPRO_BACKOFF_BASE", "backoff_base", 0.05),
-    ("REPRO_BACKOFF_CAP", "backoff_cap", 2.0),
-])
-def test_backoff_env_zero_turns_backoff_off(monkeypatch, var, field, default):
-    """``0`` from the environment means what ``0`` in code means; unset
-    and empty fall back to the default."""
-    monkeypatch.setenv(var, "0")
-    assert getattr(PartitionerConfig(), field) == 0.0
-    monkeypatch.setenv(var, "")
-    assert getattr(PartitionerConfig(), field) == default
-    monkeypatch.delenv(var)
-    assert getattr(PartitionerConfig(), field) == default
-
-
 @pytest.mark.parametrize("var, field", [
     ("REPRO_HEARTBEAT_INTERVAL", "heartbeat_interval"),
     ("REPRO_HEARTBEAT_TIMEOUT", "heartbeat_timeout"),
@@ -160,9 +145,9 @@ def test_heartbeat_env_zero_raises_like_the_keyword(monkeypatch, var, field):
 # ----------------------------------------------------------------------
 # engine: a crashed start on the process backend
 # ----------------------------------------------------------------------
-def _engine_cfg(backend: str, **kw) -> PartitionerConfig:
+def _engine_cfg(backend: str, n_starts: int = 2) -> PartitionerConfig:
     return PartitionerConfig(
-        n_starts=2, n_workers=2, start_backend=backend, **kw
+        n_starts=n_starts, n_workers=2, start_backend=backend
     )
 
 
@@ -175,6 +160,29 @@ def test_engine_start_crash_falls_back_to_serial(matrix, monkeypatch):
                         config=_engine_cfg("process"))
     # every start's child crashes and is recomputed inline, fault-free
     assert rec.counter_totals()["engine.start_failures"] == 2
+    assert np.array_equal(res.part, ref.part)
+
+
+def test_advance_counts_a_hit_without_firing():
+    with inject("engine.start:crash@2") as plan:
+        faults.advance("engine.start")
+        with pytest.raises(FaultInjected):
+            faults.trip("engine.start")
+    assert plan.count("engine.start") == 2
+    assert plan.fired == [("engine.start", "crash", 2)]
+
+
+def test_env_plan_numbers_process_starts_per_sweep(matrix, monkeypatch):
+    """Each start's child inherits the hits its parent counted, so an
+    environment plan's ``crash@3`` crashes the third start and no other."""
+    ref = decompose(matrix, 3, method="finegrain", seed=1,
+                    config=_engine_cfg("serial", n_starts=4))
+    monkeypatch.setenv(faults.ENV_VAR, "engine.start:crash@3")
+    with use_recorder() as rec:
+        res = decompose(matrix, 3, method="finegrain", seed=1,
+                        config=_engine_cfg("process", n_starts=4))
+    assert rec.counter_totals()["engine.start_failures"] == 1
+    assert faults.active_plan().count("engine.start") == 4
     assert np.array_equal(res.part, ref.part)
 
 

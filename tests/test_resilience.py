@@ -24,11 +24,10 @@ from repro.partitioner import resilience
 from repro.partitioner.resilience import (
     CheckpointStore,
     Deadline,
-    backoff_delay,
     sweep_fingerprint,
 )
 from repro.telemetry import TelemetryRecorder, use_recorder
-from repro.verify.faults import FaultInjected, inject
+from repro.verify.faults import inject
 
 from .conftest import random_hypergraph
 
@@ -41,7 +40,7 @@ def medium_hypergraph():
 
 @pytest.fixture
 def engine_cfg():
-    return PartitionerConfig(n_starts=4, backoff_base=0.001, backoff_cap=0.01)
+    return PartitionerConfig(n_starts=4)
 
 
 @pytest.fixture
@@ -58,25 +57,14 @@ def run(h, cfg, seed=0, k=2):
     return res, rec.counter_totals()
 
 
-# ----------------------------------------------------------------------
-# backoff policy
-# ----------------------------------------------------------------------
-class TestBackoff:
-    def test_grows_exponentially_and_caps(self):
-        cfg = PartitionerConfig(backoff_base=0.1, backoff_cap=0.5)
-        delays = [backoff_delay(cfg, a, salt=1) for a in range(8)]
-        # jitter is in [0.5, 1.0] of the raw delay, so the cap bounds all
-        assert all(0 < d <= 0.5 for d in delays)
-        assert delays[2] > delays[0]
-
-    def test_deterministic(self):
-        cfg = PartitionerConfig(backoff_base=0.1)
-        assert backoff_delay(cfg, 3, salt=7) == backoff_delay(cfg, 3, salt=7)
-        assert backoff_delay(cfg, 3, salt=7) != backoff_delay(cfg, 3, salt=8)
-
-    def test_zero_base_means_no_delay(self):
-        cfg = PartitionerConfig(backoff_base=0.0)
-        assert backoff_delay(cfg, 5, salt=1) == 0.0
+def recomputed_starts(rec: TelemetryRecorder) -> list[int]:
+    """Start indices of the ``engine.start`` spans marked recomputed."""
+    return sorted(
+        span.attrs["start"]
+        for root in rec.roots
+        for span in root.find("engine.start")
+        if span.attrs.get("recomputed")
+    )
 
 
 class TestDeadline:
@@ -93,56 +81,73 @@ class TestDeadline:
 
 
 # ----------------------------------------------------------------------
-# retry with backoff: bit-identity against the failure-free run
+# one failure rule on both backends: a failed start is recomputed once
+# inline, bit-identical to the failure-free run
 # ----------------------------------------------------------------------
+def _fail_start(*_args):
+    raise RuntimeError("start failed")
+
+
+def _fail_recompute(*_args):
+    raise RuntimeError("recompute failed")
+
+
 class TestRetry:
-    def test_serial_retry_is_bit_identical(self, medium_hypergraph, serial_cfg):
-        golden, _ = run(medium_hypergraph, serial_cfg)
-        with inject("engine.start:crash@1") as plan:
-            res, counters = run(medium_hypergraph, serial_cfg.with_(max_retries=2))
-        assert plan.fired
-        assert counters["engine.start_retries"] == 1
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_one_crashed_start_is_recomputed_inline(
+        self, medium_hypergraph, engine_cfg, backend
+    ):
+        # hits are numbered per sweep on both backends, so crash@2
+        # crashes exactly the second start, in-process or in its child
+        golden, _ = run(medium_hypergraph, engine_cfg)
+        cfg = engine_cfg.with_(n_workers=2, start_backend=backend)
+        rec = TelemetryRecorder()
+        with inject("engine.start:crash@2"), use_recorder(rec):
+            res = partition_multistart(medium_hypergraph, 2, cfg, seed=0)
+        assert rec.counter_totals()["engine.start_failures"] == 1
+        assert recomputed_starts(rec) == [1]
         assert np.array_equal(res.part, golden.part)
         assert res.cutsize == golden.cutsize
-        # the retried start reports its retry count in the stats
-        assert [s.retries for s in res.start_stats] == [1, 0, 0, 0]
+        assert not mp.active_children()
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_failed_recompute_propagates(
+        self, medium_hypergraph, engine_cfg, backend, monkeypatch
+    ):
+        from repro.partitioner import driver, engine
+
+        # forked children inherit the failing start body
+        monkeypatch.setattr(engine, "_run_start", _fail_start)
+        monkeypatch.setattr(driver, "partition_hypergraph", _fail_recompute)
+        cfg = engine_cfg.with_(n_workers=2, start_backend=backend)
+        with pytest.raises(RuntimeError, match="recompute failed"):
+            run(medium_hypergraph, cfg)
+        assert not mp.active_children()
 
     def test_process_crash_is_recomputed_inline(
         self, medium_hypergraph, engine_cfg, monkeypatch
     ):
         # the plan travels to the forked children through the environment;
         # each child's one start crashes, and the parent recomputes it at
-        # once with its seed: max_retries governs serial starts only
+        # once with its seed
         golden, _ = run(medium_hypergraph, engine_cfg)
-        cfg = engine_cfg.with_(max_retries=1, n_workers=2, start_backend="process")
-        monkeypatch.setenv("REPRO_FAULTS", "engine.start:crash@1")
-        res, counters = run(medium_hypergraph, cfg)
-        assert counters["engine.start_failures"] == engine_cfg.n_starts
-        assert "engine.start_retries" not in counters
-        assert np.array_equal(res.part, golden.part)
-        assert [s.retries for s in res.start_stats] == [0, 0, 0, 0]
-        assert not mp.active_children()
-
-    def test_no_retries_preserves_crash_behavior(self, medium_hypergraph, serial_cfg):
-        # max_retries=0 is the pre-resilience contract: serial crash raises
-        with inject("engine.start:crash@1"):
-            with pytest.raises(FaultInjected):
-                run(medium_hypergraph, serial_cfg.with_(max_retries=0))
-
-    def test_retries_exhausted_raises(self, medium_hypergraph, serial_cfg):
-        with inject("engine.start:crash@all"):
-            with pytest.raises(FaultInjected):
-                run(medium_hypergraph, serial_cfg.with_(max_retries=2))
-
-    def test_process_crash_all_still_falls_back_to_serial(
-        self, medium_hypergraph, engine_cfg, monkeypatch
-    ):
-        # every child crashes; each start falls back to the in-process
-        # body, which has no fault site, so the sweep keeps serial bits
-        golden, _ = run(medium_hypergraph, engine_cfg)
-        cfg = engine_cfg.with_(max_retries=1, n_workers=2, start_backend="process")
+        cfg = engine_cfg.with_(n_workers=2, start_backend="process")
         monkeypatch.setenv("REPRO_FAULTS", "engine.start:crash@all")
         res, counters = run(medium_hypergraph, cfg)
+        assert counters["engine.start_failures"] == engine_cfg.n_starts
+        assert np.array_equal(res.part, golden.part)
+        assert not mp.active_children()
+
+    def test_process_crash_all_still_falls_back_to_serial(
+        self, medium_hypergraph, engine_cfg
+    ):
+        # every child inherits the in-process plan by fork and crashes;
+        # each start falls back to the in-process body, which has no
+        # fault site, so the sweep keeps serial bits
+        golden, _ = run(medium_hypergraph, engine_cfg)
+        cfg = engine_cfg.with_(n_workers=2, start_backend="process")
+        with inject("engine.start:crash@all"):
+            res, counters = run(medium_hypergraph, cfg)
         assert counters["engine.start_failures"] == engine_cfg.n_starts
         assert np.array_equal(res.part, golden.part)
         assert not mp.active_children()
@@ -163,9 +168,9 @@ class TestRetry:
         assert not mp.active_children()
 
     def test_subtree_retry_is_bit_identical(self, monkeypatch):
-        """``max_retries`` covers engine starts only: a crashed subtree
-        task is recomputed inline at once, never re-offered to the pool,
-        and the partition keeps the serial seed-tree bits."""
+        """A crashed subtree task is recomputed inline at once, never
+        re-offered to the pool, and the partition keeps the serial
+        seed-tree bits."""
         from repro.partitioner import pool
 
         monkeypatch.setattr(pool, "_SPAWN_MIN_VERTICES", 8)
@@ -181,9 +186,7 @@ class TestRetry:
         # every forked subtree child inherits the plan and crashes
         monkeypatch.setenv("REPRO_FAULTS", "tree.task:crash@1")
         with use_recorder(rec):
-            res = partition_hypergraph(
-                h, 8, cfg.with_(max_retries=2, backoff_base=0.001), seed=3
-            )
+            res = partition_hypergraph(h, 8, cfg, seed=3)
         counters = rec.counter_totals()
         assert counters["tree.task_failures"] >= 1
         assert "tree.task_retries" not in counters
@@ -244,18 +247,32 @@ class TestDeadlineBudget:
 # ----------------------------------------------------------------------
 class TestCheckpoint:
     def test_interrupted_sweep_resumes_exactly_the_remainder(
-        self, tmp_path, serial_cfg
+        self, tmp_path, serial_cfg, monkeypatch
     ):
+        from repro.partitioner import driver, engine
+
         h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
         cfg = serial_cfg.with_(
             n_starts=8, checkpoint_path=str(tmp_path / "sweep.ndjson")
         )
         golden, _ = run(h, serial_cfg.with_(n_starts=8))
 
-        # the sweep dies at start 4 (index 3): exactly 3 starts recorded
-        with inject("engine.start:crash@4"):
-            with pytest.raises(FaultInjected):
+        # a genuine failure from start 4 (index 3) on, in the first attempt
+        # and in the recompute, ends the sweep: exactly 3 starts recorded
+        run_start, calls = engine._run_start, []
+
+        def fails_from_the_4th_start(*args):
+            calls.append(args)
+            if len(calls) >= 4:
+                raise RuntimeError("start failed")
+            return run_start(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_run_start", fails_from_the_4th_start)
+            m.setattr(driver, "partition_hypergraph", _fail_recompute)
+            with pytest.raises(RuntimeError, match="recompute failed"):
                 run(h, cfg)
+        assert len(calls) == 4
         with pytest.warns(UserWarning, match="different sweep"):
             store = CheckpointStore.open(
                 cfg.checkpoint_path, "ignore", 0.03, 8, 2, h.num_vertices
@@ -286,6 +303,26 @@ class TestCheckpoint:
         assert counters["engine.starts_resumed"] == engine_cfg.n_starts
         assert np.array_equal(res.part, first.part)
         assert res.cutsize == first.cutsize
+
+    def test_record_with_a_retries_count_still_resumes(
+        self, tmp_path, engine_cfg
+    ):
+        # files written while starts had a retry count carry "retries"
+        # in every start record; the loader ignores the key
+        h = random_hypergraph(np.random.default_rng(2), nv=60, nn=150)
+        cfg = engine_cfg.with_(checkpoint_path=str(tmp_path / "old.ndjson"))
+        first, _ = run(h, cfg)
+        with open(cfg.checkpoint_path) as f:
+            recs = [json.loads(s) for s in f if s.strip()]
+        for r in recs:
+            if r["kind"] == "start":
+                r["retries"] = 0
+        with open(cfg.checkpoint_path, "w") as f:
+            f.writelines(json.dumps(r) + "\n" for r in recs)
+        res, counters = run(h, cfg)
+        assert counters["engine.starts_resumed"] == engine_cfg.n_starts
+        assert "engine.checkpoint_mismatches" not in counters
+        assert np.array_equal(res.part, first.part)
 
     def test_config_change_invalidates_checkpoint(self, tmp_path, engine_cfg):
         h = random_hypergraph(np.random.default_rng(2), nv=60, nn=150)
@@ -422,7 +459,6 @@ class TestSupervision:
         cfg = PartitionerConfig(
             n_starts=3, n_workers=2, start_backend="process",
             heartbeat_interval=0.05, heartbeat_timeout=0.4,
-            max_retries=1, backoff_base=0.001,
         )
         golden = partition_multistart(
             h, 2, cfg.with_(start_backend="serial", n_workers=1), seed=0
@@ -601,7 +637,7 @@ def _sweep_with_unpicklable_failure(conn) -> None:
     h = random_hypergraph(np.random.default_rng(11), nv=120, nn=400)
     cfg = PartitionerConfig(
         n_starts=2, n_workers=2, start_backend="process",
-        heartbeat_interval=0.05, heartbeat_timeout=1.0, backoff_base=0.001,
+        heartbeat_interval=0.05, heartbeat_timeout=1.0,
     )
     golden = partition_multistart(
         h, 2, cfg.with_(start_backend="serial", n_workers=1), seed=0
@@ -775,7 +811,7 @@ class TestCliFlags:
         ck = tmp_path / "sweep.ndjson"
         args = [
             "partition", str(mtx), "-k", "3", "--starts", "3",
-            "--retries", "2", "--checkpoint", str(ck),
+            "--checkpoint", str(ck),
         ]
         assert main(args) == 0
         first = capsys.readouterr().out

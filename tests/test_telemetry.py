@@ -471,7 +471,7 @@ class TestVocabulary:
     def test_crashed_start_names_are_documented(self, monkeypatch):
         # every start child crashes through the environment's plan, and
         # the parent recomputes each start inline
-        monkeypatch.setenv("REPRO_FAULTS", "engine.start:crash@1")
+        monkeypatch.setenv("REPRO_FAULTS", "engine.start:crash@all")
         emitted, counted = self._traced(
             dict(n_starts=2, n_workers=2, start_backend="process",
                  tree_parallel=False)

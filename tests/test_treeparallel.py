@@ -53,9 +53,8 @@ def _tree_cfg(workers: int, backend: str) -> PartitionerConfig:
 # ----------------------------------------------------------------------
 # seed-tree determinism: bit-identical at any worker count / backend
 # ----------------------------------------------------------------------
-# "thread" is the deleted backend's legacy spelling, normalised to "auto"
-# (process workers on a multi-core host): old configs must keep the bits
-SCHEDULES = [(1, "serial"), (2, "thread"), (4, "thread"), (2, "process"), (4, "process")]
+# "auto" runs process workers on a multi-core host, serial otherwise
+SCHEDULES = [(1, "serial"), (2, "auto"), (4, "auto"), (2, "process"), (4, "process")]
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +173,7 @@ TREE_GOLDEN_CASES = [
 
 
 @pytest.mark.parametrize("nv,nn,hseed,k,seed", TREE_GOLDEN_CASES)
-# (2, "thread") replays the goldens through the legacy spelling of "auto"
-@pytest.mark.parametrize("workers,backend", [(1, "serial"), (2, "thread"), (4, "process")])
+@pytest.mark.parametrize("workers,backend", [(1, "serial"), (2, "auto"), (4, "process")])
 def test_golden_tree_partitions(nv, nn, hseed, k, seed, workers, backend):
     h = random_hypergraph(as_rng(hseed), nv, nn)
     res = partition_hypergraph(h, k, _tree_cfg(workers, backend), seed=seed)
