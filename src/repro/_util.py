@@ -1,4 +1,5 @@
-"""Shared low-level utilities: RNG normalization, validation, timing.
+"""Shared low-level utilities: RNG normalization, validation, timing,
+percentiles and partition hashes.
 
 These helpers are deliberately dependency-light; every subpackage of
 :mod:`repro` uses them, so they import nothing from the rest of the
@@ -11,6 +12,7 @@ here so existing call sites keep working.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +24,8 @@ __all__ = [
     "check_in_range",
     "check_positive",
     "ensure_int_array",
+    "part_sha",
+    "percentile",
     "prefix_from_counts",
     "reap",
     "sorted_without_zeros",
@@ -75,6 +79,19 @@ def ensure_int_array(data: Iterable[int] | np.ndarray, name: str = "array") -> n
     else:
         raise TypeError(f"{name} must be an integer array, got dtype {arr.dtype}")
     return np.ascontiguousarray(arr)
+
+
+def part_sha(part) -> str:
+    """SHA-256 hex digest of a partition vector's int64 bytes."""
+    return hashlib.sha256(np.asarray(part, dtype=np.int64).tobytes()).hexdigest()
+
+
+def percentile(sorted_values: Sequence[float], p: float) -> float:
+    """The *p*-quantile (``0 <= p <= 1``) of an ascending sequence: its
+    element at index ``int(p * n)``, clamped to the last; ``0.0`` when it
+    is empty."""
+    n = len(sorted_values)
+    return sorted_values[min(n - 1, int(p * n))] if n else 0.0
 
 
 def prefix_from_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:

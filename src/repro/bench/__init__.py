@@ -7,6 +7,8 @@
   the paper's layout;
 * :mod:`~repro.bench.summary` — the §4 headline numbers (overall average
   improvements, message bounds, normalized runtimes);
+* :mod:`~repro.bench.harness` — the host probe, JSON record writer and
+  live-daemon helper shared by the ``BENCH_*`` records;
 * ``python -m repro.bench`` — command-line front end.
 """
 

@@ -29,20 +29,17 @@ verify
     with and without K-way refinement), diff partitions bit for bit
     within each determinism universe, and write a JSON replay report.
     Exits 1 on any divergence.
-serve
-    Boot a real ``repro serve`` daemon and drive it with a mixed
-    hit/miss/dedup workload from concurrent clients (plus one
-    deadline-degraded request and, with ``--faults``, one request that
-    must survive an injected worker crash); write BENCH_serve.json.
-    Exits 1 when any correctness check fails.
 chaos
-    Run the serve-layer fault schedule against live daemons — baseline
-    load, daemon SIGKILL mid-compute + warm restart (journal replay),
-    disk cache corruption, journal-write failure, engine worker kill —
+    Run the serve-layer schedule against live daemons — baseline load
+    (misses, cache hits, a dedup burst, one deadline-degraded request),
+    daemon SIGKILL mid-compute + warm restart (journal replay), disk
+    cache corruption, journal-write failure, engine worker kill —
     comparing every served partition byte-for-byte against local
     goldens; write BENCH_chaos.json.  ``--quick`` shrinks the load to a
-    CI smoke.  Exits 1 on any byte divergence, failed recovery, or
-    leaked shm/tmp resource.
+    CI smoke.  Exits 1 on any byte divergence, cache miss in the hit
+    phase, undegraded deadline request, failed recovery, or leaked
+    shm/tmp resource.  Serving latency under steady load is measured by
+    perfbench's ``serve-mixed`` workload (``perfbench/README.md``).
 exact
     Certify the optimal bipartition of every model of a tiny-matrix
     corpus with the branch-and-bound solver, then report the multilevel
@@ -50,6 +47,10 @@ exact
     time-to-certify); write BENCH_exact.json.  Exits 1 if any heuristic
     key lexicographically beats a certified optimum — impossible unless
     the exact solver is wrong.
+
+Each command writing a file has its own default path (``--output``
+overrides it): ``BENCH_<command>.json``, ``BENCH_verify_replay.json``
+for verify, ``EXPERIMENTS.md`` for experiments.
 
 Common options: ``--scale`` (matrix size factor, default 0.125 so a laptop
 finishes in minutes; 1.0 reproduces the original sizes), ``--ks``,
@@ -67,6 +68,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.harness import host, write_record
 from repro.bench.runner import TABLE2_KS, run_table2
 from repro.bench.summary import summarize_table2
 from repro.bench.tables import format_table1, format_table2
@@ -79,6 +81,15 @@ from repro.partitioner import PartitionerConfig
 
 __all__ = ["main"]
 
+#: where each file-writing command writes when ``--output`` is not given
+_OUTPUTS = {
+    "experiments": "EXPERIMENTS.md",
+    "verify": "BENCH_verify_replay.json",
+    "vcycle": "BENCH_vcycle.json",
+    "exact": "BENCH_exact.json",
+    "chaos": "BENCH_chaos.json",
+}
+
 
 def _parse(argv):
     p = argparse.ArgumentParser(prog="python -m repro.bench", description=__doc__)
@@ -86,14 +97,15 @@ def _parse(argv):
         "command",
         choices=[
             "table1", "table2", "summary", "models2d", "experiments",
-            "verify", "serve", "vcycle", "exact", "chaos",
+            "verify", "vcycle", "exact", "chaos",
         ],
     )
     p.add_argument("--quick", action="store_true",
                    help="vcycle/chaos commands: small instances / reduced "
                         "load (CI smoke)")
-    p.add_argument("--output", default="EXPERIMENTS.md",
-                   help="output path for the experiments command")
+    p.add_argument("--output", default=None,
+                   help="output path of experiments/verify/vcycle/exact/"
+                        "chaos (default: per command, see above)")
     p.add_argument("--export", default=None,
                    help="also write table2 results to this .csv or .tex file")
     p.add_argument("--scale", type=float, default=0.125,
@@ -108,7 +120,7 @@ def _parse(argv):
     p.add_argument("--starts", type=int, default=4,
                    help="verify command: engine starts per instance")
     p.add_argument("--workers", type=int, default=4,
-                   help="verify/serve/chaos commands: process-backend workers")
+                   help="verify/chaos commands: process-backend workers")
     p.add_argument("--profile", action="store_true",
                    help="record telemetry and print a per-phase time "
                         "breakdown for every instance")
@@ -124,12 +136,9 @@ def _parse(argv):
                         "interrupted sweep instead of clearing its "
                         "checkpoint files")
     p.add_argument("--clients", type=int, default=4,
-                   help="serve command: concurrent load-generator clients")
+                   help="chaos command: concurrent load-generator clients")
     p.add_argument("--requests", type=int, default=8,
-                   help="serve command: distinct requests per phase")
-    p.add_argument("--faults", default=None, metavar="SPEC",
-                   help="serve command: REPRO_FAULTS spec for the daemon "
-                        "(e.g. worker.heartbeat:crash@2)")
+                   help="chaos command: distinct baseline requests")
     return p.parse_args(argv)
 
 
@@ -168,17 +177,17 @@ def _write_profile_json(results, path: str) -> None:
 def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
     args = _parse(argv if argv is not None else sys.argv[1:])
+    path = args.output or _OUTPUTS.get(args.command)
 
     if args.command == "vcycle":
-        from repro.bench.vcycle import run_vcycle_bench, write_vcycle_bench
+        from repro.bench.vcycle import run_vcycle_bench
 
         doc = run_vcycle_bench(
             repeats=args.seeds,
             quick=args.quick,
             progress=lambda s: print(f"  {s}", file=sys.stderr),
         )
-        path = args.output if args.output != "EXPERIMENTS.md" else "BENCH_vcycle.json"
-        write_vcycle_bench(path, doc)
+        write_record(path, doc)
         print(f"wrote {path}")
         summary = doc["summary"]
         print(
@@ -187,41 +196,8 @@ def main(argv=None) -> int:
         )
         return 0 if summary["all_deterministic"] else 1
 
-    if args.command == "serve":
-        from repro.bench.serve import run_serve_bench, write_serve_bench
-
-        doc = run_serve_bench(
-            n_workers=args.workers,
-            n_clients=args.clients,
-            n_distinct=args.requests,
-            faults=args.faults,
-            progress=lambda s: print(f"  {s}", file=sys.stderr),
-        )
-        path = args.output if args.output != "EXPERIMENTS.md" else "BENCH_serve.json"
-        write_serve_bench(path, doc)
-        print(f"wrote {path}")
-        checks = doc["checks"]
-        ok = (
-            checks["hit_parts_identical"]
-            and checks["dedup_parts_identical"]
-            and checks["daemon_exit_code"] == 0
-            and not checks["shm_leaked"]
-            and not checks["errors"]
-            and checks["fault_survived"] is not False
-        )
-        print(
-            f"rps={doc['requests_per_sec']:.1f} "
-            f"hit_rate={doc['hit_rate']:.2f} "
-            f"degraded={checks['deadline_degraded']} checks={'OK' if ok else 'FAILED'}"
-        )
-        return 0 if ok else 1
-
     if args.command == "chaos":
-        from repro.bench.chaos import (
-            chaos_checks_ok,
-            run_chaos_bench,
-            write_chaos_bench,
-        )
+        from repro.bench.chaos import chaos_checks_ok, run_chaos_bench
 
         doc = run_chaos_bench(
             n_workers=min(args.workers, 2),
@@ -230,14 +206,14 @@ def main(argv=None) -> int:
             quick=args.quick,
             progress=lambda s: print(f"  {s}", file=sys.stderr),
         )
-        path = args.output if args.output != "EXPERIMENTS.md" else "BENCH_chaos.json"
-        write_chaos_bench(path, doc)
+        write_record(path, doc)
         print(f"wrote {path}")
         ok = chaos_checks_ok(doc)
         checks = doc["checks"]
         print(
             f"availability={doc['availability']:.3f} "
             f"byte_divergence={doc['byte_divergence']} "
+            f"hit_rate={doc['hit_rate']:.2f} "
             f"recovery_s={doc['schedule'][1]['recovery_s']} "
             f"replays={doc['schedule'][1]['replays']} "
             f"checks={'OK' if ok else 'FAILED'}"
@@ -247,14 +223,13 @@ def main(argv=None) -> int:
         return 0 if ok else 1
 
     if args.command == "exact":
-        from repro.bench.exact import run_exact_bench, write_exact_bench
+        from repro.bench.exact import run_exact_bench
 
         doc = run_exact_bench(
             n_seeds=args.seeds,
             progress=lambda s: print(f"  {s}", file=sys.stderr),
         )
-        path = args.output if args.output != "EXPERIMENTS.md" else "BENCH_exact.json"
-        write_exact_bench(path, doc)
+        write_record(path, doc)
         print(f"wrote {path}")
         summary, checks = doc["summary"], doc["checks"]
         ok = checks["no_impossible_wins"] and checks["all_certified"]
@@ -297,10 +272,6 @@ def main(argv=None) -> int:
             )
             print(rep.summary())
             reports.append(rep)
-        path = (
-            args.output if args.output != "EXPERIMENTS.md"
-            else "BENCH_verify_replay.json"
-        )
         write_replay_report(path, reports)
         print(f"wrote {path}")
         return 0 if all(r.passed for r in reports) else 1
@@ -356,17 +327,15 @@ def main(argv=None) -> int:
                 f.write(text)
             print(f"exported {args.export}")
     elif args.command == "experiments":
-        import platform
-
         from repro.bench.experiments import render_experiments_md
-
+        hw = host()
         text = render_experiments_md(
             results, matrices, args.scale, args.seeds,
-            host_note=f"{platform.machine()} / Python {platform.python_version()}",
+            host_note=f"{hw['machine']} / Python {hw['python']}",
         )
-        with open(args.output, "w") as f:
+        with open(path, "w") as f:
             f.write(text)
-        print(f"wrote {args.output}")
+        print(f"wrote {path}")
     else:
         print(summarize_table2(results).report())
     if args.profile:

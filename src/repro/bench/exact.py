@@ -24,40 +24,25 @@ heuristic regression.  Output: ``BENCH_exact.json``.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 from statistics import mean
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.bench.harness import host
 from repro.core.finegrain import build_finegrain_model
 from repro.exact import bisection_bounds, exact_bisection
 from repro.hypergraph.partition import compute_part_weights, cutsize_connectivity
 from repro.models.onedim import build_columnnet_model, build_rownet_model
 from repro.partitioner import PartitionerConfig, partition_hypergraph
 
-__all__ = ["run_exact_bench", "write_exact_bench", "corpus_matrices"]
+__all__ = ["run_exact_bench", "corpus_matrices"]
 
 #: balance tolerance of every instance (the pipeline default)
 EPSILON = 0.03
 
 #: certification budget per instance; the corpus certifies far below it
 CERTIFY_NODES = 5_000_000
-
-
-def _hardware() -> dict:
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        usable = os.cpu_count() or 1
-    return {
-        "cpu_count": os.cpu_count(),
-        "usable_cores": usable,
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-    }
 
 
 def corpus_matrices() -> dict[str, sp.csr_matrix]:
@@ -188,7 +173,7 @@ def run_exact_bench(
         "epsilon": EPSILON,
         "certify_budget_nodes": CERTIFY_NODES,
         "n_seeds": n_seeds,
-        "hardware": _hardware(),
+        "hardware": host(),
         "rows": rows,
         "summary": {
             "instances": len(rows),
@@ -228,9 +213,3 @@ def run_exact_bench(
         },
     }
     return doc
-
-
-def write_exact_bench(path: str, doc: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")

@@ -33,19 +33,15 @@ two repeats differ.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import platform
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro._util import Timer
+from repro._util import Timer, part_sha
+from repro.bench.harness import host
 from repro.partitioner.config import PartitionerConfig
 from repro.telemetry import TelemetryRecorder, use_recorder
 
-__all__ = ["run_vcycle_bench", "write_vcycle_bench"]
+__all__ = ["run_vcycle_bench"]
 
 #: phase names reported in the breakdown table, aggregated from
 #: telemetry span self-times (everything else folds into "other")
@@ -56,23 +52,6 @@ _PHASES = (
     "refine.fm",
     "kway",
 )
-
-
-def _hardware() -> dict:
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        usable = os.cpu_count() or 1
-    return {
-        "cpu_count": os.cpu_count(),
-        "usable_cores": usable,
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-    }
-
-
-def _sha(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.asarray(arr, dtype=np.int64).tobytes()).hexdigest()
 
 
 def dense_rows_matrix(n: int, n_dense: int, size: int, seed: int = 7):
@@ -150,7 +129,7 @@ def _run_once(a, method: str, k: int, seed: int, cfg) -> dict:
     return {
         "seconds": t.elapsed,
         "cutsize": int(res.cutsize),
-        "part_sha": _sha(res.part),
+        "part_sha": part_sha(res.part),
         "phases": phases,
         "routes": routes,
         "coarse_build": build,
@@ -165,7 +144,7 @@ def run_vcycle_bench(
     progress=None,
 ) -> dict:
     """Run the end-to-end benchmark and return the document."""
-    hardware = _hardware()
+    hardware = host()
     if quick:
         repeats = 1
     # kway_refine on so the K-way boundary sweep phase is exercised too
@@ -229,9 +208,3 @@ def run_vcycle_bench(
         f"(host: {hardware['usable_cores']} usable).",
     ]
     return out
-
-
-def write_vcycle_bench(path: str, doc: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")

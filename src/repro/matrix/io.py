@@ -94,10 +94,11 @@ def read_matrix_market(path_or_file, repair: bool = False) -> sp.csr_matrix:
                 "size line must be non-negative", source=source, line=lineno
             )
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        k = 0
+        # sized by what is read, never by the header's count: a header
+        # may claim any number of entries
+        rows: list = []
+        cols: list = []
+        vals: list = []
         dropped = 0
         need = 2 if field == "pattern" else 3
         for line in f:
@@ -105,7 +106,7 @@ def read_matrix_market(path_or_file, repair: bool = False) -> sp.csr_matrix:
             s = line.strip()
             if not s or s.startswith("%"):
                 continue
-            if k + dropped >= nnz:
+            if len(rows) + dropped >= nnz:
                 raise ReproFormatError(
                     f"more than the declared {nnz} entries",
                     source=source, line=lineno,
@@ -141,14 +142,18 @@ def read_matrix_market(path_or_file, repair: bool = False) -> sp.csr_matrix:
                     )
                 dropped += 1
                 continue
-            rows[k], cols[k], vals[k] = i, j, v
-            k += 1
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
+        k = len(rows)
         if k + dropped != nnz:
             # truncation is not repairable: data is missing, not malformed
             raise ReproFormatError(
                 f"expected {nnz} entries, read {k + dropped}", source=source
             )
-        rows, cols, vals = rows[:k], cols[:k], vals[:k]
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=np.float64)
 
         if k:
             # duplicate (i, j) pairs: an error in strict mode (the format

@@ -44,7 +44,6 @@ resumed starts re-derive their original seeds.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,28 +52,11 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.partitioner import resilience
 from repro.partitioner.config import PartitionerConfig, resolve_backend
 from repro.partitioner.driver import PartitionResult, partition_hypergraph
+from repro.partitioner.resilience import StartStat
 from repro.telemetry import get_recorder
 from repro.verify.faults import trip as _fault_trip
 
 __all__ = ["StartStat", "partition_multistart"]
-
-
-@dataclass(frozen=True)
-class StartStat:
-    """Outcome of one engine start."""
-
-    #: start index in [0, n_starts)
-    start: int
-    #: derived integer seed the start ran with; ``-1`` for start 0, which
-    #: replays the engine seed's own RNG stream (see
-    #: :func:`partition_multistart`)
-    seed: int
-    #: connectivity-minus-one cutsize the start achieved
-    cutsize: int
-    #: achieved imbalance ratio
-    imbalance: float
-    #: wall-clock seconds of the start
-    runtime: float
 
 
 def _run_start(
@@ -169,43 +151,32 @@ def partition_multistart(
             h, k, single, seeds, cfg, backend, fingerprint=fingerprint
         )
 
-        # deterministic winner over fresh + checkpoint-resumed starts:
-        # scan in start order, strict improvement only
+        # deterministic winner over fresh + checkpoint-resumed starts, by
+        # the same total order the checkpoint keeps its best by
         candidates = list(outcome.completed.items())
         if outcome.resumed_best is not None:
             candidates.append(outcome.resumed_best)
-        best_i, best_res = -1, None
-        best_key: tuple[float, int] | None = None
-        for i, res in sorted(candidates, key=lambda item: item[0]):
-            key = (max(0.0, res.imbalance - cfg.epsilon), res.cutsize)
-            if best_key is None or key < best_key:
-                best_i, best_res, best_key = i, res, key
-        assert best_res is not None
+        best_i, best_res = min(
+            candidates,
+            key=lambda c: resilience._start_key(
+                c[1].imbalance, c[1].cutsize, c[0], cfg.epsilon
+            ),
+        )
 
-        stats = []
-        for i in sorted(set(outcome.completed) | set(outcome.resumed)):
-            if i in outcome.completed:
-                res = outcome.completed[i]
-                stats.append(
-                    StartStat(
-                        start=i,
-                        seed=seeds[i] if isinstance(seeds[i], int) else -1,
-                        cutsize=res.cutsize,
-                        imbalance=res.imbalance,
-                        runtime=res.runtime,
-                    )
+        by_start = {
+            **outcome.resumed,
+            **{
+                i: StartStat(
+                    start=i,
+                    seed=resilience._seed_label(seeds, i),
+                    cutsize=res.cutsize,
+                    imbalance=res.imbalance,
+                    runtime=res.runtime,
                 )
-            else:
-                r = outcome.resumed[i]
-                stats.append(
-                    StartStat(
-                        start=r.start,
-                        seed=r.seed,
-                        cutsize=r.cutsize,
-                        imbalance=r.imbalance,
-                        runtime=r.runtime,
-                    )
-                )
+                for i, res in outcome.completed.items()
+            },
+        }
+        stats = [by_start[i] for i in sorted(by_start)]
         if rec.enabled:
             rec.add("engine.starts", len(stats))
             rec.add("engine.best_cut", best_res.cutsize)

@@ -75,7 +75,7 @@ from repro.verify.faults import trip as _fault_trip
 
 __all__ = [
     "Deadline",
-    "ResumedStart",
+    "StartStat",
     "CheckpointStore",
     "StartsOutcome",
     "SupervisedTask",
@@ -108,13 +108,20 @@ class Deadline:
 # checkpoint / resume
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ResumedStart:
-    """Per-start statistics recovered from a checkpoint file."""
+class StartStat:
+    """Outcome of one engine start, fresh or recovered from a checkpoint."""
 
+    #: start index in [0, n_starts)
     start: int
+    #: derived integer seed the start ran with; ``-1`` for start 0, which
+    #: replays the engine seed's own RNG stream (see
+    #: :func:`repro.partitioner.engine.partition_multistart`)
     seed: int
+    #: connectivity-minus-one cutsize the start achieved
     cutsize: int
+    #: achieved imbalance ratio
     imbalance: float
+    #: wall-clock seconds of the start
     runtime: float
 
 
@@ -172,8 +179,8 @@ class CheckpointStore:
         self.n_starts = n_starts
         self.k = k
         self.num_vertices = num_vertices
-        #: start index -> ResumedStart for every recorded completion
-        self.completed: dict[int, ResumedStart] = {}
+        #: start index -> StartStat for every recorded completion
+        self.completed: dict[int, StartStat] = {}
         self._best_record: dict | None = None
 
     # ------------------------------------------------------------------
@@ -237,7 +244,7 @@ class CheckpointStore:
                     start = int(rec["start"])
                     if not 0 <= start < self.n_starts:
                         raise ValueError(f"start {start} out of range")
-                    self.completed[start] = ResumedStart(
+                    self.completed[start] = StartStat(
                         start=start,
                         seed=int(rec["seed"]),
                         cutsize=int(rec["cutsize"]),
@@ -288,7 +295,7 @@ class CheckpointStore:
 
     def record(self, start: int, seed: int, res) -> None:
         """Register one completed start and persist the new snapshot."""
-        self.completed[start] = ResumedStart(
+        self.completed[start] = StartStat(
             start=start,
             seed=seed,
             cutsize=int(res.cutsize),
@@ -362,7 +369,7 @@ class StartsOutcome:
 
     #: freshly computed results by start index
     completed: dict = field(default_factory=dict)
-    #: statistics of starts skipped because a checkpoint already had them
+    #: :class:`StartStat` of each start a checkpoint already had, by index
     resumed: dict = field(default_factory=dict)
     #: ``(start_index, PartitionResult)`` best among the resumed starts
     resumed_best: tuple | None = None

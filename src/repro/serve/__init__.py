@@ -10,7 +10,7 @@ worker pool with fair per-client admission
 in-flight requests, and speaks newline-delimited JSON over TCP and UNIX
 sockets (:mod:`repro.serve.protocol`, :mod:`repro.serve.server`).
 :class:`~repro.serve.client.Client` is the synchronous client the
-``repro query`` CLI and the ``repro-bench serve`` load generator use.
+``repro query`` CLI and the ``repro-bench chaos`` load generator use.
 
 Requests are keyed by :func:`repro.fingerprint` — the same
 content-addressed identity the engine's checkpoint layer uses — so a

@@ -1,9 +1,9 @@
 """Resilient synchronous client for the partitioning service.
 
 Speaks the NDJSON protocol over TCP or a UNIX socket; this is the client
-behind the ``repro query`` CLI and the ``repro-bench serve`` /
-``repro-bench chaos`` load generators, and the reference implementation
-for anything else that wants to talk to the daemon::
+behind the ``repro query`` CLI and the ``repro-bench chaos`` load
+generator, and the reference implementation for anything else that
+wants to talk to the daemon::
 
     from repro.serve.client import Client
 

@@ -74,6 +74,9 @@ __all__ = [
 
 #: hard cap on one NDJSON line (inline matrices are the big ones)
 MAX_LINE_BYTES = 256 * 1024 * 1024
+#: largest row or column count of an inline matrix: no per-row (or
+#: per-column) int64 array the decode allocates outgrows the line cap
+_MAX_INLINE_DIM = MAX_LINE_BYTES // 8
 
 #: methods a request may name (mirrors repro.core.api._METHODS)
 METHODS = ("finegrain", "columnnet", "rownet", "graph", "finegrain-rect")
@@ -149,20 +152,40 @@ def inline_matrix(a: sp.spmatrix) -> dict:
 
 def matrix_from_inline(spec: dict) -> sp.csr_matrix:
     """Rebuild a CSR matrix from an inline spec (b64 arrays or plain
-    ``"coo": [[r, c, v], ...]`` lists for hand-written clients)."""
+    ``"coo": [[r, c, v], ...]`` lists for hand-written clients).
+
+    A malformed spec raises :class:`ProtocolError` ``bad-request``; a row
+    or column count above ``MAX_LINE_BYTES // 8`` raises ``oversized``.
+    """
     try:
         m, n = (int(x) for x in spec["shape"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ProtocolError(
             "bad-request", "inline matrix needs a [m, n] 'shape'"
         ) from None
+    if m < 0 or n < 0:
+        raise ProtocolError(
+            "bad-request", f"inline matrix shape [{m}, {n}] is negative"
+        )
+    if max(m, n) > _MAX_INLINE_DIM:
+        raise ProtocolError(
+            "oversized",
+            f"inline matrix shape [{m}, {n}] exceeds {_MAX_INLINE_DIM} "
+            "rows or columns",
+        )
     if "coo" in spec:
         trips = spec["coo"]
-        rows = np.array([t[0] for t in trips], dtype=np.int64)
-        cols = np.array([t[1] for t in trips], dtype=np.int64)
-        vals = np.array(
-            [t[2] if len(t) > 2 else 1.0 for t in trips], dtype=np.float64
-        )
+        try:
+            rows = np.array([t[0] for t in trips], dtype=np.int64)
+            cols = np.array([t[1] for t in trips], dtype=np.int64)
+            vals = np.array(
+                [t[2] if len(t) > 2 else 1.0 for t in trips], dtype=np.float64
+            )
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(
+                "bad-request",
+                f"inline 'coo' must be [row, col(, value)] triplets: {exc}",
+            ) from None
     else:
         for key in ("rows_b64", "cols_b64", "vals_b64"):
             if key not in spec:

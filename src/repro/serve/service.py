@@ -84,6 +84,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._util import percentile
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.pool import WorkerBudget
 from repro.serve.cache import CacheEntry, PartitionCache
@@ -443,12 +444,6 @@ class PartitionService:
     def stats(self) -> dict:
         """Service counters, queue state, latency percentiles, cache."""
         lat = sorted(self._latencies_ms)
-
-        def pct(p: float) -> float:
-            if not lat:
-                return 0.0
-            return lat[min(len(lat) - 1, int(p * len(lat)))]
-
         hits = self._counters.get("hits_memory", 0) + self._counters.get(
             "hits_disk", 0
         )
@@ -464,8 +459,8 @@ class PartitionService:
             "hit_rate": (hits / lookups) if lookups else 0.0,
             "latency_ms": {
                 "count": len(lat),
-                "p50": pct(0.50),
-                "p99": pct(0.99),
+                "p50": percentile(lat, 0.50),
+                "p99": percentile(lat, 0.99),
                 "max": lat[-1] if lat else 0.0,
             },
             "cache": self.cache.stats(),

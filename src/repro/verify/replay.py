@@ -22,12 +22,9 @@ diffed against its own serial reference — never across groups.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
+from repro._util import part_sha
 from repro.partitioner.config import PartitionerConfig
 from repro.telemetry import use_recorder
 
@@ -168,10 +165,6 @@ def default_variants() -> list[ReplayVariant]:
     return out
 
 
-def _sha(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.asarray(arr, dtype=np.int64).tobytes()).hexdigest()
-
-
 def _first_divergence(run: ReplayRun, ref: ReplayRun) -> ReplayDivergence | None:
     """Compare *run* to its universe reference, stage by stage."""
     if run.bisection_cuts != ref.bisection_cuts:
@@ -262,15 +255,15 @@ def replay_decompose(
                 res = decompose(a, k, method=method, config=cfg, seed=seed)
             run.cutsize = int(res.cutsize)
             run.imbalance = float(res.imbalance)
-            run.part_sha = _sha(res.part)
+            run.part_sha = part_sha(res.part)
             run.bisection_cuts = [
                 int(c) for c in getattr(res.info, "bisection_cuts", [])
             ]
             dec = res.decomposition
             run.dec_sha = {
-                "nnz_owner": _sha(dec.nnz_owner),
-                "x_owner": _sha(dec.x_owner),
-                "y_owner": _sha(dec.y_owner),
+                "nnz_owner": part_sha(dec.nnz_owner),
+                "x_owner": part_sha(dec.x_owner),
+                "y_owner": part_sha(dec.y_owner),
             }
             run.runtime = float(res.runtime)
             totals = rec.counter_totals()
@@ -301,9 +294,9 @@ def replay_decompose(
 
 def write_replay_report(path: str, reports: list[ReplayReport]) -> None:
     """Write replay reports as one JSON document."""
-    doc = {
+    from repro.bench.harness import write_record
+
+    write_record(path, {
         "passed": all(r.passed for r in reports),
         "reports": [r.to_dict() for r in reports],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
+    })

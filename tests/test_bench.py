@@ -155,3 +155,34 @@ class TestVcycleBench:
         assert "coarsen.match/single-term" in row["routes"]
         build = row["coarse_build"]
         assert build["levels"] > 0 and build["dropped"] > 0
+
+
+class TestChaosGate:
+    @staticmethod
+    def passing_checks() -> dict:
+        return {
+            "byte_divergence_zero": True,
+            "all_requests_served": True,
+            "hit_parts_identical": True,
+            "dedup_parts_identical": True,
+            "deadline_degraded": True,
+            "journal_accept_observed": True,
+            "replayed_from_cache": True,
+            "corruption_detected": True,
+            "journal_fault_absorbed": True,
+            "daemon_exit_codes": [0, 0, 0, 0, 0],
+            "shm_leaked": [],
+            "tmp_leaked": [],
+            "errors": [],
+        }
+
+    @pytest.mark.parametrize("check", [
+        "hit_parts_identical", "dedup_parts_identical", "deadline_degraded",
+    ])
+    def test_each_serving_check_gates_the_run(self, check):
+        from repro.bench.chaos import chaos_checks_ok
+
+        checks = self.passing_checks()
+        assert chaos_checks_ok({"checks": checks})
+        checks[check] = False
+        assert not chaos_checks_ok({"checks": checks})

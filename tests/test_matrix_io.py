@@ -105,6 +105,16 @@ class TestReadFormats:
         with pytest.raises(ValueError, match="expected 3"):
             read_matrix_market(io.StringIO(text))
 
+    def test_header_count_sizes_nothing(self):
+        # a header may claim any number of entries: the reader must not
+        # allocate for them before it has read them
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 2000000000000\n1 1 1.0\n"
+        )
+        with pytest.raises(ValueError, match="expected 2000000000000 entries, read 1"):
+            read_matrix_market(io.StringIO(text))
+
     def test_rejects_bad_write_field(self):
         with pytest.raises(ValueError, match="unsupported field"):
             write_matrix_market(sp.eye(2, format="csr"), io.StringIO(), field="complex")

@@ -11,6 +11,7 @@ byte-identical; and concurrent requests never perturb each other's bits
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import os
 import threading
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.serve.cache import CacheEntry, PartitionCache
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     ProtocolError,
     canonical_result_bytes,
     decode_msg,
@@ -79,6 +81,43 @@ def run_service(coro_fn, cfg: ServeConfig):
 # ----------------------------------------------------------------------
 # protocol
 # ----------------------------------------------------------------------
+#: anything JSON can carry where an inline spec expects something else
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+#: row/column counts: small, negative, past the line cap, or not a count
+# (nothing between 64 and the cap, so no draw allocates much)
+_dims = st.one_of(
+    st.integers(-3, 64), st.integers(MAX_LINE_BYTES // 8 + 1, 2**80),
+    st.sampled_from([float("nan"), float("inf"), -1.5, 2.5, 1e11, "7", "x"]),
+    st.none(),
+)
+_b64 = st.one_of(
+    st.binary(max_size=24).map(lambda b: base64.b64encode(b).decode()),
+    st.text(max_size=12), _junk,
+)
+_inline_specs = st.one_of(
+    st.fixed_dictionaries({
+        "shape": st.one_of(st.lists(_dims, max_size=3), _junk),
+        "coo": st.one_of(
+            st.lists(
+                st.one_of(st.lists(st.one_of(st.integers(-3, 70), _junk),
+                                   max_size=4), _junk),
+                max_size=5,
+            ),
+            _junk,
+        ),
+    }),
+    st.fixed_dictionaries(
+        {"shape": st.lists(_dims, min_size=2, max_size=2)},
+        optional={"rows_b64": _b64, "cols_b64": _b64, "vals_b64": _b64},
+    ),
+    _junk,
+)
+
+
 class TestProtocol:
     def test_message_round_trip(self):
         obj = {"op": "ping", "id": 3, "nested": {"x": [1, 2]}}
@@ -103,6 +142,33 @@ class TestProtocol:
     def test_inline_matrix_rejects_bad_indices(self):
         with pytest.raises(ProtocolError, match="out of range"):
             matrix_from_inline({"shape": [2, 2], "coo": [[5, 0, 1.0]]})
+
+    @pytest.mark.parametrize("spec, code", [
+        ({"shape": [-1, 5], "coo": []}, "bad-request"),
+        ({"shape": [3, 3], "coo": 5}, "bad-request"),
+        ({"shape": [3, 3], "coo": [[0]]}, "bad-request"),
+        ({"shape": [3, 3], "coo": [["a", "b"]]}, "bad-request"),
+        ({"shape": [1e11, 1e11], "coo": []}, "oversized"),
+    ])
+    def test_malformed_inline_matrix_is_a_typed_error(self, tmp_path, spec, code):
+        async def scenario(svc):
+            return await svc.handle(
+                {"op": "decompose", "matrix": {"inline": spec}, "k": 2,
+                 "seed": 0}, "c"
+            )
+
+        r = run_service(scenario, service_cfg(tmp_path))
+        assert r["ok"] is False
+        assert r["error"]["code"] == code
+
+    @given(spec=_inline_specs)
+    def test_fuzzed_inline_matrix_raises_only_protocol_errors(self, spec):
+        try:
+            a = matrix_from_inline(spec)
+        except ProtocolError as exc:
+            assert exc.code in ("bad-request", "oversized")
+        else:
+            assert isinstance(a, sp.csr_matrix)
 
     def test_parse_rejects_bad_requests(self):
         with pytest.raises(ProtocolError, match="matrix"):
