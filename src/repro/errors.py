@@ -8,7 +8,15 @@ for malformed inputs, and that contract must keep holding.
 
 from __future__ import annotations
 
-__all__ = ["ReproFormatError"]
+__all__ = ["MAX_DIMENSION", "ReproFormatError"]
+
+#: The largest row, column or vertex count a file header may declare.  The
+#: readers allocate per row (CSR offsets) or per vertex (weights, incidence
+#: offsets) before the body shows whether a row or vertex holds any data,
+#: so the header alone would size that memory: a 3-line Matrix Market file
+#: declaring 2 * 10**12 rows asked for 14.6 TiB.  2**25 keeps each such
+#: array under 300 MB, far above what a pure-Python partitioner handles.
+MAX_DIMENSION = 2**25
 
 
 class ReproFormatError(ValueError):

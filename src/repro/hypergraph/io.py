@@ -19,7 +19,8 @@ hMeTiS format::
 fmt is omitted (unweighted), 1 (net costs), 10 (vertex weights) or 11 (both).
 
 Both readers validate as they parse: out-of-range pins, duplicate pins
-within a net, unparseable tokens and truncated files raise
+within a net, unparseable tokens, truncated files and a vertex count above
+:data:`repro.errors.MAX_DIMENSION` raise
 :class:`repro.errors.ReproFormatError` with file/line context.
 ``repair=True`` drops out-of-range pins and dedups duplicate pins (first
 occurrence wins) with one summary warning instead.
@@ -34,7 +35,7 @@ from typing import TextIO
 import numpy as np
 
 from repro._util import INDEX_DTYPE, prefix_from_counts
-from repro.errors import ReproFormatError
+from repro.errors import MAX_DIMENSION, ReproFormatError
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = ["write_patoh", "read_patoh", "write_hmetis", "read_hmetis"]
@@ -60,6 +61,17 @@ def _ints(text: str, source: str, lineno: int) -> list[int]:
         raise ReproFormatError(
             f"unparseable integer line {text!r}", source=source, line=lineno
         ) from None
+
+
+def _check_vertex_count(nv: int, source: str, lineno: int) -> None:
+    """Reject a header declaring more than ``MAX_DIMENSION`` vertices: the
+    hypergraph allocates per vertex, whether or not any net holds it."""
+    if nv > MAX_DIMENSION:
+        raise ReproFormatError(
+            f"header declares {nv} vertices, above the {MAX_DIMENSION} "
+            "a file may declare",
+            source=source, line=lineno,
+        )
 
 
 def _check_net_pins(
@@ -146,6 +158,7 @@ def read_patoh(path_or_file, repair: bool = False) -> Hypergraph:
                 "header counts must be non-negative",
                 source=source, line=tokens.lineno,
             )
+        _check_vertex_count(nv, source, tokens.lineno)
         wv, wn = bool(flag & 1), bool(flag & 2)
         netlists: list[list[int]] = []
         costs: list[int] = []
@@ -268,6 +281,7 @@ def read_hmetis(path_or_file, repair: bool = False) -> Hypergraph:
                 "header counts must be non-negative",
                 source=source, line=tokens.lineno,
             )
+        _check_vertex_count(nv, source, tokens.lineno)
         fmt = header[2] if len(header) > 2 else "0"
         wn = fmt in ("1", "11")
         wv = fmt in ("10", "11")

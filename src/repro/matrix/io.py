@@ -7,7 +7,8 @@ collections when the files are available, and to round-trip matrices
 produced by :mod:`repro.matrix.generators`.
 
 Every ingestion defect — malformed header, unparseable entry, index out of
-range, non-finite value, duplicate entry, truncated file — raises one
+range, non-finite value, duplicate entry, truncated file, a row or column
+count above :data:`repro.errors.MAX_DIMENSION` — raises one
 exception type, :class:`repro.errors.ReproFormatError`, carrying the
 source name and 1-based line number, so a failing multi-hour sweep names
 the offending file and line instead of dying with a bare ``IndexError``
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import ReproFormatError
+from repro.errors import MAX_DIMENSION, ReproFormatError
 
 __all__ = ["read_matrix_market", "write_matrix_market"]
 
@@ -92,6 +93,13 @@ def read_matrix_market(path_or_file, repair: bool = False) -> sp.csr_matrix:
         if nrows < 0 or ncols < 0 or nnz < 0:
             raise ReproFormatError(
                 "size line must be non-negative", source=source, line=lineno
+            )
+        if max(nrows, ncols) > MAX_DIMENSION:
+            # the CSR offsets are sized by the row count alone
+            raise ReproFormatError(
+                f"size line declares {nrows}x{ncols}, above the "
+                f"{MAX_DIMENSION} rows or columns a file may declare",
+                source=source, line=lineno,
             )
 
         # sized by what is read, never by the header's count: a header

@@ -99,7 +99,7 @@ def _grow(
         bk.remove(1, v)
         movable[v] = False  # each vertex enters part 0 at most once
         cut -= gl[v]
-        core.apply_move(v)
+        core.apply_move(v, grow=True)
     return core, cut
 
 

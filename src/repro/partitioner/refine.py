@@ -10,10 +10,15 @@ The module exposes a small engine class, :class:`FMCore`, shared by the
 refinement pass and by greedy hypergraph growing in initial.py: it owns the
 pin-count bookkeeping, the gain array, the flat two-sided gain-bucket
 store (:class:`FMBuckets`) and the one move body, which applies the
-critical-net gain updates and relinks every touched pin inline.  One core
-serves a GHG start and its FM: :func:`fm_refine_core` refines the core
-GHG grew, with the cut GHG tracked, and :func:`fm_refine_bisection` builds
-a core from a part vector first.
+critical-net gain updates.  It relinks a touched pin inline, once per
+rule that hits it, except on wide moves: a vertex of many nets whose
+critical nets hold many pin events gathers them with numpy and relinks
+each touched pin once (:meth:`FMCore._dedup_move`), which leaves the
+same chains.  Growing skips the two rules that only change gains on
+part 0, the side it grows, where no vertex is movable.  One core serves
+a GHG start and its FM: :func:`fm_refine_core` refines the core GHG
+grew, with the cut GHG tracked, and :func:`fm_refine_bisection` builds a
+core from a part vector first.
 
 The graph partitioner's :class:`~repro.graph.partitioner.GraphCore` offers
 the same interface with an edge-cut move body, so :func:`_fm_pass` and
@@ -48,6 +53,13 @@ __all__ = ["FMBuckets", "FMCore", "fm_refine_bisection", "fm_refine_core"]
 _NO_FLOOR = float("-inf")
 #: start of a walk's running minimum: every weight is below it
 _NO_CEIL = float("inf")
+#: a moving vertex with at least this many nets collects its critical nets
+#: first, to see whether :meth:`FMCore._dedup_move` pays (every fine-grain
+#: finest-level vertex has at most 2); the gate sweep behind both values
+#: is in docs/performance.md
+_DEDUP_DEGREE = 48
+#: the pin events (one rule hitting one pin) from which it does
+_DEDUP_EVENTS = 150
 
 
 class FMBuckets:
@@ -72,9 +84,9 @@ class FMBuckets:
     reset it; removals and relinks keep it valid.  Without the memo, FM
     re-walks a side where nothing fits on every move of a pass.
 
-    Only the cores' ``apply_move`` (:meth:`FMCore.apply_move`,
-    ``GraphCore.apply_move``) relinks, inline, once per touched vertex;
-    every other operation is a call per move or per pass.
+    Only the cores' move bodies (:meth:`FMCore.apply_move` with its
+    :meth:`FMCore._dedup_move`, and ``GraphCore.apply_move``) relink, with
+    no call per pin; every other operation is a call per move or per pass.
     """
 
     __slots__ = (
@@ -310,7 +322,7 @@ class FMCore:
         return np.unique(self.h.pins[sel])
 
     # -- the move --------------------------------------------------------
-    def apply_move(self, v: int) -> None:
+    def apply_move(self, v: int, grow: bool = False) -> None:
         """Move vertex *v* to the other side.
 
         Updates pin counts and part weights, and applies the FM
@@ -332,6 +344,15 @@ class FMCore:
         applied as one relink, which leaves the same chains as two.  Pins of
         different sides sit in disjoint chains, so visiting them in pin
         order is the same as rule by rule.
+
+        *grow* says that no pin on the other side is movable (greedy
+        growing: every part-0 vertex is fixed or already moved), so the
+        ``T == 1`` and ``F == 1`` rules change nothing and their walks are
+        skipped.
+
+        A vertex of at least ``_DEDUP_DEGREE`` nets goes through
+        :meth:`_dedup_move` first, which relinks each touched pin once
+        when its critical nets hold enough pin events.
         """
         part, gain, movable = self.part, self.gain, self.movable
         pins, xpins, cost = self.pins, self.xpins, self.cost
@@ -344,7 +365,10 @@ class FMCore:
         pct = self.pc[to]
         base_f = bk.base[frm]
         base_t = bk.base[to]
-        for n in self.vnets[self.xnets[v] : self.xnets[v + 1]]:
+        nets = self.vnets[self.xnets[v] : self.xnets[v + 1]]
+        if len(nets) >= _DEDUP_DEGREE:
+            nets = self._dedup_move(v, nets, grow)
+        for n in nets:
             F = pcf[n]
             T = pct[n]
             pcf[n] = F - 1
@@ -355,7 +379,7 @@ class FMCore:
             # deltas for the other pins on v's side and on the other side,
             # and how many pins carry a nonzero one (the loop ends there)
             df = (c if T == 0 else 0) + (c if F == 2 else 0)
-            dt = -(c if T == 1 else 0) - (c if F == 1 else 0)
+            dt = 0 if grow else -(c if T == 1 else 0) - (c if F == 1 else 0)
             left = (F - 1 if df else 0) + (T if dt else 0)
             if not left:
                 continue
@@ -406,6 +430,123 @@ class FMCore:
         self.W[to] += wv
         # v's own gain simply flips sign for the reverse move
         gain[v] = -gain[v]
+
+    def _dedup_move(self, v: int, nets: list[int], grow: bool) -> list[int]:
+        """The count and gain updates of :meth:`apply_move` for the nets
+        *nets* of *v*, relinking each touched pin once; returns the nets
+        whose updates are left to the inline loop.
+
+        It updates the counts of every net whose gains do not change and
+        sums the pin events (a pin hit by one rule of one net) of the
+        critical ones.  Under ``_DEDUP_EVENTS`` it hands those nets back:
+        the inline loop is faster there.  Otherwise it updates their counts
+        too, gathers every event with numpy, relinks each touched movable
+        pin once, with its summed delta, in the order of its last event,
+        and returns no net.  That leaves the chains as relinking per event
+        does: a pin's place in a LIFO chain depends only on its last
+        relink, and the pins relinked after it.  ``top`` only has to bound
+        the non-empty chains from above, and the final chains are among
+        those the per-event relinks reached.  A pin linked on touch is
+        linked once, as it would have been by its first event.
+        """
+        part, pcs = self.part, self.pc
+        frm = part[v]
+        pcf = pcs[frm]
+        pct = pcs[1 - frm]
+        cost = self.cost
+        crit: list[int] = []  # (net, df, dt) triples, flat
+        events = 0
+        for n in nets:
+            F = pcf[n]
+            T = pct[n]
+            c = cost[n]
+            if (T > 1 and F > 2) or not c:
+                left = 0
+            else:
+                df = (c if T == 0 else 0) + (c if F == 2 else 0)
+                dt = 0 if grow else -(c if T == 1 else 0) - (c if F == 1 else 0)
+                left = (F - 1 if df else 0) + (T if dt else 0)
+            if left:
+                crit += (n, df, dt)
+                events += left
+            else:
+                pcf[n] = F - 1
+                pct[n] = T + 1
+        if events < _DEDUP_EVENTS:
+            return crit[::3]
+        get_recorder().add("fm.dedup_moves")
+        for n in crit[::3]:
+            pcf[n] -= 1
+            pct[n] += 1
+        if not crit:  # only an events gate of 0 gets here with no event
+            return crit
+        # every pin of the critical nets, net by net in pin order
+        cn, cdf, cdt = np.array(crit, dtype=np.int64).reshape(-1, 3).T
+        xpins = self.h.xpins
+        lo = xpins[cn]
+        size = xpins[cn + 1] - lo
+        end = np.cumsum(size)
+        us = self.h.pins[np.arange(end[-1]) + np.repeat(lo - end + size, size)]
+        # each pin's delta by its side; growing has no movable pin on the
+        # other side, so it skips the side lookup
+        ds = np.repeat(cdf, size)
+        if not grow:
+            # converting the part list costs O(nv), looking up each pin
+            # O(pins) at a higher constant: take the shorter
+            if self.nv <= len(us):
+                side = np.array(part)[us]
+            else:
+                side = np.fromiter(map(part.__getitem__, us.tolist()), np.int64)
+            ds = np.where(side == frm, ds, np.repeat(cdt, size))
+        hit = ds != 0
+        us = us[hit]
+        ds = ds[hit]
+        at = np.arange(len(us))
+        # per touched pin: its last event and its summed delta
+        last = np.empty(self.nv, dtype=np.int64)
+        last[us] = -1
+        np.maximum.at(last, us, at)
+        dsum = np.empty(self.nv, dtype=np.int64)
+        dsum[us] = 0
+        np.add.at(dsum, us, ds)
+        touched = us[last[us] == at]  # in the order of their last events
+        gain, bk = self.gain, self.bk
+        heads, nxt, prv, inside = bk.heads, bk.nxt, bk.prv, bk.inside
+        top, count, wfloor, touch = bk.top, bk.count, bk.wfloor, bk.touch
+        movable = self.movable
+        for u, d in zip(touched.tolist(), dsum[touched].tolist()):
+            if u == v or not movable[u]:
+                continue
+            s = part[u]
+            base = bk.base[s]
+            if inside[u] or touch:
+                g = gain[u]
+                if inside[u]:
+                    nx, pv = nxt[u], prv[u]
+                    if pv != -1:
+                        nxt[pv] = nx
+                    else:
+                        heads[base + g] = nx
+                    if nx != -1:
+                        prv[nx] = pv
+                else:
+                    inside[u] = True
+                    count[s] += 1
+                    wfloor[s] = _NO_FLOOR
+                g += d
+                gain[u] = g
+                b = base + g
+                hd = heads[b]
+                nxt[u] = hd
+                prv[u] = -1
+                if hd != -1:
+                    prv[hd] = u
+                heads[b] = u
+                if b > top[s]:
+                    top[s] = b
+            else:
+                gain[u] += d
+        return []
 
     def undo_moves(self, moves: list[int]) -> None:
         """Reverse *moves* (latest first) without gain maintenance."""

@@ -5,7 +5,9 @@ import io
 import pytest
 from hypothesis import given, settings
 
+from repro.errors import ReproFormatError
 from repro.hypergraph import hypergraph_from_netlists
+from repro.hypergraph import io as hio
 from repro.hypergraph.io import read_hmetis, read_patoh, write_hmetis, write_patoh
 from tests.conftest import hypergraphs
 
@@ -130,3 +132,26 @@ class TestEmptyNets:
         text = "1 4 3 4 0\n1 2\n3 4\n"
         with pytest.raises(ValueError, match="end of file"):
             read_patoh(io.StringIO(text))
+
+
+class TestDeclaredSize:
+    """A header's vertex count sizes per-vertex arrays before any net shows
+    whether a vertex is used; above ``MAX_DIMENSION`` it is a format error.
+    These 2-line files used to raise MemoryError."""
+
+    @pytest.mark.parametrize(
+        "reader,text",
+        [(read_patoh, "1 3000000000 1 1\n1\n"), (read_hmetis, "1 3000000000\n1\n")],
+    )
+    def test_huge_vertex_count_is_a_format_error(self, reader, text):
+        with pytest.raises(ReproFormatError, match="declares 3000000000 vertices"):
+            reader(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "reader,header", [(read_patoh, "1 {} 1 1\n"), (read_hmetis, "1 {}\n")]
+    )
+    def test_bound_is_inclusive(self, reader, header, monkeypatch):
+        monkeypatch.setattr(hio, "MAX_DIMENSION", 3)
+        assert reader(io.StringIO(header.format(3) + "1\n")).num_vertices == 3
+        with pytest.raises(ReproFormatError, match="above the 3 a file may declare"):
+            reader(io.StringIO(header.format(4) + "1\n"))

@@ -43,8 +43,9 @@ def _walk(spans):
 
 
 def test_single_implementation_spans_carry_no_kernel():
-    """FM, initial bisection and the coarse build have one implementation,
-    so their spans name no kernel or tier."""
+    """FM and initial bisection pick their move route per move (counted in
+    ``fm.dedup_moves``) and the coarse build has one implementation, so
+    their spans name no kernel or tier."""
     h = random_hypergraph(as_rng(4), 300, 250)
     rec = TelemetryRecorder()
     with use_recorder(rec):

@@ -7,6 +7,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
+from repro.errors import ReproFormatError
+from repro.matrix import io as mm_io
 from repro.matrix import read_matrix_market, write_matrix_market
 from tests.conftest import sparse_square_matrices
 
@@ -114,6 +116,25 @@ class TestReadFormats:
         )
         with pytest.raises(ValueError, match="expected 2000000000000 entries, read 1"):
             read_matrix_market(io.StringIO(text))
+
+    def test_header_dimension_is_bounded(self):
+        # the CSR offsets are sized by the declared row count alone: this
+        # 3-line file used to ask for 14.6 TiB and raise MemoryError
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2000000000000 3 1\n1 1 1.0\n"
+        )
+        with pytest.raises(ReproFormatError, match="declares 2000000000000x3"):
+            read_matrix_market(io.StringIO(text))
+
+    def test_dimension_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(mm_io, "MAX_DIMENSION", 3)
+        head = "%%MatrixMarket matrix coordinate real general\n"
+        a = read_matrix_market(io.StringIO(head + "3 3 1\n1 1 1.0\n"))
+        assert a.shape == (3, 3)
+        for size in ("4 3 1", "3 4 1"):
+            with pytest.raises(ReproFormatError, match="above the 3 rows or columns"):
+                read_matrix_market(io.StringIO(head + size + "\n1 1 1.0\n"))
 
     def test_rejects_bad_write_field(self):
         with pytest.raises(ValueError, match="unsupported field"):

@@ -724,10 +724,10 @@ def test_kernels_introspection_lists_all_phases():
 
     info = json.loads(json.dumps(repro.kernels()))
     assert info == {"phases": {
-        "fm": ["reference"],
+        "fm": ["inline", "dedup"],
         "matching": ["single-term", "product"],
         "coarse_build": ["sort"],
-        "initial": ["reference"],
+        "initial": ["inline", "dedup"],
         "kway": ["reference"],
     }}
 

@@ -195,7 +195,23 @@ def tight_instances(draw):
 
 
 @st.composite
-def oracle_instances(draw):
+def wide_hypergraphs(draw):
+    """Weighted hypergraphs of up to 10 vertices and 20 nets of 2 or more
+    pins: a vertex shares pins with most others through several nets."""
+    nv = draw(st.integers(2, 10))
+    nets = [
+        draw(st.lists(st.integers(0, nv - 1), min_size=2, max_size=nv, unique=True))
+        for _ in range(draw(st.integers(1, 20)))
+    ]
+    weights = draw(st.lists(st.integers(0, 5), min_size=nv, max_size=nv))
+    costs = draw(st.lists(st.integers(0, 4), min_size=len(nets), max_size=len(nets)))
+    return hypergraph_from_netlists(nv, nets, vertex_weights=weights, net_costs=costs)
+
+
+@st.composite
+def oracle_instances(
+    draw, graphs=hypergraphs(max_vertices=16, max_nets=14, weighted=True)
+):
     """An FM/GHG input drawn to reach every branch of the move kernel.
 
     Zero vertex weights and zero net costs come from ``hypergraphs``; unit
@@ -206,7 +222,7 @@ def oracle_instances(draw):
     a few units of half the total weight make capped walks come back empty
     (the memo).
     """
-    h = draw(hypergraphs(max_vertices=16, max_nets=14, weighted=True))
+    h = draw(graphs)
     nv = h.num_vertices
     if draw(st.booleans()):
         h = Hypergraph(nv, h.xpins, h.pins, net_costs=h.net_costs)
@@ -308,6 +324,130 @@ class TestOracle:
         assert (span.attrs["excess"], span.attrs["cut"]) == best[0]
         assert cutsize_connectivity(h, got) == best[0][1]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _walk_order(heads, nxt, chains):
+    """The vertices of *chains* (indices into *heads*, highest gain first),
+    each chain head first: the order a bucket walk visits them."""
+    order = []
+    for b in chains:
+        u = heads[b]
+        while u != -1:
+            order.append(u)
+            u = nxt[u]
+    return order
+
+
+class _WalkedCore(FMCore):
+    """An :class:`FMCore` that records both sides' walk order after each move."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.walks = []
+
+    def apply_move(self, v, grow=False):
+        super().apply_move(v, grow)
+        bk = self.bk
+        sides = (range(bk.span - 1, -1, -1), range(2 * bk.span - 1, bk.span - 1, -1))
+        self.walks.append([_walk_order(bk.heads, bk.nxt, side) for side in sides])
+
+
+class _WalkedReference(fm_reference.ReferenceCore):
+    """The reference core, recording its buckets' walk order after each move."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.walks = []
+
+    def apply_move(self, v):
+        super().apply_move(v)
+        self.walks.append([
+            _walk_order(b.heads, b.nxt, range(len(b.heads) - 1, -1, -1))
+            for b in self.buckets
+        ])
+
+
+#: moving vertex 0 hits vertex 1 through three nets and vertex 2 through
+#: two; net 2 costs nothing and vertex 4 is fixed
+_SHARED_PINS = hypergraph_from_netlists(
+    6,
+    [[0, 1, 2, 3], [0, 1, 2], [0, 1, 4], [0, 3, 5], [1, 5]],
+    vertex_weights=[1, 1, 1, 1, 1, 1],
+    net_costs=[2, 1, 0, 3, 1],
+)
+
+
+class TestDedupOracle:
+    """The deduplicated move route (``FMCore._dedup_move``) against the
+    two-bucket reference, with both gates at 0 so every move takes it.
+
+    Dense nets make a moving vertex reach most pins through several of its
+    nets.  After every move both sides' walk order must match; after every
+    pass or growth the part vector, pin counts, side weights, gains and
+    RNG state too.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _every_move_dedups(self, monkeypatch):
+        monkeypatch.setattr(refine, "_DEDUP_DEGREE", 0)
+        monkeypatch.setattr(refine, "_DEDUP_EVENTS", 0)
+
+    @given(oracle_instances(wide_hypergraphs()))
+    @example((  # boundary mode: the pass links touched pins as it goes
+        _SHARED_PINS, np.array([0, 0, 1, 1, 1, 1]), np.array([-1, -1, -1, -1, 1, -1]),
+        (4, 4), PartitionerConfig(fm_boundary_threshold=0), 3,
+    ))
+    @example((  # the moves relink pins hit through both nets in last-event order
+        hypergraph_from_netlists(4, [[0, 1, 2], [0, 2, 3]]), np.array([1, 1, 0, 0]),
+        np.full(4, -1), (4, 4), PartitionerConfig(), 2,
+    ))
+    @settings(deadline=None)
+    def test_fm_passes_match_reference(self, inst):
+        h, part, fixed, maxw, cfg, seed = inst
+        core, rng = _WalkedCore(h, part, fixed), as_rng(seed)
+        ref, ref_rng = _WalkedReference(h, part, fixed), as_rng(seed)
+        with use_recorder() as rec:
+            for _ in range(3):
+                got = refine._fm_pass(core, maxw, cfg, rng)
+                want = fm_reference.fm_pass(ref, maxw, cfg, ref_rng)
+                assert got == want
+                assert core.walks == ref.walks
+                assert _fm_state(core, rng) == _fm_state(ref, ref_rng)
+        assert rec.counter_totals().get("fm.dedup_moves", 0) == len(core.walks)
+
+    @given(oracle_instances(wide_hypergraphs()))
+    @example((
+        _SHARED_PINS, np.ones(6, dtype=np.int64), np.array([-1, -1, -1, -1, 1, -1]),
+        (4, 4), PartitionerConfig(), 3,
+    ))
+    @settings(deadline=None)
+    def test_ghg_matches_reference(self, inst):
+        h, _, fixed, maxw, _, seed = inst
+        target0 = maxw[0] // 2 + seed % 3
+        rng, ref_rng = as_rng(seed), as_rng(seed)
+        with pytest.MonkeyPatch.context() as mp, use_recorder() as rec:
+            mp.setattr(initial, "FMCore", _WalkedCore)
+            core, _ = initial._grow(h, target0, maxw[0], rng, fixed)
+            mp.setattr(fm_reference, "ReferenceCore", _WalkedReference)
+            ref = fm_reference.ghg(h, target0, maxw[0], ref_rng, fixed)
+        # growing stores side 1 only: the reference's side-0 bucket is empty
+        assert core.walks == ref.walks
+        assert _fm_state(core, rng) == _fm_state(ref, ref_rng)
+        assert rec.counter_totals().get("fm.dedup_moves", 0) == len(core.walks)
+
+    def test_linking_on_touch_resets_the_memo(self):
+        # side 0 stores only vertex 0 (weight 5), so a walk capped at 2
+        # finds nothing and records 5; moving vertex 4 then links vertex 3
+        # (weight 1) in boundary mode, and the next walk must see it
+        h = hypergraph_from_netlists(5, [[3, 4]], vertex_weights=[5, 3, 4, 1, 2])
+        core = FMCore(h, np.array([0, 0, 0, 0, 1]))
+        gains = core.compute_all_gains()
+        core.bk.load(np.array([0]), 0, gains[:1], touch=True)
+        assert core.bk.best_capped(0, core.w, 2) is None
+        with use_recorder() as rec:
+            core.apply_move(4)
+        assert rec.counter_totals()["fm.dedup_moves"] == 1
+        assert core.bk.best_capped(0, core.w, 2) == 3
 
 
 class TestExactExits:

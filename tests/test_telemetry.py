@@ -428,13 +428,15 @@ class TestVocabulary:
     docs/telemetry.md, the vocabulary trace tooling reads."""
 
     @staticmethod
-    def _traced(config_kw: dict, method: str = "finegrain"):
+    def _traced(config_kw: dict, method: str = "finegrain", density: float = 0.06):
         from repro.core.api import decompose
         from repro.partitioner import PartitionerConfig
 
         cfg = PartitionerConfig(**config_kw)
         with use_recorder() as rec:
-            decompose(small_matrix(80, 0.06), 4, method=method, config=cfg, seed=0)
+            decompose(
+                small_matrix(80, density), 4, method=method, config=cfg, seed=0
+            )
         emitted = {s.name for root in rec.roots for s, _ in root.walk()}
         return emitted, rec.counter_totals()
 
@@ -456,6 +458,15 @@ class TestVocabulary:
         )
         # the run reaches the spans this test exists for
         assert {"coarsen.match", "initial.exact", "uncoarsen.level", "kway"} <= emitted
+        self._assert_documented(emitted, counted)
+
+    def test_dedup_route_names_are_documented(self):
+        # a dense column-net model: its nets hold some 40 pins each, and
+        # its coarse vertices dozens of nets, so their moves dedup
+        emitted, counted = self._traced(
+            dict(tree_parallel=False), "columnnet", density=0.5
+        )
+        assert counted.get("fm.dedup_moves", 0) > 0
         self._assert_documented(emitted, counted)
 
     def test_multistart_names_are_documented(self):
