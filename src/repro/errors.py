@@ -20,7 +20,8 @@ MAX_DIMENSION = 2**25
 
 
 class ReproFormatError(ValueError):
-    """A malformed or corrupt input file (MatrixMarket, PaToH, hMeTiS).
+    """A malformed or corrupt input file (MatrixMarket, Harwell–Boeing,
+    PaToH, hMeTiS).
 
     One exception type for every ingestion defect — out-of-range indices,
     non-finite values, duplicate entries, unparseable tokens — always

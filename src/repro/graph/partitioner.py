@@ -141,7 +141,14 @@ class GraphCore:
         self.setup = (int(g.adjwgt[cut].sum()) // 2, (pa, cut))
         self.gain: list[int] = [0] * self.nv
         self.movable: list[bool] = [True] * self.nv
-        self.bk = FMBuckets(self.gain, g.max_weighted_degree())
+        self.bk = bk = FMBuckets(self.gain, g.max_weighted_degree())
+        #: every list :meth:`apply_move` reads or writes, bound once (cf.
+        #: ``FMCore._moves``)
+        self._moves = (
+            self.part, self.gain, self.movable, self.W, self.w, self.xadj,
+            self.adj, self.wgt2, bk, bk.heads, bk.nxt, bk.prv, bk.inside,
+            bk.top, bk.count, bk.wfloor, bk.base,
+        )
 
     def part_array(self) -> np.ndarray:
         """The part vector as a numpy array (copy)."""
@@ -182,23 +189,36 @@ class GraphCore:
         return np.unique(self.g.source()[cut])
 
     def apply_move(self, v: int) -> None:
-        """Move vertex *v* to the other side.
+        """Move vertex *v* to the other side and lock it there.
 
-        Walks *v*'s adjacency list in order and changes the gain of each
-        movable neighbour by ``±2w``, relinking it in :attr:`bk` if it is
-        stored (and, in touch mode, linking it if not).  A zero-weight
-        edge still relinks its neighbour: that moves it to the head of
-        its chain, so it is not skipped.
+        Unlinks *v* from :attr:`bk` if it is stored and marks it not
+        movable.  Then walks *v*'s adjacency list in order and changes the
+        gain of each movable neighbour by ``±2w``, relinking it in
+        :attr:`bk` if it is stored (and, in touch mode, linking it if
+        not).  A zero-weight edge still relinks its neighbour: that moves
+        it to the head of its chain, so it is not skipped.
         """
-        part, gain, movable = self.part, self.gain, self.movable
-        bk = self.bk
-        heads, nxt, prv, inside = bk.heads, bk.nxt, bk.prv, bk.inside
-        top, count, wfloor, touch = bk.top, bk.count, bk.wfloor, bk.touch
+        (
+            part, gain, movable, W, w, xadj, adj, wgt2, bk,
+            heads, nxt, prv, inside, top, count, wfloor, base,
+        ) = self._moves
         frm = part[v]
         to = 1 - frm
-        base_f, base_t = bk.base[frm], bk.base[to]
-        lo, hi = self.xadj[v], self.xadj[v + 1]
-        for u, d in zip(self.adj[lo:hi], self.wgt2[lo:hi]):
+        base_f, base_t = base[frm], base[to]
+        movable[v] = False
+        if inside[v]:
+            nx, pv = nxt[v], prv[v]
+            if pv != -1:
+                nxt[pv] = nx
+            else:
+                heads[base_f + gain[v]] = nx
+            if nx != -1:
+                prv[nx] = pv
+            inside[v] = False
+            count[frm] -= 1
+        touch = bk.touch
+        lo, hi = xadj[v], xadj[v + 1]
+        for u, d in zip(adj[lo:hi], wgt2[lo:hi]):
             if not movable[u]:
                 continue
             if part[u] == frm:
@@ -233,9 +253,9 @@ class GraphCore:
             if b > top[s]:
                 top[s] = b
         part[v] = to
-        wv = self.w[v]
-        self.W[frm] -= wv
-        self.W[to] += wv
+        wv = w[v]
+        W[frm] -= wv
+        W[to] += wv
         # v's own gain simply flips sign for the reverse move
         gain[v] = -gain[v]
 
@@ -319,17 +339,16 @@ def _grow(
     cut = 0
     while W[0] < target0:
         cap = max0 - W[0]
-        v = bk.best_capped(1, w, cap)
+        # side 0 is never stored, so this is side 1's capped walk
+        v = bk.pick(w, 0, cap, False)
         if v is None:
             # grow from a fresh random seed in the unplaced region (every
-            # queued vertex is over the cap, so none is in *rest*)
+            # queued vertex is over the cap, so none is in *rest*, and the
+            # move only locks it)
             rest = [u for u in range(nv) if movable[u] and w[u] <= cap]
             if not rest:
                 break
             v = rest[int(rng.integers(len(rest)))]
-        else:
-            bk.remove(1, v)
-        movable[v] = False
         cut -= gain[v]
         core.apply_move(v)
     return core, cut

@@ -19,7 +19,8 @@ hMeTiS format::
 fmt is omitted (unweighted), 1 (net costs), 10 (vertex weights) or 11 (both).
 
 Both readers validate as they parse: out-of-range pins, duplicate pins
-within a net, unparseable tokens, truncated files and a vertex count above
+within a net, negative vertex weights and net costs, unparseable tokens,
+truncated files and a vertex count above
 :data:`repro.errors.MAX_DIMENSION` raise
 :class:`repro.errors.ReproFormatError` with file/line context.
 ``repair=True`` drops out-of-range pins and dedups duplicate pins (first
@@ -53,14 +54,23 @@ def _source_of(path_or_file, f) -> str:
     return getattr(f, "name", None) or "<stream>"
 
 
+#: the largest magnitude a value may have: every one ends in an int64 array
+_INT_MAX = int(np.iinfo(INDEX_DTYPE).max)
+
+
 def _ints(text: str, source: str, lineno: int) -> list[int]:
     """Parse a whitespace-separated integer line with location context."""
     try:
-        return [int(t) for t in text.split()]
+        vals = [int(t) for t in text.split()]
     except ValueError:
         raise ReproFormatError(
             f"unparseable integer line {text!r}", source=source, line=lineno
         ) from None
+    if vals and (max(vals) > _INT_MAX or min(vals) < -_INT_MAX):
+        raise ReproFormatError(
+            f"integer out of range in {text!r}", source=source, line=lineno
+        )
+    return vals
 
 
 def _check_vertex_count(nv: int, source: str, lineno: int) -> None:
@@ -102,6 +112,18 @@ def _check_net_pins(
         seen.add(p)
         out.append(p)
     return out, repaired
+
+
+def _check_non_negative(
+    vals: list[int], what: str, source: str, lineno: int
+) -> None:
+    """Reject a negative vertex weight or net cost, in both repair modes:
+    there is no value to repair it to."""
+    for x in vals:
+        if x < 0:
+            raise ReproFormatError(
+                f"{what} {x} is negative", source=source, line=lineno
+            )
 
 
 def _nonunit(arr: np.ndarray) -> bool:
@@ -173,6 +195,9 @@ def read_patoh(path_or_file, repair: bool = False) -> Hypergraph:
                         f"net {net}: missing cost", source=source,
                         line=tokens.lineno,
                     )
+                _check_non_negative(
+                    parts[:1], f"net {net}: cost", source, tokens.lineno
+                )
                 costs.append(parts[0])
                 parts = parts[1:]
             seen += len(parts)
@@ -198,12 +223,14 @@ def read_patoh(path_or_file, repair: bool = False) -> Hypergraph:
             wtoks: list[int] = []
             while len(wtoks) < nv:
                 try:
-                    wtoks.extend(_ints(next(tokens.lines), source, tokens.lineno))
+                    chunk = _ints(next(tokens.lines), source, tokens.lineno)
                 except StopIteration:
                     raise ReproFormatError(
                         f"expected {nv} vertex weights, read {len(wtoks)}",
                         source=source,
                     ) from None
+                _check_non_negative(chunk, "vertex weight", source, tokens.lineno)
+                wtoks.extend(chunk)
             weights = np.asarray(wtoks[:nv], dtype=INDEX_DTYPE)
         xpins = prefix_from_counts([len(n) for n in netlists])
         pins = (
@@ -296,6 +323,9 @@ def read_hmetis(path_or_file, repair: bool = False) -> Hypergraph:
                         f"net {net}: missing cost", source=source,
                         line=tokens.lineno,
                     )
+                _check_non_negative(
+                    parts[:1], f"net {net}: cost", source, tokens.lineno
+                )
                 costs.append(parts[0])
                 parts = parts[1:]
             pins_net, fixed = _check_net_pins(
@@ -315,12 +345,14 @@ def read_hmetis(path_or_file, repair: bool = False) -> Hypergraph:
             wlist = []
             for _ in range(nv):
                 try:
-                    wlist.append(_ints(next(tokens.lines), source, tokens.lineno)[0])
+                    chunk = _ints(next(tokens.lines), source, tokens.lineno)[:1]
                 except StopIteration:
                     raise ReproFormatError(
                         f"expected {nv} vertex weights, read {len(wlist)}",
                         source=source,
                     ) from None
+                _check_non_negative(chunk, "vertex weight", source, tokens.lineno)
+                wlist += chunk
             weights = np.asarray(wlist, dtype=INDEX_DTYPE)
         xpins = prefix_from_counts([len(n) for n in netlists])
         pins = (

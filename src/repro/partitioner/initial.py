@@ -80,25 +80,22 @@ def _grow(
     order = order[(core.free & (part == 1))[order]]
     bk.load(order, 1, gain[order], touch=False)
 
-    w = core.w
-    W = core.W
-    gl = core.gain
-    movable = core.movable
+    w, W, gl, count = core.w, core.W, core.gain, bk.count
     max0 = int(max0)
     # force a random seed vertex first so different starts explore
     # different regions even when many gains tie
     seeded = False
-    while W[0] < target0 and bk.count[1]:
+    while W[0] < target0 and count[1]:
         if not seeded:
             v = int(order[rng.integers(len(order))])
             seeded = True
         else:
-            v = bk.best_capped(1, w, max0 - W[0])
+            # side 0 is never stored, so this is side 1's capped walk
+            v = bk.pick(w, 0, max0 - W[0], False)
             if v is None:
                 break
-        bk.remove(1, v)
-        movable[v] = False  # each vertex enters part 0 at most once
         cut -= gl[v]
+        # unlinks and locks v: each vertex enters part 0 at most once
         core.apply_move(v, grow=True)
     return core, cut
 

@@ -10,15 +10,18 @@ The module exposes a small engine class, :class:`FMCore`, shared by the
 refinement pass and by greedy hypergraph growing in initial.py: it owns the
 pin-count bookkeeping, the gain array, the flat two-sided gain-bucket
 store (:class:`FMBuckets`) and the one move body, which applies the
-critical-net gain updates.  It relinks a touched pin inline, once per
-rule that hits it, except on wide moves: a vertex of many nets whose
-critical nets hold many pin events gathers them with numpy and relinks
-each touched pin once (:meth:`FMCore._dedup_move`), which leaves the
-same chains.  Growing skips the two rules that only change gains on
-part 0, the side it grows, where no vertex is movable.  One core serves
-a GHG start and its FM: :func:`fm_refine_core` refines the core GHG
-grew, with the cut GHG tracked, and :func:`fm_refine_bisection` builds a
-core from a part vector first.
+critical-net gain updates.  A move costs two calls: the store selects
+the mover (:meth:`FMBuckets.pick` for both sides at once, or a rescue
+walk while a side is overweight), and :meth:`FMCore.apply_move` unlinks
+and locks it, then updates its nets.  The move body relinks a touched
+pin inline, once per rule that hits it, except on wide moves: a vertex
+of many nets whose critical nets hold many pin events gathers them with
+numpy and relinks each touched pin once (:meth:`FMCore._dedup_move`),
+which leaves the same chains.  Growing skips the two rules that only
+change gains on part 0, the side it grows, where no vertex is movable.
+One core serves a GHG start and its FM: :func:`fm_refine_core` refines
+the core GHG grew, with the cut GHG tracked, and
+:func:`fm_refine_bisection` builds a core from a part vector first.
 
 The graph partitioner's :class:`~repro.graph.partitioner.GraphCore` offers
 the same interface with an edge-cut move body, so :func:`_fm_pass` and
@@ -81,12 +84,19 @@ class FMBuckets:
     minimum weight, and later calls whose cap is below it return ``None``
     without walking.  Only inserts can lower the minimum, so only
     :meth:`load` and a touch-mode insert in a core's ``apply_move``
-    reset it; removals and relinks keep it valid.  Without the memo, FM
-    re-walks a side where nothing fits on every move of a pass.
+    reset it; unlinks and relinks keep it valid, so it is never above
+    the weight of a stored vertex.  Without the memo, FM re-walks a side
+    where nothing fits on every move of a pass.
 
-    Only the cores' move bodies (:meth:`FMCore.apply_move` with its
-    :meth:`FMCore._dedup_move`, and ``GraphCore.apply_move``) relink, with
-    no call per pin; every other operation is a call per move or per pass.
+    The store selects and the cores move.  :meth:`pick` chooses the
+    mover of both sides in one call while neither side is overweight;
+    :meth:`best_capped` is one side's capped walk behind it, and
+    :meth:`best` the rescue walk of an overweight side.  Only the cores'
+    move bodies (:meth:`FMCore.apply_move` with its
+    :meth:`FMCore._dedup_move`, and ``GraphCore.apply_move``) change the
+    chains: each unlinks its mover if it is stored, then relinks the pins
+    it changes, with no call per pin.  :meth:`load` refills every list in
+    place, so a core binds them once for its whole life.
     """
 
     __slots__ = (
@@ -101,7 +111,8 @@ class FMBuckets:
         #: chain of gain 0 on each side
         self.base = (bound, self.span + bound)
         # empty until the first load: nothing is stored, so apply_move
-        # only updates gains, and no chain or link is read
+        # only updates gains, and no chain or link is read.  Every list is
+        # refilled in place from then on: the cores bind them once
         self.heads: list[int] = []
         self.nxt: list[int] = []
         self.prv: list[int] = []
@@ -121,13 +132,13 @@ class FMBuckets:
         """
         n = len(self.gain)
         span = self.span
-        self.heads = heads = [-1] * (2 * span)
-        self.inside = inside = [False] * n
-        if len(self.nxt) != n:
+        heads, inside, nxt, prv = self.heads, self.inside, self.nxt, self.prv
+        heads[:] = [-1] * (2 * span)
+        inside[:] = [False] * n
+        if len(nxt) != n:
             # links of unstored vertices are never read: reuse the lists
-            self.nxt = [-1] * n
-            self.prv = [-1] * n
-        nxt, prv = self.nxt, self.prv
+            nxt[:] = [-1] * n
+            prv[:] = [-1] * n
         chains = np.asarray(sides, dtype=np.int64) * span + self.bound + gains
         for v, b in zip(vs.tolist(), chains.tolist()):
             hd = heads[b]
@@ -138,23 +149,10 @@ class FMBuckets:
             heads[b] = v
             inside[v] = True
         m1 = int(np.count_nonzero(chains >= span))
-        self.count = [len(chains) - m1, m1]
-        self.top = [span - 1, 2 * span - 1]  # settled by the first walk
-        self.wfloor = [_NO_FLOOR, _NO_FLOOR]
+        self.count[:] = (len(chains) - m1, m1)
+        self.top[:] = (span - 1, 2 * span - 1)  # settled by the first walk
+        self.wfloor[:] = (_NO_FLOOR, _NO_FLOOR)
         self.touch = touch
-
-    def remove(self, s: int, v: int) -> None:
-        """Unlink stored vertex *v* of side *s*."""
-        nxt, prv = self.nxt, self.prv
-        nx, pv = nxt[v], prv[v]
-        if pv != -1:
-            nxt[pv] = nx
-        else:
-            self.heads[self.base[s] + self.gain[v]] = nx
-        if nx != -1:
-            prv[nx] = pv
-        self.inside[v] = False
-        self.count[s] -= 1
 
     def best_capped(self, s: int, w: list[int], cap: int) -> int | None:
         """The first vertex of side *s* in walk order with ``w[v] <= cap``.
@@ -181,6 +179,41 @@ class FMBuckets:
                 v = nxt[v]
         self.wfloor[s] = lo
         return None
+
+    def pick(self, w: list[int], cap0: int, cap1: int, heavy0: bool) -> int | None:
+        """The vertex to move when neither side is overweight: the higher
+        gain of ``best_capped(0, w, cap0)`` and ``best_capped(1, w, cap1)``,
+        side 0 on a tie iff *heavy0*, or ``None`` if neither side has one.
+
+        Each side's top head is looked at first, and ``best_capped`` runs
+        only when that head is over the cap.  That is exact: a head that
+        fits is the first vertex in walk order, and ``wfloor`` is never
+        above its weight, so the memo would not have answered either.
+        """
+        heads, top = self.heads, self.top
+        v0 = v1 = None
+        if self.count[0]:
+            b = top[0]
+            while heads[b] == -1:
+                b -= 1
+            top[0] = b
+            v0 = heads[b]
+            if w[v0] > cap0:
+                v0 = self.best_capped(0, w, cap0)
+        if self.count[1]:
+            b = top[1]
+            while heads[b] == -1:
+                b -= 1
+            top[1] = b
+            v1 = heads[b]
+            if w[v1] > cap1:
+                v1 = self.best_capped(1, w, cap1)
+        if v0 is None:
+            return v1
+        if v1 is None:
+            return v0
+        g0, g1 = self.gain[v0], self.gain[v1]
+        return v0 if g0 > g1 or (g0 == g1 and heavy0) else v1
 
     def best(self, s: int, feasible: Callable[[int], bool]) -> int | None:
         """The first vertex of side *s* in walk order that is *feasible*."""
@@ -232,6 +265,11 @@ class FMCore:
         self.free = (
             np.ones(self.nv, dtype=bool) if fixed is None else np.asarray(fixed) < 0
         )
+        self.gain: list[int] = [0] * self.nv
+        #: free vertices not moved yet in this pass or growth: the only
+        #: ones whose gains :meth:`apply_move` maintains
+        self.movable: list[bool] = self.free.tolist()
+        self.bk = FMBuckets(self.gain, h.max_incident_cost())
         # pin counts per side
         self._net_of_pin = h.net_of_pin()
         #: ``(cut, (part array, pin-count array))`` as construction counted
@@ -239,11 +277,6 @@ class FMCore:
         #: caller that built the core reads them, before it moves
         #: (:func:`fm_refine_bisection` hands them to its first pass).
         self.setup = self.recount(pa)
-        self.gain: list[int] = [0] * self.nv
-        #: free vertices not moved yet in this pass or growth: the only
-        #: ones whose gains :meth:`apply_move` maintains
-        self.movable: list[bool] = self.free.tolist()
-        self.bk = FMBuckets(self.gain, h.max_incident_cost())
 
     # -- bookkeeping -----------------------------------------------------
     def part_array(self) -> np.ndarray:
@@ -277,6 +310,15 @@ class FMCore:
         w = self.h.vertex_weights
         w1 = int(w[pa == 1].sum())
         self.W = [int(w.sum()) - w1, w1]
+        bk = self.bk
+        #: every list :meth:`apply_move` reads or writes, bound once: none
+        #: is rebound during the core's life except here
+        self._moves = (
+            self.part, self.gain, self.movable, self.pc, self.W, self.w,
+            self.vnets, self.xnets, self.pins, self.xpins, self.cost, bk,
+            bk.heads, bk.nxt, bk.prv, bk.inside, bk.top, bk.count, bk.wfloor,
+            bk.base,
+        )
         cut = int(self.h.net_costs[_cut_nets(pcs)].sum())
         return cut, (pa, pcs)
 
@@ -323,11 +365,12 @@ class FMCore:
 
     # -- the move --------------------------------------------------------
     def apply_move(self, v: int, grow: bool = False) -> None:
-        """Move vertex *v* to the other side.
+        """Move vertex *v* to the other side and lock it there.
 
-        Updates pin counts and part weights, and applies the FM
-        critical-net rules to the gains of the movable pins of each net of
-        *v*, relinking every such pin that is stored in :attr:`bk` (in
+        Unlinks *v* from :attr:`bk` if it is stored and marks it not
+        movable.  Then updates pin counts and part weights, and applies the
+        FM critical-net rules to the gains of the movable pins of each net
+        of *v*, relinking every such pin that is stored in :attr:`bk` (in
         boundary mode, linking it if it is not).  Before the move, for a
         net with ``F`` pins on *v*'s side and ``T`` on the other:
 
@@ -354,18 +397,29 @@ class FMCore:
         :meth:`_dedup_move` first, which relinks each touched pin once
         when its critical nets hold enough pin events.
         """
-        part, gain, movable = self.part, self.gain, self.movable
-        pins, xpins, cost = self.pins, self.xpins, self.cost
-        bk = self.bk
-        heads, nxt, prv, inside = bk.heads, bk.nxt, bk.prv, bk.inside
-        top, count, wfloor, touch = bk.top, bk.count, bk.wfloor, bk.touch
+        (
+            part, gain, movable, pc, W, w, vnets, xnets, pins, xpins, cost, bk,
+            heads, nxt, prv, inside, top, count, wfloor, base,
+        ) = self._moves
         frm = part[v]
         to = 1 - frm
-        pcf = self.pc[frm]
-        pct = self.pc[to]
-        base_f = bk.base[frm]
-        base_t = bk.base[to]
-        nets = self.vnets[self.xnets[v] : self.xnets[v + 1]]
+        base_f = base[frm]
+        base_t = base[to]
+        movable[v] = False
+        if inside[v]:
+            nx, pv = nxt[v], prv[v]
+            if pv != -1:
+                nxt[pv] = nx
+            else:
+                heads[base_f + gain[v]] = nx
+            if nx != -1:
+                prv[nx] = pv
+            inside[v] = False
+            count[frm] -= 1
+        touch = bk.touch
+        pcf = pc[frm]
+        pct = pc[to]
+        nets = vnets[xnets[v] : xnets[v + 1]]
         if len(nets) >= _DEDUP_DEGREE:
             nets = self._dedup_move(v, nets, grow)
         for n in nets:
@@ -425,9 +479,9 @@ class FMCore:
                 if not left:
                     break
         part[v] = to
-        wv = self.w[v]
-        self.W[frm] -= wv
-        self.W[to] += wv
+        wv = w[v]
+        W[frm] -= wv
+        W[to] += wv
         # v's own gain simply flips sign for the reverse move
         gain[v] = -gain[v]
 
@@ -711,12 +765,13 @@ def _fm_pass(
         return 0, 0, 0
 
     gain_np = core.compute_all_gains(pa, pcs)
-    core.movable = movable = core.free.tolist()
+    core.movable[:] = core.free.tolist()
     bk = core.bk
     # seed both sides in permutation order
     bk.load(seq, side, gain_np[seq], touch=boundary_mode)
 
-    w, gain, part = core.w, core.gain, core.part
+    w, gain = core.w, core.gain
+    max0, max1 = maxw
     exc0 = _excess(W, maxw)
 
     # move log for rollback
@@ -736,53 +791,49 @@ def _fm_pass(
 
     # boundary mode can grow the candidate pool mid-pass, so cap at nv
     for _ in range(nv):
-        # when the source side is not overweight the feasibility test
-        # collapses to the other side's weight cap; else the rescue walk
-        if W[0] > maxw[0]:
-            v0 = bk.best(0, feasible_to(1))
-        else:
-            v0 = bk.best_capped(0, w, maxw[1] - W[1])
-        if W[1] > maxw[1]:
-            v1 = bk.best(1, feasible_to(0))
-        else:
-            v1 = bk.best_capped(1, w, maxw[0] - W[0])
-        if v0 is None:
-            if v1 is None:
+        W0, W1 = W
+        if W0 <= max0 and W1 <= max1:
+            # no side is overweight: the feasibility test collapses to the
+            # other side's weight cap, and a tie moves from the heavier side
+            v = bk.pick(w, max1 - W1, max0 - W0, W0 >= W1)
+            if v is None:
                 break
-            v = v1
-        elif v1 is None:
-            v = v0
         else:
-            g0, g1 = gain[v0], gain[v1]
-            if g0 > g1:
-                v = v0
-            elif g1 > g0:
-                v = v1
+            # an overweight side selects by the rescue walk
+            if W0 > max0:
+                v0 = bk.best(0, feasible_to(1))
             else:
-                # tie: move from the heavier side to help balance
-                v = v0 if W[0] >= W[1] else v1
-        bk.remove(part[v], v)
-        movable[v] = False
-        g = gain[v]
+                v0 = bk.best_capped(0, w, max1 - W1)
+            if W1 > max1:
+                v1 = bk.best(1, feasible_to(0))
+            else:
+                v1 = bk.best_capped(1, w, max0 - W0)
+            if v0 is None:
+                if v1 is None:
+                    break
+                v = v1
+            elif v1 is None:
+                v = v0
+            else:
+                g0, g1 = gain[v0], gain[v1]
+                v = v0 if g0 > g1 or (g0 == g1 and W0 >= W1) else v1
+        cum += gain[v]
         core.apply_move(v)
         moves.append(v)
-        cum += g
-        e0 = W[0] - maxw[0]
-        e1 = W[1] - maxw[1]
-        exc = (e0 if e0 > 0 else 0) + (e1 if e1 > 0 else 0)
-        feas = exc == 0
-        better = False
-        if feas and not best_feasible:
-            better = True
-        elif feas == best_feasible:
-            if feas:
-                better = cum > best_cum
-            else:
-                better = (exc < best_excess) or (exc == best_excess and cum > best_cum)
+        e0 = W[0] - max0
+        e1 = W[1] - max1
+        if e0 <= 0 and e1 <= 0:
+            exc = 0
+            better = cum > best_cum or not best_feasible
+        else:
+            exc = (e0 if e0 > 0 else 0) + (e1 if e1 > 0 else 0)
+            better = not best_feasible and (
+                exc < best_excess or (exc == best_excess and cum > best_cum)
+            )
         if better:
             best_cum = cum
             best_idx = len(moves)
-            best_feasible = feas
+            best_feasible = not exc
             best_excess = exc
             stalls = 0
         else:

@@ -21,6 +21,18 @@ from repro.partitioner.refine import FMCore
 from tests.graph_reference import GainBucket
 
 
+def walk_order(heads, nxt, chains):
+    """The vertices of *chains* (indices into *heads*, highest gain first),
+    each chain head first: the order a bucket walk visits them."""
+    order = []
+    for b in chains:
+        u = heads[b]
+        while u != -1:
+            order.append(u)
+            u = nxt[u]
+    return order
+
+
 class ReferenceCore(FMCore):
     """:class:`FMCore` bookkeeping with the two-bucket move body."""
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.hypergraph import hypergraph_from_netlists
 from repro.partitioner.refine import FMCore
 from tests import fm_reference
+from tests.fm_reference import walk_order
 from tests.conftest import hypergraphs
 from tests.graph_reference import GainBucket
 
@@ -178,9 +179,7 @@ class TestCappedOrder:
                 if not inside:
                     continue
                 v = inside[i % len(inside)]
-                core.bk.remove(core.part[v], v)
-                core.movable[v] = False
-                core.apply_move(v)
+                core.apply_move(v)  # unlinks and locks v
                 ref.buckets[ref.part[v]].remove(v)
                 ref.locked[v] = True
                 ref.apply_move(v)
@@ -200,8 +199,9 @@ class TestCappedOrder:
         assert bk.best_capped(0, w, 2) is None
         assert bk.wfloor[0] == 3
         # removal and relinks keep the floor a valid lower bound: moving
-        # vertex 3 relinks vertex 2 from gain 1 to gain -1
-        bk.remove(0, 1)
+        # vertex 1 unlinks it, and moving vertex 3 relinks vertex 2 from
+        # gain 1 to gain -1
+        core.apply_move(1)
         core.apply_move(3)
         assert core.gain[2] == -1
         assert bk.wfloor[0] == 3
@@ -220,3 +220,79 @@ class TestCappedOrder:
         else:
             core.apply_move(4)
         assert bk.best_capped(0, w, 2) == 3
+
+
+class TestPickOracle:
+    """``FMBuckets.pick`` against two reference walks plus the tie rule."""
+
+    @given(
+        hypergraphs(max_vertices=16, max_nets=14, weighted=True),
+        st.integers(0, 2**16),
+        st.booleans(),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("move"), st.integers(0, 15)),
+                st.tuples(
+                    st.just("pick"), st.integers(-1, 7), st.integers(-1, 7),
+                    st.booleans(),
+                ),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(deadline=None)
+    def test_pick_is_reference_walks_and_tie_rule(self, h, seed, touch, ops):
+        """After any sequence of moves (each unlinks its mover and relinks
+        or, with *touch*, links the pins it changes), ``pick`` returns the
+        higher gain of the two sides' reference capped walks, side 0 on a
+        tie iff *heavy0*, and a moved stored vertex is unlinked, not
+        movable and no longer counted."""
+        nv = h.num_vertices
+        rng = np.random.default_rng(seed)
+        part = rng.integers(0, 2, size=nv)
+        stored = rng.permutation(nv)[: int(rng.integers(0, nv + 1))]
+        core = FMCore(h, part)
+        ref = fm_reference.ReferenceCore(h, part)
+        gains = core.compute_all_gains()
+        ref.compute_all_gains()
+        bk = core.bk
+        bk.load(stored, part[stored], gains[stored], touch)
+        bound = h.max_incident_cost()
+        ref.buckets = (GainBucket(nv, bound), GainBucket(nv, bound))
+        ref.insert_on_touch = touch
+        for v in stored.tolist():
+            ref.buckets[part[v]].insert(v, ref.gain[v])
+        w = core.w
+        for op in ops:
+            if op[0] == "move":
+                free = [v for v in range(nv) if core.movable[v]]
+                if not free:
+                    continue
+                v = free[op[1] % len(free)]
+                s = core.part[v]
+                core.apply_move(v)
+                if ref.buckets[s].contains(v):
+                    ref.buckets[s].remove(v)
+                ref.locked[v] = True
+                ref.apply_move(v)
+                assert not bk.inside[v] and not core.movable[v]
+                assert v not in walk_order(bk.heads, bk.nxt, range(2 * bk.span))
+            else:
+                _, cap0, cap1, heavy0 = op
+                v0 = ref.buckets[0].best(lambda u: w[u] <= cap0)
+                v1 = ref.buckets[1].best(lambda u: w[u] <= cap1)
+                if v0 is None or v1 is None:
+                    want = v1 if v0 is None else v0
+                else:
+                    g0, g1 = ref.gain[v0], ref.gain[v1]
+                    want = v0 if g0 > g1 or (g0 == g1 and heavy0) else v1
+                # twice: the second call may be answered by the memo
+                assert bk.pick(w, cap0, cap1, heavy0) == want
+                assert bk.pick(w, cap0, cap1, heavy0) == want
+            for s, b in enumerate(ref.buckets):
+                chains = range((s + 1) * bk.span - 1, s * bk.span - 1, -1)
+                assert walk_order(bk.heads, bk.nxt, chains) == walk_order(
+                    b.heads, b.nxt, range(len(b.heads) - 1, -1, -1)
+                )
+            assert bk.count == [len(ref.buckets[0]), len(ref.buckets[1])]
+        assert core.gain == ref.gain

@@ -7,6 +7,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
+from repro.errors import ReproFormatError
+from repro.matrix import harwell_boeing as hb
 from repro.matrix.harwell_boeing import read_harwell_boeing, write_harwell_boeing
 from tests.conftest import sparse_square_matrices
 
@@ -96,3 +98,94 @@ class TestReadFormats:
     def test_truncated(self):
         with pytest.raises(ValueError, match="truncated"):
             read_harwell_boeing(io.StringIO("only\ntwo\n"))
+
+
+def pattern_file(type_line, ptrs, rows):
+    """A 6-line pattern (PUA-style) file: title, card counts, *type_line*,
+    formats, then one card of column pointers and one of row indices."""
+    lines = [
+        f"{'pattern test matrix':<72}{'TEST':<8}",
+        f"{2:>14}{1:>14}{1:>14}{0:>14}{0:>14}",
+        type_line,
+        f"{'(10I8)':<16}{'(10I8)':<16}",
+        "".join(f"{p:>8}" for p in ptrs),
+        "".join(f"{r:>8}" for r in rows),
+    ]
+    return io.StringIO("\n".join(lines) + "\n")
+
+
+class TestMalformed:
+    """Every defect is a ReproFormatError with the source and line, raised
+    before scipy sees the arrays."""
+
+    def test_huge_row_count(self):
+        # used to ask numpy for 14.6 TiB of CSR offsets (MemoryError)
+        f = pattern_file("PUA 2000000000000 1 1 0", [1, 2], [1])
+        with pytest.raises(ReproFormatError, match="declares 2000000000000x1") as err:
+            read_harwell_boeing(f)
+        assert (err.value.source, err.value.line) == ("<stream>", 3)
+
+    def test_row_index_out_of_range(self):
+        # used to return normally with a corrupted heap: the interpreter
+        # then crashed at exit
+        f = pattern_file("PUA 2 2 1 0", [1, 2, 2], [9])
+        with pytest.raises(ReproFormatError, match=r"row index 9 outside \[1, 2\]") as err:
+            read_harwell_boeing(f)
+        assert err.value.line == 6
+
+    def test_decreasing_column_pointers(self):
+        # used to return a malformed matrix silently
+        f = pattern_file("PUA 2 2 1 0", [1, 5, 2], [1])
+        with pytest.raises(ReproFormatError, match="below the one before it") as err:
+            read_harwell_boeing(f)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("ptrs", [[0, 1, 2], [1, 1, 1], [1, 2, 3]])
+    def test_pointers_must_run_from_1_to_nnz_plus_1(self, ptrs):
+        with pytest.raises(ReproFormatError, match="not 1..2"):
+            read_harwell_boeing(pattern_file("PUA 2 2 1 0", ptrs, [1]))
+
+    def test_row_index_bounds_are_inclusive(self):
+        a = read_harwell_boeing(pattern_file("PUA 2 2 2 0", [1, 2, 3], [1, 2]))
+        assert a.toarray().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ReproFormatError, match="row index 0"):
+            read_harwell_boeing(pattern_file("PUA 2 2 2 0", [1, 2, 3], [0, 2]))
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(hb, "MAX_DIMENSION", 3)
+        assert read_harwell_boeing(pattern_file("PUA 3 1 1 0", [1, 2], [3])).shape == (3, 1)
+        with pytest.raises(ReproFormatError, match="above the 3 rows"):
+            read_harwell_boeing(pattern_file("PUA 4 1 1 0", [1, 2], [4]))
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda t: t[:2], "truncated"),
+            (lambda t: [t[0], "x y", *t[2:]], "malformed card count"),
+            (lambda t: [*t[:2], "PUA 2 x 1 0", *t[3:]], "malformed type"),
+            (lambda t: [*t[:2], "CUA 2 2 1 0", *t[3:]], "value type"),
+            (lambda t: [*t[:2], "PSA 2 3 1 0", *t[3:]], "symmetric storage"),
+            (lambda t: [*t[:3], "(10X8) (10I8)", *t[4:]], "Fortran format"),
+            (lambda t: [*t[:3], "(10I0) (10I8)", *t[4:]], "Fortran format"),
+            (lambda t: [*t[:4], "       1       x       2", t[5]], "column pointer 'x'"),
+            (lambda t: t[:5], "expected 1 row indexs"),
+        ],
+    )
+    def test_other_defects(self, edit, match):
+        text = pattern_file("PUA 2 2 1 0", [1, 2, 2], [1]).getvalue().splitlines()
+        with pytest.raises(ReproFormatError, match=match) as err:
+            read_harwell_boeing(io.StringIO("\n".join(edit(text)) + "\n"))
+        assert err.value.source == "<stream>"
+
+    def test_non_finite_value(self):
+        text = TestReadFormats().hand_file().getvalue().replace(
+            "  2.000000000000E+00", f"{'nan':>20}"
+        )
+        with pytest.raises(ReproFormatError, match="non-finite"):
+            read_harwell_boeing(io.StringIO(text))
+
+    def test_source_is_the_path(self, tmp_path):
+        p = tmp_path / "bad.rua"
+        p.write_text(pattern_file("PUA 2 2 1 0", [1, 2, 2], [9]).getvalue())
+        with pytest.raises(ReproFormatError, match="bad.rua:6"):
+            read_harwell_boeing(p)

@@ -155,3 +155,37 @@ class TestDeclaredSize:
         assert reader(io.StringIO(header.format(3) + "1\n")).num_vertices == 3
         with pytest.raises(ReproFormatError, match="above the 3 a file may declare"):
             reader(io.StringIO(header.format(4) + "1\n"))
+
+
+class TestNegativeValues:
+    """A negative vertex weight or net cost is a format error with the file
+    and line, in both repair modes: there is nothing to repair it to.
+    These files used to reach ``Hypergraph`` and raise a bare ValueError."""
+
+    @pytest.mark.parametrize("repair", [False, True])
+    @pytest.mark.parametrize(
+        "reader,text,line,match",
+        [
+            (read_patoh, "1 6 3 8 3\n1 1 2 3\n2 3 4\n3 5 6 1\n1 -1 2 1 1 3 1\n",
+             5, "vertex weight -1 is negative"),
+            (read_hmetis, "2 3 10\n1 2\n2 3\n1\n-1\n1\n", 5,
+             "vertex weight -1 is negative"),
+            (read_hmetis, "2 3 1\n-1 1 2\n1 2 3\n", 2, "net 0: cost -1 is negative"),
+        ],
+    )
+    def test_negative_is_a_format_error(self, reader, text, line, match, repair):
+        with pytest.raises(ReproFormatError, match=match) as err:
+            reader(io.StringIO(text), repair=repair)
+        assert (err.value.source, err.value.line) == ("<stream>", line)
+
+    @pytest.mark.parametrize("reader", [read_patoh, read_hmetis])
+    def test_integer_past_int64_is_a_format_error(self, reader):
+        # found by tests/test_reader_fuzz.py: it used to raise OverflowError
+        # when the weights became an int64 array
+        text = {
+            read_patoh: "1 1 0 0 1\n99999999999999999999999\n",
+            read_hmetis: "0 1 10\n99999999999999999999999\n",
+        }[reader]
+        with pytest.raises(ReproFormatError, match="out of range") as err:
+            reader(io.StringIO(text))
+        assert err.value.line == 2

@@ -82,6 +82,10 @@ class TestFMCore:
             v = int(rng.integers(15))
             g = core.gain[v]
             core.apply_move(v)
+            # the move locks v; free it again, so every gain is maintained
+            # and v may move again
+            assert not core.movable[v]
+            core.movable[v] = True
             cut -= g
             assert core.cut() == cut
             # gains of free vertices must match a fresh recomputation
@@ -326,18 +330,6 @@ class TestOracle:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def _walk_order(heads, nxt, chains):
-    """The vertices of *chains* (indices into *heads*, highest gain first),
-    each chain head first: the order a bucket walk visits them."""
-    order = []
-    for b in chains:
-        u = heads[b]
-        while u != -1:
-            order.append(u)
-            u = nxt[u]
-    return order
-
-
 class _WalkedCore(FMCore):
     """An :class:`FMCore` that records both sides' walk order after each move."""
 
@@ -349,7 +341,9 @@ class _WalkedCore(FMCore):
         super().apply_move(v, grow)
         bk = self.bk
         sides = (range(bk.span - 1, -1, -1), range(2 * bk.span - 1, bk.span - 1, -1))
-        self.walks.append([_walk_order(bk.heads, bk.nxt, side) for side in sides])
+        self.walks.append(
+            [fm_reference.walk_order(bk.heads, bk.nxt, side) for side in sides]
+        )
 
 
 class _WalkedReference(fm_reference.ReferenceCore):
@@ -362,7 +356,7 @@ class _WalkedReference(fm_reference.ReferenceCore):
     def apply_move(self, v):
         super().apply_move(v)
         self.walks.append([
-            _walk_order(b.heads, b.nxt, range(len(b.heads) - 1, -1, -1))
+            fm_reference.walk_order(b.heads, b.nxt, range(len(b.heads) - 1, -1, -1))
             for b in self.buckets
         ])
 
