@@ -18,10 +18,10 @@ hMeTiS format::
 
 fmt is omitted (unweighted), 1 (net costs), 10 (vertex weights) or 11 (both).
 
-Both readers validate as they parse: out-of-range pins, duplicate pins
-within a net, negative vertex weights and net costs, unparseable tokens,
-truncated files and a vertex count above
-:data:`repro.errors.MAX_DIMENSION` raise
+Both readers validate as they parse: any other base, flag or fmt,
+out-of-range pins, duplicate pins within a net, negative vertex weights
+and net costs, unparseable tokens, truncated files and a vertex count
+above :data:`repro.errors.MAX_DIMENSION` raise
 :class:`repro.errors.ReproFormatError` with file/line context.
 ``repair=True`` drops out-of-range pins and dedups duplicate pins (first
 occurrence wins) with one summary warning instead.
@@ -175,6 +175,16 @@ def read_patoh(path_or_file, repair: bool = False) -> Hypergraph:
             )
         base, nv, nn, npins = header[:4]
         flag = header[4] if len(header) > 4 else 0
+        if base not in (0, 1):
+            raise ReproFormatError(
+                f"PaToH base {base} is not 0 or 1",
+                source=source, line=tokens.lineno,
+            )
+        if flag not in (0, 1, 2, 3):
+            raise ReproFormatError(
+                f"PaToH flag {flag} is not 0, 1, 2 or 3",
+                source=source, line=tokens.lineno,
+            )
         if nv < 0 or nn < 0 or npins < 0:
             raise ReproFormatError(
                 "header counts must be non-negative",
@@ -310,6 +320,11 @@ def read_hmetis(path_or_file, repair: bool = False) -> Hypergraph:
             )
         _check_vertex_count(nv, source, tokens.lineno)
         fmt = header[2] if len(header) > 2 else "0"
+        if fmt not in ("0", "1", "10", "11"):
+            raise ReproFormatError(
+                f"hMeTiS fmt {fmt!r} is not 0, 1, 10 or 11",
+                source=source, line=tokens.lineno,
+            )
         wn = fmt in ("1", "11")
         wv = fmt in ("10", "11")
         netlists: list[list[int]] = []

@@ -68,8 +68,7 @@ def net_connectivity_sets(h: Hypergraph, part: np.ndarray) -> list[np.ndarray]:
     vectorized: one lexsort over the (net, part) incidence pairs dedups
     every net's part set at once, and the result is sliced back per net —
     no per-net ``np.unique`` calls (the former Python loop over all nets
-    dominated decode time on large instances; see
-    ``benchmarks/bench_connectivity_sets.py``).
+    dominated decode time on large instances).
     """
     part = np.asarray(part)
     if h.num_pins == 0:

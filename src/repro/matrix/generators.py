@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from repro._util import as_rng, check_positive
 
@@ -129,6 +128,9 @@ def geometric_graph_matrix(
     """
     check_positive("n", n)
     check_positive("avg_degree", avg_degree)
+    # local import: scipy.spatial loads scipy.linalg (~15 MB) and only bcspwr10 needs it
+    from scipy.spatial import cKDTree
+
     rng = as_rng(seed)
     pts = rng.random((n, 2))
     # expected neighbours within radius r: n * pi * r^2 (ignoring borders)

@@ -1,9 +1,9 @@
-"""Synthetic hypergraph generators.
+"""Synthetic hypergraph generators for the test suite.
 
 Standalone hypergraph instances for exercising the partitioner outside the
 sparse-matrix models: random uniform hypergraphs, planted-partition
-instances with known good cuts (for quality regression tests), and the
-clique-chain family used in the documentation examples.
+instances with known good cuts (for quality regression tests), and a
+clique-chain family.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Tests for the library hypergraph generators."""
+"""Tests for the test-suite hypergraph generators."""
 
 import numpy as np
 import pytest
 
 from repro.hypergraph.builders import validate_hypergraph
-from repro.hypergraph.generators import (
+from tests.hypergraph_generators import (
     clique_chain_hypergraph,
     planted_partition_hypergraph,
     random_uniform_hypergraph,

@@ -189,3 +189,37 @@ class TestNegativeValues:
         with pytest.raises(ReproFormatError, match="out of range") as err:
             reader(io.StringIO(text))
         assert err.value.line == 2
+
+
+class TestHeaderFlags:
+    """A header's base, flag or fmt outside the format's values is a format
+    error naming the bad token on line 1, in both repair modes.  These files
+    used to be read with the wrong weights or shifted pins."""
+
+    @pytest.mark.parametrize("repair", [False, True])
+    @pytest.mark.parametrize(
+        "reader,text,match",
+        [
+            # flag 7 was read as 3: costs [5, 6] from a corrupt header
+            (read_patoh, "1 3 2 4 7\n5 1 2\n6 2 3\n1 1 1\n", "PaToH flag 7 "),
+            # base 2 silently shifted every pin by one
+            (read_patoh, "2 3 2 4 0\n2 3\n3 4\n", "PaToH base 2 "),
+            # flag -1 was reported as a pin count mismatch
+            (read_patoh, "1 3 2 4 -1\n1 2\n2 3\n", "PaToH flag -1 "),
+            # fmt 7 and x were read as unweighted
+            (read_hmetis, "2 3 7\n1 2\n2 3\n", "hMeTiS fmt '7' "),
+            (read_hmetis, "2 3 x\n1 2\n2 3\n", "hMeTiS fmt 'x' "),
+        ],
+    )
+    def test_unknown_header_value_is_a_format_error(self, reader, text, match, repair):
+        with pytest.raises(ReproFormatError, match=match) as err:
+            reader(io.StringIO(text), repair=repair)
+        assert (err.value.source, err.value.line) == ("<stream>", 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 2\n1 2\n", "1 2 0\n1 2\n", "1 2 1\n3 1 2\n", "1 2 10\n1 2\n4\n5\n",
+         "1 2 11\n3 1 2\n4\n5\n"],
+    )
+    def test_every_hmetis_fmt_is_accepted(self, text):
+        assert read_hmetis(io.StringIO(text)).pins.tolist() == [0, 1]

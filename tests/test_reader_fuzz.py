@@ -9,6 +9,7 @@ The readers that have a repair mode run with it off and on.
 """
 
 import io
+import os
 import re
 import warnings
 
@@ -35,6 +36,9 @@ _TOKENS = (
     "skew-symmetric", "hermitian", "RUA", "RSA", "PUA", "PSA", "IUA", "RUE",
     "CUA", "(10I8)", "(4E20.12)", "(0I8)", "(I)",
 )
+
+#: examples per fuzzer: 200 in tier-1, 3,000 for CI's deep search
+_EXAMPLES = 3000 if os.environ.get("HYPOTHESIS_PROFILE") == "thorough" else 200
 
 _SPLIT = re.compile(r"(\s+)")
 
@@ -111,7 +115,7 @@ def _written(write, obj) -> str:
 
 @pytest.mark.parametrize("repair", [False, True])
 @given(sparse_square_matrices(max_n=8), st.booleans(), _OPS)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 def test_matrix_market_mutations(repair, a, pattern, ops):
     text = _written(
         lambda m, f: write_matrix_market(m, f, field="pattern" if pattern else "real"),
@@ -122,7 +126,7 @@ def test_matrix_market_mutations(repair, a, pattern, ops):
 
 @pytest.mark.parametrize("repair", [False, True])
 @given(hypergraphs(max_vertices=8, max_nets=6, weighted=True), _OPS)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 def test_patoh_mutations(repair, h, ops):
     text = _written(write_patoh, h)
     _read_or_reject(read_patoh, _mutate(text, ops), repair=repair)
@@ -130,14 +134,14 @@ def test_patoh_mutations(repair, h, ops):
 
 @pytest.mark.parametrize("repair", [False, True])
 @given(hypergraphs(max_vertices=8, max_nets=6, weighted=True), _OPS)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 def test_hmetis_mutations(repair, h, ops):
     text = _written(write_hmetis, h)
     _read_or_reject(read_hmetis, _mutate(text, ops), repair=repair)
 
 
 @given(sparse_square_matrices(max_n=8), _OPS)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 def test_harwell_boeing_mutations(a, ops):
     """Harwell-Boeing has no repair mode."""
     _read_or_reject(read_harwell_boeing, _mutate(_written(write_harwell_boeing, a), ops))

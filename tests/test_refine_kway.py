@@ -11,6 +11,7 @@ from repro.partitioner import PartitionerConfig
 from repro.partitioner.refine_kway import pairwise_refine, refine_partition
 from repro.spmv import communication_stats
 from tests.conftest import random_hypergraph
+from tests.hypergraph_generators import planted_partition_hypergraph
 
 
 class TestRefinePartition:
@@ -24,8 +25,6 @@ class TestRefinePartition:
             assert cutsize_connectivity(h, new) <= before
 
     def test_repairs_scrambled_planted_partition(self):
-        from repro.hypergraph.generators import planted_partition_hypergraph
-
         h, planted, cut = planted_partition_hypergraph(4, 20, 12, 4, 4, seed=0)
         scrambled = planted.copy()
         rng = as_rng(1)
